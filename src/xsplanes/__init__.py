@@ -28,19 +28,26 @@ from .experiment import (
     slab_sample,
     slab_spec,
 )
-from .planes import MeshStrip, Plane, PlaneFamily, component_count, family, mesh, min_dist, torus_dist
+from .planes import (
+    MeshStrip,
+    Plane,
+    PlaneFamily,
+    component_count,
+    epsilon_threshold,
+    family,
+    mesh,
+    nearest_plane,
+)
 from .xorapprox import (
     CaseCounts,
     CaseLabel,
     Combine,
     classify,
-    classify_inner,
-    classify_outer,
+    column_cases,
     compound_probability,
     count_cases,
     inner_multiplier,
     plane_coefficients,
-    top_bits,
     verify_xor_diff,
     verify_xor_sum,
 )

@@ -23,7 +23,7 @@ import os
 
 import numpy as np
 
-from .bitlin import MASK64, xorshift_xform
+from .bitlin import MASK64
 from .engine import (
     DEFAULT_PARAMS,
     GenState,
@@ -36,18 +36,15 @@ from .engine import (
     transition_pow,
     transition_rows,
 )
-from .planes import PlaneFamily, family, min_dist
-from .xorapprox import (
-    COMBINE_ORDER,
-    classify_inner,
-    classify_outer,
-    compound_probability,
-    plane_coefficients,
-    top_bits,
-)
+from .planes import PlaneFamily, epsilon_threshold, family, nearest_plane
+from .xorapprox import COMBINE_ORDER, column_cases, compound_probability, plane_coefficients
 
 DEFAULT_SCAN_CAP = 1 << 32
 _MAX_LANES = 1 << 17
+# Control points and census steps are processed in chunks of these sizes,
+# which bounds their memory independently of the requested counts.
+_CONTROL_CHUNK = 1 << 15
+_CENSUS_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -295,94 +292,42 @@ def hit_stats(points, fam: PlaneFamily, epsilon: float, spec: SlabSpec) -> HitSt
     """Fraction of points within epsilon of some family plane, attributed by arg-min.
 
     Points carry magnified x; distances are computed on unmagnified
-    coordinates.  Per-plane counts use the arg-min plane only, so they sum
-    to the total hit count.
+    coordinates, scaled to the 53-bit grid (exact for generator points).
+    Per-plane counts use the arg-min plane only, so they sum to the total
+    hit count.
     """
     if not points:
         raise ValueError("empty point list")
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    inv = 1.0 / spec.magnify
-    per = {p.name: 0 for p in fam.planes}
-    hits = 0
-    for xm, y, z in points:
-        d, which = min_dist((xm * inv, y, z), fam)
-        if d <= epsilon:
-            hits += 1
-            per[which.name] += 1
-    return HitStats(len(points), hits, hits / len(points), per)
+    thr = epsilon_threshold(epsilon)
+    scale = np.array([(1 << 53) / spec.magnify, 1 << 53, 1 << 53])
+    d, which = nearest_plane((np.array(points) * scale).astype(np.uint64), fam)
+    hit = d <= thr
+    per = np.bincount(which[hit], minlength=len(fam.planes))
+    hits = int(hit.sum())
+    per_plane = {p.name: int(c) for p, c in zip(fam.planes, per)}
+    return HitStats(len(points), hits, hits / len(points), per_plane)
 
 
 def control_baseline(n_points: int, fam: PlaneFamily, epsilon: float, control_seed: int) -> float:
     """Hit fraction of uniform cube points from a counter-based generator.
 
     Philox (counter-based, unrelated to the xorshift family) drives the
-    points; on the full cube the eight plane neighborhoods are nearly
-    disjoint so the expected value is a bit under 16*epsilon.
+    points: each coordinate is the top 53 bits of one raw word, the same
+    value Generator.random would give.  On the full cube the eight plane
+    neighborhoods are nearly disjoint so the expected value is a bit under
+    16*epsilon; for a >= 53 the two coefficients agree mod 2**53 and the
+    families coincide, which halves that to 8*epsilon.
     """
     if n_points < 1:
         raise ValueError(f"n_points must be >= 1, got {n_points}")
-    gen = np.random.Generator(np.random.Philox(key=control_seed))
-    pts = gen.random((n_points, 3))
+    thr = epsilon_threshold(epsilon)
+    bitgen = np.random.Philox(key=control_seed)
     hits = 0
-    for x, y, z in pts:
-        d, _ = min_dist((x, y, z), fam)
-        if d <= epsilon:
-            hits += 1
+    for start in range(0, n_points, _CONTROL_CHUNK):
+        k = min(_CONTROL_CHUNK, n_points - start)
+        d, _ = nearest_plane((bitgen.random_raw(3 * k) >> np.uint64(11)).reshape(k, 3), fam)
+        hits += int((d <= thr).sum())
     return hits / n_points
-
-
-def census_step(s0: int, s1: int, s2: int, s3: int, params: Params, n_bits: int):
-    """Compound cells satisfied by four consecutive state words.
-
-    Returns (cells, checks, leaks): the satisfied (outer, inner) pairs, how
-    many of them were checked against the predicted plane value, and how
-    many predictions missed the top n_bits of the actual third output.
-    """
-    a = params.a
-    inner0 = classify_inner(s0, a, n_bits)
-    inner1 = classify_inner(s1, a, n_bits)
-    outer0 = classify_outer(s1, xorshift_xform(s0, a, "left"), n_bits)
-    outer1 = classify_outer(s2, xorshift_xform(s1, a, "left"), n_bits)
-    inner_both = dict(
-        zip(
-            COMBINE_ORDER,
-            (
-                inner0.is_sum and inner1.is_sum,
-                inner0.is_diff and inner1.is_diff,
-                inner0.is_rev_diff and inner1.is_rev_diff,
-            ),
-        )
-    )
-    outer_both = dict(
-        zip(
-            COMBINE_ORDER,
-            (
-                outer0.is_sum and outer1.is_sum,
-                outer0.is_diff and outer1.is_diff,
-                outer0.is_rev_diff and outer1.is_rev_diff,
-            ),
-        )
-    )
-    x = (s0 + s1) & MASK64
-    y = (s1 + s2) & MASK64
-    z = (s2 + s3) & MASK64
-    cells = []
-    checks = 0
-    leaks = 0
-    for outer in COMBINE_ORDER:
-        if not outer_both[outer]:
-            continue
-        for inner in COMBINE_ORDER:
-            if not inner_both[inner]:
-                continue
-            cells.append((outer, inner))
-            cx, cy = plane_coefficients(outer, inner, a)
-            predicted = (cx * x + cy * y) & MASK64
-            checks += 1
-            if top_bits(predicted, n_bits) != top_bits(z, n_bits):
-                leaks += 1
-    return cells, checks, leaks
 
 
 @dataclass
@@ -400,35 +345,48 @@ class CaseCensus:
 def case_census(state: GenState, n_steps: int, n_bits: int = 3) -> CaseCensus:
     """Tally the 3x3 compound-case grid over n_steps consecutive steps.
 
-    A step may satisfy several cells; every satisfied cell is tallied and
-    compound_frequency counts steps satisfying at least one.  The carry
-    leak frequency is the share of satisfied cells whose predicted plane
-    value misses the top n_bits of the actual output.
+    Step i sees the state words s0..s3 = w[i..i+3].  Its inner cases are
+    the column conditions on the top n_bits of (s, s << a), held by both
+    s0 and s1; its outer cases those of (s_next, s ^ (s << a)), held by
+    both (s1, s0) and (s2, s1).  A step may satisfy several cells; every
+    satisfied cell is tallied and compound_frequency counts steps
+    satisfying at least one.  The carry leak frequency is the share of
+    satisfied cells whose predicted plane value cx*x + cy*y misses the top
+    n_bits of the actual output z.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if not 1 <= n_bits <= 16:
+        raise ValueError(f"n_bits must be in 1..16, got {n_bits}")
     params = state.params
+    drop = np.uint64(64 - n_bits)
+    pairs = [(o, i) for o in COMBINE_ORDER for i in COMBINE_ORDER]
+    coeffs = [[np.uint64(c & MASK64) for c in plane_coefficients(o, i, params.a)] for o, i in pairs]
+    counts = np.zeros(len(pairs), dtype=np.int64)
+    compound = leaks = 0
     w0, w1 = state.s0, state.s1
-    _, w2 = step_words(w0, w1, params)
-    _, w3 = step_words(w1, w2, params)
-    counts = {(o, i): 0 for o in COMBINE_ORDER for i in COMBINE_ORDER}
-    compound = 0
-    checks = 0
-    leaks = 0
-    for _ in range(n_steps):
-        cells, c, l = census_step(w0, w1, w2, w3, params, n_bits)
-        for cell in cells:
-            counts[cell] += 1
-        compound += bool(cells)
-        checks += c
-        leaks += l
-        w0, w1, w2 = w1, w2, w3
-        _, w3 = step_words(w1, w2, params)
-    grid = {
-        f"{o.value}|{i.value}": counts[o, i] / n_steps
-        for o in COMBINE_ORDER
-        for i in COMBINE_ORDER
-    }
+    for start in range(0, n_steps, _CENSUS_CHUNK):
+        k = min(_CENSUS_CHUNK, n_steps - start)
+        words = [w0, w1]
+        while len(words) < k + 3:
+            words.append(step_words(words[-2], words[-1], params)[1])
+        w0, w1 = words[k], words[k + 1]
+        w = np.array(words, dtype=np.uint64)
+        s, s_next = w[: k + 1], w[1 : k + 2]
+        shifted = s << np.uint64(params.a)
+        inner = np.array(column_cases(s >> drop, shifted >> drop))
+        outer = np.array(column_cases(s_next >> drop, (s ^ shifted) >> drop))
+        # one row per (outer, inner) cell: both cases hold at both words
+        both_outer, both_inner = outer[:, :-1] & outer[:, 1:], inner[:, :-1] & inner[:, 1:]
+        cells = (both_outer[:, None] & both_inner[None]).reshape(len(pairs), k)
+        out = w[:-1] + w[1:]
+        x, y, z = out[:k], out[1 : k + 1], out[2:]
+        for cell, (cx, cy) in zip(cells, coeffs):
+            leaks += int((cell & (((cx * x + cy * y) ^ z) >> drop != 0)).sum())
+        counts += cells.sum(axis=1)
+        compound += int(cells.any(axis=0).sum())
+    checks = int(counts.sum())
+    grid = {f"{o.value}|{i.value}": int(c) / n_steps for (o, i), c in zip(pairs, counts)}
     return CaseCensus(
         n_steps=n_steps,
         n_bits=n_bits,
@@ -535,6 +493,7 @@ def run_experiment(cfg: ExperimentConfig) -> HitReport:
     from .planes import mesh  # local import to keep module init light
 
     spec = slab_spec(cfg.params.a, cfg.magnify_exp, cfg.target_points)
+    epsilon_threshold(cfg.epsilon)  # reject a bad epsilon before the scan
     state = seed_state(cfg.seed, cfg.params)
     sample = slab_sample(state, spec, scan_cap=cfg.scan_cap, method=cfg.method)
     fam = family(cfg.params.a)

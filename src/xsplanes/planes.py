@@ -3,12 +3,17 @@
 For shift count a the coefficients are m = 2**a - 1 and m = 2**a + 1; with
 both signs on x and y that makes eight planes.  Distances are vertical on
 the torus (z folded mod 1), which is well defined for graphs z = f(x, y)
-mod 1 and cheap; meshes sample the slab region used for the magnified
-plots, split at the mod-1 wrap so each surface piece is a clean sheet.
+mod 1 and cheap.  They are computed exactly on 53-bit integer coordinates,
+the resolution of the generator's unit-interval outputs.  Meshes sample the
+slab region used for the magnified plots, split at the mod-1 wrap so each
+surface piece is a clean sheet.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 import math
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -66,27 +71,41 @@ def family(a: int) -> PlaneFamily:
     return PlaneFamily(a, planes)
 
 
-def torus_dist(p: tuple[float, float, float], plane: Plane) -> float:
-    """Vertical distance mod 1 from point p to the plane, in [0, 1/2]."""
-    x, y, z = p
-    t = z - (plane.sign_x * plane.m * x + plane.sign_y * y)
-    frac = t % 1.0
-    return min(frac, 1.0 - frac)
+_ONE = 1 << 53
+_MASK53 = np.uint64(_ONE - 1)
 
 
-def min_dist(p: tuple[float, float, float], fam: PlaneFamily) -> tuple[float, Plane]:
-    """Minimum torus distance over the family and the arg-min plane.
+def epsilon_threshold(epsilon: float) -> int:
+    """Largest 53-bit distance within epsilon: floor(epsilon * 2**53).
 
-    Ties keep the earliest plane in the family's fixed order.
+    Any epsilon >= 1/2 covers the whole torus and is clamped there (which
+    also keeps inf out of Fraction); negative and NaN values are rejected.
     """
-    best = None
-    best_plane = None
-    for plane in fam.planes:
-        d = torus_dist(p, plane)
-        if best is None or d < best:
-            best = d
-            best_plane = plane
-    return best, best_plane
+    if not epsilon >= 0.0:
+        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    return math.floor(Fraction(min(epsilon, 0.5)) * _ONE)
+
+
+def nearest_plane(points: np.ndarray, fam: PlaneFamily) -> tuple[np.ndarray, np.ndarray]:
+    """Exact torus distance to the nearest family plane, and that plane's index.
+
+    points is an (n, 3) uint64 array of 53-bit coordinates (X, Y, Z), the
+    point (X, Y, Z) / 2**53.  For each plane T = (Z - sign_x*m*X - sign_y*Y)
+    mod 2**53 is computed with uint64 wraparound, and the distance is
+    min(T, 2**53 - T) in units of 2**-53.  Ties keep the earliest plane in
+    the family's fixed order.
+    """
+    x, y, z = points[:, 0], points[:, 1], points[:, 2]
+    best = np.full(len(points), _ONE, dtype=np.uint64)
+    idx = np.zeros(len(points), dtype=np.intp)
+    for k, plane in enumerate(fam.planes):
+        mx = x * np.uint64(plane.m)
+        t = z - mx if plane.sign_x == 1 else z + mx
+        t = (t - y if plane.sign_y == 1 else t + y) & _MASK53
+        d = np.minimum(t, _ONE - t)
+        idx[d < best] = k
+        np.minimum(best, d, out=best)
+    return best, idx
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ the corresponding per-column condition holds:
     rev_diff  x ^ y == y - x   iff no column (1, 0)
 
 The module enumerates all 4**n pairs to verify these equivalences and the
-resulting counts, classifies the top bits of 64-bit words the same way, and
-carries the case-to-plane coefficient bookkeeping used by the experiments.
+resulting counts, evaluates the same conditions on word arrays for the case
+census, and carries the case-to-plane coefficient bookkeeping used by the
+experiments.
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .bitlin import WIDTH, shl
+from .bitlin import WIDTH
 
 # 4**n pairs are enumerated in memory; 12 keeps that at ~17M pairs.
 MAX_ENUM_BITS = 12
@@ -103,14 +104,19 @@ def _pair_grids(n: int):
     return vals[:, None], vals[None, :]
 
 
+def column_cases(x, y):
+    """The three column conditions on arrays of pairs: (sum, diff, rev_diff) masks.
+
+    x and y are non-negative integer arrays (or ints) of a common width;
+    elementwise this agrees with classify.
+    """
+    return (x & y) == 0, (~x & y) == 0, (x & ~y) == 0
+
+
 def count_cases(n: int) -> CaseCounts:
     """Enumerate all 4**n pairs and tally the match sets and their overlaps."""
     _check_width(n, MAX_ENUM_BITS)
-    x, y = _pair_grids(n)
-    mask = (1 << n) - 1
-    in_sum = (x & y) == 0
-    in_diff = (~x & y) & mask == 0
-    in_rev = (x & ~y) & mask == 0
+    in_sum, in_diff, in_rev = column_cases(*_pair_grids(n))
     return CaseCounts(
         n=n,
         total=1 << (2 * n),
@@ -133,48 +139,18 @@ def verify_xor_sum(n: int) -> bool:
     total = x + y  # no modulus
     if not bool((xor <= total).all()):
         return False
-    return bool(((xor == total) == ((x & y) == 0)).all())
+    return bool(((xor == total) == column_cases(x, y)[0]).all())
 
 
 def verify_xor_diff(n: int) -> bool:
     """Check x^y >= x-y (signed) over all pairs, with equality exactly on the diff condition."""
     _check_width(n, MAX_ENUM_BITS)
     x, y = _pair_grids(n)
-    mask = (1 << n) - 1
     xor = x ^ y
     diff = x - y  # signed, no modulus
     if not bool((xor >= diff).all()):
         return False
-    return bool(((xor == diff) == ((~x & y) & mask == 0)).all())
-
-
-def top_bits(word: int, n: int) -> int:
-    """Most significant n bits of a 64-bit word."""
-    _check_width(n)
-    return (word & ((1 << WIDTH) - 1)) >> (WIDTH - n)
-
-
-def classify_inner(s: int, a: int, n: int) -> CaseLabel:
-    """Case label of (top n of s, top n of s << a).
-
-    A sum label means s ^ (s << a) tracks (1 + 2**a) * s on the top bits,
-    diff tracks (1 - 2**a) * s, rev_diff tracks (2**a - 1) * s; the label
-    itself is defined purely by the column condition, value agreement is a
-    statistical matter (low-bit carries can reach the top bits).
-    """
-    _check_width(n, 16)
-    return classify(top_bits(s, n), top_bits(shl(s, a), n), n)
-
-
-def classify_outer(s_next: int, t: int, n: int) -> CaseLabel:
-    """Case label of (top n of s_next, top n of t) for a xor operand pair.
-
-    With t = s ^ (s << a) supplied by the caller, a sum label means
-    s_next ^ t tracks s_next + t, diff tracks s_next - t, and rev_diff
-    tracks t - s_next on the top bits.
-    """
-    _check_width(n, 16)
-    return classify(top_bits(s_next, n), top_bits(t, n), n)
+    return bool(((xor == diff) == column_cases(x, y)[1]).all())
 
 
 def inner_multiplier(kind: Combine, a: int) -> int:

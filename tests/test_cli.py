@@ -85,6 +85,14 @@ def test_census_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("n_bits", ["0", "17"])
+def test_census_n_bits_range_exits_2(capsys, n_bits):
+    code, out, err = run_cli(capsys, "census", "--steps", "100", "--n-bits", n_bits)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 PLANES_ARGS = [
     "planes", "--a", "8", "--seed", "2", "--target-points", "150",
     "--control-points", "8000", "--census-steps", "500", "--grid", "16",
@@ -137,6 +145,38 @@ def test_planes_control_only(capsys):
     assert payload["control_points"] == 5000
     assert payload["uniform_union_rate"] == 16 * 2.0**-9
     assert 0.0 <= payload["control_hit_fraction"] <= 1.0
+
+
+@pytest.mark.parametrize("eps", ["-0.1", "nan"])
+@pytest.mark.parametrize("control_only", [True, False])
+def test_planes_bad_epsilon_exits_2(tmp_path, capsys, eps, control_only):
+    extra = ["--control-only"] if control_only else ["--output-dir", str(tmp_path / "o")]
+    code, out, err = run_cli(capsys, *PLANES_ARGS, "--epsilon", eps, *extra)
+    assert code == 2
+    assert out == ""
+    assert "epsilon" in err
+
+
+@pytest.mark.parametrize("eps", ["0.5", "inf"])
+def test_planes_wide_epsilon_counts_every_point(tmp_path, capsys, eps):
+    code, out, _ = run_cli(capsys, *PLANES_ARGS, "--epsilon", eps, "--control-only")
+    assert code == 0
+    assert json.loads(out)["control_hit_fraction"] == 1.0
+    code, out, _ = run_cli(
+        capsys, *PLANES_ARGS, "--epsilon", eps, "--output-dir", str(tmp_path / eps), "--min-ratio", "1",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["hit_fraction"] == report["control_hit_fraction"] == 1.0
+
+
+def test_planes_control_only_large_a(capsys):
+    # float scoring reported 0.315 here; the uniform rate is about 16*eps
+    code, out, _ = run_cli(capsys, "planes", "--control-only", "--a", "50", "--control-points", "32768")
+    assert code == 0
+    frac = json.loads(out)["control_hit_fraction"]
+    expect = 16 * 2.0**-10
+    assert abs(frac - expect) <= 4 * (expect * (1 - expect) / 32768) ** 0.5
 
 
 def test_planes_magnify_exp_variant(tmp_path, capsys):

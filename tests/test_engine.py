@@ -146,10 +146,12 @@ def test_triples_requires_positive_count():
 
 
 def test_triples_single_window():
+    # hand trace continued: state (0, 0x800041) outputs 0x800041 and steps
+    # to (0x800041, 0x800041), which outputs 0x1000082
+    words = [o for o, _ in zip(iter_outputs(GenState(1, 0)), range(3))]
+    assert words == [1, 0x800041, 0x1000082]
     got = triples(GenState(1, 0), 1)
-    assert len(got) == 1
-    # hand trace continued: outputs 1, 0x800041, 0x10000a2
-    assert got[0] == (to_unit(1), to_unit(0x800041), to_unit(0x10000A2))
+    assert got == [(to_unit(1), to_unit(0x800041), to_unit(0x1000082))]
 
 
 def test_triples_match_explicit_steps():

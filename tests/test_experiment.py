@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from xsplanes.bitlin import MASK64
-from xsplanes.engine import Params, seed_state, step_words, to_unit
+from xsplanes.engine import GenState, Params, iter_outputs, seed_state, step_words, to_unit
 from xsplanes.experiment import (
+    _CENSUS_CHUNK,
     DEFAULT_SCAN_CAP,
     ExperimentConfig,
     SlabSpec,
     _accept_threshold,
     case_census,
-    census_step,
     control_baseline,
     hit_stats,
     resolve_scan_cap,
@@ -20,8 +20,8 @@ from xsplanes.experiment import (
     slab_sample,
     slab_spec,
 )
-from xsplanes.planes import family
-from xsplanes.xorapprox import COMBINE_ORDER, classify
+from xsplanes.planes import epsilon_threshold, family, nearest_plane
+from xsplanes.xorapprox import COMBINE_ORDER, classify, plane_coefficients
 
 P8 = Params(8, 17, 26)
 
@@ -149,8 +149,32 @@ def test_hit_stats_epsilon_half_catches_all():
 def test_hit_stats_empty_rejected():
     with pytest.raises(ValueError):
         hit_stats([], family(8), 0.01, slab_spec(8))
-    with pytest.raises(ValueError):
-        hit_stats([(0.1, 0.2, 0.3)], family(8), -0.1, slab_spec(8))
+    for eps in (-0.1, math.nan):
+        with pytest.raises(ValueError):
+            hit_stats([(0.1, 0.2, 0.3)], family(8), eps, slab_spec(8))
+
+
+def test_hit_stats_matches_raw_word_scoring():
+    # slab points scored through hit_stats equal the 53-bit words of the
+    # same triples scored directly
+    spec = slab_spec(8, target_points=300)
+    state = seed_state(3, P8)
+    sample = slab_sample(state, spec, method="sequential")
+    outs = iter_outputs(state)
+    o0, o1 = next(outs) >> 11, next(outs) >> 11
+    rows = []
+    while len(rows) < 300:
+        o2 = next(outs) >> 11
+        if o0 < 1 << 45:
+            rows.append((o0, o1, o2))
+        o0, o1 = o1, o2
+    fam = family(8)
+    eps = 2.0**-9
+    d, which = nearest_plane(np.array(rows, dtype=np.uint64), fam)
+    hit = d <= epsilon_threshold(eps)
+    stats = hit_stats(sample.points, fam, eps, spec)
+    assert stats.n_hits == int(hit.sum()) > 0
+    assert list(stats.per_plane_hits.values()) == np.bincount(which[hit], minlength=8).tolist()
 
 
 def test_hit_stats_unmagnifies_x():
@@ -176,6 +200,28 @@ def test_control_baseline_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("a, planes", [(40, 16), (45, 16), (50, 16), (62, 8)])
+def test_control_baseline_exact_at_large_a(a, planes):
+    # the uniform rate is about 16*eps; for a >= 53 the coefficients
+    # 2^a -/+ 1 agree with -/+1 mod 2^53, so the two families coincide
+    eps = 2.0**-10
+    n = 1 << 15
+    frac = control_baseline(n, family(a), eps, 271828)
+    expect = planes * eps
+    sigma = math.sqrt(expect * (1 - expect) / n)
+    assert abs(frac - expect) <= 4 * sigma
+
+
+def test_control_baseline_matches_generator_random():
+    # the raw-word points are the points Generator.random draws
+    fam = family(8)
+    eps = 2.0**-7
+    pts = np.random.Generator(np.random.Philox(key=5)).random((3000, 3))
+    ints = (pts * 2.0**53).astype(np.uint64)
+    expect = (nearest_plane(ints, fam)[0] <= epsilon_threshold(eps)).mean()
+    assert control_baseline(3000, fam, eps, 5) == expect
+
+
 def test_control_baseline_near_uniform_union_measure():
     fam = family(23)
     eps = 2.0**-10
@@ -187,12 +233,12 @@ def test_control_baseline_near_uniform_union_measure():
 
 
 def test_census_step_degenerate_tops_fill_grid():
-    # words whose relevant top bits are all zero satisfy every column
-    # condition, so all nine compound cells tally
-    cells, checks, leaks = census_step(1, 1, 1, 1, Params(23, 17, 26), 3)
-    assert len(cells) == 9
-    assert checks == 9
-    assert 0 <= leaks <= 9
+    # from state (1, 1) the first words are small, so every relevant top
+    # bit is zero and every column condition holds: all nine cells tally
+    census = case_census(GenState(1, 1, Params(23, 17, 26)), 1, 3)
+    assert set(census.grid.values()) == {1.0}
+    assert census.compound_frequency == 1.0
+    assert 0.0 <= census.carry_leak_frequency <= 1.0
 
 
 def test_census_frequencies_consistent():
@@ -208,12 +254,10 @@ def test_census_frequencies_consistent():
     assert census.uniform_model_estimate == pytest.approx(0.285087, abs=1e-6)
 
 
-def test_census_against_independent_recount():
-    # recompute the grid over a short stream with the raw column conditions
-    params = Params(23, 17, 26)
-    state = seed_state(9, params)
-    n_steps, n_bits = 200, 3
-    census = case_census(state, n_steps, n_bits)
+def _recount(state, n_steps, n_bits):
+    """(grid, compound, leak) recomputed step by step with scalar classify."""
+    params = state.params
+    a = params.a
 
     def tops(w):
         return w >> (64 - n_bits)
@@ -221,12 +265,12 @@ def test_census_against_independent_recount():
     words = [state.s0, state.s1]
     while len(words) < n_steps + 3:
         words.append(step_words(words[-2], words[-1], params)[1])
-    counts = {key: 0 for key in census.grid}
-    compound = 0
-    for i in range(n_steps):
-        s0, s1, s2 = words[i], words[i + 1], words[i + 2]
-        shifted0 = (s0 << 23) & MASK64
-        shifted1 = (s1 << 23) & MASK64
+    counts = {(o, i): 0 for o in COMBINE_ORDER for i in COMBINE_ORDER}
+    compound = checks = leaks = 0
+    for j in range(n_steps):
+        s0, s1, s2, s3 = words[j : j + 4]
+        shifted0 = (s0 << a) & MASK64
+        shifted1 = (s1 << a) & MASK64
         inner = [
             classify(tops(s0), tops(shifted0), n_bits),
             classify(tops(s1), tops(shifted1), n_bits),
@@ -235,25 +279,49 @@ def test_census_against_independent_recount():
             classify(tops(s1), tops(s0 ^ shifted0), n_bits),
             classify(tops(s2), tops(s1 ^ shifted1), n_bits),
         ]
-        flags = {}
-        for kind in ("sum", "diff", "rev_diff"):
-            attr = f"is_{kind}"
-            flags[("inner", kind)] = getattr(inner[0], attr) and getattr(inner[1], attr)
-            flags[("outer", kind)] = getattr(outer[0], attr) and getattr(outer[1], attr)
+        x, y, z = (s0 + s1) & MASK64, (s1 + s2) & MASK64, (s2 + s3) & MASK64
         any_cell = False
-        for o in ("sum", "diff", "rev_diff"):
-            for c in ("sum", "diff", "rev_diff"):
-                if flags[("outer", o)] and flags[("inner", c)]:
-                    counts[f"{o}|{c}"] += 1
+        for o in COMBINE_ORDER:
+            for i in COMBINE_ORDER:
+                if all(o in lab.kinds() for lab in outer) and all(i in lab.kinds() for lab in inner):
+                    counts[o, i] += 1
                     any_cell = True
+                    cx, cy = plane_coefficients(o, i, a)
+                    checks += 1
+                    leaks += tops((cx * x + cy * y) & MASK64) != tops(z)
         compound += any_cell
-    assert census.grid == {k: v / n_steps for k, v in counts.items()}
-    assert census.compound_frequency == compound / n_steps
+    grid = {f"{o.value}|{i.value}": v / n_steps for (o, i), v in counts.items()}
+    return grid, compound / n_steps, leaks / checks
+
+
+def test_census_against_independent_recount():
+    # recompute the grid over a short stream with the raw column conditions
+    state = seed_state(9, Params(23, 17, 26))
+    census = case_census(state, 200, 3)
+    grid, compound, leak = _recount(state, 200, 3)
+    assert census.grid == grid
+    assert census.compound_frequency == compound
+    assert census.carry_leak_frequency == leak
+
+
+@pytest.mark.parametrize("params, n_bits", [(Params(23, 17, 26), 3), (Params(5, 9, 11), 2)])
+def test_census_recount_across_chunks(params, n_bits):
+    # more than two chunks, ending in a partial one
+    n_steps = 2 * _CENSUS_CHUNK + 1001
+    state = seed_state(10, params)
+    census = case_census(state, n_steps, n_bits)
+    grid, compound, leak = _recount(state, n_steps, n_bits)
+    assert census.grid == grid
+    assert census.compound_frequency == compound
+    assert census.carry_leak_frequency == leak
 
 
 def test_case_census_validates():
     with pytest.raises(ValueError):
         case_census(seed_state(1), 0, 3)
+    for n_bits in (0, 17, 64):
+        with pytest.raises(ValueError):
+            case_census(seed_state(1), 10, n_bits)
 
 
 def _small_config(tmp_path, subdir):

@@ -2,16 +2,17 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from xsplanes.planes import (
     MeshStrip,
     Plane,
     component_count,
+    epsilon_threshold,
     family,
     mesh,
-    min_dist,
-    torus_dist,
+    nearest_plane,
 )
 
 
@@ -54,96 +55,140 @@ def test_plane_validates_signs():
         Plane(0, 1, 1)
 
 
+ONE = 1 << 53
+
+
+def _pts(*rows):
+    return np.array(rows, dtype=np.uint64).reshape(-1, 3)
+
+
+def _reference_nearest(point, fam):
+    """Distance (in units of 2**-53) and index of the nearest plane, by Fractions."""
+    x, y, z = (Fraction(c, ONE) for c in point)
+    best = best_k = None
+    for k, plane in enumerate(fam.planes):
+        t = (z - plane.sign_x * plane.m * x - plane.sign_y * y) % 1
+        d = min(t, 1 - t)
+        if best is None or d < best:
+            best, best_k = d, k
+    return best * ONE, best_k
+
+
+def test_epsilon_threshold():
+    assert epsilon_threshold(0.0) == 0
+    assert epsilon_threshold(2.0**-10) == 1 << 43
+    assert epsilon_threshold(1e-20) == 0
+    # anything from 1/2 up covers the whole torus, inf included
+    for eps in (0.5, 0.75, 1.0, math.inf):
+        assert epsilon_threshold(eps) == ONE // 2
+    for eps in (-0.1, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            epsilon_threshold(eps)
+
+
 def test_torus_dist_on_plane_at_x0():
-    # at x = 0 any (+,+) plane degenerates to z = y
-    for m in (3, 8388609):
-        assert torus_dist((0.0, 0.25, 0.25), Plane(m, 1, 1)) == 0.0
+    # at x = 0 any (+,+) plane degenerates to z = y; the first one wins
+    for a in (1, 23):
+        d, k = nearest_plane(_pts(0, ONE // 4, ONE // 4), family(a))
+        assert d[0] == 0 and k[0] == 0
 
 
 def test_torus_dist_folds():
     # residue 0.75 folds to distance 0.25
-    assert torus_dist((0.0, 0.0, 0.75), Plane(1, 1, 1)) == 0.25
+    d, _ = nearest_plane(_pts(0, 0, 3 * ONE // 4), family(1))
+    assert d[0] == ONE // 4
 
 
 def test_torus_dist_extended_precision_point():
-    # construct a point on z = -(2^23+1)x + y (mod 1) with exact rational
-    # arithmetic, then measure in binary64
+    # points exactly on z = -(2^23+1)x + y (mod 1), at slab x
+    fam = family(23)
     m = (1 << 23) + 1
     rng = random.Random(61)
+    rows = []
     for _ in range(50):
-        x = Fraction(rng.getrandbits(30), 1 << 53)
-        y = Fraction(rng.getrandbits(53), 1 << 53)
-        z = (-m * x + y) % 1
-        d = torus_dist((float(x), float(y), float(z)), Plane(m, -1, 1))
-        assert d <= 2.0**-40
+        x, y = rng.getrandbits(30), rng.getrandbits(53)
+        rows.append((x, y, (-m * x + y) % ONE))
+    d, k = nearest_plane(_pts(*rows), fam)
+    assert (d == 0).all()
+    assert {fam.planes[i] for i in k} == {Plane(m, -1, 1)}
 
 
 def test_torus_dist_periodic_in_z():
+    # whole turns of z (multiples of 2**53) do not move the point
     rng = random.Random(62)
-    plane = Plane(9, 1, -1)
-    for _ in range(200):
-        x, y, z = rng.random(), rng.random(), rng.random()
-        d1 = torus_dist((x, y, z), plane)
-        d2 = torus_dist((x, y, (z + 1.0) % 1.0), plane)
-        assert abs(d1 - d2) < 1e-12
+    fam = family(9)
+    pts = _pts(*[tuple(rng.getrandbits(53) for _ in range(3)) for _ in range(200)])
+    turned = pts.copy()
+    turned[:, 2] += np.uint64(3 * ONE)
+    for got, want in zip(nearest_plane(turned, fam), nearest_plane(pts, fam)):
+        assert (got == want).all()
 
 
 def test_min_dist_on_plane():
     fam = family(23)
     plane = fam.planes[5]
-    x, y = 2.0**-25, 0.375
-    p = (x, y, plane.height(x, y))
-    d, which = min_dist(p, fam)
-    assert d <= 2.0**-40
-    assert which == plane
+    x, y = 1 << 28, 3 * ONE // 8
+    z = (plane.sign_x * plane.m * x + plane.sign_y * y) % ONE
+    d, k = nearest_plane(_pts(x, y, z), fam)
+    assert d[0] == 0 and k[0] == 5
 
 
 def test_min_dist_codomain():
     fam = family(5)
     rng = random.Random(63)
-    for _ in range(500):
-        d, which = min_dist((rng.random(), rng.random(), rng.random()), fam)
-        assert 0.0 <= d <= 0.5
-        assert which in fam.planes
+    pts = _pts(*[tuple(rng.getrandbits(53) for _ in range(3)) for _ in range(500)])
+    d, k = nearest_plane(pts, fam)
+    assert d.dtype == np.uint64 and d.shape == (500,)
+    assert (d <= ONE // 2).all()
+    assert ((0 <= k) & (k < 8)).all()
 
 
 def test_min_dist_tie_break_is_first_in_order():
     fam = family(23)
-    # at (0, 0, 0.5) every sign_y=+1 plane is at the max distance 1/2;
+    # at (0, 0, 1/2) every plane is at the max distance 1/2;
     # the arg-min must be the first plane in enumeration order
-    d, which = min_dist((0.0, 0.0, 0.5), fam)
-    assert d == 0.5
-    assert which == fam.planes[0]
+    d, k = nearest_plane(_pts(0, 0, ONE // 2), fam)
+    assert d[0] == ONE // 2
+    assert k[0] == 0
+
+
+@pytest.mark.parametrize("a", [1, 8, 23, 40, 50, 62])
+def test_nearest_plane_matches_fraction_reference(a):
+    fam = family(a)
+    rng = random.Random(1000 + a)
+    rows = [tuple(rng.getrandbits(53) for _ in range(3)) for _ in range(300)]
+    # ties: every plane at 1/2, four planes through (0, y, y), and a point
+    # halfway between the m = 2^a -/+ 1 pair of (+,+) planes
+    x, y = rng.getrandbits(20), rng.getrandbits(53)
+    rows += [(0, 0, ONE // 2), (0, y, y), (x, y, ((1 << a) * x + y) % ONE)]
+    d, k = nearest_plane(_pts(*rows), fam)
+    for row, dist, which in zip(rows, d, k):
+        assert (int(dist), int(which)) == _reference_nearest(row, fam)
 
 
 def test_uniform_hit_rate_respects_union_bound():
     # Monte Carlo fraction within eps of the family stays under the
     # 16*eps union bound plus binomial noise
     fam = family(23)
-    eps = 2.0**-8
+    thr = epsilon_threshold(2.0**-8)
     rng = random.Random(64)
     trials = 20000
-    hits = sum(
-        min_dist((rng.random(), rng.random(), rng.random()), fam)[0] <= eps
-        for _ in range(trials)
-    )
-    bound = 16 * eps
+    pts = _pts(*[tuple(rng.getrandbits(53) for _ in range(3)) for _ in range(trials)])
+    hits = int((nearest_plane(pts, fam)[0] <= thr).sum())
+    bound = 16 * 2.0**-8
     sigma = math.sqrt(bound * (1 - bound) / trials)
     assert hits / trials <= bound + 3 * sigma
 
 
 def test_coefficient_pair_planes_close_on_slab():
     # on the slab x <= 2^-23 the two coefficient choices differ vertically
-    # by exactly 2x, at most 2^-22
-    x_max = 2.0**-23
-    lo = Plane((1 << 23) - 1, 1, 1)
-    hi = Plane((1 << 23) + 1, 1, 1)
-    worst = 0.0
-    for j in range(101):
-        x = x_max * j / 100
-        p = (x, 0.5, hi.height(x, 0.5))
-        worst = max(worst, torus_dist(p, lo))
-    assert worst <= 2 * x_max + 1e-15
+    # by exactly 2x: a point halfway between the (+,+) pair is x from each,
+    # and the tie goes to the first, m = 2^23 - 1
+    fam = family(23)
+    xs = [(1 << 30) * j // 100 for j in range(101)]
+    d, k = nearest_plane(_pts(*[(x, ONE // 2, ((1 << 23) * x + ONE // 2) % ONE) for x in xs]), fam)
+    assert d.tolist() == xs
+    assert (k == 0).all()
 
 
 @pytest.mark.parametrize("plane_idx", range(8))

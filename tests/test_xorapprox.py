@@ -2,18 +2,17 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from xsplanes.xorapprox import (
     Combine,
     classify,
-    classify_inner,
-    classify_outer,
+    column_cases,
     compound_probability,
     count_cases,
     inner_multiplier,
     plane_coefficients,
-    top_bits,
     verify_xor_diff,
     verify_xor_sum,
 )
@@ -151,63 +150,65 @@ def test_diff_strict_example():
     assert (0 ^ 1) == 1 >= 0 - 1
 
 
-def test_top_bits():
-    assert top_bits(1 << 63, 1) == 1
-    assert top_bits(1 << 63, 3) == 0b100
-    assert top_bits(0x1234567890ABCDEF, 16) == 0x1234
+def _tops(words, n):
+    return words >> np.uint64(64 - n)
 
 
 def test_classify_inner_zero_top():
     # both s and s << a have zero top bits
-    label = classify_inner(1, 23, 3)
-    assert label.is_sum and label.is_diff and label.is_rev_diff
+    label = column_cases(np.zeros(4, dtype=np.uint64), np.zeros(4, dtype=np.uint64))
+    assert all(mask.all() for mask in label)
 
 
 def test_classify_inner_msb_pair():
     # s = 2^40, a = 23: top 3 of s are 000, top 3 of s << 23 = 2^63 are 100.
     # Column one is (0, 1), which kills the diff case and keeps sum and
     # rev_diff (pair order is (s, s << a)).
-    label = classify_inner(1 << 40, 23, 3)
-    assert label.is_sum
-    assert not label.is_diff
-    assert label.is_rev_diff
+    s = np.array([1 << 40], dtype=np.uint64)
+    is_sum, is_diff, is_rev_diff = column_cases(_tops(s, 3), _tops(s << np.uint64(23), 3))
+    assert is_sum[0]
+    assert not is_diff[0]
+    assert is_rev_diff[0]
 
 
 def test_classify_inner_sum_label_tracks_multiplier():
     # when the sum label holds, the top bits of s ^ (s << a) agree with the
     # top bits of (1 + 2^a)*s in a majority of cases; disagreements come
     # from low-bit carries crawling into the window
-    rng = random.Random(41)
-    a, n = 23, 3
-    agree = total = 0
-    for _ in range(40000):
-        s = rng.getrandbits(64)
-        if not classify_inner(s, a, n).is_sum:
-            continue
-        total += 1
-        xor_top = top_bits(s ^ ((s << a) & ((1 << 64) - 1)), n)
-        mul_top = top_bits(((1 + (1 << a)) * s) & ((1 << 64) - 1), n)
-        agree += xor_top == mul_top
-    assert total > 10000
-    assert agree / total > 0.5
+    rng = np.random.default_rng(41)
+    a, n = np.uint64(23), 3
+    s = rng.integers(0, 1 << 64, size=40000, dtype=np.uint64, endpoint=False)
+    is_sum = column_cases(_tops(s, n), _tops(s << a, n))[0]
+    xor_top = _tops(s ^ (s << a), n)[is_sum]
+    mul_top = _tops((np.uint64(1) + (np.uint64(1) << a)) * s, n)[is_sum]
+    assert is_sum.sum() > 10000
+    assert (xor_top == mul_top).mean() > 0.5
 
 
 def test_classify_outer_matches_classify():
-    label = classify_outer(1 << 61, 1 << 62, 3)  # tops (100, 010)
-    assert label.kinds() == (Combine.SUM,)
+    # the array conditions agree with scalar classify on every pair
+    for n in (1, 3, 5):
+        vals = np.arange(1 << n, dtype=np.uint64)
+        x, y = np.meshgrid(vals, vals, indexing="ij")
+        masks = column_cases(x, y)
+        for i in range(1 << n):
+            for j in range(1 << n):
+                label = classify(i, j, n)
+                assert tuple(bool(m[i, j]) for m in masks) == (
+                    label.is_sum, label.is_diff, label.is_rev_diff
+                )
+    assert classify(0b001, 0b010, 3).kinds() == (Combine.SUM,)
 
 
 def test_classify_outer_sum_frequency():
     # fraction of uniform pairs with the sum label at n=3 approaches 27/64
-    rng = random.Random(42)
+    rng = np.random.default_rng(42)
     trials = 100000
-    hits = sum(
-        classify_outer(rng.getrandbits(64), rng.getrandbits(64), 3).is_sum
-        for _ in range(trials)
-    )
+    words = rng.integers(0, 1 << 64, size=(2, trials), dtype=np.uint64, endpoint=False)
+    frac = column_cases(_tops(words[0], 3), _tops(words[1], 3))[0].mean()
     expect = 27 / 64
     sigma = math.sqrt(expect * (1 - expect) / trials)
-    assert abs(hits / trials - expect) <= 3 * sigma
+    assert abs(frac - expect) <= 3 * sigma
 
 
 def test_compound_probability_n3():
