@@ -1,18 +1,20 @@
 """xorshift128+ with exhaustive xor-arithmetic checks and plane-structure experiments."""
 
-from .bitlin import MASK64, BitMatrix64, act, mat_mul, matrix_of, shl, shr, xorshift_xform
 from .engine import (
     DEFAULT_PARAMS,
+    MASK64,
     GenState,
     Params,
+    act,
     iter_outputs,
-    scaled_step,
+    mat_mul,
+    mat_pow,
+    matrix_of,
     seed_state,
     splitmix64,
     step,
     step_words,
     to_unit,
-    triples,
 )
 from .experiment import (
     CaseCensus,
@@ -37,6 +39,7 @@ from .planes import (
     family,
     mesh,
     nearest_plane,
+    union_rate,
 )
 from .xorapprox import (
     CaseCounts,

@@ -8,12 +8,13 @@ hex to keep 64-bit values unambiguous.
 """
 
 import argparse
+from itertools import islice
 import json
 import sys
 
-from .engine import Params, seed_state, step, to_unit
+from .engine import Params, iter_outputs, seed_state, to_unit
 from .experiment import ExperimentConfig, case_census, control_baseline, run_experiment
-from .planes import family
+from .planes import family, union_rate
 from .xorapprox import compound_probability, count_cases, verify_xor_diff, verify_xor_sum
 
 
@@ -107,8 +108,7 @@ def cmd_gen(args) -> int:
     if args.count < 0:
         print("count must be >= 0", file=sys.stderr)
         return 2
-    for _ in range(args.count):
-        state, out = step(state)
+    for out in islice(iter_outputs(state), args.count):
         if args.format == "hex":
             print(f"0x{out:016x}")
         else:
@@ -153,7 +153,7 @@ def cmd_planes(args) -> int:
             "control_points": args.control_points,
             "epsilon": args.epsilon,
             "control_hit_fraction": fraction,
-            "uniform_union_rate": min(16.0 * args.epsilon, 1.0),
+            "uniform_union_rate": union_rate(fam, args.epsilon),
         }
         print(json.dumps(payload, indent=2))
         return 0

@@ -6,13 +6,17 @@ State is a pair of 64-bit words (s0, s1).  One step emits
     s2 = ((s0 ^ (s0 << a)) ^ ((s0 ^ (s0 << a)) >> b)) ^ (s1 ^ (s1 >> c))
 
 i.e. the shift-count triple (a, b, c) drives one left xorshift of s0,
-one right xorshift of the result, and one right xorshift of s1.
+one right xorshift of the result, and one right xorshift of s1.  A word is
+read as a GF(2) row vector with its most significant bit first; the step is
+linear in the packed pair (s0 << 64) | s1, and the row-matrix helpers at the
+end of the module raise it to a power to start scans at exact offsets.
 """
 
 from dataclasses import dataclass
 import warnings
 
-from .bitlin import MASK64, xorshift_xform
+WIDTH = 64
+MASK64 = (1 << WIDTH) - 1
 
 # SplitMix64 constants (Weyl increment plus the two finalizer multipliers);
 # used only for deterministic seed expansion, documented in README.
@@ -71,9 +75,10 @@ class GenState:
 
 
 def step_words(s0: int, s1: int, params: Params) -> tuple[int, int]:
-    """One state update on raw words: (s0, s1) -> (s1, s2)."""
-    t = xorshift_xform(xorshift_xform(s0, params.a, "left"), params.b, "right")
-    return s1, t ^ xorshift_xform(s1, params.c, "right")
+    """One state update on raw words: (s0, s1) -> (s1, s2); Params bounds the shifts."""
+    t = s0 ^ ((s0 << params.a) & MASK64)
+    t ^= t >> params.b
+    return s1, t ^ s1 ^ (s1 >> params.c)
 
 
 def step(state: GenState) -> tuple[GenState, int]:
@@ -113,86 +118,61 @@ def to_unit(out: int) -> float:
 
 
 def iter_outputs(state: GenState):
-    """Yield the raw 64-bit output stream, advancing an internal copy of state."""
+    """Yield the raw 64-bit output stream from state onward."""
+    s0, s1, params = state.s0, state.s1, state.params
     while True:
-        state, out = step(state)
-        yield out
+        yield (s0 + s1) & MASK64
+        s0, s1 = step_words(s0, s1, params)
 
 
-def triples(state: GenState, count: int) -> list[tuple[float, float, float]]:
-    """First `count` overlapping triples of unit-interval outputs (stride 1)."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    gen = iter_outputs(state)
-    u0 = to_unit(next(gen))
-    u1 = to_unit(next(gen))
-    result = []
-    for _ in range(count):
-        u2 = to_unit(next(gen))
-        result.append((u0, u1, u2))
-        u0, u1 = u1, u2
-    return result
-
-
-def scaled_step(s0: int, s1: int, a: int, b: int, c: int, width: int) -> tuple[int, int]:
-    """The same recursion on `width`-bit words; for small-word state-space checks."""
-    if not 1 <= width <= 64:
-        raise ValueError(f"width must be in 1..64, got {width}")
-    for name, v in (("a", a), ("b", b), ("c", c)):
-        if not 1 <= v <= width - 1:
-            raise ValueError(f"shift {name} must be in 1..{width - 1}, got {v}")
-    mask = (1 << width) - 1
-    t = s0 ^ ((s0 << a) & mask)
-    t ^= t >> b
-    return s1, t ^ s1 ^ (s1 >> c)
-
-
-# -- pair-state transition as an explicit GF(2) map ---------------------------
+# -- GF(2) row matrices --------------------------------------------------------
 #
-# The 128-bit pair (s0, s1), packed as (s0 << 64) | s1, evolves linearly; the
-# helpers below give the map as 128 basis-image rows so bulk scans can start
-# segments at exact stream offsets.  They are internal machinery for the
-# experiment module's scanner, not a jump-ahead feature of the generator.
+# A linear map on width-bit words is the list of its basis images: row i is
+# the image of the word whose only set bit is the i-th from the top, and the
+# width is len(rows).  Words act as row vectors, so
+# act(mat_mul(m, n), v) == act(n, act(m, v)): m first, then n.
 
 
-def transition_rows(params: Params) -> list[int]:
-    """Basis images of one step on packed pairs; row i is the image of bit i (MSB first)."""
-    rows = []
-    for i in range(128):
-        if i < 64:
-            s0, s1 = 1 << (63 - i), 0
-        else:
-            s0, s1 = 0, 1 << (127 - i)
-        n0, n1 = step_words(s0, s1, params)
-        rows.append((n0 << 64) | n1)
-    return rows
+def matrix_of(op, width: int) -> list[int]:
+    """Materialize a GF(2)-linear word transform as its `width` basis-image rows."""
+    return [op(1 << (width - 1 - i)) for i in range(width)]
 
 
-def apply_transition(rows: list[int], packed: int) -> int:
-    """Apply a packed-pair transition matrix to one packed pair."""
+def act(rows: list[int], v: int) -> int:
+    """Row vector times matrix: xor of the rows selected by v's set bits."""
     acc = 0
-    while packed:
-        low = packed & -packed
-        acc ^= rows[128 - low.bit_length()]
-        packed ^= low
+    width = len(rows)
+    while v:
+        low = v & -v
+        acc ^= rows[width - low.bit_length()]
+        v ^= low
     return acc
 
 
-def transition_mul(m: list[int], n: list[int]) -> list[int]:
-    """Row-vector-convention product: applying the result equals applying m then n."""
-    return [apply_transition(n, row) for row in m]
+def mat_mul(m: list[int], n: list[int]) -> list[int]:
+    """The map that applies m, then n."""
+    return [act(n, row) for row in m]
 
 
-def transition_pow(rows: list[int], k: int) -> list[int]:
-    """k-fold composition of a packed-pair transition (k >= 0)."""
+def mat_pow(m: list[int], k: int) -> list[int]:
+    """k-fold composition of m (k >= 0), by repeated squaring."""
     if k < 0:
-        raise ValueError("k must be >= 0")
-    result = [1 << (127 - i) for i in range(128)]
-    base = rows
+        raise ValueError(f"k must be >= 0, got {k}")
+    result = matrix_of(lambda v: v, len(m))
     while k:
         if k & 1:
-            result = transition_mul(result, base)
+            result = mat_mul(result, m)
         k >>= 1
         if k:
-            base = transition_mul(base, base)
+            m = mat_mul(m, m)
     return result
+
+
+def transition_rows(params: Params) -> list[int]:
+    """One step as a 128-row matrix on packed pairs (s0 << 64) | s1."""
+
+    def packed_step(v: int) -> int:
+        s0, s1 = step_words(v >> WIDTH, v & MASK64, params)
+        return (s0 << WIDTH) | s1
+
+    return matrix_of(packed_step, 2 * WIDTH)

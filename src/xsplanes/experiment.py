@@ -23,17 +23,17 @@ import os
 
 import numpy as np
 
-from .bitlin import MASK64
 from .engine import (
     DEFAULT_PARAMS,
+    MASK64,
     GenState,
     Params,
-    apply_transition,
+    act,
+    mat_mul,
+    mat_pow,
     seed_state,
     step_words,
     to_unit,
-    transition_mul,
-    transition_pow,
     transition_rows,
 )
 from .planes import PlaneFamily, epsilon_threshold, family, nearest_plane
@@ -181,7 +181,7 @@ def _lane_starts(one_step, packed, lanes, seg_len):
     forward by the squared segment transition.  Returns the packed state at
     offset lanes*seg_len as well, for chaining blocks.
     """
-    seg = transition_pow(one_step, seg_len)
+    seg = mat_pow(one_step, seg_len)
     hi = np.empty(lanes, dtype=np.uint64)
     lo = np.empty(lanes, dtype=np.uint64)
     hi[0] = packed >> 64
@@ -196,49 +196,41 @@ def _lane_starts(one_step, packed, lanes, seg_len):
         lo[filled : filled + chunk] = l2
         filled += chunk
         if filled < lanes:
-            jump = transition_mul(jump, jump)
+            jump = mat_mul(jump, jump)
     last = (int(hi[-1]) << 64) | int(lo[-1])
-    return hi, lo, apply_transition(seg, last)
+    return hi, lo, act(seg, last)
 
 
-def _scan_block(hi, lo, params, seg_len, thr64):
-    """Advance all lanes seg_len+2 outputs; return (lane, t, o0, o1, o2) hits.
+def _scan_block(hi, lo, params, seg_len, thr53):
+    """Advance all lanes seg_len steps; return (lane, t, s0, s1) where a triple enters the slab.
 
-    Lane j covers triple offsets [j*seg_len, (j+1)*seg_len) of the stream;
-    the two extra outputs complete triples that start at the segment tail.
+    Lane j covers triple offsets [j*seg_len, (j+1)*seg_len) of the stream.
+    A hit is recorded as its state, from which the caller steps out the
+    triple's other two outputs.  hi and lo are used as scratch.
     """
     n = hi.shape[0]
     s0, s1 = hi, lo
     ua, ub, uc = np.uint64(params.a), np.uint64(params.b), np.uint64(params.c)
+    # o >> 11 < thr53  iff  o <= (thr53 << 11) - 1, which fits in uint64 for thr53 <= 2**53
+    last_in = np.uint64((thr53 << 11) - 1)
     out = np.empty(n, dtype=np.uint64)
     t1 = np.empty(n, dtype=np.uint64)
     t2 = np.empty(n, dtype=np.uint64)
     mask = np.empty(n, dtype=bool)
-    pend1 = []
-    pend2 = []
     hits = []
-    for t in range(seg_len + 2):
+    for t in range(seg_len):
         np.add(s0, s1, out=out)
-        for lane, tt, o0, o1 in pend2:
-            hits.append((lane, tt, o0, o1, int(out[lane])))
-        pend2 = [(lane, tt, o0, int(out[lane])) for lane, tt, o0 in pend1]
-        pend1 = []
-        if t < seg_len:
-            if thr64 is None:
-                pend1 = [(lane, t, int(out[lane])) for lane in range(n)]
-            else:
-                np.less(out, thr64, out=mask)
-                if mask.any():
-                    pend1 = [(int(lane), t, int(out[lane])) for lane in np.nonzero(mask)[0]]
-        if t < seg_len + 1:
-            np.left_shift(s0, ua, out=t1)
-            np.bitwise_xor(t1, s0, out=t1)
-            np.right_shift(t1, ub, out=t2)
-            np.bitwise_xor(t1, t2, out=t1)
-            np.right_shift(s1, uc, out=t2)
-            np.bitwise_xor(t1, t2, out=t1)
-            np.bitwise_xor(t1, s1, out=t1)
-            s0, s1, t1 = s1, t1, s0
+        np.less_equal(out, last_in, out=mask)
+        if mask.any():
+            hits.extend((int(j), t, int(s0[j]), int(s1[j])) for j in np.flatnonzero(mask))
+        np.left_shift(s0, ua, out=t1)
+        np.bitwise_xor(t1, s0, out=t1)
+        np.right_shift(t1, ub, out=t2)
+        np.bitwise_xor(t1, t2, out=t1)
+        np.right_shift(s1, uc, out=t2)
+        np.bitwise_xor(t1, t2, out=t1)
+        np.bitwise_xor(t1, s1, out=t1)
+        s0, s1, t1 = s1, t1, s0
     return hits
 
 
@@ -246,7 +238,6 @@ def _scan_fast(state, spec, cap, thr53):
     params = state.params
     magnify = spec.magnify
     target = spec.target_points
-    thr64 = None if thr53 >= (1 << 53) else np.uint64(thr53 << 11)
     one_step = transition_rows(params)
     packed = (state.s0 << 64) | state.s1
     hits = []
@@ -265,8 +256,8 @@ def _scan_fast(state, spec, cap, thr53):
             if seg_len == 0:
                 lanes, seg_len = remaining, 1
         hi, lo, packed = _lane_starts(one_step, packed, lanes, seg_len)
-        for lane, t, o0, o1, o2 in _scan_block(hi, lo, params, seg_len, thr64):
-            hits.append((base + lane * seg_len + t, o0, o1, o2))
+        for lane, t, s0, s1 in _scan_block(hi, lo, params, seg_len, thr53):
+            hits.append((base + lane * seg_len + t, s0, s1))
         base += lanes * seg_len
     hits.sort(key=lambda h: h[0])
     if len(hits) < target:
@@ -274,7 +265,13 @@ def _scan_fast(state, spec, cap, thr53):
     else:
         hits = hits[:target]
         scanned, truncated = hits[-1][0] + 1, False
-    points = [(to_unit(o0) * magnify, to_unit(o1), to_unit(o2)) for _, o0, o1, o2 in hits]
+    points = []
+    for _, s0, s1 in hits:
+        o0 = (s0 + s1) & MASK64
+        s0, s1 = step_words(s0, s1, params)
+        o1 = (s0 + s1) & MASK64
+        s0, s1 = step_words(s0, s1, params)
+        points.append((to_unit(o0) * magnify, to_unit(o1), to_unit((s0 + s1) & MASK64)))
     return points, scanned, truncated
 
 
@@ -315,8 +312,8 @@ def control_baseline(n_points: int, fam: PlaneFamily, epsilon: float, control_se
     points: each coordinate is the top 53 bits of one raw word, the same
     value Generator.random would give.  On the full cube the eight plane
     neighborhoods are nearly disjoint so the expected value is a bit under
-    16*epsilon; for a >= 53 the two coefficients agree mod 2**53 and the
-    families coincide, which halves that to 8*epsilon.
+    16*epsilon; for a >= 52 the two coefficient families coincide on the
+    53-bit grid, which halves that to 8*epsilon (see planes.union_rate).
     """
     if n_points < 1:
         raise ValueError(f"n_points must be >= 1, got {n_points}")
@@ -493,10 +490,11 @@ def run_experiment(cfg: ExperimentConfig) -> HitReport:
     from .planes import mesh  # local import to keep module init light
 
     spec = slab_spec(cfg.params.a, cfg.magnify_exp, cfg.target_points)
-    epsilon_threshold(cfg.epsilon)  # reject a bad epsilon before the scan
+    # reject a bad epsilon or shift count before the scan
+    epsilon_threshold(cfg.epsilon)
+    fam = family(cfg.params.a)
     state = seed_state(cfg.seed, cfg.params)
     sample = slab_sample(state, spec, scan_cap=cfg.scan_cap, method=cfg.method)
-    fam = family(cfg.params.a)
     if sample.points:
         stats = hit_stats(sample.points, fam, cfg.epsilon, spec)
     else:

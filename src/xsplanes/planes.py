@@ -78,12 +78,24 @@ _MASK53 = np.uint64(_ONE - 1)
 def epsilon_threshold(epsilon: float) -> int:
     """Largest 53-bit distance within epsilon: floor(epsilon * 2**53).
 
-    Any epsilon >= 1/2 covers the whole torus and is clamped there (which
-    also keeps inf out of Fraction); negative and NaN values are rejected.
+    Any finite epsilon >= 1/2 covers the whole torus and is clamped there;
+    negative, infinite and NaN values are rejected (inf would also reach
+    the JSON reports, which cannot encode it).
     """
-    if not epsilon >= 0.0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     return math.floor(Fraction(min(epsilon, 0.5)) * _ONE)
+
+
+def union_rate(fam: PlaneFamily, epsilon: float) -> float:
+    """Union bound on the uniform hit rate: 2*epsilon per plane distinct on the 53-bit grid.
+
+    For a >= 52, -(2**a - 1) = 2**a + 1 mod 2**53, so the two coefficient
+    families coincide on the grid, four planes remain and the bound is
+    8*epsilon rather than 16*epsilon.
+    """
+    distinct = {(p.sign_x * p.m % _ONE, p.sign_y) for p in fam.planes}
+    return min(2 * len(distinct) * epsilon, 1.0)
 
 
 def nearest_plane(points: np.ndarray, fam: PlaneFamily) -> tuple[np.ndarray, np.ndarray]:

@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .bitlin import WIDTH
+from .engine import WIDTH
 
 # 4**n pairs are enumerated in memory; 12 keeps that at ~17M pairs.
 MAX_ENUM_BITS = 12

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from xsplanes.cli import main as cli_main
-from xsplanes.engine import GenState, Params, scaled_step, step
+from xsplanes.engine import GenState, Params, step
 from xsplanes.experiment import ExperimentConfig, run_experiment
 from xsplanes.planes import component_count, family, mesh
 from xsplanes.xorapprox import (
@@ -126,6 +126,14 @@ def test_criterion_05_generator_known_answer():
     nxt, out = step(GenState(1, 0, Params(23, 17, 26)))
     ok = out == 1 and (nxt.s0, nxt.s1) == (0, 0x800041)
     _criterion(5, "step from (1,0) yields output 1 and state (0, 0x800041)", ok)
+
+
+def scaled_step(s0, s1, a, b, c, width):
+    """The xorshift128+ recursion on width-bit words, for exhaustive small-word checks."""
+    mask = (1 << width) - 1
+    t = s0 ^ ((s0 << a) & mask)
+    t ^= t >> b
+    return s1, t ^ s1 ^ (s1 >> c)
 
 
 def test_criterion_06_scaled_bijectivity():

@@ -147,7 +147,7 @@ def test_planes_control_only(capsys):
     assert 0.0 <= payload["control_hit_fraction"] <= 1.0
 
 
-@pytest.mark.parametrize("eps", ["-0.1", "nan"])
+@pytest.mark.parametrize("eps", ["-0.1", "nan", "inf"])
 @pytest.mark.parametrize("control_only", [True, False])
 def test_planes_bad_epsilon_exits_2(tmp_path, capsys, eps, control_only):
     extra = ["--control-only"] if control_only else ["--output-dir", str(tmp_path / "o")]
@@ -157,7 +157,7 @@ def test_planes_bad_epsilon_exits_2(tmp_path, capsys, eps, control_only):
     assert "epsilon" in err
 
 
-@pytest.mark.parametrize("eps", ["0.5", "inf"])
+@pytest.mark.parametrize("eps", ["0.5"])
 def test_planes_wide_epsilon_counts_every_point(tmp_path, capsys, eps):
     code, out, _ = run_cli(capsys, *PLANES_ARGS, "--epsilon", eps, "--control-only")
     assert code == 0
@@ -177,6 +177,17 @@ def test_planes_control_only_large_a(capsys):
     frac = json.loads(out)["control_hit_fraction"]
     expect = 16 * 2.0**-10
     assert abs(frac - expect) <= 4 * (expect * (1 - expect) / 32768) ** 0.5
+
+
+def test_planes_control_only_union_rate_at_a_62(capsys):
+    # for a >= 52 the two coefficient families coincide on the 53-bit grid:
+    # four distinct planes, so the union rate is 8*eps, not 16*eps
+    code, out, _ = run_cli(capsys, "planes", "--control-only", "--a", "62", "--control-points", "32768")
+    assert code == 0
+    payload = json.loads(out)
+    expect = 8 * 2.0**-10
+    assert payload["uniform_union_rate"] == expect
+    assert abs(payload["control_hit_fraction"] - expect) <= 4 * (expect * (1 - expect) / 32768) ** 0.5
 
 
 def test_planes_magnify_exp_variant(tmp_path, capsys):

@@ -1,25 +1,34 @@
+from itertools import islice
+import math
 import random
 import warnings
 
 import pytest
 
-from xsplanes.bitlin import MASK64
 from xsplanes.engine import (
     DEFAULT_PARAMS,
+    MASK64,
     GenState,
     Params,
-    apply_transition,
+    act,
     iter_outputs,
-    scaled_step,
+    mat_pow,
+    matrix_of,
     seed_state,
     splitmix64,
     step,
     step_words,
     to_unit,
-    transition_pow,
     transition_rows,
-    triples,
 )
+
+
+def scaled_step(s0, s1, a, b, c, width):
+    """Reference recursion on width-bit words, written independently of step_words."""
+    mask = (1 << width) - 1
+    t = s0 ^ ((s0 << a) & mask)
+    t ^= t >> b
+    return s1, t ^ s1 ^ (s1 >> c)
 
 
 def test_params_range_checked():
@@ -89,13 +98,6 @@ def test_state_map_is_linear():
         assert sx == (su[0] ^ sv[0], su[1] ^ sv[1])
 
 
-def test_scaled_step_validates():
-    with pytest.raises(ValueError):
-        scaled_step(1, 0, 8, 1, 2, 8)  # shift == width
-    with pytest.raises(ValueError):
-        scaled_step(1, 0, 1, 1, 1, 0)
-
-
 def _splitmix_reference(seed):
     # independent restatement of the documented two-round expansion
     mask = (1 << 64) - 1
@@ -140,18 +142,10 @@ def test_to_unit_values():
     assert 0.0 <= to_unit(MASK64) < 1.0
 
 
-def test_triples_requires_positive_count():
-    with pytest.raises(ValueError):
-        triples(GenState(1, 0), 0)
-
-
 def test_triples_single_window():
     # hand trace continued: state (0, 0x800041) outputs 0x800041 and steps
     # to (0x800041, 0x800041), which outputs 0x1000082
-    words = [o for o, _ in zip(iter_outputs(GenState(1, 0)), range(3))]
-    assert words == [1, 0x800041, 0x1000082]
-    got = triples(GenState(1, 0), 1)
-    assert got == [(to_unit(1), to_unit(0x800041), to_unit(0x1000082))]
+    assert list(islice(iter_outputs(GenState(1, 0)), 3)) == [1, 0x800041, 0x1000082]
 
 
 def test_triples_match_explicit_steps():
@@ -159,15 +153,15 @@ def test_triples_match_explicit_steps():
     s, outs = state, []
     for _ in range(5):
         s, o = step(s)
-        outs.append(to_unit(o))
-    got = triples(state, 3)
-    assert got == [tuple(outs[i : i + 3]) for i in range(3)]
+        outs.append(o)
+    assert list(islice(iter_outputs(state), 5)) == outs
 
 
 def test_stream_depends_only_on_seed_and_params():
-    a = [o for o, _ in zip(iter_outputs(seed_state(5)), range(100))]
-    b = [o for o, _ in zip(iter_outputs(seed_state(5)), range(100))]
+    a = list(islice(iter_outputs(seed_state(5)), 100))
+    b = list(islice(iter_outputs(seed_state(5)), 100))
     assert a == b
+    assert a != list(islice(iter_outputs(seed_state(5, Params(23, 17, 25))), 100))
 
 
 def test_transition_rows_match_step():
@@ -177,7 +171,7 @@ def test_transition_rows_match_step():
     for _ in range(100):
         s0 = rng.getrandbits(64)
         s1 = rng.getrandbits(64)
-        packed = apply_transition(rows, (s0 << 64) | s1)
+        packed = act(rows, (s0 << 64) | s1)
         assert (packed >> 64, packed & MASK64) == step_words(s0, s1, p)
 
 
@@ -185,9 +179,34 @@ def test_transition_pow_matches_iteration():
     p = DEFAULT_PARAMS
     rows = transition_rows(p)
     for k in (0, 1, 2, 7, 100):
-        jump = transition_pow(rows, k)
+        jump = mat_pow(rows, k)
         s0, s1 = 1, 2
         for _ in range(k):
             s0, s1 = step_words(s0, s1, p)
-        packed = apply_transition(jump, (1 << 64) | 2)
+        packed = act(jump, (1 << 64) | 2)
         assert (packed >> 64, packed & MASK64) == (s0, s1)
+
+
+# 2^128 - 1 and its prime factors
+PERIOD = (1 << 128) - 1
+PERIOD_PRIMES = (3, 5, 17, 257, 65537, 641, 6700417, 274177, 67280421310721)
+
+
+def test_full_period():
+    # the step has order exactly 2^128 - 1, so every nonzero state lies on
+    # one cycle through all of them
+    assert math.prod(PERIOD_PRIMES) == PERIOD
+    ident = matrix_of(lambda v: v, 128)
+    rows = transition_rows(Params(23, 17, 26))
+    assert mat_pow(rows, PERIOD) == ident
+    for p in PERIOD_PRIMES:
+        assert mat_pow(rows, PERIOD // p) != ident
+
+
+def test_short_period_shifts_fail_full_period():
+    p = Params(62, 17, 26)
+    assert mat_pow(transition_rows(p), PERIOD) != matrix_of(lambda v: v, 128)
+    # the stream from seed 1 cycles after 24 outputs
+    outs = list(islice(iter_outputs(seed_state(1, p)), 48))
+    assert len(set(outs)) == 24
+    assert outs[24:] == outs[:24]

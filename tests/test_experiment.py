@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from xsplanes.bitlin import MASK64
-from xsplanes.engine import GenState, Params, iter_outputs, seed_state, step_words, to_unit
+from xsplanes.engine import MASK64, GenState, Params, iter_outputs, seed_state, step_words, to_unit
 from xsplanes.experiment import (
     _CENSUS_CHUNK,
     DEFAULT_SCAN_CAP,
@@ -20,7 +19,7 @@ from xsplanes.experiment import (
     slab_sample,
     slab_spec,
 )
-from xsplanes.planes import epsilon_threshold, family, nearest_plane
+from xsplanes.planes import epsilon_threshold, family, nearest_plane, union_rate
 from xsplanes.xorapprox import COMBINE_ORDER, classify, plane_coefficients
 
 P8 = Params(8, 17, 26)
@@ -200,14 +199,15 @@ def test_control_baseline_deterministic():
     assert a == b
 
 
-@pytest.mark.parametrize("a, planes", [(40, 16), (45, 16), (50, 16), (62, 8)])
+@pytest.mark.parametrize("a, planes", [(40, 16), (45, 16), (50, 16), (52, 8), (62, 8)])
 def test_control_baseline_exact_at_large_a(a, planes):
-    # the uniform rate is about 16*eps; for a >= 53 the coefficients
-    # 2^a -/+ 1 agree with -/+1 mod 2^53, so the two families coincide
+    # the uniform rate is about 16*eps; for a >= 52, -(2^a - 1) = 2^a + 1
+    # mod 2^53, so the two families coincide on the 53-bit grid
     eps = 2.0**-10
     n = 1 << 15
     frac = control_baseline(n, family(a), eps, 271828)
     expect = planes * eps
+    assert union_rate(family(a), eps) == expect
     sigma = math.sqrt(expect * (1 - expect) / n)
     assert abs(frac - expect) <= 4 * sigma
 
@@ -363,6 +363,19 @@ def test_run_experiment_small_scale(tmp_path):
 
     header = (out / "points.csv").read_text().splitlines()[0]
     assert header == "# magnify=256 params=8,17,26 seed=0x0000000000000002"
+
+
+def test_run_experiment_checks_shift_before_scan(monkeypatch, tmp_path):
+    # a = 63 has no plane family; the scan toward its cap would take hours
+    def no_scan(*args, **kwargs):
+        raise AssertionError("slab_sample called")
+
+    monkeypatch.setattr("xsplanes.experiment.slab_sample", no_scan)
+    cfg = ExperimentConfig(params=Params(63, 17, 26), magnify_exp=10, target_points=10,
+                           output_dir=str(tmp_path / "o"))
+    with pytest.raises(ValueError, match="shift count"):
+        run_experiment(cfg)
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_experiment_deterministic(tmp_path):

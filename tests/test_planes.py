@@ -78,10 +78,10 @@ def test_epsilon_threshold():
     assert epsilon_threshold(0.0) == 0
     assert epsilon_threshold(2.0**-10) == 1 << 43
     assert epsilon_threshold(1e-20) == 0
-    # anything from 1/2 up covers the whole torus, inf included
-    for eps in (0.5, 0.75, 1.0, math.inf):
+    # any finite epsilon from 1/2 up covers the whole torus
+    for eps in (0.5, 0.75, 1.0, 1e300):
         assert epsilon_threshold(eps) == ONE // 2
-    for eps in (-0.1, -math.inf, math.nan):
+    for eps in (-0.1, -math.inf, math.inf, math.nan):
         with pytest.raises(ValueError):
             epsilon_threshold(eps)
 
