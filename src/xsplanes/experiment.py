@@ -10,8 +10,9 @@ disjoint and the uniform hit rate is close to 16*epsilon.
 Scanning a slab at x_max = 2**-23 needs billions of triples per thousand
 kept points, so besides the plain sequential scan there is a fast path
 that uses the packed-pair transition map to start many lane segments at
-exact stream offsets and advances all lanes with vectorized word ops.  The
-two paths produce bit-identical results.
+exact stream offsets and advances all lanes with vectorized word ops, in
+one contiguous lane range per usable CPU.  The two paths produce
+bit-identical results.
 """
 
 from dataclasses import dataclass, field
@@ -20,6 +21,7 @@ from pathlib import Path
 import json
 import math
 import os
+import threading
 
 import numpy as np
 
@@ -40,7 +42,15 @@ from .planes import PlaneFamily, epsilon_threshold, family, nearest_plane
 from .xorapprox import COMBINE_ORDER, column_cases, compound_probability, plane_coefficients
 
 DEFAULT_SCAN_CAP = 1 << 32
-_MAX_LANES = 1 << 17
+# Without an explicit scan cap, an expected scan longer than this many
+# triples is refused before it starts (about 14 minutes on two cores).
+MAX_DEFAULT_WORK = 1 << 38
+# The fast scan runs one lane range per usable CPU.  Numpy ufuncs release
+# the GIL, so the ranges advance in parallel; 2**15 lanes keep one worker's
+# five scratch arrays (1.25 MB) in its core's L2 cache, and fewer lanes
+# lose more time to GIL hand-offs between steps.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_LANES_PER_WORKER = 1 << 15
 # Control points and census steps are processed in chunks of these sizes,
 # which bounds their memory independently of the requested counts.
 _CONTROL_CHUNK = 1 << 15
@@ -91,13 +101,19 @@ def resolve_scan_cap(spec: SlabSpec, scan_cap: int | None) -> int:
 
     The baseline cap is 2**32 triples; when the expected scan for the
     requested target exceeds it, four times the expectation is allowed.
-    An explicit scan_cap is honored as given.
+    An expected scan beyond MAX_DEFAULT_WORK triples is refused with a
+    ValueError.  An explicit scan_cap is honored as given.
     """
     if scan_cap is not None:
         if scan_cap < 1:
             raise ValueError(f"scan_cap must be >= 1, got {scan_cap}")
         return scan_cap
     expected = int(spec.target_points / spec.x_max)
+    if expected > MAX_DEFAULT_WORK:
+        raise ValueError(
+            f"{spec.target_points} points at x < {spec.x_max:.3g} need about {expected:.3g} triples, "
+            f"over the default budget of 2**38; pass --scan-cap to run it anyway"
+        )
     return max(DEFAULT_SCAN_CAP, 4 * expected)
 
 
@@ -201,28 +217,24 @@ def _lane_starts(one_step, packed, lanes, seg_len):
     return hi, lo, act(seg, last)
 
 
-def _scan_block(hi, lo, params, seg_len, thr53):
+def _scan_block(hi, lo, scratch, params, seg_len, thr53):
     """Advance all lanes seg_len steps; return (lane, t, s0, s1) where a triple enters the slab.
 
     Lane j covers triple offsets [j*seg_len, (j+1)*seg_len) of the stream.
     A hit is recorded as its state, from which the caller steps out the
-    triple's other two outputs.  hi and lo are used as scratch.
+    triple's other two outputs.  hi, lo and the three scratch arrays are
+    overwritten.
     """
-    n = hi.shape[0]
     s0, s1 = hi, lo
+    out, t1, t2 = scratch
     ua, ub, uc = np.uint64(params.a), np.uint64(params.b), np.uint64(params.c)
     # o >> 11 < thr53  iff  o <= (thr53 << 11) - 1, which fits in uint64 for thr53 <= 2**53
     last_in = np.uint64((thr53 << 11) - 1)
-    out = np.empty(n, dtype=np.uint64)
-    t1 = np.empty(n, dtype=np.uint64)
-    t2 = np.empty(n, dtype=np.uint64)
-    mask = np.empty(n, dtype=bool)
     hits = []
     for t in range(seg_len):
         np.add(s0, s1, out=out)
-        np.less_equal(out, last_in, out=mask)
-        if mask.any():
-            hits.extend((int(j), t, int(s0[j]), int(s1[j])) for j in np.flatnonzero(mask))
+        if out.min() <= last_in:
+            hits.extend((int(j), t, int(s0[j]), int(s1[j])) for j in np.flatnonzero(out <= last_in))
         np.left_shift(s0, ua, out=t1)
         np.bitwise_xor(t1, s0, out=t1)
         np.right_shift(t1, ub, out=t2)
@@ -234,6 +246,48 @@ def _scan_block(hi, lo, params, seg_len, thr53):
     return hits
 
 
+def _scan_lanes(hi, lo, params, seg_len, thr53):
+    """_scan_block over contiguous lane ranges, one per worker; hits carry block lane numbers.
+
+    The calling thread scans range 0 itself, so one worker starts no
+    thread.  A worker's exception is re-raised here.  The scratch arrays
+    are allocated here too, since memory a worker thread allocates stays
+    in its own malloc arena after the block.  They are no larger than hi
+    and lo: freeing a larger one would raise glibc's mmap threshold, and
+    later arrays of that size would then stay on the heap.  Both cost
+    about 1-2 MB of peak RSS.
+    """
+    n = hi.shape[0]
+    k = min(_WORKERS, n)
+    bounds = [n * i // k for i in range(k + 1)]
+    scratch = [np.empty(n, dtype=np.uint64) for _ in range(3)]
+    found = [None] * k
+
+    def scan(i):
+        r = slice(bounds[i], bounds[i + 1])
+        return _scan_block(hi[r], lo[r], [a[r] for a in scratch], params, seg_len, thr53)
+
+    def work(i):
+        try:
+            found[i] = scan(i)
+        except BaseException as exc:  # handed to the calling thread
+            found[i] = exc
+
+    # daemon: an interrupt of the calling thread need not wait for the block
+    threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(1, k)]
+    for th in threads:
+        th.start()
+    found[0] = scan(0)
+    for th in threads:
+        th.join()
+    hits = []
+    for start, part in zip(bounds, found):
+        if isinstance(part, BaseException):
+            raise part
+        hits.extend((start + lane, t, s0, s1) for lane, t, s0, s1 in part)
+    return hits
+
+
 def _scan_fast(state, spec, cap, thr53):
     params = state.params
     magnify = spec.magnify
@@ -242,21 +296,17 @@ def _scan_fast(state, spec, cap, thr53):
     packed = (state.s0 << 64) | state.s1
     hits = []
     base = 0
+    # each block is sized to the expected remaining work, so the scan stops
+    # at most one small follow-up block past the target
     while base < cap and len(hits) < target:
         remaining = cap - base
-        need = target - len(hits)
-        est = int(need / spec.x_max * 1.3) + 4096
-        block = min(remaining, est)
-        lanes = 1
-        while lanes * 2 <= _MAX_LANES and lanes * 64 <= block:
-            lanes *= 2
+        block = min(remaining, int((target - len(hits)) / spec.x_max) + 4096)
+        lanes = max(1, min(_WORKERS * _LANES_PER_WORKER, block // 64))
         seg_len = (block + lanes - 1) // lanes
         if lanes * seg_len > remaining:
             seg_len = remaining // lanes
-            if seg_len == 0:
-                lanes, seg_len = remaining, 1
         hi, lo, packed = _lane_starts(one_step, packed, lanes, seg_len)
-        for lane, t, s0, s1 in _scan_block(hi, lo, params, seg_len, thr53):
+        for lane, t, s0, s1 in _scan_lanes(hi, lo, params, seg_len, thr53):
             hits.append((base + lane * seg_len + t, s0, s1))
         base += lanes * seg_len
     hits.sort(key=lambda h: h[0])
@@ -312,8 +362,11 @@ def control_baseline(n_points: int, fam: PlaneFamily, epsilon: float, control_se
     points: each coordinate is the top 53 bits of one raw word, the same
     value Generator.random would give.  On the full cube the eight plane
     neighborhoods are nearly disjoint so the expected value is a bit under
-    16*epsilon; for a >= 52 the two coefficient families coincide on the
-    53-bit grid, which halves that to 8*epsilon (see planes.union_rate).
+    16*epsilon.  For a = 52 - k the two coefficient families coincide on
+    the grid points with X = 0 mod 2**k, which lowers it to about
+    (16 - 8/2**k)*epsilon: 14*epsilon at a = 50, 12*epsilon at a = 51.
+    For a >= 52 they coincide on the whole 53-bit grid, which halves it
+    to 8*epsilon.  planes.union_rate gives the union bound.
     """
     if n_points < 1:
         raise ValueError(f"n_points must be >= 1, got {n_points}")

@@ -171,11 +171,12 @@ def test_planes_wide_epsilon_counts_every_point(tmp_path, capsys, eps):
 
 
 def test_planes_control_only_large_a(capsys):
-    # float scoring reported 0.315 here; the uniform rate is about 16*eps
+    # float scoring reported 0.315 here; the uniform rate is (16 - 8/2^2)*eps,
+    # since the two families coincide where X = 0 mod 4
     code, out, _ = run_cli(capsys, "planes", "--control-only", "--a", "50", "--control-points", "32768")
     assert code == 0
     frac = json.loads(out)["control_hit_fraction"]
-    expect = 16 * 2.0**-10
+    expect = 14 * 2.0**-10
     assert abs(frac - expect) <= 4 * (expect * (1 - expect) / 32768) ** 0.5
 
 
@@ -188,6 +189,20 @@ def test_planes_control_only_union_rate_at_a_62(capsys):
     expect = 8 * 2.0**-10
     assert payload["uniform_union_rate"] == expect
     assert abs(payload["control_hit_fraction"] - expect) <= 4 * (expect * (1 - expect) / 32768) ** 0.5
+
+
+@pytest.mark.parametrize("flags", [("--a", "30"), ("--magnify-exp", "40")])
+def test_planes_over_default_budget_exits_2(tmp_path, capsys, monkeypatch, flags):
+    # about 1e12 and 1e15 expected triples: refused before any scan
+    def no_scan(*args):
+        raise AssertionError("scan started")
+
+    monkeypatch.setattr("xsplanes.experiment._scan_fast", no_scan)
+    code, out, err = run_cli(capsys, "planes", *flags, "--output-dir", str(tmp_path / "o"))
+    assert code == 2
+    assert out == ""
+    assert "--scan-cap" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_planes_magnify_exp_variant(tmp_path, capsys):

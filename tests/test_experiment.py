@@ -1,9 +1,12 @@
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from xsplanes import experiment
 from xsplanes.engine import MASK64, GenState, Params, iter_outputs, seed_state, step_words, to_unit
 from xsplanes.experiment import (
     _CENSUS_CHUNK,
@@ -52,6 +55,12 @@ def test_resolve_scan_cap():
     assert resolve_scan_cap(spec8, 12345) == 12345
     with pytest.raises(ValueError):
         resolve_scan_cap(spec8, 0)
+    # the full-scale run fits the default budget; a = 30 does not, unless capped
+    assert resolve_scan_cap(slab_spec(23, target_points=10_000), None) == 4 * 10_000 * (1 << 23)
+    spec30 = slab_spec(30, target_points=1000)
+    with pytest.raises(ValueError, match="--scan-cap"):
+        resolve_scan_cap(spec30, None)
+    assert resolve_scan_cap(spec30, 1 << 40) == 1 << 40
 
 
 def test_accept_threshold_matches_float_compare():
@@ -75,6 +84,57 @@ def test_slab_sample_paths_agree():
     assert seq.n_triples_scanned == fast.n_triples_scanned
     assert seq.truncated == fast.truncated is False
     assert seq.n_in_slab == 400
+
+
+def test_fast_scan_independent_of_workers_and_blocks(monkeypatch):
+    # Five lanes per worker give uneven splits (3 workers over 11 lanes).
+    # At x < 2**-12 the first block often falls short of the target: seed
+    # 16 needs three blocks, and the cap of the second case truncates the
+    # run in a last block of fewer lanes than workers.
+    monkeypatch.setattr(experiment, "_LANES_PER_WORKER", 5)
+    blocks = []
+
+    def counted_starts(one_step, packed, lanes, seg_len):
+        blocks.append(lanes)
+        return real_starts(one_step, packed, lanes, seg_len)
+
+    real_starts = experiment._lane_starts
+    monkeypatch.setattr(experiment, "_lane_starts", counted_starts)
+    spec = slab_spec(8, magnify_exp=12, target_points=60)
+    state = seed_state(16, P8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # frequent GIL hand-offs between the workers
+    try:
+        for cap in (1_000_000, 250_575):
+            seq = slab_sample(state, spec, scan_cap=cap, method="sequential")
+            assert seq.truncated == (cap == 250_575)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(experiment, "_WORKERS", workers)
+                blocks.clear()
+                fast = slab_sample(state, spec, scan_cap=cap, method="fast")
+                assert fast.points == seq.points
+                assert fast.n_triples_scanned == seq.n_triples_scanned
+                assert fast.truncated == seq.truncated
+                assert len(blocks) >= 2
+                if seq.truncated and workers > 1:
+                    assert blocks[-1] < workers
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_fast_scan_worker_exception_propagates(monkeypatch):
+    # a failure in a worker thread's lane range reaches the caller
+    def failing_block(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise ZeroDivisionError("worker failed")
+        return real_block(*args)
+
+    real_block = experiment._scan_block
+    monkeypatch.setattr(experiment, "_scan_block", failing_block)
+    monkeypatch.setattr(experiment, "_WORKERS", 2)
+    spec = slab_spec(8, target_points=50)
+    with pytest.raises(ZeroDivisionError, match="worker failed"):
+        slab_sample(seed_state(3, P8), spec, scan_cap=500_000, method="fast")
 
 
 def test_slab_sample_magnified_coordinates():
@@ -199,15 +259,17 @@ def test_control_baseline_deterministic():
     assert a == b
 
 
-@pytest.mark.parametrize("a, planes", [(40, 16), (45, 16), (50, 16), (52, 8), (62, 8)])
+@pytest.mark.parametrize("a, planes", [(40, 16), (45, 16), (50, 16), (51, 16), (52, 8), (62, 8)])
 def test_control_baseline_exact_at_large_a(a, planes):
-    # the uniform rate is about 16*eps; for a >= 52, -(2^a - 1) = 2^a + 1
-    # mod 2^53, so the two families coincide on the 53-bit grid
+    # For a = 52 - k the two families' planes coincide on the grid points
+    # with X = 0 mod 2^k, so the uniform rate is (16 - 8/2^k)*eps; from
+    # a = 52 on, -(2^a - 1) = 2^a + 1 mod 2^53 and only 8*eps remain.
+    # union_rate stays the union bound, 2*eps per distinct plane.
     eps = 2.0**-10
-    n = 1 << 15
+    n = 1 << 18
     frac = control_baseline(n, family(a), eps, 271828)
-    expect = planes * eps
-    assert union_rate(family(a), eps) == expect
+    expect = (16 - 8 / 2 ** max(52 - a, 0)) * eps
+    assert union_rate(family(a), eps) == planes * eps >= expect
     sigma = math.sqrt(expect * (1 - expect) / n)
     assert abs(frac - expect) <= 4 * sigma
 
