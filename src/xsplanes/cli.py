@@ -182,7 +182,14 @@ def cmd_planes(args) -> int:
     if report.truncated:
         print(f"scan cap reached with {report.n_in_slab}/{target} points", file=sys.stderr)
     ratio = report.concentration_ratio
-    if ratio is None or ratio < args.min_ratio:
+    if ratio is None:
+        print(
+            f"no concentration ratio: none of the {args.control_points} control points "
+            f"fell within epsilon {args.epsilon} of a plane",
+            file=sys.stderr,
+        )
+        return 1
+    if ratio < args.min_ratio:
         print(f"concentration ratio {ratio} below threshold {args.min_ratio}", file=sys.stderr)
         return 1
     print(f"concentration ratio {ratio:.2f} (threshold {args.min_ratio})", file=sys.stderr)

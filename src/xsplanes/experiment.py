@@ -10,18 +10,22 @@ disjoint and the uniform hit rate is close to 16*epsilon.
 Scanning a slab at x_max = 2**-23 needs billions of triples per thousand
 kept points, so besides the plain sequential scan there is a fast path
 that uses the packed-pair transition map to start many lane segments at
-exact stream offsets and advances all lanes with vectorized word ops, in
-one contiguous lane range per usable CPU.  The two paths produce
-bit-identical results.
+exact stream offsets and advances the lanes in one contiguous lane range
+per usable CPU.  A small C kernel (_lanes.c), compiled on first use and
+loaded with ctypes, advances them; where it cannot be built, vectorized
+numpy word ops do.  All paths produce bit-identical results.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+import ctypes
+import functools
 import json
 import math
 import os
 import threading
+import zlib
 
 import numpy as np
 
@@ -51,6 +55,20 @@ MAX_DEFAULT_WORK = 1 << 38
 # lose more time to GIL hand-offs between steps.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _LANES_PER_WORKER = 1 << 15
+# The compiled lane scan.  One call covers at most about 2**28 triples
+# (about 0.1 s), so the calling thread serves an interrupt between calls,
+# and about 2**11 expected hits.  The hit buffer holds 1.5 times that (22
+# sigma above the mean), which keeps it under glibc's 128 KB mmap
+# threshold: a buffer for a worker's whole range raised wide-slab's peak
+# RSS by 1 MB.  A call's lanes are a multiple of the kernel's group of 32
+# interleaved lanes.  The kernel's target_clones dispatch picks AVX-512,
+# AVX2 or plain code at load time, so one cached library runs on any
+# x86-64 CPU.
+_KERNEL_SOURCE = Path(__file__).with_name("_lanes.c")
+_CFLAGS = ("-O3", "-shared", "-fPIC")
+_CALL_TRIPLES = 1 << 28
+_CALL_HITS = 1 << 11
+_GROUP = 32
 # Control points and census steps are processed in chunks of these sizes,
 # which bounds their memory independently of the requested counts.
 _CONTROL_CHUNK = 1 << 15
@@ -246,25 +264,93 @@ def _scan_block(hi, lo, scratch, params, seg_len, thr53):
     return hits
 
 
-def _scan_lanes(hi, lo, params, seg_len, thr53):
-    """_scan_block over contiguous lane ranges, one per worker; hits carry block lane numbers.
+def _load_kernel(cache_dir: Path):
+    """The compiled lane scan, built from _lanes.c into cache_dir on a miss; None if it cannot be.
 
-    The calling thread scans range 0 itself, so one worker starts no
-    thread.  A worker's exception is re-raised here.  The scratch arrays
-    are allocated here too, since memory a worker thread allocates stays
-    in its own malloc arena after the block.  They are no larger than hi
-    and lo: freeing a larger one would raise glibc's mmap threshold, and
-    later arrays of that size would then stay on the heap.  Both cost
-    about 1-2 MB of peak RSS.
+    The library is named by a crc32 of the source, the compiler flags and
+    the machine type.  It is compiled under a name of its own and then
+    renamed into place, so concurrent first runs each load a whole file.
+    """
+    try:
+        source = _KERNEL_SOURCE.read_bytes()
+        key = zlib.crc32(b"\0".join([source, " ".join(_CFLAGS).encode(), os.uname().machine.encode()]))
+        path = cache_dir / f"lanes-{key:08x}.so"
+        if not path.exists():
+            import subprocess  # only on a miss: it adds about 0.4 MB of peak RSS
+
+            cache_dir.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+            try:
+                cmd = ["gcc", *_CFLAGS, "-o", str(tmp), str(_KERNEL_SOURCE)]
+                if subprocess.run(cmd, capture_output=True).returncode != 0:
+                    return None
+                os.replace(tmp, path)
+            finally:
+                tmp.unlink(missing_ok=True)
+        scan = ctypes.CDLL(str(path)).xs_scan_lanes
+    except (OSError, AttributeError):  # no compiler, cache or loadable library
+        return None
+    ptr, i32, i64 = ctypes.c_void_p, ctypes.c_int, ctypes.c_int64
+    scan.restype = i64
+    scan.argtypes = [ptr, ptr, i64, i64, i32, i32, i32, ctypes.c_uint64, ptr, i64]
+    return scan
+
+
+@functools.cache
+def _kernel():
+    """The compiled lane scan from $XDG_CACHE_HOME/xsplanes, loaded once per process, or None."""
+    cache_home = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return _load_kernel(Path(cache_home) / "xsplanes")
+
+
+def _scan_compiled(kernel, hi, lo, params, seg_len, thr53):
+    """_scan_block through the compiled kernel: the same hits, and hi and lo left unchanged.
+
+    A call that finds more hits than the buffer holds reports how many, and
+    is rerun with a buffer of that size, so no hit is dropped.
+    """
+    if not (hi.dtype == lo.dtype == np.uint64 and hi.shape == lo.shape and hi.flags.c_contiguous
+            and lo.flags.c_contiguous):
+        raise ValueError("lane starts must be two contiguous uint64 arrays of one length")
+    last_in = (thr53 << 11) - 1
+    call = min(_CALL_TRIPLES, (_CALL_HITS << 53) // thr53)
+    step = max(_GROUP, call // seg_len // _GROUP * _GROUP)
+    buf = np.empty((4, _CALL_HITS * 3 // 2), dtype=np.uint64)
+    hits = []
+    for start in range(0, hi.shape[0], step):
+        h, l = hi[start : start + step], lo[start : start + step]
+        while (found := kernel(h.ctypes.data, l.ctypes.data, h.shape[0], seg_len, params.a, params.b,
+                               params.c, last_in, buf.ctypes.data, buf.shape[1])) > buf.shape[1]:
+            buf = np.empty((4, found), dtype=np.uint64)
+        lane, t, s0, s1 = buf[:, :found].tolist()
+        hits.extend(zip([start + j for j in lane], t, s0, s1))
+    return hits
+
+
+def _scan_lanes(hi, lo, params, seg_len, thr53):
+    """Scan contiguous lane ranges, one per worker; hits carry block lane numbers.
+
+    Each worker runs the compiled kernel, or _scan_block where none could
+    be built.  The calling thread scans range 0 itself, so one worker
+    starts no thread.  A worker's exception is re-raised here.  The numpy
+    scan's scratch arrays are allocated here too, since memory a worker
+    thread allocates stays in its own malloc arena after the block.  They
+    are no larger than hi and lo: freeing a larger one would raise glibc's
+    mmap threshold, and later arrays of that size would then stay on the
+    heap.  Both cost about 1-2 MB of peak RSS.
     """
     n = hi.shape[0]
     k = min(_WORKERS, n)
     bounds = [n * i // k for i in range(k + 1)]
-    scratch = [np.empty(n, dtype=np.uint64) for _ in range(3)]
+    kernel = _kernel()
+    if kernel is None:
+        scratch = [np.empty(n, dtype=np.uint64) for _ in range(3)]
     found = [None] * k
 
     def scan(i):
         r = slice(bounds[i], bounds[i + 1])
+        if kernel is not None:
+            return _scan_compiled(kernel, hi[r], lo[r], params, seg_len, thr53)
         return _scan_block(hi[r], lo[r], [a[r] for a in scratch], params, seg_len, thr53)
 
     def work(i):
@@ -355,6 +441,11 @@ def hit_stats(points, fam: PlaneFamily, epsilon: float, spec: SlabSpec) -> HitSt
     return HitStats(len(points), hits, hits / len(points), per_plane)
 
 
+def _check_control(n_points: int) -> None:
+    if n_points < 1:
+        raise ValueError(f"n_points must be >= 1, got {n_points}")
+
+
 def control_baseline(n_points: int, fam: PlaneFamily, epsilon: float, control_seed: int) -> float:
     """Hit fraction of uniform cube points from a counter-based generator.
 
@@ -368,8 +459,7 @@ def control_baseline(n_points: int, fam: PlaneFamily, epsilon: float, control_se
     For a >= 52 they coincide on the whole 53-bit grid, which halves it
     to 8*epsilon.  planes.union_rate gives the union bound.
     """
-    if n_points < 1:
-        raise ValueError(f"n_points must be >= 1, got {n_points}")
+    _check_control(n_points)
     thr = epsilon_threshold(epsilon)
     bitgen = np.random.Philox(key=control_seed)
     hits = 0
@@ -392,6 +482,13 @@ class CaseCensus:
     uniform_model_estimate: float
 
 
+def _check_census(n_steps: int, n_bits: int) -> None:
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if not 1 <= n_bits <= 16:
+        raise ValueError(f"n_bits must be in 1..16, got {n_bits}")
+
+
 def case_census(state: GenState, n_steps: int, n_bits: int = 3) -> CaseCensus:
     """Tally the 3x3 compound-case grid over n_steps consecutive steps.
 
@@ -404,10 +501,7 @@ def case_census(state: GenState, n_steps: int, n_bits: int = 3) -> CaseCensus:
     satisfied cells whose predicted plane value cx*x + cy*y misses the top
     n_bits of the actual output z.
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if not 1 <= n_bits <= 16:
-        raise ValueError(f"n_bits must be in 1..16, got {n_bits}")
+    _check_census(n_steps, n_bits)
     params = state.params
     drop = np.uint64(64 - n_bits)
     pairs = [(o, i) for o in COMBINE_ORDER for i in COMBINE_ORDER]
@@ -540,12 +634,15 @@ def run_experiment(cfg: ExperimentConfig) -> HitReport:
     Emits one point-cloud CSV, one mesh CSV per plane, an overlay manifest
     and the report JSON.  Every output is a pure function of the config.
     """
-    from .planes import mesh  # local import to keep module init light
+    from .planes import check_grid, mesh  # local import to keep module init light
 
     spec = slab_spec(cfg.params.a, cfg.magnify_exp, cfg.target_points)
-    # reject a bad epsilon or shift count before the scan
+    # reject every bad setting before the scan, so none waits for it or leaves partial output
     epsilon_threshold(cfg.epsilon)
     fam = family(cfg.params.a)
+    _check_control(cfg.control_points)
+    _check_census(cfg.census_steps, cfg.n_bits)
+    check_grid(cfg.grid)
     state = seed_state(cfg.seed, cfg.params)
     sample = slab_sample(state, spec, scan_cap=cfg.scan_cap, method=cfg.method)
     if sample.points:

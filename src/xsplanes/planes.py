@@ -132,6 +132,12 @@ class MeshStrip:
     vertices: tuple[tuple[float, float, float], ...]
 
 
+def check_grid(grid: int) -> None:
+    """Reject a mesh with fewer than two stations per axis."""
+    if grid < 2:
+        raise ValueError(f"grid must be >= 2, got {grid}")
+
+
 def mesh(plane: Plane, x_max: float, magnify: float, grid: int) -> list[MeshStrip]:
     """Sample z = plane height over [0, x_max] x [0, 1] as strips along y.
 
@@ -144,8 +150,7 @@ def mesh(plane: Plane, x_max: float, magnify: float, grid: int) -> list[MeshStri
         raise ValueError(f"x_max must be in (0, 1], got {x_max}")
     if magnify <= 0.0:
         raise ValueError(f"magnify must be positive, got {magnify}")
-    if grid < 2:
-        raise ValueError(f"grid must be >= 2, got {grid}")
+    check_grid(grid)
     strips = []
     steps = grid - 1
     for j in range(grid):

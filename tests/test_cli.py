@@ -205,6 +205,42 @@ def test_planes_over_default_budget_exits_2(tmp_path, capsys, monkeypatch, flags
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [("--grid", "0"), ("--grid", "1"), ("--control-points", "0"), ("--census-steps", "0"),
+     ("--n-bits", "0"), ("--n-bits", "17")],
+    ids=" ".join,
+)
+def test_planes_bad_setting_exits_2_before_scan(tmp_path, capsys, monkeypatch, flags):
+    # each used to exit 2 only after the full scan; --grid 1 also left a lone points.csv
+    def no_scan(*args):
+        raise AssertionError("scan started")
+
+    monkeypatch.setattr("xsplanes.experiment._scan_fast", no_scan)
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(
+        capsys, "planes", "--magnify-exp", "10", "--target-points", "100", *flags,
+        "--output-dir", str(out_dir),
+    )
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+def test_planes_no_control_hit_says_so(tmp_path, capsys):
+    out_dir = tmp_path / "z"
+    code, out, err = run_cli(
+        capsys, *PLANES_ARGS, "--control-points", "2", "--epsilon", "1e-9", "--output-dir", str(out_dir),
+    )
+    assert code == 1
+    assert json.loads(out)["concentration_ratio"] is None
+    assert json.loads((out_dir / "report.json").read_text())["concentration_ratio"] is None
+    assert err.splitlines()[-1] == (
+        "no concentration ratio: none of the 2 control points fell within epsilon 1e-09 of a plane"
+    )
+
+
 def test_planes_magnify_exp_variant(tmp_path, capsys):
     # the wider-slab plot variant: magnification decoupled from a
     code, out, _ = run_cli(

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import shutil
+import subprocess
 import sys
 import threading
 
@@ -86,11 +89,18 @@ def test_slab_sample_paths_agree():
     assert seq.n_in_slab == 400
 
 
+def lane_kernels():
+    """The lane scans to test: the compiled kernel where it can be built, then the numpy fallback."""
+    kernel = experiment._kernel()
+    return ([kernel] if kernel is not None else []) + [None]
+
+
 def test_fast_scan_independent_of_workers_and_blocks(monkeypatch):
     # Five lanes per worker give uneven splits (3 workers over 11 lanes).
     # At x < 2**-12 the first block often falls short of the target: seed
     # 16 needs three blocks, and the cap of the second case truncates the
-    # run in a last block of fewer lanes than workers.
+    # run in a last block of fewer lanes than workers.  The compiled kernel
+    # pads each five-lane range to its group of 32.
     monkeypatch.setattr(experiment, "_LANES_PER_WORKER", 5)
     blocks = []
 
@@ -108,33 +118,103 @@ def test_fast_scan_independent_of_workers_and_blocks(monkeypatch):
         for cap in (1_000_000, 250_575):
             seq = slab_sample(state, spec, scan_cap=cap, method="sequential")
             assert seq.truncated == (cap == 250_575)
-            for workers in (1, 2, 3):
-                monkeypatch.setattr(experiment, "_WORKERS", workers)
-                blocks.clear()
-                fast = slab_sample(state, spec, scan_cap=cap, method="fast")
-                assert fast.points == seq.points
-                assert fast.n_triples_scanned == seq.n_triples_scanned
-                assert fast.truncated == seq.truncated
-                assert len(blocks) >= 2
-                if seq.truncated and workers > 1:
-                    assert blocks[-1] < workers
+            for kernel in lane_kernels():
+                monkeypatch.setattr(experiment, "_kernel", lambda: kernel)
+                for workers in (1, 2, 3):
+                    monkeypatch.setattr(experiment, "_WORKERS", workers)
+                    blocks.clear()
+                    fast = slab_sample(state, spec, scan_cap=cap, method="fast")
+                    assert fast.points == seq.points
+                    assert fast.n_triples_scanned == seq.n_triples_scanned
+                    assert fast.truncated == seq.truncated
+                    assert len(blocks) >= 2
+                    if seq.truncated and workers > 1:
+                        assert blocks[-1] < workers
     finally:
         sys.setswitchinterval(interval)
 
 
 def test_fast_scan_worker_exception_propagates(monkeypatch):
-    # a failure in a worker thread's lane range reaches the caller
-    def failing_block(*args):
-        if threading.current_thread() is not threading.main_thread():
-            raise ZeroDivisionError("worker failed")
-        return real_block(*args)
-
-    real_block = experiment._scan_block
-    monkeypatch.setattr(experiment, "_scan_block", failing_block)
+    # a failure in a worker thread's lane range reaches the caller, on either lane scan
     monkeypatch.setattr(experiment, "_WORKERS", 2)
     spec = slab_spec(8, target_points=50)
-    with pytest.raises(ZeroDivisionError, match="worker failed"):
-        slab_sample(seed_state(3, P8), spec, scan_cap=500_000, method="fast")
+    for kernel in lane_kernels():
+        name = "_scan_block" if kernel is None else "_scan_compiled"
+        real_block = getattr(experiment, name)
+
+        def failing_block(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise ZeroDivisionError("worker failed")
+            return real_block(*args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(experiment, "_kernel", lambda: kernel)
+            mp.setattr(experiment, name, failing_block)
+            with pytest.raises(ZeroDivisionError, match="worker failed"):
+                slab_sample(seed_state(3, P8), spec, scan_cap=500_000, method="fast")
+
+
+def test_compiled_kernel_in_use_where_gcc_is_found(monkeypatch):
+    # a silent fallback would hide a fivefold slowdown
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc on PATH")
+    assert experiment._kernel() is not None
+
+    def numpy_block(*args):
+        raise AssertionError("numpy lane scan used")
+
+    monkeypatch.setattr(experiment, "_scan_block", numpy_block)
+    slab_sample(seed_state(3, P8), slab_spec(8, target_points=50), scan_cap=500_000, method="fast")
+
+
+@pytest.mark.parametrize("cflags", [("-shared", "-fno-such-option"), ("-c",)], ids=["compile", "load"])
+def test_kernel_build_failure_falls_back_to_numpy(monkeypatch, tmp_path, cflags):
+    # an unknown flag fails the compile; -c builds an object file that cannot be loaded
+    spec = slab_spec(8, magnify_exp=12, target_points=60)
+    state = seed_state(16, P8)
+    default = slab_sample(state, spec, scan_cap=1_000_000, method="fast")
+    monkeypatch.setattr(experiment, "_CFLAGS", cflags)
+    kernel = experiment._load_kernel(tmp_path)
+    assert kernel is None
+    if cflags == ("-c",) and shutil.which("gcc"):
+        assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
+    monkeypatch.setattr(experiment, "_kernel", lambda: kernel)
+    assert slab_sample(state, spec, scan_cap=1_000_000, method="fast") == default
+
+
+def test_compiled_scan_reruns_on_hit_overflow(monkeypatch):
+    # calls of 32 lanes and a first buffer of one hit: at x < 2**-4 the first call overflows
+    # and is rerun with a buffer of the size it reports
+    real = experiment._kernel()
+    if real is None:
+        pytest.skip("the lane-scan kernel cannot be built here")
+    calls = []  # (lanes, overflowed) per call
+
+    def counted(*args):
+        found = real(*args)
+        calls.append((args[2], found > args[-1]))
+        return found
+
+    monkeypatch.setattr(experiment, "_kernel", lambda: counted)
+    monkeypatch.setattr(experiment, "_CALL_HITS", 1)
+    spec = slab_spec(8, magnify_exp=4, target_points=3000)
+    state = seed_state(5, P8)
+    seq = slab_sample(state, spec, scan_cap=1_000_000, method="sequential")
+    assert slab_sample(state, spec, scan_cap=1_000_000, method="fast") == seq
+    assert max(lanes for lanes, _ in calls) == experiment._GROUP
+    assert any(over for _, over in calls)
+
+
+def test_concurrent_first_compiles_both_load(tmp_path):
+    # two first runs at once share one empty cache; each must load a whole library
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc on PATH")
+    src = os.path.dirname(os.path.dirname(experiment.__file__))
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=src)
+    code = "from xsplanes.experiment import _kernel; assert _kernel() is not None"
+    procs = [subprocess.Popen([sys.executable, "-c", code], env=env) for _ in range(2)]
+    assert [p.wait(timeout=120) for p in procs] == [0, 0]
+    assert [p.suffix for p in (tmp_path / "xsplanes").iterdir()] == [".so"]
 
 
 def test_slab_sample_magnified_coordinates():
