@@ -13,7 +13,7 @@ import json
 import sys
 
 from .engine import Params, iter_outputs, seed_state, to_unit
-from .experiment import ExperimentConfig, case_census, control_baseline, run_experiment
+from .experiment import ExperimentConfig, case_census, control_baseline, run_experiment, slab_spec
 from .planes import family, union_rate
 from .xorapprox import compound_probability, count_cases, verify_xor_diff, verify_xor_sum
 
@@ -175,8 +175,8 @@ def cmd_planes(args) -> int:
         grid=args.grid,
         output_dir=args.output_dir,
     )
-    slab_exp = params.a if args.magnify_exp is None else args.magnify_exp
-    print(f"scanning slab x < 2**-{slab_exp} for {target} points", file=sys.stderr)
+    spec = slab_spec(params.a, args.magnify_exp, target)
+    print(f"scanning slab x < 2**-{spec.e} for {target} points", file=sys.stderr)
     report = run_experiment(cfg)
     print(json.dumps(report.to_dict(), indent=2))
     if report.truncated:

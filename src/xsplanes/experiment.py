@@ -1,8 +1,9 @@
 """Slab sampling, plane-hit statistics, control baseline, and case census.
 
 The pipeline scans consecutive overlapping output triples (x, y, z), keeps
-those whose x falls in the slab x < x_max, magnifies x for plotting, and
-measures how the kept points concentrate near the eight predicted planes.
+the 53-bit words of those whose x falls in the slab x < 2**-e, magnifies
+x for plotting by an exact shift, and measures how the kept points
+concentrate near the eight predicted planes.
 A counter-based control generator (Philox) supplies the null statistic on
 the full unit cube, where the eight plane neighborhoods are essentially
 disjoint and the uniform hit rate is close to 16*epsilon.
@@ -16,13 +17,11 @@ loaded with ctypes, advances them; where it cannot be built, vectorized
 numpy word ops do.  All paths produce bit-identical results.
 """
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 import ctypes
 import functools
 import json
-import math
 import os
 import threading
 import zlib
@@ -39,7 +38,6 @@ from .engine import (
     mat_pow,
     seed_state,
     step_words,
-    to_unit,
     transition_rows,
 )
 from .planes import PlaneFamily, epsilon_threshold, family, nearest_plane
@@ -47,7 +45,8 @@ from .xorapprox import COMBINE_ORDER, column_cases, compound_probability, plane_
 
 DEFAULT_SCAN_CAP = 1 << 32
 # Without an explicit scan cap, an expected scan longer than this many
-# triples is refused before it starts (about 14 minutes on two cores).
+# triples is refused before it starts: on two cores it takes about 60-75 s
+# with the compiled kernel, about 14 minutes with the numpy scan.
 MAX_DEFAULT_WORK = 1 << 38
 # The fast scan runs one lane range per usable CPU.  Numpy ufuncs release
 # the GIL, so the ranges advance in parallel; 2**15 lanes keep one worker's
@@ -77,35 +76,36 @@ _CENSUS_CHUNK = 1 << 13
 
 @dataclass(frozen=True)
 class SlabSpec:
-    """Slab filter and magnification for triple sampling."""
+    """Slab x < 2**-e with magnification 2**e, and the number of points to collect."""
 
-    a: int
-    x_max: float
-    magnify: float
+    e: int
     target_points: int
 
     def __post_init__(self):
-        if not 0.0 < self.x_max <= 1.0:
-            raise ValueError(f"x_max must be in (0, 1], got {self.x_max}")
-        if abs(self.magnify * self.x_max - 1.0) > 1e-9:
-            raise ValueError("magnify must be the reciprocal of x_max")
+        if not 1 <= self.e <= 53:
+            raise ValueError(f"magnify exponent must be in 1..53, got {self.e}")
         if self.target_points < 1:
             raise ValueError(f"target_points must be >= 1, got {self.target_points}")
+
+    @property
+    def x_max(self) -> float:
+        return 2.0**-self.e
+
+    @property
+    def magnify(self) -> float:
+        return float(1 << self.e)
 
 
 def slab_spec(a: int, magnify_exp: int | None = None, target_points: int = 1000) -> SlabSpec:
     """Slab x < 2**-e with magnification 2**e; e defaults to the shift count a."""
-    e = a if magnify_exp is None else magnify_exp
-    if not 1 <= e <= 53:
-        raise ValueError(f"magnify exponent must be in 1..53, got {e}")
-    return SlabSpec(a=a, x_max=2.0**-e, magnify=float(1 << e), target_points=target_points)
+    return SlabSpec(a if magnify_exp is None else magnify_exp, target_points)
 
 
 @dataclass
 class SlabSample:
-    """Accepted (magnified) points plus scan accounting."""
+    """Accepted points, an (n, 3) uint64 array of words (X << e, Y, Z), plus scan accounting."""
 
-    points: list
+    points: np.ndarray
     n_triples_scanned: int
     truncated: bool
 
@@ -126,7 +126,7 @@ def resolve_scan_cap(spec: SlabSpec, scan_cap: int | None) -> int:
         if scan_cap < 1:
             raise ValueError(f"scan_cap must be >= 1, got {scan_cap}")
         return scan_cap
-    expected = int(spec.target_points / spec.x_max)
+    expected = spec.target_points << spec.e
     if expected > MAX_DEFAULT_WORK:
         raise ValueError(
             f"{spec.target_points} points at x < {spec.x_max:.3g} need about {expected:.3g} triples, "
@@ -135,18 +135,13 @@ def resolve_scan_cap(spec: SlabSpec, scan_cap: int | None) -> int:
     return max(DEFAULT_SCAN_CAP, 4 * expected)
 
 
-def _accept_threshold(x_max: float) -> int:
-    """Smallest T with: to_unit(o) < x_max  iff  (o >> 11) < T."""
-    return math.ceil(Fraction(x_max) * (1 << 53))
-
-
 def slab_sample(
     state: GenState,
     spec: SlabSpec,
     scan_cap: int | None = None,
     method: str = "auto",
 ) -> SlabSample:
-    """Scan overlapping triples, keeping (magnify*x, y, z) for x < x_max.
+    """Scan overlapping triples, keeping the words (X << e, Y, Z) for x < 2**-e.
 
     Stops at target_points, or at the scan cap with the truncated flag set.
     method is "sequential", "fast", or "auto" (fast for large scans); both
@@ -155,7 +150,7 @@ def slab_sample(
     cap = resolve_scan_cap(spec, scan_cap)
     if method == "auto":
         method = "fast" if cap > 200_000 else "sequential"
-    thr53 = _accept_threshold(spec.x_max)
+    thr53 = 1 << (53 - spec.e)  # x < 2**-e  iff  (o >> 11) < thr53
     if method == "sequential":
         points, scanned, truncated = _scan_sequential(state, spec, cap, thr53)
     elif method == "fast":
@@ -167,7 +162,7 @@ def slab_sample(
 
 def _scan_sequential(state, spec, cap, thr53):
     params = state.params
-    magnify = spec.magnify
+    e = spec.e
     target = spec.target_points
     s0, s1 = state.s0, state.s1
     o0 = (s0 + s1) & MASK64
@@ -175,15 +170,15 @@ def _scan_sequential(state, spec, cap, thr53):
     o1 = (s0 + s1) & MASK64
     s0, s1 = step_words(s0, s1, params)
     o2 = (s0 + s1) & MASK64
-    points = []
+    words = []
     for k in range(cap):
         if (o0 >> 11) < thr53:
-            points.append((to_unit(o0) * magnify, to_unit(o1), to_unit(o2)))
-            if len(points) >= target:
-                return points, k + 1, False
+            words += [(o0 >> 11) << e, o1 >> 11, o2 >> 11]
+            if len(words) == 3 * target:
+                break
         s0, s1 = step_words(s0, s1, params)
         o0, o1, o2 = o1, o2, (s0 + s1) & MASK64
-    return points, cap, True
+    return np.array(words, dtype=np.uint64).reshape(-1, 3), k + 1, len(words) < 3 * target
 
 
 def _rows_to_arrays(rows):
@@ -236,23 +231,26 @@ def _lane_starts(one_step, packed, lanes, seg_len):
 
 
 def _scan_block(hi, lo, scratch, params, seg_len, thr53):
-    """Advance all lanes seg_len steps; return (lane, t, s0, s1) where a triple enters the slab.
+    """Advance all lanes seg_len steps; return the hits where a triple enters the slab.
 
     Lane j covers triple offsets [j*seg_len, (j+1)*seg_len) of the stream.
-    A hit is recorded as its state, from which the caller steps out the
-    triple's other two outputs.  hi, lo and the three scratch arrays are
-    overwritten.
+    The hits are a (4, n) uint64 array with rows lane, t, s0, s1, the layout
+    of the compiled kernel's buffer: a hit is recorded as its state, from
+    which the caller steps out the triple's other two outputs.  hi, lo and
+    the three scratch arrays are overwritten.
     """
     s0, s1 = hi, lo
     out, t1, t2 = scratch
     ua, ub, uc = np.uint64(params.a), np.uint64(params.b), np.uint64(params.c)
     # o >> 11 < thr53  iff  o <= (thr53 << 11) - 1, which fits in uint64 for thr53 <= 2**53
     last_in = np.uint64((thr53 << 11) - 1)
-    hits = []
+    hits = [np.empty((4, 0), dtype=np.uint64)]
     for t in range(seg_len):
         np.add(s0, s1, out=out)
         if out.min() <= last_in:
-            hits.extend((int(j), t, int(s0[j]), int(s1[j])) for j in np.flatnonzero(out <= last_in))
+            # uint64 lane numbers: stacked with int64 ones the rows would turn to float64
+            lane = np.flatnonzero(out <= last_in).astype(np.uint64)
+            hits.append(np.stack([lane, np.full_like(lane, t), s0[lane], s1[lane]]))
         np.left_shift(s0, ua, out=t1)
         np.bitwise_xor(t1, s0, out=t1)
         np.right_shift(t1, ub, out=t2)
@@ -261,7 +259,7 @@ def _scan_block(hi, lo, scratch, params, seg_len, thr53):
         np.bitwise_xor(t1, t2, out=t1)
         np.bitwise_xor(t1, s1, out=t1)
         s0, s1, t1 = s1, t1, s0
-    return hits
+    return np.concatenate(hits, axis=1)
 
 
 def _load_kernel(cache_dir: Path):
@@ -322,13 +320,14 @@ def _scan_compiled(kernel, hi, lo, params, seg_len, thr53):
         while (found := kernel(h.ctypes.data, l.ctypes.data, h.shape[0], seg_len, params.a, params.b,
                                params.c, last_in, buf.ctypes.data, buf.shape[1])) > buf.shape[1]:
             buf = np.empty((4, found), dtype=np.uint64)
-        lane, t, s0, s1 = buf[:, :found].tolist()
-        hits.extend(zip([start + j for j in lane], t, s0, s1))
-    return hits
+        part = buf[:, :found].copy()
+        part[0] += np.uint64(start)
+        hits.append(part)
+    return np.concatenate(hits, axis=1)
 
 
 def _scan_lanes(hi, lo, params, seg_len, thr53):
-    """Scan contiguous lane ranges, one per worker; hits carry block lane numbers.
+    """Scan contiguous lane ranges, one per worker; the (4, n) hits carry block lane numbers.
 
     Each worker runs the compiled kernel, or _scan_block where none could
     be built.  The calling thread scans range 0 itself, so one worker
@@ -366,48 +365,46 @@ def _scan_lanes(hi, lo, params, seg_len, thr53):
     found[0] = scan(0)
     for th in threads:
         th.join()
-    hits = []
     for start, part in zip(bounds, found):
         if isinstance(part, BaseException):
             raise part
-        hits.extend((start + lane, t, s0, s1) for lane, t, s0, s1 in part)
-    return hits
+        part[0] += np.uint64(start)
+    return np.concatenate(found, axis=1)
 
 
 def _scan_fast(state, spec, cap, thr53):
     params = state.params
-    magnify = spec.magnify
     target = spec.target_points
     one_step = transition_rows(params)
     packed = (state.s0 << 64) | state.s1
-    hits = []
-    base = 0
+    hits = []  # (3, n) uint64 arrays with rows offset, s0, s1
+    n_hits = base = 0
     # each block is sized to the expected remaining work, so the scan stops
     # at most one small follow-up block past the target
-    while base < cap and len(hits) < target:
+    while base < cap and n_hits < target:
         remaining = cap - base
-        block = min(remaining, int((target - len(hits)) / spec.x_max) + 4096)
+        block = min(remaining, ((target - n_hits) << spec.e) + 4096)
         lanes = max(1, min(_WORKERS * _LANES_PER_WORKER, block // 64))
         seg_len = (block + lanes - 1) // lanes
         if lanes * seg_len > remaining:
             seg_len = remaining // lanes
         hi, lo, packed = _lane_starts(one_step, packed, lanes, seg_len)
-        for lane, t, s0, s1 in _scan_lanes(hi, lo, params, seg_len, thr53):
-            hits.append((base + lane * seg_len + t, s0, s1))
+        lane, t, s0, s1 = _scan_lanes(hi, lo, params, seg_len, thr53)
+        hits.append(np.stack([base + lane * seg_len + t, s0, s1]))
+        n_hits += len(t)
         base += lanes * seg_len
-    hits.sort(key=lambda h: h[0])
-    if len(hits) < target:
+    offset, s0, s1 = np.concatenate(hits, axis=1)
+    first = np.argsort(offset)[:target]
+    offset, s0, s1 = offset[first], s0[first], s1[first]
+    if len(offset) < target:
         scanned, truncated = cap, True
     else:
-        hits = hits[:target]
-        scanned, truncated = hits[-1][0] + 1, False
-    points = []
-    for _, s0, s1 in hits:
-        o0 = (s0 + s1) & MASK64
-        s0, s1 = step_words(s0, s1, params)
-        o1 = (s0 + s1) & MASK64
-        s0, s1 = step_words(s0, s1, params)
-        points.append((to_unit(o0) * magnify, to_unit(o1), to_unit((s0 + s1) & MASK64)))
+        scanned, truncated = int(offset[-1]) + 1, False
+    o0 = s0 + s1
+    s0, s1 = step_words(s0, s1, params)
+    o1 = s0 + s1
+    s0, s1 = step_words(s0, s1, params)
+    points = np.stack([(o0 >> 11) << spec.e, o1 >> 11, (s0 + s1) >> 11], axis=1)
     return points, scanned, truncated
 
 
@@ -424,16 +421,15 @@ class HitStats:
 def hit_stats(points, fam: PlaneFamily, epsilon: float, spec: SlabSpec) -> HitStats:
     """Fraction of points within epsilon of some family plane, attributed by arg-min.
 
-    Points carry magnified x; distances are computed on unmagnified
-    coordinates, scaled to the 53-bit grid (exact for generator points).
+    points is a slab sample's (n, 3) uint64 array of words (X << e, Y, Z);
+    distances are computed exactly on the unmagnified words (X, Y, Z).
     Per-plane counts use the arg-min plane only, so they sum to the total
     hit count.
     """
-    if not points:
+    if len(points) == 0:
         raise ValueError("empty point list")
     thr = epsilon_threshold(epsilon)
-    scale = np.array([(1 << 53) / spec.magnify, 1 << 53, 1 << 53])
-    d, which = nearest_plane((np.array(points) * scale).astype(np.uint64), fam)
+    d, which = nearest_plane(points >> np.array([spec.e, 0, 0], dtype=np.uint64), fam)
     hit = d <= thr
     per = np.bincount(which[hit], minlength=len(fam.planes))
     hits = int(hit.sum())
@@ -562,7 +558,7 @@ class ExperimentConfig:
 
 @dataclass
 class HitReport:
-    """Full experiment result; to_dict() fixes the JSON field order."""
+    """Full experiment result; to_dict() gives its JSON form, in field order."""
 
     params: Params
     seed: int
@@ -582,28 +578,10 @@ class HitReport:
     files: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "params": {"a": self.params.a, "b": self.params.b, "c": self.params.c},
-            "seed": f"0x{self.seed:016x}",
-            "epsilon": self.epsilon,
-            "magnify": self.magnify,
-            "target_points": self.target_points,
-            "n_triples_scanned": self.n_triples_scanned,
-            "n_in_slab": self.n_in_slab,
-            "truncated": self.truncated,
-            "hit_fraction": self.hit_fraction,
-            "per_plane_hits": self.per_plane_hits,
-            "control_points": self.control_points,
-            "control_hit_fraction": self.control_hit_fraction,
-            "concentration_ratio": self.concentration_ratio,
-            "case_frequencies": self.case_frequencies,
-            "carry_leak_frequency": self.carry_leak_frequency,
-            "files": self.files,
-        }
+        return dict(asdict(self), seed=f"0x{self.seed:016x}")
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+_ROW = "%.17g,%.17g,%.17g"
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -613,18 +591,15 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 
 def write_points_csv(path, points, magnify: float, params: Params, seed: int) -> None:
-    """Point cloud as `x_mag,y,z` rows under a reproducibility header line."""
+    """Slab words as `x_mag,y,z` unit-interval rows under a reproducibility header line."""
     lines = [f"# magnify={int(magnify)} params={params.a},{params.b},{params.c} seed=0x{seed:016x}"]
-    for x, y, z in points:
-        lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(z)}")
+    lines += (_ROW % tuple(row) for row in (points * 2.0**-53).tolist())
     _atomic_write_text(Path(path), "\n".join(lines) + "\n")
 
 
 def write_mesh_csv(path, strips) -> None:
     """Mesh strips as `x_mag,y,z` rows, blank line between strips."""
-    blocks = []
-    for strip in strips:
-        blocks.append("\n".join(f"{_fmt(x)},{_fmt(y)},{_fmt(z)}" for x, y, z in strip.vertices))
+    blocks = ("\n".join(_ROW % v for v in strip.vertices) for strip in strips)
     _atomic_write_text(Path(path), "\n\n".join(blocks) + "\n")
 
 
@@ -645,7 +620,7 @@ def run_experiment(cfg: ExperimentConfig) -> HitReport:
     check_grid(cfg.grid)
     state = seed_state(cfg.seed, cfg.params)
     sample = slab_sample(state, spec, scan_cap=cfg.scan_cap, method=cfg.method)
-    if sample.points:
+    if sample.n_in_slab:
         stats = hit_stats(sample.points, fam, cfg.epsilon, spec)
     else:
         stats = HitStats(0, 0, 0.0, {p.name: 0 for p in fam.planes})

@@ -208,7 +208,7 @@ def test_planes_over_default_budget_exits_2(tmp_path, capsys, monkeypatch, flags
 @pytest.mark.parametrize(
     "flags",
     [("--grid", "0"), ("--grid", "1"), ("--control-points", "0"), ("--census-steps", "0"),
-     ("--n-bits", "0"), ("--n-bits", "17")],
+     ("--n-bits", "0"), ("--n-bits", "17"), ("--magnify-exp", "0"), ("--magnify-exp", "54")],
     ids=" ".join,
 )
 def test_planes_bad_setting_exits_2_before_scan(tmp_path, capsys, monkeypatch, flags):
@@ -225,6 +225,9 @@ def test_planes_bad_setting_exits_2_before_scan(tmp_path, capsys, monkeypatch, f
     assert code == 2
     assert out == ""
     assert "error:" in err
+    if flags[0] == "--magnify-exp":
+        # a bad slab exponent is refused before the scan note names it
+        assert "scanning" not in err
     assert not out_dir.exists() or not any(out_dir.iterdir())
 
 

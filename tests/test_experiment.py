@@ -16,7 +16,6 @@ from xsplanes.experiment import (
     DEFAULT_SCAN_CAP,
     ExperimentConfig,
     SlabSpec,
-    _accept_threshold,
     case_census,
     control_baseline,
     hit_stats,
@@ -29,6 +28,21 @@ from xsplanes.planes import epsilon_threshold, family, nearest_plane, union_rate
 from xsplanes.xorapprox import COMBINE_ORDER, classify, plane_coefficients
 
 P8 = Params(8, 17, 26)
+
+
+def assert_same_sample(sample, ref):
+    """Equal samples, each holding its points as an (n, 3) uint64 array of words."""
+    for s in (sample, ref):
+        assert s.points.dtype == np.uint64
+        assert s.points.shape == (s.n_in_slab, 3)
+    assert np.array_equal(sample.points, ref.points)
+    assert sample.n_triples_scanned == ref.n_triples_scanned
+    assert sample.truncated == ref.truncated
+
+
+def slab_words(points, e):
+    """Unit-interval points (x, y, z) as the 53-bit slab words (X << e, Y, Z)."""
+    return (np.array(points) * 2.0**53).astype(np.uint64) << np.array([e, 0, 0], dtype=np.uint64)
 
 
 def test_slab_spec_reciprocal_invariant():
@@ -45,9 +59,10 @@ def test_slab_spec_validates():
     with pytest.raises(ValueError):
         slab_spec(23, magnify_exp=54)
     with pytest.raises(ValueError):
-        SlabSpec(a=23, x_max=0.25, magnify=2.0, target_points=10)
-    with pytest.raises(ValueError):
-        SlabSpec(a=23, x_max=0.25, magnify=4.0, target_points=0)
+        slab_spec(54)
+    for e, target in ((0, 10), (54, 10), (2, 0)):
+        with pytest.raises(ValueError):
+            SlabSpec(e, target)
 
 
 def test_resolve_scan_cap():
@@ -66,33 +81,42 @@ def test_resolve_scan_cap():
     assert resolve_scan_cap(spec30, 1 << 40) == 1 << 40
 
 
-def test_accept_threshold_matches_float_compare():
-    for e in (1, 8, 23, 53):
-        x_max = 2.0**-e
-        thr = _accept_threshold(x_max)
-        # boundary outputs around the threshold
-        for u53 in (0, thr - 1, thr, thr + 1, (1 << 53) - 1):
-            if u53 < 0 or u53 >= 1 << 53:
-                continue
-            out = u53 << 11
-            assert (u53 < thr) == (to_unit(out) < x_max)
-
-
-def test_slab_sample_paths_agree():
-    spec = slab_spec(8, target_points=400)
-    state = seed_state(3, P8)
-    seq = slab_sample(state, spec, scan_cap=500_000, method="sequential")
-    fast = slab_sample(state, spec, scan_cap=500_000, method="fast")
-    assert seq.points == fast.points
-    assert seq.n_triples_scanned == fast.n_triples_scanned
-    assert seq.truncated == fast.truncated is False
-    assert seq.n_in_slab == 400
-
-
 def lane_kernels():
     """The lane scans to test: the compiled kernel where it can be built, then the numpy fallback."""
     kernel = experiment._kernel()
     return ([kernel] if kernel is not None else []) + [None]
+
+
+def test_accept_threshold_matches_float_compare(monkeypatch):
+    # every scan keeps a triple iff (o0 >> 11) < 2**(53 - e), which must agree with
+    # the float slab test to_unit(o0) < 2**-e at the boundary; the state (o0, 0)
+    # has o0 as its first output, and the low 11 bits are set to catch a
+    # threshold taken on the full word
+    for e in range(1, 54):
+        spec = slab_spec(8, magnify_exp=e, target_points=1)
+        thr = 1 << (53 - e)
+        for u53 in {0, thr - 1, thr, thr + 1, (1 << 53) - 1}:
+            o0 = (u53 << 11) | 0x7FF
+            inside = to_unit(o0) < spec.x_max
+            for kernel in lane_kernels():
+                monkeypatch.setattr(experiment, "_kernel", lambda: kernel)
+                for method in ("sequential", "fast"):
+                    sample = slab_sample(GenState(o0, 0, P8), spec, scan_cap=1, method=method)
+                    assert sample.n_in_slab == inside
+                    if inside:
+                        assert sample.points[0, 0] == u53 << e < 1 << 53
+
+
+def test_slab_sample_paths_agree(monkeypatch):
+    spec = slab_spec(8, target_points=400)
+    state = seed_state(3, P8)
+    seq = slab_sample(state, spec, scan_cap=500_000, method="sequential")
+    for kernel in lane_kernels():
+        monkeypatch.setattr(experiment, "_kernel", lambda: kernel)
+        fast = slab_sample(state, spec, scan_cap=500_000, method="fast")
+        assert_same_sample(fast, seq)
+    assert seq.truncated is False
+    assert seq.n_in_slab == 400
 
 
 def test_fast_scan_independent_of_workers_and_blocks(monkeypatch):
@@ -124,9 +148,7 @@ def test_fast_scan_independent_of_workers_and_blocks(monkeypatch):
                     monkeypatch.setattr(experiment, "_WORKERS", workers)
                     blocks.clear()
                     fast = slab_sample(state, spec, scan_cap=cap, method="fast")
-                    assert fast.points == seq.points
-                    assert fast.n_triples_scanned == seq.n_triples_scanned
-                    assert fast.truncated == seq.truncated
+                    assert_same_sample(fast, seq)
                     assert len(blocks) >= 2
                     if seq.truncated and workers > 1:
                         assert blocks[-1] < workers
@@ -179,7 +201,7 @@ def test_kernel_build_failure_falls_back_to_numpy(monkeypatch, tmp_path, cflags)
     if cflags == ("-c",) and shutil.which("gcc"):
         assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
     monkeypatch.setattr(experiment, "_kernel", lambda: kernel)
-    assert slab_sample(state, spec, scan_cap=1_000_000, method="fast") == default
+    assert_same_sample(slab_sample(state, spec, scan_cap=1_000_000, method="fast"), default)
 
 
 def test_compiled_scan_reruns_on_hit_overflow(monkeypatch):
@@ -200,7 +222,7 @@ def test_compiled_scan_reruns_on_hit_overflow(monkeypatch):
     spec = slab_spec(8, magnify_exp=4, target_points=3000)
     state = seed_state(5, P8)
     seq = slab_sample(state, spec, scan_cap=1_000_000, method="sequential")
-    assert slab_sample(state, spec, scan_cap=1_000_000, method="fast") == seq
+    assert_same_sample(slab_sample(state, spec, scan_cap=1_000_000, method="fast"), seq)
     assert max(lanes for lanes, _ in calls) == experiment._GROUP
     assert any(over for _, over in calls)
 
@@ -221,10 +243,10 @@ def test_slab_sample_magnified_coordinates():
     spec = slab_spec(8, target_points=200)
     sample = slab_sample(seed_state(4, P8), spec, scan_cap=200_000)
     assert sample.n_in_slab == 200
-    for x_mag, y, z in sample.points:
-        assert 0.0 <= x_mag < 1.0  # x < x_max implies magnify*x < 1
-        assert 0.0 <= y < 1.0
-        assert 0.0 <= z < 1.0
+    assert sample.points.dtype == np.uint64
+    # X < 2**45 in the slab, so the magnified X << 8 is a 53-bit word like Y and Z
+    assert (sample.points < 1 << 53).all()
+    assert (sample.points[:, 0] % 256 == 0).all()
 
 
 def test_slab_sample_truncation():
@@ -234,8 +256,7 @@ def test_slab_sample_truncation():
     assert sample.n_triples_scanned == 2_000
     assert sample.n_in_slab < 10_000
     fast = slab_sample(seed_state(5, P8), spec, scan_cap=2_000, method="fast")
-    assert fast.points == sample.points
-    assert fast.truncated and fast.n_triples_scanned == 2_000
+    assert_same_sample(fast, sample)
 
 
 def test_slab_sample_acceptance_rate_consistency():
@@ -271,8 +292,8 @@ def test_hit_stats_points_on_planes():
     for k, plane in enumerate(fam.planes):
         x = (k + 1) * 2.0**-12
         y = 0.25 + k / 16
-        pts.append((x * spec.magnify, y, plane.height(x, y)))
-    stats = hit_stats(pts, fam, 2.0**-30, spec)
+        pts.append((x, y, plane.height(x, y)))
+    stats = hit_stats(slab_words(pts, 8), fam, 2.0**-30, spec)
     assert stats.hit_fraction == 1.0
     assert sum(stats.per_plane_hits.values()) == stats.n_hits == len(pts)
 
@@ -280,17 +301,17 @@ def test_hit_stats_points_on_planes():
 def test_hit_stats_epsilon_half_catches_all():
     fam = family(8)
     spec = slab_spec(8, target_points=10)
-    pts = [(0.1, 0.2, 0.3), (0.9, 0.8, 0.7), (0.5, 0.5, 0.5)]
+    pts = slab_words([(0.1, 0.2, 0.3), (0.9, 0.8, 0.7), (0.5, 0.5, 0.5)], 0)
     stats = hit_stats(pts, fam, 0.5, spec)
     assert stats.hit_fraction == 1.0
 
 
 def test_hit_stats_empty_rejected():
     with pytest.raises(ValueError):
-        hit_stats([], family(8), 0.01, slab_spec(8))
+        hit_stats(np.empty((0, 3), dtype=np.uint64), family(8), 0.01, slab_spec(8))
     for eps in (-0.1, math.nan):
         with pytest.raises(ValueError):
-            hit_stats([(0.1, 0.2, 0.3)], family(8), eps, slab_spec(8))
+            hit_stats(slab_words([(0.001, 0.2, 0.3)], 8), family(8), eps, slab_spec(8))
 
 
 def test_hit_stats_matches_raw_word_scoring():
@@ -312,6 +333,9 @@ def test_hit_stats_matches_raw_word_scoring():
     d, which = nearest_plane(np.array(rows, dtype=np.uint64), fam)
     hit = d <= epsilon_threshold(eps)
     stats = hit_stats(sample.points, fam, eps, spec)
+    words = np.array(rows, dtype=np.uint64)
+    words[:, 0] <<= np.uint64(8)
+    assert np.array_equal(sample.points, words)
     assert stats.n_hits == int(hit.sum()) > 0
     assert list(stats.per_plane_hits.values()) == np.bincount(which[hit], minlength=8).tolist()
 
@@ -323,7 +347,7 @@ def test_hit_stats_unmagnifies_x():
     plane = fam.planes[4]
     x = 2.0**-10
     z = plane.height(x, 0.5)
-    stats = hit_stats([(x * spec.magnify, 0.5, z)], fam, 2.0**-30, spec)
+    stats = hit_stats(slab_words([(x, 0.5, z)], 8), fam, 2.0**-30, spec)
     assert stats.n_hits == 1
     assert stats.per_plane_hits[plane.name] == 1
 
