@@ -10,10 +10,11 @@ hex to keep 64-bit values unambiguous.
 import argparse
 from itertools import islice
 import json
+import math
 import sys
 
 from .engine import Params, iter_outputs, seed_state, to_unit
-from .experiment import ExperimentConfig, case_census, control_baseline, run_experiment, slab_spec
+from .experiment import ExperimentConfig, case_census, control_baseline, run_experiment
 from .planes import family, union_rate
 from .xorapprox import compound_probability, count_cases, verify_xor_diff, verify_xor_sum
 
@@ -104,10 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen(args) -> int:
-    state = seed_state(args.seed, Params(args.a, args.b, args.c))
     if args.count < 0:
-        print("count must be >= 0", file=sys.stderr)
-        return 2
+        raise ValueError(f"count must be >= 0, got {args.count}")
+    state = seed_state(args.seed, Params(args.a, args.b, args.c))
     for out in islice(iter_outputs(state), args.count):
         if args.format == "hex":
             print(f"0x{out:016x}")
@@ -118,8 +118,7 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     if not 1 <= args.n_max <= 12:
-        print("--n-max must be in 1..12", file=sys.stderr)
-        return 2
+        raise ValueError(f"--n-max must be in 1..12, got {args.n_max}")
     header = f"{'n':>3} {'pairs':>10} {'sum':>8} {'diff':>8} {'rdiff':>8} {'union':>9} {'expected':>9} {'ineq':>5} {'ok':>3}"
     print(header)
     all_ok = True
@@ -145,6 +144,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_planes(args) -> int:
+    if not math.isfinite(args.min_ratio):
+        raise ValueError(f"--min-ratio must be finite, got {args.min_ratio}")
     params = Params(args.a, args.b, args.c)
     if args.control_only:
         fam = family(params.a)
@@ -175,8 +176,7 @@ def cmd_planes(args) -> int:
         grid=args.grid,
         output_dir=args.output_dir,
     )
-    spec = slab_spec(params.a, args.magnify_exp, target)
-    print(f"scanning slab x < 2**-{spec.e} for {target} points", file=sys.stderr)
+    print(f"scanning slab x < 2**-{cfg.spec.e} for {target} points", file=sys.stderr)
     report = run_experiment(cfg)
     print(json.dumps(report.to_dict(), indent=2))
     if report.truncated:

@@ -40,7 +40,7 @@ from .engine import (
     step_words,
     transition_rows,
 )
-from .planes import PlaneFamily, epsilon_threshold, family, nearest_plane
+from .planes import PlaneFamily, check_grid, epsilon_threshold, family, mesh, nearest_plane
 from .xorapprox import COMBINE_ORDER, column_cases, compound_probability, plane_coefficients
 
 DEFAULT_SCAN_CAP = 1 << 32
@@ -148,16 +148,17 @@ def slab_sample(
     paths yield identical samples.
     """
     cap = resolve_scan_cap(spec, scan_cap)
+    _check_method(method)
     if method == "auto":
         method = "fast" if cap > 200_000 else "sequential"
+    scan = _scan_sequential if method == "sequential" else _scan_fast
     thr53 = 1 << (53 - spec.e)  # x < 2**-e  iff  (o >> 11) < thr53
-    if method == "sequential":
-        points, scanned, truncated = _scan_sequential(state, spec, cap, thr53)
-    elif method == "fast":
-        points, scanned, truncated = _scan_fast(state, spec, cap, thr53)
-    else:
+    return SlabSample(*scan(state, spec, cap, thr53))
+
+
+def _check_method(method: str) -> None:
+    if method not in ("auto", "sequential", "fast"):
         raise ValueError(f"method must be 'sequential', 'fast' or 'auto', got {method!r}")
-    return SlabSample(points, scanned, truncated)
 
 
 def _scan_sequential(state, spec, cap, thr53):
@@ -537,9 +538,14 @@ def case_census(state: GenState, n_steps: int, n_bits: int = 3) -> CaseCensus:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a full experiment run depends on; all fields deterministic."""
+    """Everything a full experiment run depends on; all fields deterministic.
+
+    Every setting but output_dir is checked on construction, so a config
+    that exists is a run that can start: no bad setting waits for the scan
+    or leaves partial output.
+    """
 
     params: Params = DEFAULT_PARAMS
     seed: int = 1
@@ -554,6 +560,23 @@ class ExperimentConfig:
     n_bits: int = 3
     grid: int = 64
     output_dir: str | None = None
+
+    def __post_init__(self):
+        # each check raises ValueError on a bad setting
+        epsilon_threshold(self.epsilon)
+        family(self.params.a)
+        _check_control(self.control_points)
+        _check_census(self.census_steps, self.n_bits)
+        check_grid(self.grid)
+        seed_state(self.seed, self.params)
+        if not 0 <= self.control_seed < 1 << 128:
+            raise ValueError(f"control_seed must be in 0..2**128-1, got {self.control_seed}")
+        resolve_scan_cap(self.spec, self.scan_cap)
+        _check_method(self.method)
+
+    @property
+    def spec(self) -> SlabSpec:
+        return slab_spec(self.params.a, self.magnify_exp, self.target_points)
 
 
 @dataclass
@@ -609,15 +632,8 @@ def run_experiment(cfg: ExperimentConfig) -> HitReport:
     Emits one point-cloud CSV, one mesh CSV per plane, an overlay manifest
     and the report JSON.  Every output is a pure function of the config.
     """
-    from .planes import check_grid, mesh  # local import to keep module init light
-
-    spec = slab_spec(cfg.params.a, cfg.magnify_exp, cfg.target_points)
-    # reject every bad setting before the scan, so none waits for it or leaves partial output
-    epsilon_threshold(cfg.epsilon)
+    spec = cfg.spec
     fam = family(cfg.params.a)
-    _check_control(cfg.control_points)
-    _check_census(cfg.census_steps, cfg.n_bits)
-    check_grid(cfg.grid)
     state = seed_state(cfg.seed, cfg.params)
     sample = slab_sample(state, spec, scan_cap=cfg.scan_cap, method=cfg.method)
     if sample.n_in_slab:

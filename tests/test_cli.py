@@ -68,6 +68,14 @@ def test_verify_rejects_oversize_width(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [("gen", "--count", "-1"), ("verify", "--n-max", "13")], ids=" ".join)
+def test_gen_verify_usage_error_reported_by_main(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_census_json(capsys):
     code, out, _ = run_cli(capsys, "census", "--seed", "3", "--steps", "500")
     assert code == 0
@@ -202,17 +210,20 @@ def test_planes_over_default_budget_exits_2(tmp_path, capsys, monkeypatch, flags
     assert code == 2
     assert out == ""
     assert "--scan-cap" in err
+    assert "scanning" not in err
     assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
     "flags",
     [("--grid", "0"), ("--grid", "1"), ("--control-points", "0"), ("--census-steps", "0"),
-     ("--n-bits", "0"), ("--n-bits", "17"), ("--magnify-exp", "0"), ("--magnify-exp", "54")],
+     ("--n-bits", "0"), ("--n-bits", "17"), ("--magnify-exp", "0"), ("--magnify-exp", "54"),
+     ("--scan-cap", "0"), ("--epsilon", "-1"), ("--a", "63"), ("--min-ratio", "nan")],
     ids=" ".join,
 )
 def test_planes_bad_setting_exits_2_before_scan(tmp_path, capsys, monkeypatch, flags):
-    # each used to exit 2 only after the full scan; --grid 1 also left a lone points.csv
+    # each used to exit 2 only after the full scan; --grid 1 also left a lone points.csv,
+    # and --min-ratio nan passed every ratio.  Nothing is printed before the error.
     def no_scan(*args):
         raise AssertionError("scan started")
 
@@ -224,10 +235,8 @@ def test_planes_bad_setting_exits_2_before_scan(tmp_path, capsys, monkeypatch, f
     )
     assert code == 2
     assert out == ""
-    assert "error:" in err
-    if flags[0] == "--magnify-exp":
-        # a bad slab exponent is refused before the scan note names it
-        assert "scanning" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "scanning" not in err
     assert not out_dir.exists() or not any(out_dir.iterdir())
 
 

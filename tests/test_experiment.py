@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -531,16 +532,31 @@ def test_run_experiment_small_scale(tmp_path):
     assert header == "# magnify=256 params=8,17,26 seed=0x0000000000000002"
 
 
+def test_experiment_config_validates():
+    # every bad setting is refused on construction, before any run can start
+    for bad in [
+        {"epsilon": -1.0}, {"epsilon": math.nan}, {"params": Params(63, 17, 26), "magnify_exp": 10},
+        {"magnify_exp": 0}, {"magnify_exp": 54}, {"target_points": 0}, {"scan_cap": 0},
+        {"magnify_exp": 40}, {"method": "slow"}, {"control_points": 0}, {"census_steps": 0},
+        {"n_bits": 0}, {"n_bits": 17}, {"grid": 1}, {"seed": -1}, {"control_seed": 1 << 128},
+    ]:
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad)
+    cfg = ExperimentConfig(magnify_exp=10)
+    assert cfg.spec == slab_spec(23, 10, 1000)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.grid = 0
+
+
 def test_run_experiment_checks_shift_before_scan(monkeypatch, tmp_path):
     # a = 63 has no plane family; the scan toward its cap would take hours
     def no_scan(*args, **kwargs):
         raise AssertionError("slab_sample called")
 
     monkeypatch.setattr("xsplanes.experiment.slab_sample", no_scan)
-    cfg = ExperimentConfig(params=Params(63, 17, 26), magnify_exp=10, target_points=10,
-                           output_dir=str(tmp_path / "o"))
     with pytest.raises(ValueError, match="shift count"):
-        run_experiment(cfg)
+        run_experiment(ExperimentConfig(params=Params(63, 17, 26), magnify_exp=10, target_points=10,
+                                        output_dir=str(tmp_path / "o")))
     assert not (tmp_path / "o").exists()
 
 
