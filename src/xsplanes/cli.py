@@ -182,6 +182,9 @@ def cmd_planes(args) -> int:
     if report.truncated:
         print(f"scan cap reached with {report.n_in_slab}/{target} points", file=sys.stderr)
     ratio = report.concentration_ratio
+    if report.n_in_slab == 0:
+        print("no concentration ratio: the scan found no slab point", file=sys.stderr)
+        return 1
     if ratio is None:
         print(
             f"no concentration ratio: none of the {args.control_points} control points "

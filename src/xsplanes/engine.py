@@ -8,12 +8,15 @@ State is a pair of 64-bit words (s0, s1).  One step emits
 i.e. the shift-count triple (a, b, c) drives one left xorshift of s0,
 one right xorshift of the result, and one right xorshift of s1.  A word is
 read as a GF(2) row vector with its most significant bit first; the step is
-linear in the packed pair (s0 << 64) | s1, and the row-matrix helpers at the
-end of the module raise it to a power to start scans at exact offsets.
+linear in the packed pair (s0 << 64) | s1, and the matrix helpers at the end
+of the module raise it to a power, on uint64 word arrays, to start scans at
+exact offsets.
 """
 
 from dataclasses import dataclass
 import warnings
+
+import numpy as np
 
 WIDTH = 64
 MASK64 = (1 << WIDTH) - 1
@@ -74,18 +77,11 @@ class GenState:
             raise ValueError("state (0, 0) is invalid (fixed point of the recursion)")
 
 
-def step_words(s0: int, s1: int, params: Params) -> tuple[int, int]:
-    """One state update on raw words: (s0, s1) -> (s1, s2); Params bounds the shifts."""
+def step_words(s0, s1, params: Params):
+    """One state update on raw words or uint64 word arrays: (s0, s1) -> (s1, s2)."""
     t = s0 ^ ((s0 << params.a) & MASK64)
     t ^= t >> params.b
     return s1, t ^ s1 ^ (s1 >> params.c)
-
-
-def step(state: GenState) -> tuple[GenState, int]:
-    """Advance one step; returns (next_state, output)."""
-    out = (state.s0 + state.s1) & MASK64
-    s1, s2 = step_words(state.s0, state.s1, state.params)
-    return GenState(s1, s2, state.params), out
 
 
 def splitmix64(x: int) -> tuple[int, int]:
@@ -125,40 +121,43 @@ def iter_outputs(state: GenState):
         s0, s1 = step_words(s0, s1, params)
 
 
-# -- GF(2) row matrices --------------------------------------------------------
+# -- GF(2) matrices on uint64 words --------------------------------------------
 #
-# A linear map on width-bit words is the list of its basis images: row i is
-# the image of the word whose only set bit is the i-th from the top, and the
-# width is len(rows).  Words act as row vectors, so
-# act(mat_mul(m, n), v) == act(n, act(m, v)): m first, then n.
+# A batch of n state vectors is a (2, n) uint64 array: row 0 holds the s0
+# words and row 1 the s1 words of the packed pairs (s0 << 64) | s1.  A
+# linear map is the batch of its 128 basis images, a (2, 128) array whose
+# column i is the image of the vector with only the i-th bit from the top
+# set.  Vectors act as row vectors, so act(mat_mul(m, n), v) equals
+# act(n, act(m, v)): m first, then n.
 
 
-def matrix_of(op, width: int) -> list[int]:
-    """Materialize a GF(2)-linear word transform as its `width` basis-image rows."""
-    return [op(1 << (width - 1 - i)) for i in range(width)]
+def act(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Apply m to every column of v: the xor of the basis images selected by its set bits."""
+    out = np.zeros_like(v)
+    one = np.uint64(1)
+    for i in range(2 * WIDTH):
+        sel = (v[i // WIDTH] >> np.uint64(WIDTH - 1 - i % WIDTH)) & one
+        out ^= m[:, i : i + 1] * sel
+    return out
 
 
-def act(rows: list[int], v: int) -> int:
-    """Row vector times matrix: xor of the rows selected by v's set bits."""
-    acc = 0
-    width = len(rows)
-    while v:
-        low = v & -v
-        acc ^= rows[width - low.bit_length()]
-        v ^= low
-    return acc
+def mat_mul(m: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The map that applies m, then n: n acting on m's basis images."""
+    return act(n, m)
 
 
-def mat_mul(m: list[int], n: list[int]) -> list[int]:
-    """The map that applies m, then n."""
-    return [act(n, row) for row in m]
+def identity() -> np.ndarray:
+    """The identity map: column i has only the i-th bit from the top set."""
+    bits = np.uint64(1) << np.arange(WIDTH - 1, -1, -1, dtype=np.uint64)
+    zero = np.zeros_like(bits)
+    return np.block([[bits, zero], [zero, bits]])
 
 
-def mat_pow(m: list[int], k: int) -> list[int]:
+def mat_pow(m: np.ndarray, k: int) -> np.ndarray:
     """k-fold composition of m (k >= 0), by repeated squaring."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    result = matrix_of(lambda v: v, len(m))
+    result = identity()
     while k:
         if k & 1:
             result = mat_mul(result, m)
@@ -168,11 +167,6 @@ def mat_pow(m: list[int], k: int) -> list[int]:
     return result
 
 
-def transition_rows(params: Params) -> list[int]:
-    """One step as a 128-row matrix on packed pairs (s0 << 64) | s1."""
-
-    def packed_step(v: int) -> int:
-        s0, s1 = step_words(v >> WIDTH, v & MASK64, params)
-        return (s0 << WIDTH) | s1
-
-    return matrix_of(packed_step, 2 * WIDTH)
+def transition_rows(params: Params) -> np.ndarray:
+    """One step as a (2, 128) matrix: step_words applied to every basis vector."""
+    return np.array(step_words(*identity(), params))

@@ -48,10 +48,11 @@ DEFAULT_SCAN_CAP = 1 << 32
 # triples is refused before it starts: on two cores it takes about 60-75 s
 # with the compiled kernel, about 14 minutes with the numpy scan.
 MAX_DEFAULT_WORK = 1 << 38
-# The fast scan runs one lane range per usable CPU.  Numpy ufuncs release
-# the GIL, so the ranges advance in parallel; 2**15 lanes keep one worker's
-# five scratch arrays (1.25 MB) in its core's L2 cache, and fewer lanes
-# lose more time to GIL hand-offs between steps.
+# The fast scan runs one lane range per usable CPU.  The lanes per worker
+# are sized for the numpy fallback, whose ufuncs release the GIL so the
+# ranges advance in parallel: 2**15 lanes keep one worker's five scratch
+# arrays (1.25 MB) in its core's L2 cache, and fewer lanes lose more time
+# to GIL hand-offs between steps.  The compiled kernel keeps that size.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _LANES_PER_WORKER = 1 << 15
 # The compiled lane scan.  One call covers at most about 2**28 triples
@@ -182,53 +183,25 @@ def _scan_sequential(state, spec, cap, thr53):
     return np.array(words, dtype=np.uint64).reshape(-1, 3), k + 1, len(words) < 3 * target
 
 
-def _rows_to_arrays(rows):
-    hi = np.array([r >> 64 for r in rows], dtype=np.uint64)
-    lo = np.array([r & MASK64 for r in rows], dtype=np.uint64)
-    return hi, lo
-
-
-def _apply_rows_batch(mh, ml, vh, vl):
-    """Apply a packed-pair transition to many pairs at once (row-vector action)."""
-    ah = np.zeros_like(vh)
-    al = np.zeros_like(vl)
-    one = np.uint64(1)
-    for i in range(64):
-        sel = (vh >> np.uint64(63 - i)) & one
-        ah ^= mh[i] * sel
-        al ^= ml[i] * sel
-    for i in range(64):
-        sel = (vl >> np.uint64(63 - i)) & one
-        ah ^= mh[64 + i] * sel
-        al ^= ml[64 + i] * sel
-    return ah, al
-
-
-def _lane_starts(one_step, packed, lanes, seg_len):
-    """States at stream offsets 0, seg_len, 2*seg_len, ... as uint64 pairs.
+def _lane_starts(one_step, start, lanes, seg_len):
+    """The (2, lanes) states at stream offsets 0, seg_len, 2*seg_len, ... from the (2, 1) start.
 
     Built by repeated doubling: each round maps the first block of starts
-    forward by the squared segment transition.  Returns the packed state at
+    forward by the squared segment transition.  Returns the (2, 1) state at
     offset lanes*seg_len as well, for chaining blocks.
     """
     seg = mat_pow(one_step, seg_len)
-    hi = np.empty(lanes, dtype=np.uint64)
-    lo = np.empty(lanes, dtype=np.uint64)
-    hi[0] = packed >> 64
-    lo[0] = packed & MASK64
+    starts = np.empty((2, lanes), dtype=np.uint64)
+    starts[:, :1] = start
     filled = 1
     jump = seg
     while filled < lanes:
         chunk = min(filled, lanes - filled)
-        mh, ml = _rows_to_arrays(jump)
-        h2, l2 = _apply_rows_batch(mh, ml, hi[:chunk], lo[:chunk])
-        hi[filled : filled + chunk] = h2
-        lo[filled : filled + chunk] = l2
+        starts[:, filled : filled + chunk] = act(jump, starts[:, :chunk])
         filled += chunk
         if filled < lanes:
             jump = mat_mul(jump, jump)
-    last = (int(hi[-1]) << 64) | int(lo[-1])
-    return hi, lo, act(seg, last)
+    return starts, act(seg, starts[:, -1:])
 
 
 def _scan_block(hi, lo, scratch, params, seg_len, thr53):
@@ -377,7 +350,7 @@ def _scan_fast(state, spec, cap, thr53):
     params = state.params
     target = spec.target_points
     one_step = transition_rows(params)
-    packed = (state.s0 << 64) | state.s1
+    start = np.array([[state.s0], [state.s1]], dtype=np.uint64)
     hits = []  # (3, n) uint64 arrays with rows offset, s0, s1
     n_hits = base = 0
     # each block is sized to the expected remaining work, so the scan stops
@@ -389,8 +362,9 @@ def _scan_fast(state, spec, cap, thr53):
         seg_len = (block + lanes - 1) // lanes
         if lanes * seg_len > remaining:
             seg_len = remaining // lanes
-        hi, lo, packed = _lane_starts(one_step, packed, lanes, seg_len)
-        lane, t, s0, s1 = _scan_lanes(hi, lo, params, seg_len, thr53)
+        # the next block's start is taken before the numpy scan overwrites the lane starts
+        starts, start = _lane_starts(one_step, start, lanes, seg_len)
+        lane, t, s0, s1 = _scan_lanes(*starts, params, seg_len, thr53)
         hits.append(np.stack([base + lane * seg_len + t, s0, s1]))
         n_hits += len(t)
         base += lanes * seg_len
@@ -415,7 +389,7 @@ class HitStats:
 
     n_points: int
     n_hits: int
-    hit_fraction: float
+    hit_fraction: float | None
     per_plane_hits: dict
 
 
@@ -591,7 +565,7 @@ class HitReport:
     n_triples_scanned: int
     n_in_slab: int
     truncated: bool
-    hit_fraction: float
+    hit_fraction: float | None
     per_plane_hits: dict
     control_points: int
     control_hit_fraction: float
@@ -638,11 +612,11 @@ def run_experiment(cfg: ExperimentConfig) -> HitReport:
     sample = slab_sample(state, spec, scan_cap=cfg.scan_cap, method=cfg.method)
     if sample.n_in_slab:
         stats = hit_stats(sample.points, fam, cfg.epsilon, spec)
-    else:
-        stats = HitStats(0, 0, 0.0, {p.name: 0 for p in fam.planes})
+    else:  # a hit fraction over no points is undefined
+        stats = HitStats(0, 0, None, {p.name: 0 for p in fam.planes})
     control = control_baseline(cfg.control_points, fam, cfg.epsilon, cfg.control_seed)
     census = case_census(seed_state(cfg.seed, cfg.params), cfg.census_steps, cfg.n_bits)
-    if control > 0.0:
+    if stats.hit_fraction is not None and control > 0.0:
         ratio = stats.hit_fraction / control
     else:
         ratio = None

@@ -36,11 +36,6 @@ class Plane:
         sy = "p" if self.sign_y == 1 else "n"
         return f"m{self.m}_{sx}{sy}"
 
-    def height(self, x: float, y: float) -> float:
-        """z of the plane at (x, y), folded into [0, 1)."""
-        f = self.sign_x * self.m * x + self.sign_y * y
-        return f - math.floor(f)
-
 
 @dataclass(frozen=True)
 class PlaneFamily:
@@ -172,8 +167,3 @@ def mesh(plane: Plane, x_max: float, magnify: float, grid: int) -> list[MeshStri
         if len(run) >= 2:
             strips.append(MeshStrip(run_branch, tuple(run)))
     return strips
-
-
-def component_count(strips: list[MeshStrip]) -> int:
-    """Number of connected sheets in a sampled mesh (distinct branch indices)."""
-    return len({s.branch for s in strips})

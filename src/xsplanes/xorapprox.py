@@ -90,13 +90,6 @@ class CaseCounts:
     n_all_three: int
     n_any: int
 
-    def union_by_inclusion_exclusion(self) -> int:
-        return (
-            self.n_sum + self.n_diff + self.n_rev_diff
-            - self.n_sum_diff - self.n_diff_rev_diff - self.n_rev_diff_sum
-            + self.n_all_three
-        )
-
 
 def _pair_grids(n: int):
     # int32 is exact here: values stay below 2**(MAX_ENUM_BITS+1)

@@ -1,0 +1,67 @@
+"""Reference code that only the tests use.
+
+The GF(2) row matrices here are the Python-int reference for the
+package's uint64 word-array core: a linear map on 128-bit packed pairs
+(s0 << 64) | s1 is the list of its basis images, row i the image of the
+vector whose only set bit is the i-th from the top.
+"""
+
+import math
+
+import numpy as np
+
+from xsplanes.engine import MASK64, GenState, step_words
+
+BITS = 128
+
+
+def step(state: GenState) -> tuple[GenState, int]:
+    """Advance one step; returns (next_state, output)."""
+    out = (state.s0 + state.s1) & MASK64
+    s1, s2 = step_words(state.s0, state.s1, state.params)
+    return GenState(s1, s2, state.params), out
+
+
+def height(plane, x: float, y: float) -> float:
+    """z of the plane at (x, y), folded into [0, 1)."""
+    f = plane.sign_x * plane.m * x + plane.sign_y * y
+    return f - math.floor(f)
+
+
+def component_count(strips) -> int:
+    """Number of connected sheets in a sampled mesh (distinct branch indices)."""
+    return len({s.branch for s in strips})
+
+
+def union_by_inclusion_exclusion(c) -> int:
+    """The size of the union of a CaseCounts' three match sets, from its intersections."""
+    return (
+        c.n_sum + c.n_diff + c.n_rev_diff
+        - c.n_sum_diff - c.n_diff_rev_diff - c.n_rev_diff_sum
+        + c.n_all_three
+    )
+
+
+def matrix_of(op) -> list[int]:
+    """A GF(2)-linear map on 128-bit ints as its basis-image rows."""
+    return [op(1 << (BITS - 1 - i)) for i in range(BITS)]
+
+
+def act(rows: list[int], v: int) -> int:
+    """Row vector times matrix: xor of the rows selected by v's set bits."""
+    acc = 0
+    while v:
+        low = v & -v
+        acc ^= rows[BITS - low.bit_length()]
+        v ^= low
+    return acc
+
+
+def words(vectors) -> np.ndarray:
+    """128-bit ints as a (2, n) uint64 array of their high and low words."""
+    return np.array([[v >> 64 for v in vectors], [v & MASK64 for v in vectors]], dtype=np.uint64)
+
+
+def ints(batch: np.ndarray) -> list[int]:
+    """The 128-bit ints of a (2, n) uint64 array's columns."""
+    return [(int(h) << 64) | int(l) for h, l in zip(*batch)]

@@ -13,10 +13,11 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import component_count, step
 from xsplanes.cli import main as cli_main
-from xsplanes.engine import GenState, Params, step
+from xsplanes.engine import GenState, Params
 from xsplanes.experiment import ExperimentConfig, run_experiment
-from xsplanes.planes import component_count, family, mesh
+from xsplanes.planes import family, mesh
 from xsplanes.xorapprox import (
     Combine,
     compound_probability,

@@ -1,36 +1,48 @@
-"""The word shifts of the step, and the GF(2) row-matrix core at widths 64 and 128."""
+"""The word shifts of the step, and the GF(2) core on uint64 word arrays against Python-int rows."""
 
 import random
 
+import numpy as np
 import pytest
 
+import helpers as ref
 from xsplanes.engine import (
     DEFAULT_PARAMS,
     MASK64,
     Params,
     act,
+    identity,
     mat_mul,
     mat_pow,
-    matrix_of,
     step_words,
     transition_rows,
 )
 
+MASK128 = (1 << 128) - 1
 
-def _xorshift_left(width, a):
-    return lambda v: v ^ ((v << a) & ((1 << width) - 1))
+
+def _xorshift_left(a):
+    return lambda v: v ^ ((v << a) & MASK128)
 
 
 def _xorshift_right(b):
     return lambda v: v ^ (v >> b)
 
 
-# a left and a right xorshift per width; the pair step's own matrix is
-# tested in test_engine
-OPS = [
-    (64, _xorshift_left(64, 23), _xorshift_right(17)),
-    (128, _xorshift_left(128, 45), _xorshift_right(70)),
-]
+# a left and a right xorshift on packed pairs; the pair step's own matrix
+# is tested in test_engine
+F, G = _xorshift_left(45), _xorshift_right(70)
+
+
+def _random_rows(rng):
+    """A random linear map on packed pairs, as Python-int rows."""
+    return [rng.getrandbits(128) for _ in range(128)]
+
+
+def _maps(rng):
+    """Python-int rows of the xorshifts and of two random maps, each with its (2, 128) array."""
+    rows = [ref.matrix_of(F), ref.matrix_of(G), _random_rows(rng), _random_rows(rng)]
+    return [(r, ref.words(r)) for r in rows]
 
 
 def test_shl_single_bit():
@@ -76,24 +88,25 @@ def test_shift_range_rejected(count):
 
 
 def test_xform_left_known():
-    # row 63 is the image of s0 = 1: 1 ^ (1 << 23) = 0x800001, then
+    # column 63 is the image of s0 = 1: 1 ^ (1 << 23) = 0x800001, then
     # 0x800001 ^ (0x800001 >> 17) = 0x800041 lands in s1
-    assert transition_rows(DEFAULT_PARAMS)[63] == 0x800041
+    assert ref.ints(transition_rows(DEFAULT_PARAMS))[63] == 0x800041
 
 
 def test_xform_right_known():
-    # row 0 is the image of s0 = 2^63 (the left shift drops it, the right
-    # shift by 17 copies it to bit 46); row 127 that of s1 = 1 (-> (1, 1))
-    rows = transition_rows(DEFAULT_PARAMS)
-    assert rows[0] == (1 << 63) | (1 << 46)
-    assert rows[127] == (1 << 64) | 1
+    # column 0 is the image of s0 = 2^63 (the left shift drops it, the right
+    # shift by 17 copies it to bit 46); column 127 that of s1 = 1 (-> (1, 1))
+    images = ref.ints(transition_rows(DEFAULT_PARAMS))
+    assert images[0] == (1 << 63) | (1 << 46)
+    assert images[127] == (1 << 64) | 1
 
 
 def test_xform_zero_fixed():
     for shifts in ((1, 4, 4), (23, 17, 26), (63, 63, 63)):
         assert step_words(0, 0, Params(*shifts)) == (0, 0)
-    for width, op, _ in OPS:
-        assert act(matrix_of(op, width), 0) == 0
+        zero = np.zeros((2, 3), dtype=np.uint64)
+        assert not act(transition_rows(Params(*shifts)), zero).any()
+    assert not act(ref.words(ref.matrix_of(F)), np.zeros((2, 1), dtype=np.uint64)).any()
 
 
 def test_xform_is_linear():
@@ -106,71 +119,74 @@ def test_xform_is_linear():
 
 
 def test_matrix_of_identity():
-    for width, op, _ in OPS:
-        ident = matrix_of(lambda v: v, width)
-        assert ident[0] == 1 << (width - 1)
-        assert ident[-1] == 1
-        m = matrix_of(op, width)
-        assert mat_pow(m, 0) == ident
-        assert mat_mul(ident, m) == mat_mul(m, ident) == m
+    ident = identity()
+    assert ident.shape == (2, 128) and ident.dtype == np.uint64
+    assert ref.ints(ident) == ref.matrix_of(lambda v: v)
+    for _, m in _maps(random.Random(606)):
+        assert np.array_equal(mat_pow(m, 0), ident)
+        assert np.array_equal(mat_mul(ident, m), m)
+        assert np.array_equal(mat_mul(m, ident), m)
 
 
 def test_matrix_row_convention():
-    # the lowest basis vector shifted left by one lands one position up
-    for width in (64, 128):
-        assert act(matrix_of(lambda v: (v << 1) & ((1 << width) - 1), width), 1) == 2
+    # the lowest basis vector shifted left by one lands one position up,
+    # and bit 63 of s1 moves into bit 0 of s0
+    shl = ref.words(ref.matrix_of(lambda v: (v << 1) & MASK128))
+    assert ref.ints(act(shl, ref.words([1, 1 << 63]))) == [2, 1 << 64]
 
 
 def test_matrix_action_matches_op():
+    # the word-array action equals the Python-int rows' action, and the op itself
     rng = random.Random(303)
-    for width, op, _ in OPS:
-        m = matrix_of(op, width)
-        for _ in range(500):
-            v = rng.getrandbits(width)
-            assert act(m, v) == op(v)
+    for rows, m in _maps(rng):
+        vs = [rng.getrandbits(128) for _ in range(500)]
+        assert ref.ints(act(m, ref.words(vs))) == [ref.act(rows, v) for v in vs]
+    vs = [rng.getrandbits(128) for _ in range(500)]
+    assert ref.ints(act(ref.words(ref.matrix_of(F)), ref.words(vs))) == [F(v) for v in vs]
 
 
 def test_matrix_composition_order():
-    # applying f then g equals acting with mat_mul(matrix_of(f), matrix_of(g))
+    # applying f then g equals acting with mat_mul(m, n) of their matrices
     rng = random.Random(404)
-    for width, f, g in OPS:
-        m, n = matrix_of(f, width), matrix_of(g, width)
-        assert mat_mul(m, n) == matrix_of(lambda v: g(f(v)), width)
-        assert mat_mul(m, n) != mat_mul(n, m)
-        for _ in range(100):
-            v = rng.getrandbits(width)
-            assert act(mat_mul(m, n), v) == act(n, act(m, v))
+    m, n = ref.words(ref.matrix_of(F)), ref.words(ref.matrix_of(G))
+    assert np.array_equal(mat_mul(m, n), ref.words(ref.matrix_of(lambda v: G(F(v)))))
+    assert not np.array_equal(mat_mul(m, n), mat_mul(n, m))
+    (r1, m1), (r2, m2) = _maps(rng)[2:]
+    assert ref.ints(mat_mul(m1, m2)) == [ref.act(r2, row) for row in r1]
+    vs = ref.words([rng.getrandbits(128) for _ in range(100)])
+    assert np.array_equal(act(mat_mul(m1, m2), vs), act(m2, act(m1, vs)))
 
 
 def test_matrix_action_linear():
     rng = random.Random(505)
-    for width, op, _ in OPS:
-        m = matrix_of(op, width)
-        for _ in range(200):
-            v, w = rng.getrandbits(width), rng.getrandbits(width)
-            assert act(m, v ^ w) == act(m, v) ^ act(m, w)
+    for _, m in _maps(rng):
+        v = ref.words([rng.getrandbits(128) for _ in range(200)])
+        w = ref.words([rng.getrandbits(128) for _ in range(200)])
+        assert np.array_equal(act(m, v ^ w), act(m, v) ^ act(m, w))
 
 
 def test_matrix_shape_checked():
-    # a matrix's width is its row count, and every operation keeps it
-    for width, f, g in OPS:
-        m, n = matrix_of(f, width), matrix_of(g, width)
-        assert len(m) == len(mat_mul(m, n)) == len(mat_pow(m, 5)) == width
-    assert len(transition_rows(DEFAULT_PARAMS)) == 128
+    # a matrix is a (2, 128) uint64 array, a batch of n vectors a (2, n) one,
+    # and every operation keeps the shape
+    m, n = ref.words(ref.matrix_of(F)), ref.words(ref.matrix_of(G))
+    for out in (mat_mul(m, n), mat_pow(m, 5), transition_rows(DEFAULT_PARAMS)):
+        assert out.shape == (2, 128) and out.dtype == np.uint64
+    for k in (1, 7):
+        assert act(m, np.ones((2, k), dtype=np.uint64)).shape == (2, k)
 
 
-@pytest.mark.parametrize("width, f, g", OPS, ids=("64", "128"))
-def test_mat_pow_matches_iteration(width, f, g):
-    op = lambda v: g(f(v))
-    m = matrix_of(op, width)
-    rng = random.Random(width)
+@pytest.mark.parametrize("seed", [64, 128])
+def test_mat_pow_matches_iteration(seed):
+    # a random linear map and random vectors drawn from the seed
+    rng = random.Random(seed)
+    rows = _random_rows(rng)
+    m = ref.words(rows)
+    vs = [rng.getrandbits(128) for _ in range(20)]
     for k in (0, 1, 2, 7, 100):
-        jump = mat_pow(m, k)
-        v = rng.getrandbits(width)
-        w = v
+        want = list(vs)
         for _ in range(k):
-            w = op(w)
-        assert act(jump, v) == w
+            want = [ref.act(rows, w) for w in want]
+        assert ref.ints(act(mat_pow(m, k), ref.words(vs))) == want
     with pytest.raises(ValueError):
         mat_pow(m, -1)
 

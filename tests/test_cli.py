@@ -253,6 +253,25 @@ def test_planes_no_control_hit_says_so(tmp_path, capsys):
     )
 
 
+def test_planes_no_slab_point_says_so(tmp_path, capsys):
+    # a hit fraction over zero points is undefined, so neither it nor the ratio is reported
+    out_dir = tmp_path / "z"
+    code, out, err = run_cli(
+        capsys, "planes", "--target-points", "5", "--magnify-exp", "4", "--scan-cap", "10",
+        "--control-points", "1000", "--census-steps", "10", "--output-dir", str(out_dir),
+    )
+    assert code == 1
+    for report in (json.loads(out), json.loads((out_dir / "report.json").read_text())):
+        assert report["n_in_slab"] == 0
+        assert report["control_hit_fraction"] > 0.0
+        assert report["hit_fraction"] is None
+        assert report["concentration_ratio"] is None
+    assert err.splitlines()[-2:] == [
+        "scan cap reached with 0/5 points",
+        "no concentration ratio: the scan found no slab point",
+    ]
+
+
 def test_planes_magnify_exp_variant(tmp_path, capsys):
     # the wider-slab plot variant: magnification decoupled from a
     code, out, _ = run_cli(

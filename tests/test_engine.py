@@ -3,20 +3,21 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 
+from helpers import step
 from xsplanes.engine import (
     DEFAULT_PARAMS,
     MASK64,
     GenState,
     Params,
     act,
+    identity,
     iter_outputs,
     mat_pow,
-    matrix_of,
     seed_state,
     splitmix64,
-    step,
     step_words,
     to_unit,
     transition_rows,
@@ -167,12 +168,11 @@ def test_stream_depends_only_on_seed_and_params():
 def test_transition_rows_match_step():
     rng = random.Random(13)
     p = DEFAULT_PARAMS
-    rows = transition_rows(p)
-    for _ in range(100):
-        s0 = rng.getrandbits(64)
-        s1 = rng.getrandbits(64)
-        packed = act(rows, (s0 << 64) | s1)
-        assert (packed >> 64, packed & MASK64) == step_words(s0, s1, p)
+    s0 = np.array([rng.getrandbits(64) for _ in range(100)], dtype=np.uint64)
+    s1 = np.array([rng.getrandbits(64) for _ in range(100)], dtype=np.uint64)
+    nxt = act(transition_rows(p), np.stack([s0, s1]))
+    for j in range(100):
+        assert (int(nxt[0, j]), int(nxt[1, j])) == step_words(int(s0[j]), int(s1[j]), p)
 
 
 def test_transition_pow_matches_iteration():
@@ -183,8 +183,7 @@ def test_transition_pow_matches_iteration():
         s0, s1 = 1, 2
         for _ in range(k):
             s0, s1 = step_words(s0, s1, p)
-        packed = act(jump, (1 << 64) | 2)
-        assert (packed >> 64, packed & MASK64) == (s0, s1)
+        assert act(jump, np.array([[1], [2]], dtype=np.uint64)).ravel().tolist() == [s0, s1]
 
 
 # 2^128 - 1 and its prime factors
@@ -196,16 +195,16 @@ def test_full_period():
     # the step has order exactly 2^128 - 1, so every nonzero state lies on
     # one cycle through all of them
     assert math.prod(PERIOD_PRIMES) == PERIOD
-    ident = matrix_of(lambda v: v, 128)
+    ident = identity()
     rows = transition_rows(Params(23, 17, 26))
-    assert mat_pow(rows, PERIOD) == ident
+    assert np.array_equal(mat_pow(rows, PERIOD), ident)
     for p in PERIOD_PRIMES:
-        assert mat_pow(rows, PERIOD // p) != ident
+        assert not np.array_equal(mat_pow(rows, PERIOD // p), ident)
 
 
 def test_short_period_shifts_fail_full_period():
     p = Params(62, 17, 26)
-    assert mat_pow(transition_rows(p), PERIOD) != matrix_of(lambda v: v, 128)
+    assert not np.array_equal(mat_pow(transition_rows(p), PERIOD), identity())
     # the stream from seed 1 cycles after 24 outputs
     outs = list(islice(iter_outputs(seed_state(1, p)), 48))
     assert len(set(outs)) == 24

@@ -10,8 +10,18 @@ import threading
 import numpy as np
 import pytest
 
+from helpers import height
 from xsplanes import experiment
-from xsplanes.engine import MASK64, GenState, Params, iter_outputs, seed_state, step_words, to_unit
+from xsplanes.engine import (
+    MASK64,
+    GenState,
+    Params,
+    iter_outputs,
+    seed_state,
+    step_words,
+    to_unit,
+    transition_rows,
+)
 from xsplanes.experiment import (
     _CENSUS_CHUNK,
     DEFAULT_SCAN_CAP,
@@ -120,6 +130,25 @@ def test_slab_sample_paths_agree(monkeypatch):
     assert seq.n_in_slab == 400
 
 
+def test_lane_starts_are_stepped_states():
+    # lane j starts j*seg_len steps into the stream, and the returned start
+    # lies lanes*seg_len steps in; seg_len values are not powers of two
+    state = seed_state(5, P8)
+    one_step = transition_rows(P8)
+    start = np.array([[state.s0], [state.s1]], dtype=np.uint64)
+    for lanes, seg_len in ((1, 5), (7, 3), (7, 100), (100, 13)):
+        states = [(state.s0, state.s1)]
+        s0, s1 = states[0]
+        for _ in range(lanes * seg_len):
+            s0, s1 = step_words(s0, s1, P8)
+            states.append((s0, s1))
+        starts, nxt = experiment._lane_starts(one_step, start, lanes, seg_len)
+        assert starts.shape == (2, lanes) and starts.dtype == np.uint64
+        assert list(zip(*starts.tolist())) == states[::seg_len][:lanes]
+        assert nxt.shape == (2, 1)
+        assert tuple(nxt.ravel().tolist()) == states[-1]
+
+
 def test_fast_scan_independent_of_workers_and_blocks(monkeypatch):
     # Five lanes per worker give uneven splits (3 workers over 11 lanes).
     # At x < 2**-12 the first block often falls short of the target: seed
@@ -129,9 +158,9 @@ def test_fast_scan_independent_of_workers_and_blocks(monkeypatch):
     monkeypatch.setattr(experiment, "_LANES_PER_WORKER", 5)
     blocks = []
 
-    def counted_starts(one_step, packed, lanes, seg_len):
+    def counted_starts(one_step, start, lanes, seg_len):
         blocks.append(lanes)
-        return real_starts(one_step, packed, lanes, seg_len)
+        return real_starts(one_step, start, lanes, seg_len)
 
     real_starts = experiment._lane_starts
     monkeypatch.setattr(experiment, "_lane_starts", counted_starts)
@@ -293,7 +322,7 @@ def test_hit_stats_points_on_planes():
     for k, plane in enumerate(fam.planes):
         x = (k + 1) * 2.0**-12
         y = 0.25 + k / 16
-        pts.append((x, y, plane.height(x, y)))
+        pts.append((x, y, height(plane, x, y)))
     stats = hit_stats(slab_words(pts, 8), fam, 2.0**-30, spec)
     assert stats.hit_fraction == 1.0
     assert sum(stats.per_plane_hits.values()) == stats.n_hits == len(pts)
@@ -347,7 +376,7 @@ def test_hit_stats_unmagnifies_x():
     spec = slab_spec(8, target_points=10)
     plane = fam.planes[4]
     x = 2.0**-10
-    z = plane.height(x, 0.5)
+    z = height(plane, x, 0.5)
     stats = hit_stats(slab_words([(x, 0.5, z)], 8), fam, 2.0**-30, spec)
     assert stats.n_hits == 1
     assert stats.per_plane_hits[plane.name] == 1

@@ -5,10 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helpers import component_count, height
 from xsplanes.planes import (
     MeshStrip,
     Plane,
-    component_count,
     epsilon_threshold,
     family,
     mesh,
@@ -215,10 +215,10 @@ def test_mesh_y0_row_spans_unit_interval():
     # along y = 0 the (+,-) plane reduces to z = frac(m*x), which sweeps
     # [0, 1) once across the slab and wraps to 2^-23 at x = 2^-23
     plane = Plane((1 << 23) + 1, 1, -1)
-    heights = [plane.height((j / 63) * 2.0**-23, 0.0) for j in range(64)]
+    heights = [height(plane, (j / 63) * 2.0**-23, 0.0) for j in range(64)]
     assert heights[0] == 0.0
     assert max(heights) > 0.95
-    assert plane.height(2.0**-23, 0.0) == pytest.approx(2.0**-23, abs=1e-18)
+    assert height(plane, 2.0**-23, 0.0) == pytest.approx(2.0**-23, abs=1e-18)
     wraps = sum(heights[i + 1] < heights[i] - 0.5 for i in range(63))
     assert wraps == 1
 
