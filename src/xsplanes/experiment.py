@@ -581,23 +581,59 @@ class HitReport:
 _ROW = "%.17g,%.17g,%.17g"
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks) -> None:
+    """Write the strings of an iterable to path through a temp file renamed into place.
+
+    The temp file is removed if writing or renaming fails, so an existing
+    file at path is either replaced whole or left as it was.
+    """
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as f:
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def write_points_csv(path, points, magnify: float, params: Params, seed: int) -> None:
     """Slab words as `x_mag,y,z` unit-interval rows under a reproducibility header line."""
-    lines = [f"# magnify={int(magnify)} params={params.a},{params.b},{params.c} seed=0x{seed:016x}"]
-    lines += (_ROW % tuple(row) for row in (points * 2.0**-53).tolist())
-    _atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    header = f"# magnify={int(magnify)} params={params.a},{params.b},{params.c} seed=0x{seed:016x}\n"
+    rows = (_ROW + "\n") * len(points) % tuple((points * 2.0**-53).ravel().tolist())
+    _atomic_write(Path(path), [header, rows])
+
+
+class _Formatted(dict):
+    """The %.17g text of float64 values, keyed by bit pattern so that -0.0 and 0.0 stay apart."""
+
+    def __missing__(self, bits: int) -> str:
+        text = self[bits] = "%.17g" % np.uint64(bits).view(np.float64)
+        return text
 
 
 def write_mesh_csv(path, strips) -> None:
-    """Mesh strips as `x_mag,y,z` rows, blank line between strips."""
-    blocks = ("\n".join(_ROW % v for v in strip.vertices) for strip in strips)
-    _atomic_write_text(Path(path), "\n\n".join(blocks) + "\n")
+    """Mesh strips as `x_mag,y,z` rows, blank line between strips.
+
+    Written strip by strip.  The x and y values repeat across a mesh (one x
+    per strip, one y per station), so each distinct one is formatted once;
+    only z is formatted per vertex.
+    """
+    text = _Formatted()
+
+    def blocks():
+        sep = ""
+        for strip in strips:
+            v = strip.vertices
+            bits = v.view(np.uint64)
+            args = [None] * v.size
+            args[2::3] = v[:, 2].tolist()
+            args[0::3] = map(text.__getitem__, bits[:, 0].tolist())
+            args[1::3] = map(text.__getitem__, bits[:, 1].tolist())
+            yield sep + "\n".join(["%s,%s,%.17g"] * len(v)) % tuple(args)
+            sep = "\n\n"
+        yield "\n"
+
+    _atomic_write(Path(path), blocks())
 
 
 def run_experiment(cfg: ExperimentConfig) -> HitReport:
@@ -662,6 +698,6 @@ def run_experiment(cfg: ExperimentConfig) -> HitReport:
             "magnify": spec.magnify,
             "epsilon": cfg.epsilon,
         }
-        _atomic_write_text(out / "overlay.json", json.dumps(overlay, indent=2) + "\n")
-        _atomic_write_text(out / "report.json", json.dumps(report.to_dict(), indent=2) + "\n")
+        _atomic_write(out / "overlay.json", [json.dumps(overlay, indent=2), "\n"])
+        _atomic_write(out / "report.json", [json.dumps(report.to_dict(), indent=2), "\n"])
     return report

@@ -115,16 +115,19 @@ def nearest_plane(points: np.ndarray, fam: PlaneFamily) -> tuple[np.ndarray, np.
     return best, idx
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeshStrip:
     """One polyline of the sampled surface, constant x, ordered by y.
 
+    vertices is a read-only (n, 3) float64 array of (x_mag, y, z) rows.
     branch is the integer k with k <= sign_x*m*x + sign_y*y < k+1 along the
     strip; strips sharing a branch belong to the same connected sheet.
+    eq=False because a frozen dataclass holding an array can neither
+    compare nor hash.
     """
 
     branch: int
-    vertices: tuple[tuple[float, float, float], ...]
+    vertices: np.ndarray
 
 
 def check_grid(grid: int) -> None:
@@ -136,34 +139,38 @@ def check_grid(grid: int) -> None:
 def mesh(plane: Plane, x_max: float, magnify: float, grid: int) -> list[MeshStrip]:
     """Sample z = plane height over [0, x_max] x [0, 1] as strips along y.
 
-    Emits `grid` stations per axis; vertices are (magnify*x, y, z).  Each
-    strip is split where the mod-1 wrap crosses it (the branch index
-    changes); fragments with fewer than two vertices are dropped, so the
-    vertex total is grid*grid minus those wrap losses.
+    Emits `grid` stations per axis; vertices are (magnify*x, y, z) with
+    x = (j/(grid-1))*x_max, y = k/(grid-1), f = sign_x*m*x + sign_y*y and
+    z = f - floor(f).  Each strip is split where the mod-1 wrap crosses it
+    (the branch index changes); fragments with fewer than two vertices are
+    dropped, so the vertex total is grid*grid minus those wrap losses.
     """
     if not 0.0 < x_max <= 1.0:
         raise ValueError(f"x_max must be in (0, 1], got {x_max}")
-    if magnify <= 0.0:
-        raise ValueError(f"magnify must be positive, got {magnify}")
+    if not 0.0 < magnify < math.inf:
+        raise ValueError(f"magnify must be positive and finite, got {magnify}")
     check_grid(grid)
-    strips = []
     steps = grid - 1
-    for j in range(grid):
-        x = (j / steps) * x_max
-        x_mag = magnify * x
-        run_branch = None
-        run = []
-        for k in range(grid):
-            y = k / steps
-            f = plane.sign_x * plane.m * x + plane.sign_y * y
-            branch = math.floor(f)
-            vertex = (x_mag, y, f - branch)
-            if branch != run_branch:
-                if len(run) >= 2:
-                    strips.append(MeshStrip(run_branch, tuple(run)))
-                run_branch = branch
-                run = []
-            run.append(vertex)
-        if len(run) >= 2:
-            strips.append(MeshStrip(run_branch, tuple(run)))
-    return strips
+    x = np.arange(grid) / steps * x_max
+    y = np.arange(grid) / steps
+    # float() rounds the coefficient exactly as Python's int * float does
+    f = float(plane.sign_x * plane.m) * x[:, None] + plane.sign_y * y
+    branch = np.floor(f)
+    vertices = np.empty((grid, grid, 3))
+    vertices[..., 0] = (magnify * x)[:, None]
+    vertices[..., 1] = y
+    vertices[..., 2] = f - branch
+    vertices = vertices.reshape(-1, 3)
+    vertices.flags.writeable = False
+    branch = branch.ravel()
+    # a strip starts at every x station and wherever the branch changes along y
+    new = np.ones(grid * grid, dtype=bool)
+    new[1:] = branch[1:] != branch[:-1]
+    new[::grid] = True
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], grid * grid)
+    keep = ends - starts >= 2
+    return [
+        MeshStrip(int(branch[s]), vertices[s:e])
+        for s, e in zip(starts[keep].tolist(), ends[keep].tolist())
+    ]

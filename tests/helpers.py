@@ -1,9 +1,11 @@
 """Reference code that only the tests use.
 
-The GF(2) row matrices here are the Python-int reference for the
-package's uint64 word-array core: a linear map on 128-bit packed pairs
-(s0 << 64) | s1 is the list of its basis images, row i the image of the
-vector whose only set bit is the i-th from the top.
+The scalar mesh loop and the per-vertex mesh writer are the references for
+planes.mesh and experiment.write_mesh_csv.  The GF(2) row matrices are the
+Python-int reference for the package's uint64 word-array core: a linear
+map on 128-bit packed pairs (s0 << 64) | s1 is the list of its basis
+images, row i the image of the vector whose only set bit is the i-th from
+the top.
 """
 
 import math
@@ -11,6 +13,7 @@ import math
 import numpy as np
 
 from xsplanes.engine import MASK64, GenState, step_words
+from xsplanes.planes import MeshStrip
 
 BITS = 128
 
@@ -26,6 +29,37 @@ def height(plane, x: float, y: float) -> float:
     """z of the plane at (x, y), folded into [0, 1)."""
     f = plane.sign_x * plane.m * x + plane.sign_y * y
     return f - math.floor(f)
+
+
+def reference_mesh(plane, x_max: float, magnify: float, grid: int) -> list[MeshStrip]:
+    """The scalar mesh loop that planes.mesh vectorizes, vertex by vertex in Python floats."""
+    strips = []
+    steps = grid - 1
+    for j in range(grid):
+        x = (j / steps) * x_max
+        x_mag = magnify * x
+        run_branch = None
+        run = []
+        for k in range(grid):
+            y = k / steps
+            f = plane.sign_x * plane.m * x + plane.sign_y * y
+            branch = math.floor(f)
+            vertex = (x_mag, y, f - branch)
+            if branch != run_branch:
+                if len(run) >= 2:
+                    strips.append(MeshStrip(run_branch, tuple(run)))
+                run_branch = branch
+                run = []
+            run.append(vertex)
+        if len(run) >= 2:
+            strips.append(MeshStrip(run_branch, tuple(run)))
+    return strips
+
+
+def reference_mesh_csv(strips) -> str:
+    """The text of experiment.write_mesh_csv, formatting every coordinate of every vertex."""
+    blocks = ("\n".join("%.17g,%.17g,%.17g" % tuple(v) for v in strip.vertices) for strip in strips)
+    return "\n\n".join(blocks) + "\n"
 
 
 def component_count(strips) -> int:

@@ -10,7 +10,7 @@ import threading
 import numpy as np
 import pytest
 
-from helpers import height
+from helpers import height, reference_mesh, reference_mesh_csv
 from xsplanes import experiment
 from xsplanes.engine import (
     MASK64,
@@ -34,8 +34,9 @@ from xsplanes.experiment import (
     run_experiment,
     slab_sample,
     slab_spec,
+    write_mesh_csv,
 )
-from xsplanes.planes import epsilon_threshold, family, nearest_plane, union_rate
+from xsplanes.planes import MeshStrip, Plane, epsilon_threshold, family, mesh, nearest_plane, union_rate
 from xsplanes.xorapprox import COMBINE_ORDER, classify, plane_coefficients
 
 P8 = Params(8, 17, 26)
@@ -597,3 +598,50 @@ def test_run_experiment_deterministic(tmp_path):
         f"mesh_{p.name}.csv" for p in family(8).planes
     ]:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("a, e, grid", [(3, 1, 2), (23, 10, 17), (51, 23, 17), (62, 1, 17), (23, 10, 256)])
+def test_write_mesh_csv_matches_reference(tmp_path, a, e, grid):
+    # array mesh and streaming writer against the scalar mesh and the
+    # per-vertex writer; at grid 2 every fragment is dropped
+    for plane in family(a).planes:
+        path = tmp_path / f"mesh_{plane.name}.csv"
+        write_mesh_csv(path, mesh(plane, 2.0**-e, 2.0**e, grid))
+        assert path.read_text() == reference_mesh_csv(reference_mesh(plane, 2.0**-e, 2.0**e, grid))
+
+
+def test_write_mesh_csv_keeps_negative_zero(tmp_path):
+    # formatted values are shared by bit pattern, so -0.0 still prints as -0
+    # beside 0.0, in every column, and repeated y values print alike
+    strips = [
+        MeshStrip(0, np.array([[0.5, 0.0, -0.0], [0.5, -0.0, 0.0], [0.5, 0.0, 0.25], [0.5, 0.25, -0.0]])),
+        MeshStrip(1, np.array([[-0.0, 0.25, 1e-300], [0.0, 0.25, 0.1], [0.75, -0.0, 2.0**-53]])),
+    ]
+    path = tmp_path / "mesh.csv"
+    write_mesh_csv(path, strips)
+    assert path.read_text() == reference_mesh_csv(strips)
+    assert path.read_text().startswith("0.5,0,-0\n0.5,-0,0\n")
+
+
+@pytest.mark.parametrize("failure", ["replace", "strips"])
+def test_atomic_write_failure_leaves_target_and_no_temp(monkeypatch, tmp_path, failure):
+    target = tmp_path / "mesh.csv"
+    target.write_text("old\n")
+    whole = mesh(Plane(3, 1, 1), 0.5, 2.0, 8)
+
+    def broken_replace(src, dst):
+        raise OSError("rename failed")
+
+    def broken_strips():
+        yield whole[0]
+        raise OSError("strip source failed")
+
+    if failure == "replace":
+        monkeypatch.setattr(os, "replace", broken_replace)
+        strips = whole
+    else:
+        strips = broken_strips()
+    with pytest.raises(OSError, match="failed"):
+        write_mesh_csv(target, strips)
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["mesh.csv"]

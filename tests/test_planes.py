@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import component_count, height
+from helpers import component_count, height, reference_mesh
 from xsplanes.planes import (
     MeshStrip,
     Plane,
@@ -233,11 +233,27 @@ def test_mesh_strip_geometry():
         assert ys == sorted(ys)
 
 
+@pytest.mark.parametrize("grid", [2, 17, 256])
+@pytest.mark.parametrize("e", [1, 10, 23])
+@pytest.mark.parametrize("a", [3, 23, 51, 62])
+def test_mesh_matches_scalar_reference(a, e, grid):
+    # the array mesh does the scalar loop's IEEE operations in the same
+    # order, so vertices agree bit for bit
+    for plane in family(a).planes:
+        got = mesh(plane, 2.0**-e, 2.0**e, grid)
+        want = reference_mesh(plane, 2.0**-e, 2.0**e, grid)
+        assert [(s.branch, len(s.vertices)) for s in got] == [(s.branch, len(s.vertices)) for s in want]
+        got_v = np.concatenate([s.vertices for s in got] + [np.empty((0, 3))])
+        want_v = np.array([v for s in want for v in s.vertices]).reshape(-1, 3)
+        assert (got_v.view(np.uint64) == want_v.view(np.uint64)).all()
+
+
 def test_mesh_validates():
     with pytest.raises(ValueError):
         mesh(Plane(3, 1, 1), 0.0, 2.0, 8)
-    with pytest.raises(ValueError):
-        mesh(Plane(3, 1, 1), 0.5, -1.0, 8)
+    for magnify in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            mesh(Plane(3, 1, 1), 0.5, magnify, 8)
     with pytest.raises(ValueError):
         mesh(Plane(3, 1, 1), 0.5, 2.0, 1)
 
