@@ -6,16 +6,87 @@
  * number of hits, which may exceed cap: only the first cap are stored.
  * Lanes run in interleaved groups of GROUP so the compiler vectorizes the
  * step across lanes; a short last group repeats its last lane, whose hits
- * are not stored twice.
+ * are not stored twice.  Hits come in order of group, then t, then lane.
+ *
+ * Testing every step for a hit costs a horizontal OR over the group.  On a
+ * sparse slab, where a group expects under 1/4 hit in CHUNK steps
+ * (2**64 / (last_in + 1) >= 4 * GROUP * CHUNK), a group instead runs CHUNK
+ * steps at a time keeping each lane's running minimum output, and reruns
+ * the chunk from a saved copy of its states, testing every step, only when
+ * a minimum is in the slab.  Denser slabs and a segment's last partial
+ * chunk test every step.
+ *
+ * The scan is compiled for AVX-512, AVX2 and plain x86-64, and the CPU
+ * picks one at each call.  On AVX-512 and AVX2 the shift counts are
+ * vectors the compiler cannot see are uniform, so it shifts by a vector of
+ * counts, one micro-op on Intel cores, not by one count register, two.
+ * Plain x86-64 has no such shift and keeps the count register.  The
+ * helpers are always inlined, so each build compiles them for its own
+ * instruction set.
  */
 #include <stdint.h>
+#include <string.h>
 
 #define GROUP 32
+#define CHUNK 64
 
-__attribute__((target_clones("avx512f", "avx2", "default")))
-int64_t xs_scan_lanes(const uint64_t *hi, const uint64_t *lo, int64_t lanes, int64_t seg_len,
-                      int a, int b, int c, uint64_t last_in, uint64_t *hits, int64_t cap)
+/* The shift counts, one per lane: lane j shifts by a[j], or by a[0] where per_lane is 0. */
+struct shifts {
+    uint64_t a[GROUP], b[GROUP], c[GROUP];
+};
+
+static inline __attribute__((always_inline))
+void step(uint64_t *s0, uint64_t *s1, const struct shifts *k, int per_lane)
 {
+    for (int j = 0; j < GROUP; j++) {
+        int i = per_lane ? j : 0;
+        uint64_t x = s0[j] ^ (s0[j] << k->a[i]), y = s1[j];
+        s0[j] = y;
+        s1[j] = x ^ (x >> k->b[i]) ^ y ^ (y >> k->c[i]);
+    }
+}
+
+/* Steps m lanes of group g from t0 to t_end, testing every step; returns the new hit count. */
+static inline __attribute__((always_inline))
+int64_t record(uint64_t *s0, uint64_t *s1, int64_t g, int64_t m, int64_t t0, int64_t t_end,
+               const struct shifts *k, int per_lane, uint64_t last_in, uint64_t *hits, int64_t cap,
+               int64_t n)
+{
+    for (int64_t t = t0; t < t_end; t++) {
+        int any = 0;
+        for (int j = 0; j < GROUP; j++)
+            any |= s0[j] + s1[j] <= last_in;
+        if (any) {
+            for (int j = 0; j < m; j++) {
+                if (s0[j] + s1[j] > last_in)
+                    continue;
+                if (n < cap) {
+                    hits[n] = g + j;
+                    hits[cap + n] = t;
+                    hits[2 * cap + n] = s0[j];
+                    hits[3 * cap + n] = s1[j];
+                }
+                n++;
+            }
+        }
+        step(s0, s1, k, per_lane);
+    }
+    return n;
+}
+
+static inline __attribute__((always_inline))
+int64_t scan(const uint64_t *hi, const uint64_t *lo, int64_t lanes, int64_t seg_len,
+             int a, int b, int c, uint64_t last_in, uint64_t *hits, int64_t cap, int per_lane)
+{
+    struct shifts k;
+    for (int j = 0; j < GROUP; j++) {
+        k.a[j] = a;
+        k.b[j] = b;
+        k.c[j] = c;
+    }
+    if (per_lane)  /* hides from the compiler that the counts are uniform */
+        __asm__("" : : "r"(&k) : "memory");
+    int sparse = last_in <= UINT64_MAX / (4 * GROUP * CHUNK);
     int64_t n = 0;
     for (int64_t g = 0; g < lanes; g += GROUP) {
         int64_t m = lanes - g < GROUP ? lanes - g : GROUP;
@@ -24,29 +95,45 @@ int64_t xs_scan_lanes(const uint64_t *hi, const uint64_t *lo, int64_t lanes, int
             s0[j] = hi[g + (j < m ? j : m - 1)];
             s1[j] = lo[g + (j < m ? j : m - 1)];
         }
-        for (int64_t t = 0; t < seg_len; t++) {
-            int any = 0;
-            for (int j = 0; j < GROUP; j++)
-                any |= s0[j] + s1[j] <= last_in;
-            if (any) {
-                for (int j = 0; j < m; j++) {
-                    if (s0[j] + s1[j] > last_in)
-                        continue;
-                    if (n < cap) {
-                        hits[n] = g + j;
-                        hits[cap + n] = t;
-                        hits[2 * cap + n] = s0[j];
-                        hits[3 * cap + n] = s1[j];
+        int64_t t = 0;
+        if (sparse) {
+            for (; t + CHUNK <= seg_len; t += CHUNK) {
+                uint64_t k0[GROUP], k1[GROUP], least[GROUP];
+                memcpy(k0, s0, sizeof s0);
+                memcpy(k1, s1, sizeof s1);
+                for (int j = 0; j < GROUP; j++)
+                    least[j] = UINT64_MAX;
+                for (int i = 0; i < CHUNK; i++) {
+                    for (int j = 0; j < GROUP; j++) {
+                        uint64_t o = s0[j] + s1[j];
+                        least[j] = o < least[j] ? o : least[j];
                     }
-                    n++;
+                    step(s0, s1, &k, per_lane);
                 }
-            }
-            for (int j = 0; j < GROUP; j++) {
-                uint64_t x = s0[j] ^ (s0[j] << a), y = s1[j];
-                s0[j] = y;
-                s1[j] = x ^ (x >> b) ^ y ^ (y >> c);
+                int any = 0;
+                for (int j = 0; j < GROUP; j++)
+                    any |= least[j] <= last_in;
+                if (any)  /* steps the saved states to the same end */
+                    n = record(k0, k1, g, m, t, t + CHUNK, &k, per_lane, last_in, hits, cap, n);
             }
         }
+        n = record(s0, s1, g, m, t, seg_len, &k, per_lane, last_in, hits, cap, n);
     }
     return n;
+}
+
+#define PARAMS const uint64_t *hi, const uint64_t *lo, int64_t lanes, int64_t seg_len, int a, int b, \
+               int c, uint64_t last_in, uint64_t *hits, int64_t cap
+#define ARGS hi, lo, lanes, seg_len, a, b, c, last_in, hits, cap
+
+__attribute__((target("avx512f"))) static int64_t scan_avx512f(PARAMS) { return scan(ARGS, 1); }
+__attribute__((target("avx2"))) static int64_t scan_avx2(PARAMS) { return scan(ARGS, 1); }
+
+int64_t xs_scan_lanes(PARAMS)
+{
+    if (__builtin_cpu_supports("avx512f"))
+        return scan_avx512f(ARGS);
+    if (__builtin_cpu_supports("avx2"))
+        return scan_avx2(ARGS);
+    return scan(ARGS, 0);
 }

@@ -45,8 +45,8 @@ from .xorapprox import COMBINE_ORDER, column_cases, compound_probability, plane_
 
 DEFAULT_SCAN_CAP = 1 << 32
 # Without an explicit scan cap, an expected scan longer than this many
-# triples is refused before it starts: on two cores it takes about 60-75 s
-# with the compiled kernel, about 14 minutes with the numpy scan.
+# triples is refused before it starts: on two cores it takes about 30 s
+# with the compiled kernel, about 11 minutes with the numpy scan.
 MAX_DEFAULT_WORK = 1 << 38
 # The fast scan runs one lane range per usable CPU.  The lanes per worker
 # are sized for the numpy fallback, whose ufuncs release the GIL so the
@@ -61,9 +61,9 @@ _LANES_PER_WORKER = 1 << 15
 # sigma above the mean), which keeps it under glibc's 128 KB mmap
 # threshold: a buffer for a worker's whole range raised wide-slab's peak
 # RSS by 1 MB.  A call's lanes are a multiple of the kernel's group of 32
-# interleaved lanes.  The kernel's target_clones dispatch picks AVX-512,
-# AVX2 or plain code at load time, so one cached library runs on any
-# x86-64 CPU.
+# interleaved lanes.  The kernel holds AVX-512, AVX2 and plain builds of
+# the scan and picks one by the CPU's features at each call, so one cached
+# library runs on any x86-64 CPU.
 _KERNEL_SOURCE = Path(__file__).with_name("_lanes.c")
 _CFLAGS = ("-O3", "-shared", "-fPIC")
 _CALL_TRIPLES = 1 << 28
@@ -270,9 +270,19 @@ def _load_kernel(cache_dir: Path):
 
 @functools.cache
 def _kernel():
-    """The compiled lane scan from $XDG_CACHE_HOME/xsplanes, loaded once per process, or None."""
-    cache_home = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
-    return _load_kernel(Path(cache_home) / "xsplanes")
+    """The compiled lane scan from $XDG_CACHE_HOME/xsplanes, loaded once per process, or None.
+
+    As the XDG spec asks, a relative XDG_CACHE_HOME is ignored for
+    ~/.cache.  Without a home directory there is no cache, and the scan
+    runs in numpy.
+    """
+    cache_home = Path(os.environ.get("XDG_CACHE_HOME", ""))
+    if not cache_home.is_absolute():
+        try:
+            cache_home = Path.home() / ".cache"
+        except RuntimeError:  # no HOME and no passwd entry
+            return None
+    return _load_kernel(cache_home / "xsplanes")
 
 
 def _scan_compiled(kernel, hi, lo, params, seg_len, thr53):

@@ -165,6 +165,20 @@ def test_matrix_action_linear():
         assert np.array_equal(act(m, v ^ w), act(m, v) ^ act(m, w))
 
 
+def test_act_matches_reference_on_edge_batches():
+    # act reads a vector a byte at a time through tables: check empty and
+    # single-vector batches, all ones, a full byte at each of the 16 byte
+    # positions, and every single set bit, so each table entry's bit order
+    # and each byte's shift are exercised in both words
+    edges = [(1 << 128) - 1] + [0xFF << (8 * k) for k in range(16)] + [1 << i for i in range(128)]
+    rng = random.Random(707)
+    for rows, m in _maps(rng):
+        assert act(m, np.zeros((2, 0), dtype=np.uint64)).shape == (2, 0)
+        v = rng.getrandbits(128)
+        assert ref.ints(act(m, ref.words([v]))) == [ref.act(rows, v)]
+        assert ref.ints(act(m, ref.words(edges))) == [ref.act(rows, e) for e in edges]
+
+
 def test_matrix_shape_checked():
     # a matrix is a (2, 128) uint64 array, a batch of n vectors a (2, n) one,
     # and every operation keeps the shape

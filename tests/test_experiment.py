@@ -13,6 +13,7 @@ import pytest
 from helpers import height, reference_mesh, reference_mesh_csv
 from xsplanes import experiment
 from xsplanes.engine import (
+    DEFAULT_PARAMS,
     MASK64,
     GenState,
     Params,
@@ -27,6 +28,7 @@ from xsplanes.experiment import (
     DEFAULT_SCAN_CAP,
     ExperimentConfig,
     SlabSpec,
+    _scan_block,
     case_census,
     control_baseline,
     hit_stats,
@@ -256,6 +258,113 @@ def test_compiled_scan_reruns_on_hit_overflow(monkeypatch):
     assert_same_sample(slab_sample(state, spec, scan_cap=1_000_000, method="fast"), seq)
     assert max(lanes for lanes, _ in calls) == experiment._GROUP
     assert any(over for _, over in calls)
+
+
+def _unstep(s1, s2, params):
+    """The state (s0, s1) that step_words takes to (s1, s2)."""
+    y = s2 ^ s1 ^ (s1 >> params.c)  # = x ^ (x >> b)
+    x = y
+    for _ in range(64 // params.b + 1):
+        x = y ^ (x >> params.b)
+    s0 = x  # x = s0 ^ (s0 << a)
+    for _ in range(64 // params.a + 1):
+        s0 = x ^ ((s0 << params.a) & MASK64)
+    return s0, s1
+
+
+def _kernel_hits(kernel, hi, lo, seg_len, params, last_in, cap):
+    """One direct kernel call: the hit count and the stored (4, min(count, cap)) hits."""
+    buf = np.zeros((4, cap), dtype=np.uint64)
+    found = kernel(hi.ctypes.data, lo.ctypes.data, len(hi), seg_len, params.a, params.b, params.c,
+                   last_in, buf.ctypes.data, cap)
+    return found, buf[:, : min(found, cap)]
+
+
+def test_compiled_kernel_matches_numpy_scan():
+    # The kernel tests every step on dense slabs (e <= 12) and 64-step chunks
+    # on sparse ones, rerunning a chunk step by step when its lowest output is
+    # in the slab.  States planted to enter the slab at t = 0, 63, 64 and the
+    # segment's last step (one of them at the slab's last output) sit at chunk
+    # edges, in a segment's partial last chunk, and in a padded last group;
+    # one planted at t = seg_len lies one step past the segment.  The kernel
+    # stores hits by group, then t, then lane; _scan_block by t, then lane.
+    kernel = experiment._kernel()
+    if kernel is None:
+        pytest.skip("the lane-scan kernel cannot be built here")
+    params = DEFAULT_PARAMS
+    rng = np.random.default_rng(11)
+    for e in (12, 13, 14, 23, 40):
+        thr53 = 1 << (53 - e)
+        last_in = (thr53 << 11) - 1
+        for seg_len in (1, 63, 64, 65, 1000):
+            times = sorted({t for t in (0, 63, 64, seg_len - 1, seg_len) if t <= seg_len})
+            for lanes in (1, 31, 33, 100):
+                for run in range(0, len(times), lanes):
+                    hi = rng.integers(0, 1 << 64, lanes, dtype=np.uint64)
+                    lo = rng.integers(0, 1 << 64, lanes, dtype=np.uint64)
+                    for j, t in enumerate(times[run : run + lanes]):
+                        lane = (lanes - 1 - 37 * j) % lanes
+                        out = last_in if j == 0 else int(rng.integers(0, last_in, endpoint=True))
+                        s0 = int(rng.integers(0, 1 << 64, dtype=np.uint64))
+                        s = (s0, (out - s0) & MASK64)
+                        for _ in range(t):
+                            s = _unstep(*s, params)
+                        hi[lane], lo[lane] = s
+                    scratch = [np.empty(lanes, dtype=np.uint64) for _ in range(3)]
+                    ref = _scan_block(hi.copy(), lo.copy(), scratch, params, seg_len, thr53)
+                    ref = ref[:, np.lexsort((ref[0], ref[1], ref[0] // 32))]
+                    found, hits = _kernel_hits(kernel, hi, lo, seg_len, params, last_in, lanes * seg_len)
+                    case = (e, seg_len, lanes, run)
+                    assert found == ref.shape[1], case
+                    assert np.array_equal(hits, ref), case
+                    assert ref.shape[1] >= sum(t < seg_len for t in times[run : run + lanes]), case
+                    # an overflowing buffer: the total, and the first hit stored
+                    found, hits = _kernel_hits(kernel, hi, lo, seg_len, params, last_in, 1)
+                    assert found == ref.shape[1], case
+                    assert np.array_equal(hits, ref[:, :1]), case
+
+
+@pytest.fixture
+def fresh_kernel():
+    """_kernel looked up afresh in the test, and again after it."""
+    experiment._kernel.cache_clear()
+    yield
+    experiment._kernel.cache_clear()
+
+
+@pytest.mark.parametrize("xdg", ["", "relative/cache", "absolute"])
+def test_kernel_cache_ignores_relative_xdg_cache_home(monkeypatch, tmp_path, fresh_kernel, xdg):
+    # the XDG spec ignores a relative XDG_CACHE_HOME, which would otherwise
+    # put a cache under whatever directory a run starts in
+    home, work = tmp_path / "home", tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.setenv("HOME", str(home))
+    absolute = tmp_path / "xdg"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(absolute) if xdg == "absolute" else xdg)
+    dirs = []
+    monkeypatch.setattr(experiment, "_load_kernel", dirs.append)
+    experiment._kernel()
+    cache = absolute if xdg == "absolute" else home / ".cache"
+    assert dirs == [cache / "xsplanes"]
+
+
+def test_kernel_without_home_falls_back_to_numpy(monkeypatch, fresh_kernel):
+    # with no HOME and no passwd entry the home directory cannot be found;
+    # the scan then runs in numpy instead of failing
+    import pwd
+
+    def no_entry(uid):
+        raise KeyError(f"getpwuid(): uid not found: {uid}")
+
+    monkeypatch.delenv("XDG_CACHE_HOME")
+    monkeypatch.delenv("HOME", raising=False)
+    monkeypatch.setattr(pwd, "getpwuid", no_entry)
+    assert experiment._kernel() is None
+    spec = slab_spec(8, magnify_exp=12, target_points=60)
+    state = seed_state(16, P8)
+    seq = slab_sample(state, spec, scan_cap=1_000_000, method="sequential")
+    assert_same_sample(slab_sample(state, spec, scan_cap=1_000_000, method="fast"), seq)
 
 
 def test_concurrent_first_compiles_both_load(tmp_path):
