@@ -1,5 +1,8 @@
 /* Lane scan of xorshift128+ for xsplanes.experiment, loaded with ctypes.
  *
+ * Compiled once per shift triple, given as -DSHIFT_A=a -DSHIFT_B=b
+ * -DSHIFT_C=c, so every shift is by a constant.
+ *
  * Lane j starts at state (hi[j], lo[j]) and is advanced seg_len steps.  At
  * step t, a lane whose output s0 + s1 is at most last_in is a hit, stored
  * as (lane, t, s0, s1) in the rows of hits, a 4 x cap array.  Returns the
@@ -17,12 +20,8 @@
  * chunk test every step.
  *
  * The scan is compiled for AVX-512, AVX2 and plain x86-64, and the CPU
- * picks one at each call.  On AVX-512 and AVX2 the shift counts are
- * vectors the compiler cannot see are uniform, so it shifts by a vector of
- * counts, one micro-op on Intel cores, not by one count register, two.
- * Plain x86-64 has no such shift and keeps the count register.  The
- * helpers are always inlined, so each build compiles them for its own
- * instruction set.
+ * picks one at each call.  The helpers are always inlined, so each build
+ * compiles them for its own instruction set.
  */
 #include <stdint.h>
 #include <string.h>
@@ -30,27 +29,20 @@
 #define GROUP 32
 #define CHUNK 64
 
-/* The shift counts, one per lane: lane j shifts by a[j], or by a[0] where per_lane is 0. */
-struct shifts {
-    uint64_t a[GROUP], b[GROUP], c[GROUP];
-};
-
 static inline __attribute__((always_inline))
-void step(uint64_t *s0, uint64_t *s1, const struct shifts *k, int per_lane)
+void step(uint64_t *s0, uint64_t *s1)
 {
     for (int j = 0; j < GROUP; j++) {
-        int i = per_lane ? j : 0;
-        uint64_t x = s0[j] ^ (s0[j] << k->a[i]), y = s1[j];
+        uint64_t x = s0[j] ^ (s0[j] << SHIFT_A), y = s1[j];
         s0[j] = y;
-        s1[j] = x ^ (x >> k->b[i]) ^ y ^ (y >> k->c[i]);
+        s1[j] = x ^ (x >> SHIFT_B) ^ y ^ (y >> SHIFT_C);
     }
 }
 
 /* Steps m lanes of group g from t0 to t_end, testing every step; returns the new hit count. */
 static inline __attribute__((always_inline))
 int64_t record(uint64_t *s0, uint64_t *s1, int64_t g, int64_t m, int64_t t0, int64_t t_end,
-               const struct shifts *k, int per_lane, uint64_t last_in, uint64_t *hits, int64_t cap,
-               int64_t n)
+               uint64_t last_in, uint64_t *hits, int64_t cap, int64_t n)
 {
     for (int64_t t = t0; t < t_end; t++) {
         int any = 0;
@@ -69,23 +61,18 @@ int64_t record(uint64_t *s0, uint64_t *s1, int64_t g, int64_t m, int64_t t0, int
                 n++;
             }
         }
-        step(s0, s1, k, per_lane);
+        step(s0, s1);
     }
     return n;
 }
 
+#define PARAMS const uint64_t *hi, const uint64_t *lo, int64_t lanes, int64_t seg_len, \
+               uint64_t last_in, uint64_t *hits, int64_t cap
+#define ARGS hi, lo, lanes, seg_len, last_in, hits, cap
+
 static inline __attribute__((always_inline))
-int64_t scan(const uint64_t *hi, const uint64_t *lo, int64_t lanes, int64_t seg_len,
-             int a, int b, int c, uint64_t last_in, uint64_t *hits, int64_t cap, int per_lane)
+int64_t scan(PARAMS)
 {
-    struct shifts k;
-    for (int j = 0; j < GROUP; j++) {
-        k.a[j] = a;
-        k.b[j] = b;
-        k.c[j] = c;
-    }
-    if (per_lane)  /* hides from the compiler that the counts are uniform */
-        __asm__("" : : "r"(&k) : "memory");
     int sparse = last_in <= UINT64_MAX / (4 * GROUP * CHUNK);
     int64_t n = 0;
     for (int64_t g = 0; g < lanes; g += GROUP) {
@@ -108,26 +95,22 @@ int64_t scan(const uint64_t *hi, const uint64_t *lo, int64_t lanes, int64_t seg_
                         uint64_t o = s0[j] + s1[j];
                         least[j] = o < least[j] ? o : least[j];
                     }
-                    step(s0, s1, &k, per_lane);
+                    step(s0, s1);
                 }
                 int any = 0;
                 for (int j = 0; j < GROUP; j++)
                     any |= least[j] <= last_in;
                 if (any)  /* steps the saved states to the same end */
-                    n = record(k0, k1, g, m, t, t + CHUNK, &k, per_lane, last_in, hits, cap, n);
+                    n = record(k0, k1, g, m, t, t + CHUNK, last_in, hits, cap, n);
             }
         }
-        n = record(s0, s1, g, m, t, seg_len, &k, per_lane, last_in, hits, cap, n);
+        n = record(s0, s1, g, m, t, seg_len, last_in, hits, cap, n);
     }
     return n;
 }
 
-#define PARAMS const uint64_t *hi, const uint64_t *lo, int64_t lanes, int64_t seg_len, int a, int b, \
-               int c, uint64_t last_in, uint64_t *hits, int64_t cap
-#define ARGS hi, lo, lanes, seg_len, a, b, c, last_in, hits, cap
-
-__attribute__((target("avx512f"))) static int64_t scan_avx512f(PARAMS) { return scan(ARGS, 1); }
-__attribute__((target("avx2"))) static int64_t scan_avx2(PARAMS) { return scan(ARGS, 1); }
+__attribute__((target("avx512f"))) static int64_t scan_avx512f(PARAMS) { return scan(ARGS); }
+__attribute__((target("avx2"))) static int64_t scan_avx2(PARAMS) { return scan(ARGS); }
 
 int64_t xs_scan_lanes(PARAMS)
 {
@@ -135,5 +118,5 @@ int64_t xs_scan_lanes(PARAMS)
         return scan_avx512f(ARGS);
     if (__builtin_cpu_supports("avx2"))
         return scan_avx2(ARGS);
-    return scan(ARGS, 0);
+    return scan(ARGS);
 }

@@ -61,9 +61,10 @@ _LANES_PER_WORKER = 1 << 15
 # sigma above the mean), which keeps it under glibc's 128 KB mmap
 # threshold: a buffer for a worker's whole range raised wide-slab's peak
 # RSS by 1 MB.  A call's lanes are a multiple of the kernel's group of 32
-# interleaved lanes.  The kernel holds AVX-512, AVX2 and plain builds of
-# the scan and picks one by the CPU's features at each call, so one cached
-# library runs on any x86-64 CPU.
+# interleaved lanes.  Each shift triple has its own library, compiled with
+# the counts as constants on the triple's first scan.  A library holds
+# AVX-512, AVX2 and plain builds of the scan and picks one by the CPU's
+# features at each call, so a cached library runs on any x86-64 CPU.
 _KERNEL_SOURCE = Path(__file__).with_name("_lanes.c")
 _CFLAGS = ("-O3", "-shared", "-fPIC")
 _CALL_TRIPLES = 1 << 28
@@ -153,8 +154,8 @@ def slab_sample(
     if method == "auto":
         method = "fast" if cap > 200_000 else "sequential"
     scan = _scan_sequential if method == "sequential" else _scan_fast
-    thr53 = 1 << (53 - spec.e)  # x < 2**-e  iff  (o >> 11) < thr53
-    return SlabSample(*scan(state, spec, cap, thr53))
+    last_in = (1 << (64 - spec.e)) - 1  # x < 2**-e  iff  output o <= last_in
+    return SlabSample(*scan(state, spec, cap, last_in))
 
 
 def _check_method(method: str) -> None:
@@ -162,7 +163,7 @@ def _check_method(method: str) -> None:
         raise ValueError(f"method must be 'sequential', 'fast' or 'auto', got {method!r}")
 
 
-def _scan_sequential(state, spec, cap, thr53):
+def _scan_sequential(state, spec, cap, last_in):
     params = state.params
     e = spec.e
     target = spec.target_points
@@ -174,7 +175,7 @@ def _scan_sequential(state, spec, cap, thr53):
     o2 = (s0 + s1) & MASK64
     words = []
     for k in range(cap):
-        if (o0 >> 11) < thr53:
+        if o0 <= last_in:
             words += [(o0 >> 11) << e, o1 >> 11, o2 >> 11]
             if len(words) == 3 * target:
                 break
@@ -204,7 +205,7 @@ def _lane_starts(one_step, start, lanes, seg_len):
     return starts, act(seg, starts[:, -1:])
 
 
-def _scan_block(hi, lo, scratch, params, seg_len, thr53):
+def _scan_block(hi, lo, scratch, params, seg_len, last_in):
     """Advance all lanes seg_len steps; return the hits where a triple enters the slab.
 
     Lane j covers triple offsets [j*seg_len, (j+1)*seg_len) of the stream.
@@ -216,8 +217,7 @@ def _scan_block(hi, lo, scratch, params, seg_len, thr53):
     s0, s1 = hi, lo
     out, t1, t2 = scratch
     ua, ub, uc = np.uint64(params.a), np.uint64(params.b), np.uint64(params.c)
-    # o >> 11 < thr53  iff  o <= (thr53 << 11) - 1, which fits in uint64 for thr53 <= 2**53
-    last_in = np.uint64((thr53 << 11) - 1)
+    last_in = np.uint64(last_in)
     hits = [np.empty((4, 0), dtype=np.uint64)]
     for t in range(seg_len):
         np.add(s0, s1, out=out)
@@ -236,16 +236,18 @@ def _scan_block(hi, lo, scratch, params, seg_len, thr53):
     return np.concatenate(hits, axis=1)
 
 
-def _load_kernel(cache_dir: Path):
-    """The compiled lane scan, built from _lanes.c into cache_dir on a miss; None if it cannot be.
+def _load_kernel(cache_dir: Path, params: Params):
+    """The lane scan for params, built from _lanes.c into cache_dir on a miss; None if it cannot be.
 
-    The library is named by a crc32 of the source, the compiler flags and
-    the machine type.  It is compiled under a name of its own and then
-    renamed into place, so concurrent first runs each load a whole file.
+    The library is named by a crc32 of the source, the compiler flags, the
+    -D flags that fix the shift counts and the machine type.  It is
+    compiled under a name of its own and then renamed into place, so
+    concurrent first runs each load a whole file.
     """
+    flags = (*_CFLAGS, f"-DSHIFT_A={params.a}", f"-DSHIFT_B={params.b}", f"-DSHIFT_C={params.c}")
     try:
         source = _KERNEL_SOURCE.read_bytes()
-        key = zlib.crc32(b"\0".join([source, " ".join(_CFLAGS).encode(), os.uname().machine.encode()]))
+        key = zlib.crc32(b"\0".join([source, " ".join(flags).encode(), os.uname().machine.encode()]))
         path = cache_dir / f"lanes-{key:08x}.so"
         if not path.exists():
             import subprocess  # only on a miss: it adds about 0.4 MB of peak RSS
@@ -253,7 +255,7 @@ def _load_kernel(cache_dir: Path):
             cache_dir.mkdir(parents=True, exist_ok=True)
             tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
             try:
-                cmd = ["gcc", *_CFLAGS, "-o", str(tmp), str(_KERNEL_SOURCE)]
+                cmd = ["gcc", *flags, "-o", str(tmp), str(_KERNEL_SOURCE)]
                 if subprocess.run(cmd, capture_output=True).returncode != 0:
                     return None
                 os.replace(tmp, path)
@@ -262,15 +264,15 @@ def _load_kernel(cache_dir: Path):
         scan = ctypes.CDLL(str(path)).xs_scan_lanes
     except (OSError, AttributeError):  # no compiler, cache or loadable library
         return None
-    ptr, i32, i64 = ctypes.c_void_p, ctypes.c_int, ctypes.c_int64
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
     scan.restype = i64
-    scan.argtypes = [ptr, ptr, i64, i64, i32, i32, i32, ctypes.c_uint64, ptr, i64]
+    scan.argtypes = [ptr, ptr, i64, i64, ctypes.c_uint64, ptr, i64]
     return scan
 
 
 @functools.cache
-def _kernel():
-    """The compiled lane scan from $XDG_CACHE_HOME/xsplanes, loaded once per process, or None.
+def _kernel(params: Params):
+    """The compiled lane scan for params from $XDG_CACHE_HOME/xsplanes, loaded once per triple, or None.
 
     As the XDG spec asks, a relative XDG_CACHE_HOME is ignored for
     ~/.cache.  Without a home directory there is no cache, and the scan
@@ -282,10 +284,10 @@ def _kernel():
             cache_home = Path.home() / ".cache"
         except RuntimeError:  # no HOME and no passwd entry
             return None
-    return _load_kernel(cache_home / "xsplanes")
+    return _load_kernel(cache_home / "xsplanes", params)
 
 
-def _scan_compiled(kernel, hi, lo, params, seg_len, thr53):
+def _scan_compiled(kernel, hi, lo, seg_len, last_in):
     """_scan_block through the compiled kernel: the same hits, and hi and lo left unchanged.
 
     A call that finds more hits than the buffer holds reports how many, and
@@ -294,15 +296,14 @@ def _scan_compiled(kernel, hi, lo, params, seg_len, thr53):
     if not (hi.dtype == lo.dtype == np.uint64 and hi.shape == lo.shape and hi.flags.c_contiguous
             and lo.flags.c_contiguous):
         raise ValueError("lane starts must be two contiguous uint64 arrays of one length")
-    last_in = (thr53 << 11) - 1
-    call = min(_CALL_TRIPLES, (_CALL_HITS << 53) // thr53)
+    call = min(_CALL_TRIPLES, (_CALL_HITS << 64) // (last_in + 1))
     step = max(_GROUP, call // seg_len // _GROUP * _GROUP)
     buf = np.empty((4, _CALL_HITS * 3 // 2), dtype=np.uint64)
     hits = []
     for start in range(0, hi.shape[0], step):
         h, l = hi[start : start + step], lo[start : start + step]
-        while (found := kernel(h.ctypes.data, l.ctypes.data, h.shape[0], seg_len, params.a, params.b,
-                               params.c, last_in, buf.ctypes.data, buf.shape[1])) > buf.shape[1]:
+        while (found := kernel(h.ctypes.data, l.ctypes.data, h.shape[0], seg_len, last_in, buf.ctypes.data,
+                               buf.shape[1])) > buf.shape[1]:
             buf = np.empty((4, found), dtype=np.uint64)
         part = buf[:, :found].copy()
         part[0] += np.uint64(start)
@@ -310,7 +311,7 @@ def _scan_compiled(kernel, hi, lo, params, seg_len, thr53):
     return np.concatenate(hits, axis=1)
 
 
-def _scan_lanes(hi, lo, params, seg_len, thr53):
+def _scan_lanes(hi, lo, params, seg_len, last_in):
     """Scan contiguous lane ranges, one per worker; the (4, n) hits carry block lane numbers.
 
     Each worker runs the compiled kernel, or _scan_block where none could
@@ -325,7 +326,7 @@ def _scan_lanes(hi, lo, params, seg_len, thr53):
     n = hi.shape[0]
     k = min(_WORKERS, n)
     bounds = [n * i // k for i in range(k + 1)]
-    kernel = _kernel()
+    kernel = _kernel(params)
     if kernel is None:
         scratch = [np.empty(n, dtype=np.uint64) for _ in range(3)]
     found = [None] * k
@@ -333,8 +334,8 @@ def _scan_lanes(hi, lo, params, seg_len, thr53):
     def scan(i):
         r = slice(bounds[i], bounds[i + 1])
         if kernel is not None:
-            return _scan_compiled(kernel, hi[r], lo[r], params, seg_len, thr53)
-        return _scan_block(hi[r], lo[r], [a[r] for a in scratch], params, seg_len, thr53)
+            return _scan_compiled(kernel, hi[r], lo[r], seg_len, last_in)
+        return _scan_block(hi[r], lo[r], [a[r] for a in scratch], params, seg_len, last_in)
 
     def work(i):
         try:
@@ -356,7 +357,7 @@ def _scan_lanes(hi, lo, params, seg_len, thr53):
     return np.concatenate(found, axis=1)
 
 
-def _scan_fast(state, spec, cap, thr53):
+def _scan_fast(state, spec, cap, last_in):
     params = state.params
     target = spec.target_points
     one_step = transition_rows(params)
@@ -374,7 +375,7 @@ def _scan_fast(state, spec, cap, thr53):
             seg_len = remaining // lanes
         # the next block's start is taken before the numpy scan overwrites the lane starts
         starts, start = _lane_starts(one_step, start, lanes, seg_len)
-        lane, t, s0, s1 = _scan_lanes(*starts, params, seg_len, thr53)
+        lane, t, s0, s1 = _scan_lanes(*starts, params, seg_len, last_in)
         hits.append(np.stack([base + lane * seg_len + t, s0, s1]))
         n_hits += len(t)
         base += lanes * seg_len

@@ -20,8 +20,6 @@ import warnings
 
 import numpy as np
 
-from .engine import WIDTH
-
 # 4**n pairs are enumerated in memory; 12 keeps that at ~17M pairs.
 MAX_ENUM_BITS = 12
 
@@ -37,42 +35,9 @@ class Combine(Enum):
 COMBINE_ORDER = (Combine.SUM, Combine.DIFF, Combine.REV_DIFF)
 
 
-@dataclass(frozen=True)
-class CaseLabel:
-    """Which of the three arithmetic matches hold for one pair."""
-
-    is_sum: bool
-    is_diff: bool
-    is_rev_diff: bool
-
-    def kinds(self) -> tuple[Combine, ...]:
-        return tuple(
-            k
-            for k, hit in zip(COMBINE_ORDER, (self.is_sum, self.is_diff, self.is_rev_diff))
-            if hit
-        )
-
-    @property
-    def any(self) -> bool:
-        return self.is_sum or self.is_diff or self.is_rev_diff
-
-
-def _check_width(n: int, limit: int = WIDTH) -> None:
-    if not 1 <= n <= limit:
-        raise ValueError(f"bit width must be in 1..{limit}, got {n}")
-
-
-def classify(x: int, y: int, n: int) -> CaseLabel:
-    """Column-wise case label of an n-bit pair."""
-    _check_width(n)
-    mask = (1 << n) - 1
-    if not (0 <= x <= mask and 0 <= y <= mask):
-        raise ValueError(f"x and y must be {n}-bit values")
-    return CaseLabel(
-        is_sum=(x & y) == 0,
-        is_diff=(~x & y) & mask == 0,
-        is_rev_diff=(x & ~y) & mask == 0,
-    )
+def _check_width(n: int) -> None:
+    if not 1 <= n <= MAX_ENUM_BITS:
+        raise ValueError(f"bit width must be in 1..{MAX_ENUM_BITS}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -100,15 +65,14 @@ def _pair_grids(n: int):
 def column_cases(x, y):
     """The three column conditions on arrays of pairs: (sum, diff, rev_diff) masks.
 
-    x and y are non-negative integer arrays (or ints) of a common width;
-    elementwise this agrees with classify.
+    x and y are non-negative integer arrays (or ints) of a common width.
     """
     return (x & y) == 0, (~x & y) == 0, (x & ~y) == 0
 
 
 def count_cases(n: int) -> CaseCounts:
     """Enumerate all 4**n pairs and tally the match sets and their overlaps."""
-    _check_width(n, MAX_ENUM_BITS)
+    _check_width(n)
     in_sum, in_diff, in_rev = column_cases(*_pair_grids(n))
     return CaseCounts(
         n=n,
@@ -126,7 +90,7 @@ def count_cases(n: int) -> CaseCounts:
 
 def verify_xor_sum(n: int) -> bool:
     """Check x^y <= x+y over all pairs, with equality exactly on the sum condition."""
-    _check_width(n, MAX_ENUM_BITS)
+    _check_width(n)
     x, y = _pair_grids(n)
     xor = x ^ y
     total = x + y  # no modulus
@@ -137,7 +101,7 @@ def verify_xor_sum(n: int) -> bool:
 
 def verify_xor_diff(n: int) -> bool:
     """Check x^y >= x-y (signed) over all pairs, with equality exactly on the diff condition."""
-    _check_width(n, MAX_ENUM_BITS)
+    _check_width(n)
     x, y = _pair_grids(n)
     xor = x ^ y
     diff = x - y  # signed, no modulus

@@ -1,19 +1,22 @@
 """Reference code that only the tests use.
 
 The scalar mesh loop and the per-vertex mesh writer are the references for
-planes.mesh and experiment.write_mesh_csv.  The GF(2) row matrices are the
-Python-int reference for the package's uint64 word-array core: a linear
-map on 128-bit packed pairs (s0 << 64) | s1 is the list of its basis
-images, row i the image of the vector whose only set bit is the i-th from
-the top.
+planes.mesh and experiment.write_mesh_csv, and classify, the case label of
+one pair, is the reference for xorapprox.column_cases.  The GF(2) row
+matrices are the Python-int reference for the package's uint64 word-array
+core: a linear map on 128-bit packed pairs (s0 << 64) | s1 is the list of
+its basis images, row i the image of the vector whose only set bit is the
+i-th from the top.
 """
 
+from dataclasses import dataclass
 import math
 
 import numpy as np
 
-from xsplanes.engine import MASK64, GenState, step_words
+from xsplanes.engine import MASK64, WIDTH, GenState, step_words
 from xsplanes.planes import MeshStrip
+from xsplanes.xorapprox import COMBINE_ORDER, Combine
 
 BITS = 128
 
@@ -73,6 +76,32 @@ def union_by_inclusion_exclusion(c) -> int:
         c.n_sum + c.n_diff + c.n_rev_diff
         - c.n_sum_diff - c.n_diff_rev_diff - c.n_rev_diff_sum
         + c.n_all_three
+    )
+
+
+@dataclass(frozen=True)
+class CaseLabel:
+    """Which of the three arithmetic matches hold for one pair."""
+
+    is_sum: bool
+    is_diff: bool
+    is_rev_diff: bool
+
+    def kinds(self) -> tuple[Combine, ...]:
+        return tuple(k for k, hit in zip(COMBINE_ORDER, (self.is_sum, self.is_diff, self.is_rev_diff)) if hit)
+
+
+def classify(x: int, y: int, n: int) -> CaseLabel:
+    """Column-wise case label of an n-bit pair."""
+    if not 1 <= n <= WIDTH:
+        raise ValueError(f"bit width must be in 1..{WIDTH}, got {n}")
+    mask = (1 << n) - 1
+    if not (0 <= x <= mask and 0 <= y <= mask):
+        raise ValueError(f"x and y must be {n}-bit values")
+    return CaseLabel(
+        is_sum=(x & y) == 0,
+        is_diff=(~x & y) & mask == 0,
+        is_rev_diff=(x & ~y) & mask == 0,
     )
 
 

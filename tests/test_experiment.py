@@ -1,7 +1,10 @@
+import ctypes
 import dataclasses
 import json
 import math
 import os
+from pathlib import Path
+import platform
 import shutil
 import subprocess
 import sys
@@ -10,7 +13,7 @@ import threading
 import numpy as np
 import pytest
 
-from helpers import height, reference_mesh, reference_mesh_csv
+from helpers import classify, height, reference_mesh, reference_mesh_csv
 from xsplanes import experiment
 from xsplanes.engine import (
     DEFAULT_PARAMS,
@@ -39,7 +42,7 @@ from xsplanes.experiment import (
     write_mesh_csv,
 )
 from xsplanes.planes import MeshStrip, Plane, epsilon_threshold, family, mesh, nearest_plane, union_rate
-from xsplanes.xorapprox import COMBINE_ORDER, classify, plane_coefficients
+from xsplanes.xorapprox import COMBINE_ORDER, plane_coefficients
 
 P8 = Params(8, 17, 26)
 
@@ -95,9 +98,9 @@ def test_resolve_scan_cap():
     assert resolve_scan_cap(spec30, 1 << 40) == 1 << 40
 
 
-def lane_kernels():
-    """The lane scans to test: the compiled kernel where it can be built, then the numpy fallback."""
-    kernel = experiment._kernel()
+def lane_kernels(params):
+    """The lane scans to test: params' compiled kernel where it can be built, then the numpy fallback."""
+    kernel = experiment._kernel(params)
     return ([kernel] if kernel is not None else []) + [None]
 
 
@@ -112,8 +115,8 @@ def test_accept_threshold_matches_float_compare(monkeypatch):
         for u53 in {0, thr - 1, thr, thr + 1, (1 << 53) - 1}:
             o0 = (u53 << 11) | 0x7FF
             inside = to_unit(o0) < spec.x_max
-            for kernel in lane_kernels():
-                monkeypatch.setattr(experiment, "_kernel", lambda: kernel)
+            for kernel in lane_kernels(P8):
+                monkeypatch.setattr(experiment, "_kernel", lambda params: kernel)
                 for method in ("sequential", "fast"):
                     sample = slab_sample(GenState(o0, 0, P8), spec, scan_cap=1, method=method)
                     assert sample.n_in_slab == inside
@@ -125,8 +128,8 @@ def test_slab_sample_paths_agree(monkeypatch):
     spec = slab_spec(8, target_points=400)
     state = seed_state(3, P8)
     seq = slab_sample(state, spec, scan_cap=500_000, method="sequential")
-    for kernel in lane_kernels():
-        monkeypatch.setattr(experiment, "_kernel", lambda: kernel)
+    for kernel in lane_kernels(P8):
+        monkeypatch.setattr(experiment, "_kernel", lambda params: kernel)
         fast = slab_sample(state, spec, scan_cap=500_000, method="fast")
         assert_same_sample(fast, seq)
     assert seq.truncated is False
@@ -175,8 +178,8 @@ def test_fast_scan_independent_of_workers_and_blocks(monkeypatch):
         for cap in (1_000_000, 250_575):
             seq = slab_sample(state, spec, scan_cap=cap, method="sequential")
             assert seq.truncated == (cap == 250_575)
-            for kernel in lane_kernels():
-                monkeypatch.setattr(experiment, "_kernel", lambda: kernel)
+            for kernel in lane_kernels(P8):
+                monkeypatch.setattr(experiment, "_kernel", lambda params: kernel)
                 for workers in (1, 2, 3):
                     monkeypatch.setattr(experiment, "_WORKERS", workers)
                     blocks.clear()
@@ -193,7 +196,7 @@ def test_fast_scan_worker_exception_propagates(monkeypatch):
     # a failure in a worker thread's lane range reaches the caller, on either lane scan
     monkeypatch.setattr(experiment, "_WORKERS", 2)
     spec = slab_spec(8, target_points=50)
-    for kernel in lane_kernels():
+    for kernel in lane_kernels(P8):
         name = "_scan_block" if kernel is None else "_scan_compiled"
         real_block = getattr(experiment, name)
 
@@ -203,7 +206,7 @@ def test_fast_scan_worker_exception_propagates(monkeypatch):
             return real_block(*args)
 
         with monkeypatch.context() as mp:
-            mp.setattr(experiment, "_kernel", lambda: kernel)
+            mp.setattr(experiment, "_kernel", lambda params: kernel)
             mp.setattr(experiment, name, failing_block)
             with pytest.raises(ZeroDivisionError, match="worker failed"):
                 slab_sample(seed_state(3, P8), spec, scan_cap=500_000, method="fast")
@@ -213,7 +216,7 @@ def test_compiled_kernel_in_use_where_gcc_is_found(monkeypatch):
     # a silent fallback would hide a fivefold slowdown
     if shutil.which("gcc") is None:
         pytest.skip("no gcc on PATH")
-    assert experiment._kernel() is not None
+    assert experiment._kernel(P8) is not None
 
     def numpy_block(*args):
         raise AssertionError("numpy lane scan used")
@@ -229,18 +232,18 @@ def test_kernel_build_failure_falls_back_to_numpy(monkeypatch, tmp_path, cflags)
     state = seed_state(16, P8)
     default = slab_sample(state, spec, scan_cap=1_000_000, method="fast")
     monkeypatch.setattr(experiment, "_CFLAGS", cflags)
-    kernel = experiment._load_kernel(tmp_path)
+    kernel = experiment._load_kernel(tmp_path, P8)
     assert kernel is None
     if cflags == ("-c",) and shutil.which("gcc"):
         assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
-    monkeypatch.setattr(experiment, "_kernel", lambda: kernel)
+    monkeypatch.setattr(experiment, "_kernel", lambda params: kernel)
     assert_same_sample(slab_sample(state, spec, scan_cap=1_000_000, method="fast"), default)
 
 
 def test_compiled_scan_reruns_on_hit_overflow(monkeypatch):
     # calls of 32 lanes and a first buffer of one hit: at x < 2**-4 the first call overflows
     # and is rerun with a buffer of the size it reports
-    real = experiment._kernel()
+    real = experiment._kernel(P8)
     if real is None:
         pytest.skip("the lane-scan kernel cannot be built here")
     calls = []  # (lanes, overflowed) per call
@@ -250,7 +253,7 @@ def test_compiled_scan_reruns_on_hit_overflow(monkeypatch):
         calls.append((args[2], found > args[-1]))
         return found
 
-    monkeypatch.setattr(experiment, "_kernel", lambda: counted)
+    monkeypatch.setattr(experiment, "_kernel", lambda params: counted)
     monkeypatch.setattr(experiment, "_CALL_HITS", 1)
     spec = slab_spec(8, magnify_exp=4, target_points=3000)
     state = seed_state(5, P8)
@@ -272,15 +275,42 @@ def _unstep(s1, s2, params):
     return s0, s1
 
 
-def _kernel_hits(kernel, hi, lo, seg_len, params, last_in, cap):
+def _kernel_hits(kernel, hi, lo, seg_len, last_in, cap):
     """One direct kernel call: the hit count and the stored (4, min(count, cap)) hits."""
     buf = np.zeros((4, cap), dtype=np.uint64)
-    found = kernel(hi.ctypes.data, lo.ctypes.data, len(hi), seg_len, params.a, params.b, params.c,
-                   last_in, buf.ctypes.data, cap)
+    found = kernel(hi.ctypes.data, lo.ctypes.data, len(hi), seg_len, last_in, buf.ctypes.data, cap)
     return found, buf[:, : min(found, cap)]
 
 
-def test_compiled_kernel_matches_numpy_scan():
+def kernel_builds(tmp_path, params):
+    """The kernel's AVX-512, AVX2 and plain builds for params that this CPU can run, by name.
+
+    The library calls the one build the CPU's features select, so a C file
+    that includes _lanes.c exports each build under a name of its own.
+    """
+    if platform.machine() != "x86_64":
+        pytest.skip("the kernel's builds are x86-64 builds")
+    cpuinfo = Path("/proc/cpuinfo")
+    flags = set(cpuinfo.read_text().split()) if cpuinfo.exists() else set()
+    scans = {"avx512f": "scan_avx512f", "avx2": "scan_avx2", "plain": "scan"}
+    source = tmp_path / "builds.c"
+    source.write_text(f'#include "{experiment._KERNEL_SOURCE}"\n'
+                      + "".join(f"int64_t build_{n}(PARAMS) {{ return {f}(ARGS); }}\n" for n, f in scans.items()))
+    lib = tmp_path / f"builds-{params.a}-{params.b}-{params.c}.so"
+    shifts = [f"-DSHIFT_{k}={v}" for k, v in zip("ABC", (params.a, params.b, params.c))]
+    subprocess.run(["gcc", *experiment._CFLAGS, *shifts, "-o", str(lib), str(source)], check=True)
+    library = ctypes.CDLL(str(lib))
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    builds = {}
+    for name in scans:
+        if name == "plain" or name in flags:
+            build = builds[name] = getattr(library, f"build_{name}")
+            build.restype = i64
+            build.argtypes = [ptr, ptr, i64, i64, ctypes.c_uint64, ptr, i64]
+    return builds
+
+
+def test_compiled_kernel_matches_numpy_scan(tmp_path):
     # The kernel tests every step on dense slabs (e <= 12) and 64-step chunks
     # on sparse ones, rerunning a chunk step by step when its lowest output is
     # in the slab.  States planted to enter the slab at t = 0, 63, 64 and the
@@ -288,40 +318,43 @@ def test_compiled_kernel_matches_numpy_scan():
     # edges, in a segment's partial last chunk, and in a padded last group;
     # one planted at t = seg_len lies one step past the segment.  The kernel
     # stores hits by group, then t, then lane; _scan_block by t, then lane.
-    kernel = experiment._kernel()
-    if kernel is None:
-        pytest.skip("the lane-scan kernel cannot be built here")
-    params = DEFAULT_PARAMS
-    rng = np.random.default_rng(11)
-    for e in (12, 13, 14, 23, 40):
-        thr53 = 1 << (53 - e)
-        last_in = (thr53 << 11) - 1
-        for seg_len in (1, 63, 64, 65, 1000):
-            times = sorted({t for t in (0, 63, 64, seg_len - 1, seg_len) if t <= seg_len})
-            for lanes in (1, 31, 33, 100):
-                for run in range(0, len(times), lanes):
-                    hi = rng.integers(0, 1 << 64, lanes, dtype=np.uint64)
-                    lo = rng.integers(0, 1 << 64, lanes, dtype=np.uint64)
-                    for j, t in enumerate(times[run : run + lanes]):
-                        lane = (lanes - 1 - 37 * j) % lanes
-                        out = last_in if j == 0 else int(rng.integers(0, last_in, endpoint=True))
-                        s0 = int(rng.integers(0, 1 << 64, dtype=np.uint64))
-                        s = (s0, (out - s0) & MASK64)
-                        for _ in range(t):
-                            s = _unstep(*s, params)
-                        hi[lane], lo[lane] = s
-                    scratch = [np.empty(lanes, dtype=np.uint64) for _ in range(3)]
-                    ref = _scan_block(hi.copy(), lo.copy(), scratch, params, seg_len, thr53)
-                    ref = ref[:, np.lexsort((ref[0], ref[1], ref[0] // 32))]
-                    found, hits = _kernel_hits(kernel, hi, lo, seg_len, params, last_in, lanes * seg_len)
-                    case = (e, seg_len, lanes, run)
-                    assert found == ref.shape[1], case
-                    assert np.array_equal(hits, ref), case
-                    assert ref.shape[1] >= sum(t < seg_len for t in times[run : run + lanes]), case
-                    # an overflowing buffer: the total, and the first hit stored
-                    found, hits = _kernel_hits(kernel, hi, lo, seg_len, params, last_in, 1)
-                    assert found == ref.shape[1], case
-                    assert np.array_equal(hits, ref[:, :1]), case
+    # Each triple has a library of its own, (26, 19, 5) one with a small c;
+    # besides the library's choice, every build the CPU supports is checked.
+    for params in (DEFAULT_PARAMS, Params(26, 19, 5)):
+        kernel = experiment._kernel(params)
+        if kernel is None:
+            pytest.skip("the lane-scan kernel cannot be built here")
+        kernels = {"library": kernel, **kernel_builds(tmp_path, params)}
+        rng = np.random.default_rng(11)
+        for e in (12, 13, 14, 23, 40):
+            last_in = (1 << (64 - e)) - 1
+            for seg_len in (1, 63, 64, 65, 1000):
+                times = sorted({t for t in (0, 63, 64, seg_len - 1, seg_len) if t <= seg_len})
+                for lanes in (1, 31, 33, 100):
+                    for run in range(0, len(times), lanes):
+                        hi = rng.integers(0, 1 << 64, lanes, dtype=np.uint64)
+                        lo = rng.integers(0, 1 << 64, lanes, dtype=np.uint64)
+                        for j, t in enumerate(times[run : run + lanes]):
+                            lane = (lanes - 1 - 37 * j) % lanes
+                            out = last_in if j == 0 else int(rng.integers(0, last_in, endpoint=True))
+                            s0 = int(rng.integers(0, 1 << 64, dtype=np.uint64))
+                            s = (s0, (out - s0) & MASK64)
+                            for _ in range(t):
+                                s = _unstep(*s, params)
+                            hi[lane], lo[lane] = s
+                        scratch = [np.empty(lanes, dtype=np.uint64) for _ in range(3)]
+                        ref = _scan_block(hi.copy(), lo.copy(), scratch, params, seg_len, last_in)
+                        ref = ref[:, np.lexsort((ref[0], ref[1], ref[0] // 32))]
+                        assert ref.shape[1] >= sum(t < seg_len for t in times[run : run + lanes])
+                        for name, kernel in kernels.items():
+                            case = (params, name, e, seg_len, lanes, run)
+                            found, hits = _kernel_hits(kernel, hi, lo, seg_len, last_in, lanes * seg_len)
+                            assert found == ref.shape[1], case
+                            assert np.array_equal(hits, ref), case
+                            # an overflowing buffer: the total, and the first hit stored
+                            found, hits = _kernel_hits(kernel, hi, lo, seg_len, last_in, 1)
+                            assert found == ref.shape[1], case
+                            assert np.array_equal(hits, ref[:, :1]), case
 
 
 @pytest.fixture
@@ -330,6 +363,21 @@ def fresh_kernel():
     experiment._kernel.cache_clear()
     yield
     experiment._kernel.cache_clear()
+
+
+def test_kernels_of_different_triples_never_mix(monkeypatch, tmp_path, fresh_kernel):
+    # one process scans with two triples and returns to the first: each
+    # scan runs its own triple's library, and the cache holds one per triple
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc on PATH")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    spec = slab_spec(8, magnify_exp=12, target_points=60)
+    for params in (DEFAULT_PARAMS, P8, DEFAULT_PARAMS):
+        state = seed_state(16, params)
+        seq = slab_sample(state, spec, scan_cap=1_000_000, method="sequential")
+        assert experiment._kernel(params) is not None
+        assert_same_sample(slab_sample(state, spec, scan_cap=1_000_000, method="fast"), seq)
+    assert [p.suffix for p in (tmp_path / "xsplanes").iterdir()] == [".so", ".so"]
 
 
 @pytest.mark.parametrize("xdg", ["", "relative/cache", "absolute"])
@@ -343,8 +391,8 @@ def test_kernel_cache_ignores_relative_xdg_cache_home(monkeypatch, tmp_path, fre
     absolute = tmp_path / "xdg"
     monkeypatch.setenv("XDG_CACHE_HOME", str(absolute) if xdg == "absolute" else xdg)
     dirs = []
-    monkeypatch.setattr(experiment, "_load_kernel", dirs.append)
-    experiment._kernel()
+    monkeypatch.setattr(experiment, "_load_kernel", lambda cache_dir, params: dirs.append(cache_dir))
+    experiment._kernel(P8)
     cache = absolute if xdg == "absolute" else home / ".cache"
     assert dirs == [cache / "xsplanes"]
 
@@ -360,7 +408,7 @@ def test_kernel_without_home_falls_back_to_numpy(monkeypatch, fresh_kernel):
     monkeypatch.delenv("XDG_CACHE_HOME")
     monkeypatch.delenv("HOME", raising=False)
     monkeypatch.setattr(pwd, "getpwuid", no_entry)
-    assert experiment._kernel() is None
+    assert experiment._kernel(P8) is None
     spec = slab_spec(8, magnify_exp=12, target_points=60)
     state = seed_state(16, P8)
     seq = slab_sample(state, spec, scan_cap=1_000_000, method="sequential")
@@ -373,7 +421,8 @@ def test_concurrent_first_compiles_both_load(tmp_path):
         pytest.skip("no gcc on PATH")
     src = os.path.dirname(os.path.dirname(experiment.__file__))
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=src)
-    code = "from xsplanes.experiment import _kernel; assert _kernel() is not None"
+    code = ("from xsplanes.experiment import DEFAULT_PARAMS, _kernel; "
+            "assert _kernel(DEFAULT_PARAMS) is not None")
     procs = [subprocess.Popen([sys.executable, "-c", code], env=env) for _ in range(2)]
     assert [p.wait(timeout=120) for p in procs] == [0, 0]
     assert [p.suffix for p in (tmp_path / "xsplanes").iterdir()] == [".so"]

@@ -5,10 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import union_by_inclusion_exclusion
+from helpers import classify, union_by_inclusion_exclusion
 from xsplanes.xorapprox import (
     Combine,
-    classify,
     column_cases,
     compound_probability,
     count_cases,
