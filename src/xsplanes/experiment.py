@@ -15,14 +15,28 @@ exact stream offsets and advances the lanes in one contiguous lane range
 per usable CPU.  A small C kernel (_lanes.c), compiled on first use and
 loaded with ctypes, advances them; where it cannot be built, vectorized
 numpy word ops do.  All paths produce bit-identical results.
+
+With an output directory, run_experiment forks one mesh writer process
+per usable CPU as soon as the scan has returned.  Writer i writes the
+mesh files of planes i, i + k, ... while the parent scores the sample,
+runs the control and the census and writes points.csv; the parent then
+waits for every writer before it writes overlay.json and report.json.  A
+writer's exception reaches the caller as an OSError with its message.  If
+the parent raises, it stops the writers and waits for them first, so no
+process outlives the call.  Every file goes through a temp file of its
+own, <name>.<pid>.<n>.tmp, renamed into place.  Where os.fork does not
+exist, the writers' work runs in-process before the parent's.
 """
 
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+import contextlib
 import ctypes
 import functools
+import itertools
 import json
 import os
+import sys
 import threading
 import zlib
 
@@ -590,15 +604,19 @@ class HitReport:
 
 
 _ROW = "%.17g,%.17g,%.17g"
+_TMP_IDS = itertools.count()
 
 
 def _atomic_write(path: Path, chunks) -> None:
     """Write the strings of an iterable to path through a temp file renamed into place.
 
-    The temp file is removed if writing or renaming fails, so an existing
-    file at path is either replaced whole or left as it was.
+    The temp file is named by the process id and a per-process counter, so
+    two writers of one path, in one process or in two, never share it, and
+    the last to finish leaves its whole file.  The temp file is removed if
+    writing or renaming fails, so an existing file at path is either
+    replaced whole or left as it was.
     """
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{next(_TMP_IDS)}.tmp")
     try:
         with open(tmp, "w") as f:
             f.writelines(chunks)
@@ -647,6 +665,109 @@ def write_mesh_csv(path, strips) -> None:
     _atomic_write(Path(path), blocks())
 
 
+def _write_meshes(spec: SlabSpec, grid: int, meshes) -> None:
+    for plane, path in meshes:
+        write_mesh_csv(path, mesh(plane, spec.x_max, spec.magnify, grid))
+
+
+def _fork(job, part):
+    """Start job(part) in a forked process; its pid and the read end of a pipe that carries its failure.
+
+    The child leaves only through os._exit, so it never returns into the
+    caller's frames (under pytest, the test runner's) and never flushes a
+    buffer it inherited.  It ignores SIGINT, which a terminal's Ctrl-C
+    sends to the whole process group, and is stopped only by its parent's
+    one SIGTERM, which interrupts it as SIGINT would.  So the temp file it
+    is writing is removed, and no second signal cuts that cleanup short:
+    with both signals, a Ctrl-C could leave temp files behind.  The scan's
+    threads have ended by the fork; the child runs element-wise numpy code
+    and file writes, which take no lock that a thread left behind (numpy's
+    idle pool) could hold.
+    """
+    import signal  # here, not at the top: it is not loaded at start-up
+
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            signal.signal(signal.SIGTERM, signal.default_int_handler)
+            job(part)
+            status = 0
+        except BaseException as exc:  # the process ends here; its parent raises the message
+            os.write(w, (str(exc) if isinstance(exc, OSError) else repr(exc)).encode())
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _reap(writers: list, stop: bool = False) -> list[str]:
+    """Wait for each (pid, pipe) writer, sent SIGTERM first if stop; the failed writers' messages, in order.
+
+    Each writer leaves the list once it has been waited for.  An exception
+    while waiting, an interrupt say, stops the writers still listed and
+    waits for them before it propagates.
+    """
+    import signal
+
+    failures = []
+    try:
+        if stop:
+            for pid, _ in writers:
+                os.kill(pid, signal.SIGTERM)
+        while writers:
+            pid, pipe = writers[0]
+            message = pipe.read()  # read to the end, which comes when the writer ends
+            status = os.waitpid(pid, 0)[1]
+            del writers[0]
+            pipe.close()
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                failures.append(message.decode(errors="replace") or f"a mesh writer ended with exit code {code}")
+    except BaseException:
+        if not stop:
+            _reap(writers, stop=True)
+        raise
+    return failures
+
+
+@contextlib.contextmanager
+def _writers(job, parts):
+    """Run job(part) for each part in a forked process of its own while the with block runs.
+
+    The block's end waits for every writer and raises the first failed
+    one's message as an OSError.  If the block raises, the writers are
+    stopped and waited for, and the block's exception propagates unchanged.
+    Without os.fork the jobs run here, in turn, before the block.
+    """
+    if not hasattr(os, "fork"):
+        for part in parts:
+            job(part)
+        yield
+        return
+    sys.stdout.flush()  # a writer inherits these buffers: emptied, they hold nothing it could emit twice
+    sys.stderr.flush()
+    procs = []
+    try:
+        for part in parts:
+            procs.append(_fork(job, part))
+        yield
+    except BaseException:
+        _reap(procs, stop=True)
+        raise
+    failures = _reap(procs)
+    if failures:
+        raise OSError(failures[0])
+
+
 def run_experiment(cfg: ExperimentConfig) -> HitReport:
     """Run the full pipeline and, if an output directory is set, write data files.
 
@@ -657,12 +778,23 @@ def run_experiment(cfg: ExperimentConfig) -> HitReport:
     fam = family(cfg.params.a)
     state = seed_state(cfg.seed, cfg.params)
     sample = slab_sample(state, spec, scan_cap=cfg.scan_cap, method=cfg.method)
-    if sample.n_in_slab:
-        stats = hit_stats(sample.points, fam, cfg.epsilon, spec)
-    else:  # a hit fraction over no points is undefined
-        stats = HitStats(0, 0, None, {p.name: 0 for p in fam.planes})
-    control = control_baseline(cfg.control_points, fam, cfg.epsilon, cfg.control_seed)
-    census = case_census(seed_state(cfg.seed, cfg.params), cfg.census_steps, cfg.n_bits)
+    out = None if cfg.output_dir is None else Path(cfg.output_dir)
+    parts = []
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+        meshes = [(plane, out / f"mesh_{plane.name}.csv") for plane in fam.planes]
+        k = min(_WORKERS, len(meshes))
+        parts = [meshes[i::k] for i in range(k)]
+    with _writers(functools.partial(_write_meshes, spec, cfg.grid), parts):
+        if sample.n_in_slab:
+            stats = hit_stats(sample.points, fam, cfg.epsilon, spec)
+        else:  # a hit fraction over no points is undefined
+            stats = HitStats(0, 0, None, {p.name: 0 for p in fam.planes})
+        control = control_baseline(cfg.control_points, fam, cfg.epsilon, cfg.control_seed)
+        census = case_census(seed_state(cfg.seed, cfg.params), cfg.census_steps, cfg.n_bits)
+        if out is not None:
+            points_file = out / "points.csv"
+            write_points_csv(points_file, sample.points, spec.magnify, cfg.params, cfg.seed)
     if stats.hit_fraction is not None and control > 0.0:
         ratio = stats.hit_fraction / control
     else:
@@ -686,17 +818,8 @@ def run_experiment(cfg: ExperimentConfig) -> HitReport:
         case_frequencies=case_frequencies,
         carry_leak_frequency=census.carry_leak_frequency,
     )
-    if cfg.output_dir is not None:
-        out = Path(cfg.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        points_file = out / "points.csv"
-        write_points_csv(points_file, sample.points, spec.magnify, cfg.params, cfg.seed)
-        mesh_files = []
-        for plane in fam.planes:
-            strips = mesh(plane, spec.x_max, spec.magnify, cfg.grid)
-            mesh_file = out / f"mesh_{plane.name}.csv"
-            write_mesh_csv(mesh_file, strips)
-            mesh_files.append(mesh_file.name)
+    if out is not None:
+        mesh_files = [path.name for _, path in meshes]
         report.files = {
             "points": points_file.name,
             "meshes": mesh_files,

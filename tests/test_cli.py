@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from xsplanes import experiment
 from xsplanes.cli import main
 from xsplanes.engine import Params, iter_outputs, seed_state
 
@@ -294,3 +298,37 @@ def test_planes_io_error_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert "error" in err.lower()
+
+
+def test_planes_mesh_writer_failure_exits_2(tmp_path, capsys, monkeypatch):
+    def failing(path, strips):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(experiment, "write_mesh_csv", failing)
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(capsys, *PLANES_ARGS, "--output-dir", str(out_dir), "--min-ratio", "0")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[1:] == ["i/o error: disk full"]
+    assert sorted(p.name for p in out_dir.iterdir()) == ["points.csv"]
+
+
+def test_planes_process_prints_one_report(tmp_path):
+    # stdout and stderr go to files, so they are block-buffered: a mesh
+    # writer process that returned into the CLI or emitted what it inherited
+    # would print twice
+    out_dir = tmp_path / "o"
+    src = os.path.dirname(os.path.dirname(experiment.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    with open(tmp_path / "stdout", "w") as stdout, open(tmp_path / "stderr", "w") as stderr:
+        proc = subprocess.run(
+            [sys.executable, "-m", "xsplanes", *PLANES_ARGS, "--output-dir", str(out_dir), "--min-ratio", "0"],
+            stdout=stdout, stderr=stderr, env=env, timeout=120,
+        )
+    assert proc.returncode == 0
+    report = json.loads((tmp_path / "stdout").read_text())
+    assert report == json.loads((out_dir / "report.json").read_text())
+    assert (tmp_path / "stderr").read_text() == (
+        "scanning slab x < 2**-8 for 150 points\n"
+        f"concentration ratio {report['concentration_ratio']:.2f} (threshold 0.0)\n"
+    )

@@ -6,9 +6,11 @@ import os
 from pathlib import Path
 import platform
 import shutil
+import signal
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -803,3 +805,145 @@ def test_atomic_write_failure_leaves_target_and_no_temp(monkeypatch, tmp_path, f
         write_mesh_csv(target, strips)
     assert target.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["mesh.csv"]
+
+
+def test_atomic_write_of_one_path_inside_another(tmp_path):
+    # two writes of one path overlap: each has a temp file of its own, and
+    # the one that finishes last leaves its whole file
+    target = tmp_path / "report.json"
+
+    def outer():
+        yield "outer "
+        experiment._atomic_write(target, ["inner\n"])
+        assert target.read_text() == "inner\n"
+        yield "done\n"
+
+    experiment._atomic_write(target, outer())
+    assert target.read_text() == "outer done\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def assert_no_writer_left(out):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not list(out.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("workers, fork", [(1, True), (3, True), (16, True), (2, False)])
+def test_run_experiment_meshes_match_in_process_writer(monkeypatch, tmp_path, workers, fork):
+    # meshes written by 1, 3 or 8 writer processes, or in-process where
+    # os.fork does not exist, are the single-process writer's bytes
+    monkeypatch.setattr(experiment, "_WORKERS", workers)
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    cfg = _small_config(tmp_path, "run")
+    report = run_experiment(cfg)
+    planes = family(cfg.params.a).planes
+    assert report.files["meshes"] == [f"mesh_{p.name}.csv" for p in planes]
+    for plane, name in zip(planes, report.files["meshes"]):
+        write_mesh_csv(tmp_path / name, mesh(plane, cfg.spec.x_max, cfg.spec.magnify, cfg.grid))
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / name).read_bytes()
+    assert_no_writer_left(tmp_path / "run")
+
+
+@pytest.mark.parametrize("fork", [True, False])
+def test_run_experiment_mesh_writer_failure(monkeypatch, tmp_path, fork):
+    # every writer fails halfway through its first file; the first writer's
+    # message is raised, and neither overlay.json nor report.json is written
+    def failing(path, strips):
+        def chunks():
+            yield "partial"
+            raise OSError(f"disk full at {Path(path).name}")
+
+        experiment._atomic_write(Path(path), chunks())
+
+    monkeypatch.setattr(experiment, "write_mesh_csv", failing)
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    cfg = _small_config(tmp_path, "run")
+    first = family(cfg.params.a).planes[0]
+    with pytest.raises(OSError) as info:
+        run_experiment(cfg)
+    assert str(info.value) == f"disk full at mesh_{first.name}.csv"
+    out = tmp_path / "run"
+    assert not (out / "report.json").exists() and not (out / "overlay.json").exists()
+    assert_no_writer_left(out)
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("census failed"), KeyboardInterrupt()], ids=["error", "interrupt"])
+def test_run_experiment_parent_failure_stops_writers(monkeypatch, tmp_path, exc):
+    # the writers hang mid-file; an exception in the parent stops them, so
+    # the call returns at once, with that exception, no writer and no temp file
+    def hanging(path, strips):
+        def chunks():
+            yield "partial"
+            time.sleep(60)
+
+        experiment._atomic_write(Path(path), chunks())
+
+    def failing_census(*args):
+        raise exc
+
+    monkeypatch.setattr(experiment, "write_mesh_csv", hanging)
+    monkeypatch.setattr(experiment, "case_census", failing_census)
+    start = time.monotonic()
+    with pytest.raises(type(exc)) as info:
+        run_experiment(_small_config(tmp_path, "run"))
+    assert info.value is exc
+    assert time.monotonic() - start < 30
+    out = tmp_path / "run"
+    assert not (out / "report.json").exists()
+    assert_no_writer_left(out)
+
+
+CTRL_C = """
+import os, signal, sys, time
+from pathlib import Path
+from xsplanes import experiment
+from xsplanes.engine import Params
+
+out = Path(sys.argv[1])
+
+def hanging(path, strips):
+    def chunks():
+        yield "partial"
+        time.sleep(60)
+    experiment._atomic_write(Path(path), chunks())
+
+def ctrl_c(*args):
+    while len(list(out.glob("*.tmp"))) < 2:  # both writers are mid-file
+        time.sleep(0.01)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    os.killpg(0, signal.SIGINT)  # only the writers see this one
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    time.sleep(0.3)
+    print(len(list(out.glob("*.tmp"))), flush=True)
+    os.killpg(0, signal.SIGINT)
+    time.sleep(60)
+
+experiment._WORKERS = 2
+experiment.write_mesh_csv = hanging
+experiment.case_census = ctrl_c
+experiment.run_experiment(experiment.ExperimentConfig(
+    params=Params(8, 17, 26), seed=2, target_points=300, control_points=20_000, census_steps=1_000,
+    grid=24, output_dir=str(out)))
+"""
+
+
+def test_ctrl_c_stops_run_and_writers(tmp_path):
+    # a terminal's Ctrl-C sends SIGINT to the whole process group while the
+    # writers are mid-file.  The writers ignore it and are interrupted only
+    # by their parent's SIGTERM, so no second signal cuts their cleanup
+    # short: the run ends by the interrupt, with no process left in its
+    # group and no temp file
+    out = tmp_path / "o"
+    src = os.path.dirname(os.path.dirname(experiment.__file__))
+    proc = subprocess.Popen([sys.executable, "-c", CTRL_C, str(out)], env=dict(os.environ, PYTHONPATH=src),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
+    mid_file, err = proc.communicate(timeout=120)
+    assert proc.returncode == -signal.SIGINT, err.decode()
+    assert mid_file == b"2\n"
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+    assert not list(out.glob("*.tmp"))
+    assert not (out / "report.json").exists()
