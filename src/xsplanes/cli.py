@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_planes.add_argument("--magnify-exp", type=int, default=None,
                           help="slab/magnification exponent e: x < 2**-e, x-axis scaled by 2**e (default a)")
     p_planes.add_argument("--grid", type=int, default=64,
-                          help="mesh stations per axis (default 64)")
+                          help="mesh stations per axis (default 64, at most 4096)")
     p_planes.add_argument("--control-points", type=int, default=1 << 17,
                           help="control sample size (default 131072)")
     p_planes.add_argument("--control-seed", type=_hex_word, default=271828, metavar="HEX",

@@ -16,6 +16,11 @@ per usable CPU.  A small C kernel (_lanes.c), compiled on first use and
 loaded with ctypes, advances them; where it cannot be built, vectorized
 numpy word ops do.  All paths produce bit-identical results.
 
+The CSV files hold each coordinate as Python's '%.17g' text.  A second C
+kernel (_text.c), built and cached the same way, writes that text with
+exact integer arithmetic, byte for byte as Python does; where it cannot
+be built, Python's own formatting writes it.
+
 With an output directory, run_experiment forks one mesh writer process
 per usable CPU as soon as the scan has returned.  Writer i writes the
 mesh files of planes i, i + k, ... while the parent scores the sample,
@@ -79,7 +84,7 @@ _LANES_PER_WORKER = 1 << 15
 # the counts as constants on the triple's first scan.  A library holds
 # AVX-512, AVX2 and plain builds of the scan and picks one by the CPU's
 # features at each call, so a cached library runs on any x86-64 CPU.
-_KERNEL_SOURCE = Path(__file__).with_name("_lanes.c")
+_LANES_SOURCE = Path(__file__).with_name("_lanes.c")
 _CFLAGS = ("-O3", "-shared", "-fPIC")
 _CALL_TRIPLES = 1 << 28
 _CALL_HITS = 1 << 11
@@ -250,47 +255,41 @@ def _scan_block(hi, lo, scratch, params, seg_len, last_in):
     return np.concatenate(hits, axis=1)
 
 
-def _load_kernel(cache_dir: Path, params: Params):
-    """The lane scan for params, built from _lanes.c into cache_dir on a miss; None if it cannot be.
+def _load_kernel(cache_dir: Path, source: Path, defines: tuple[str, ...] = ()):
+    """The ctypes library built from source with the -D flags defines into cache_dir on a miss; None if it cannot be.
 
-    The library is named by a crc32 of the source, the compiler flags, the
-    -D flags that fix the shift counts and the machine type.  It is
+    The library is named by the source's stem and a crc32 of the source,
+    the compiler flags, defines included, and the machine type.  It is
     compiled under a name of its own and then renamed into place, so
     concurrent first runs each load a whole file.
     """
-    flags = (*_CFLAGS, f"-DSHIFT_A={params.a}", f"-DSHIFT_B={params.b}", f"-DSHIFT_C={params.c}")
+    flags = (*_CFLAGS, *defines)
     try:
-        source = _KERNEL_SOURCE.read_bytes()
-        key = zlib.crc32(b"\0".join([source, " ".join(flags).encode(), os.uname().machine.encode()]))
-        path = cache_dir / f"lanes-{key:08x}.so"
+        key = zlib.crc32(b"\0".join([source.read_bytes(), " ".join(flags).encode(), os.uname().machine.encode()]))
+        path = cache_dir / f"{source.stem.lstrip('_')}-{key:08x}.so"
         if not path.exists():
             import subprocess  # only on a miss: it adds about 0.4 MB of peak RSS
 
             cache_dir.mkdir(parents=True, exist_ok=True)
             tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
             try:
-                cmd = ["gcc", *flags, "-o", str(tmp), str(_KERNEL_SOURCE)]
+                cmd = ["gcc", *flags, "-o", str(tmp), str(source)]
                 if subprocess.run(cmd, capture_output=True).returncode != 0:
                     return None
                 os.replace(tmp, path)
             finally:
                 tmp.unlink(missing_ok=True)
-        scan = ctypes.CDLL(str(path)).xs_scan_lanes
-    except (OSError, AttributeError):  # no compiler, cache or loadable library
+        return ctypes.CDLL(str(path))
+    except OSError:  # no compiler, cache or loadable library
         return None
-    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    scan.restype = i64
-    scan.argtypes = [ptr, ptr, i64, i64, ctypes.c_uint64, ptr, i64]
-    return scan
 
 
-@functools.cache
-def _kernel(params: Params):
-    """The compiled lane scan for params from $XDG_CACHE_HOME/xsplanes, loaded once per triple, or None.
+def _compiled(source: Path, defines: tuple[str, ...], name: str, restype, argtypes):
+    """Function name of source's library from $XDG_CACHE_HOME/xsplanes, typed for ctypes, or None.
 
     As the XDG spec asks, a relative XDG_CACHE_HOME is ignored for
-    ~/.cache.  Without a home directory there is no cache, and the scan
-    runs in numpy.
+    ~/.cache.  Without a home directory there is no cache, and the caller
+    runs its Python code.
     """
     cache_home = Path(os.environ.get("XDG_CACHE_HOME", ""))
     if not cache_home.is_absolute():
@@ -298,7 +297,21 @@ def _kernel(params: Params):
             cache_home = Path.home() / ".cache"
         except RuntimeError:  # no HOME and no passwd entry
             return None
-    return _load_kernel(cache_home / "xsplanes", params)
+    library = _load_kernel(cache_home / "xsplanes", source, defines)
+    if library is None:
+        return None
+    function = getattr(library, name)
+    function.restype = restype
+    function.argtypes = argtypes
+    return function
+
+
+@functools.cache
+def _kernel(params: Params):
+    """The compiled lane scan for params, loaded once per triple, or None."""
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    defines = (f"-DSHIFT_A={params.a}", f"-DSHIFT_B={params.b}", f"-DSHIFT_C={params.c}")
+    return _compiled(_LANES_SOURCE, defines, "xs_scan_lanes", i64, [ptr, ptr, i64, i64, ctypes.c_uint64, ptr, i64])
 
 
 def _scan_compiled(kernel, hi, lo, seg_len, last_in):
@@ -605,21 +618,48 @@ class HitReport:
 
 _ROW = "%.17g,%.17g,%.17g"
 _TMP_IDS = itertools.count()
+# The compiled CSV formatter (_text.c) writes at most _ROW_BYTES bytes a
+# row; points.csv is formatted _TEXT_ROWS rows a call, a mesh a strip a
+# call, so the text buffer stays small however many points are written.
+_TEXT_SOURCE = Path(__file__).with_name("_text.c")
+_ROW_BYTES = 75
+_TEXT_ROWS = 1 << 11
+
+
+@functools.cache
+def _text_kernel():
+    """The compiled %.17g row formatter, loaded once per process, or None where it cannot be built."""
+    ptr = ctypes.c_void_p
+    return _compiled(_TEXT_SOURCE, (), "xs_format_rows", ctypes.c_int64, [ptr, ctypes.c_int64, ptr])
+
+
+def _format_rows(fmt, values, buf: np.ndarray) -> memoryview:
+    """The rows of an (n, 3) float64 array as %.17g CSV text in buf, written by fmt: a view of buf."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[1] != 3 or buf.dtype != np.uint8 or buf.size < _ROW_BYTES * len(values):
+        raise ValueError(f"need (n, 3) rows and a uint8 buffer of {_ROW_BYTES} bytes a row")
+    n = fmt(values.ctypes.data, len(values), buf.ctypes.data)
+    if n < 0:
+        raise OSError("no C numeric locale for the CSV text")
+    return memoryview(buf)[:n]
 
 
 def _atomic_write(path: Path, chunks) -> None:
-    """Write the strings of an iterable to path through a temp file renamed into place.
+    """Write the strings or bytes of an iterable to path through a temp file renamed into place.
 
-    The temp file is named by the process id and a per-process counter, so
-    two writers of one path, in one process or in two, never share it, and
-    the last to finish leaves its whole file.  The temp file is removed if
-    writing or renaming fails, so an existing file at path is either
-    replaced whole or left as it was.
+    Each chunk is written before the next is asked for, so a chunk may be a
+    view of a buffer that the iterable then reuses.  The temp file is named
+    by the process id and a per-process counter, so two writers of one
+    path, in one process or in two, never share it, and the last to finish
+    leaves its whole file.  The temp file is removed if writing or renaming
+    fails, so an existing file at path is either replaced whole or left as
+    it was.
     """
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{next(_TMP_IDS)}.tmp")
     try:
-        with open(tmp, "w") as f:
-            f.writelines(chunks)
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk.encode() if isinstance(chunk, str) else chunk)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -628,8 +668,19 @@ def _atomic_write(path: Path, chunks) -> None:
 def write_points_csv(path, points, magnify: float, params: Params, seed: int) -> None:
     """Slab words as `x_mag,y,z` unit-interval rows under a reproducibility header line."""
     header = f"# magnify={int(magnify)} params={params.a},{params.b},{params.c} seed=0x{seed:016x}\n"
-    rows = (_ROW + "\n") * len(points) % tuple((points * 2.0**-53).ravel().tolist())
-    _atomic_write(Path(path), [header, rows])
+    fmt = _text_kernel()
+    if fmt is None:
+        rows = (_ROW + "\n") * len(points) % tuple((points * 2.0**-53).ravel().tolist())
+        _atomic_write(Path(path), [header, rows])
+        return
+
+    def chunks():
+        yield header
+        buf = np.empty(_ROW_BYTES * min(len(points), _TEXT_ROWS), dtype=np.uint8)
+        for start in range(0, len(points), _TEXT_ROWS):
+            yield _format_rows(fmt, points[start : start + _TEXT_ROWS] * 2.0**-53, buf)
+
+    _atomic_write(Path(path), chunks())
 
 
 class _Formatted(dict):
@@ -643,22 +694,31 @@ class _Formatted(dict):
 def write_mesh_csv(path, strips) -> None:
     """Mesh strips as `x_mag,y,z` rows, blank line between strips.
 
-    Written strip by strip.  The x and y values repeat across a mesh (one x
-    per strip, one y per station), so each distinct one is formatted once;
-    only z is formatted per vertex.
+    Written strip by strip.  The compiled formatter formats a strip in one
+    call.  Without it, the x and y values, which repeat across a mesh (one
+    x per strip, one y per station), are each formatted once, and only z
+    is formatted per vertex.
     """
+    fmt = _text_kernel()
     text = _Formatted()
 
     def blocks():
         sep = ""
+        buf = np.empty(0, dtype=np.uint8)
         for strip in strips:
             v = strip.vertices
-            bits = v.view(np.uint64)
-            args = [None] * v.size
-            args[2::3] = v[:, 2].tolist()
-            args[0::3] = map(text.__getitem__, bits[:, 0].tolist())
-            args[1::3] = map(text.__getitem__, bits[:, 1].tolist())
-            yield sep + "\n".join(["%s,%s,%.17g"] * len(v)) % tuple(args)
+            if fmt is not None:
+                if buf.size < _ROW_BYTES * len(v):
+                    buf = np.empty(_ROW_BYTES * len(v), dtype=np.uint8)
+                yield sep
+                yield _format_rows(fmt, v, buf)[:-1]  # the rows without the last newline
+            else:
+                bits = v.view(np.uint64)
+                args = [None] * v.size
+                args[2::3] = v[:, 2].tolist()
+                args[0::3] = map(text.__getitem__, bits[:, 0].tolist())
+                args[1::3] = map(text.__getitem__, bits[:, 1].tolist())
+                yield sep + "\n".join(["%s,%s,%.17g"] * len(v)) % tuple(args)
             sep = "\n\n"
         yield "\n"
 
@@ -680,9 +740,9 @@ def _fork(job, part):
     one SIGTERM, which interrupts it as SIGINT would.  So the temp file it
     is writing is removed, and no second signal cuts that cleanup short:
     with both signals, a Ctrl-C could leave temp files behind.  The scan's
-    threads have ended by the fork; the child runs element-wise numpy code
-    and file writes, which take no lock that a thread left behind (numpy's
-    idle pool) could hold.
+    threads have ended by the fork; the child runs element-wise numpy code,
+    the compiled formatter and file writes, which take no lock that a
+    thread left behind (numpy's idle pool) could hold.
     """
     import signal  # here, not at the top: it is not loaded at start-up
 
@@ -785,6 +845,7 @@ def run_experiment(cfg: ExperimentConfig) -> HitReport:
         meshes = [(plane, out / f"mesh_{plane.name}.csv") for plane in fam.planes]
         k = min(_WORKERS, len(meshes))
         parts = [meshes[i::k] for i in range(k)]
+        _text_kernel()  # built or loaded here, once, so that no writer compiles it
     with _writers(functools.partial(_write_meshes, spec, cfg.grid), parts):
         if sample.n_in_slab:
             stats = hit_stats(sample.points, fam, cfg.epsilon, spec)

@@ -130,10 +130,15 @@ class MeshStrip:
     vertices: np.ndarray
 
 
+# At 4096 stations a plane's vertex array alone is 4096**2 * 24 bytes, 0.4 GB,
+# in every mesh writer at once; a grid of 10**5 would need 240 GB.
+MAX_GRID = 4096
+
+
 def check_grid(grid: int) -> None:
-    """Reject a mesh with fewer than two stations per axis."""
-    if grid < 2:
-        raise ValueError(f"grid must be >= 2, got {grid}")
+    """Reject a mesh with fewer than two or more than MAX_GRID stations per axis."""
+    if not 2 <= grid <= MAX_GRID:
+        raise ValueError(f"grid must be in 2..{MAX_GRID}, got {grid}")
 
 
 def mesh(plane: Plane, x_max: float, magnify: float, grid: int) -> list[MeshStrip]:

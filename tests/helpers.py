@@ -6,7 +6,7 @@ one pair, is the reference for xorapprox.column_cases.  The GF(2) row
 matrices are the Python-int reference for the package's uint64 word-array
 core: a linear map on 128-bit packed pairs (s0 << 64) | s1 is the list of
 its basis images, row i the image of the vector whose only set bit is the
-i-th from the top.
+i-th from the top.  text_paths lists the CSV formatters a test runs.
 """
 
 from dataclasses import dataclass
@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from xsplanes import experiment
 from xsplanes.engine import MASK64, WIDTH, GenState, step_words
 from xsplanes.planes import MeshStrip
 from xsplanes.xorapprox import COMBINE_ORDER, Combine
@@ -57,6 +58,12 @@ def reference_mesh(plane, x_max: float, magnify: float, grid: int) -> list[MeshS
         if len(run) >= 2:
             strips.append(MeshStrip(run_branch, tuple(run)))
     return strips
+
+
+def text_paths():
+    """The CSV formatters to test: the compiled one where it can be built, then Python's (None)."""
+    fmt = experiment._text_kernel()
+    return ([fmt] if fmt is not None else []) + [None]
 
 
 def reference_mesh_csv(strips) -> str:

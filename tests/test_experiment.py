@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import classify, height, reference_mesh, reference_mesh_csv
+from helpers import classify, height, reference_mesh, reference_mesh_csv, text_paths
 from xsplanes import experiment
 from xsplanes.engine import (
     DEFAULT_PARAMS,
@@ -234,7 +234,8 @@ def test_kernel_build_failure_falls_back_to_numpy(monkeypatch, tmp_path, cflags)
     state = seed_state(16, P8)
     default = slab_sample(state, spec, scan_cap=1_000_000, method="fast")
     monkeypatch.setattr(experiment, "_CFLAGS", cflags)
-    kernel = experiment._load_kernel(tmp_path, P8)
+    defines = tuple(f"-DSHIFT_{k}={v}" for k, v in zip("ABC", (P8.a, P8.b, P8.c)))
+    kernel = experiment._load_kernel(tmp_path, experiment._LANES_SOURCE, defines)
     assert kernel is None
     if cflags == ("-c",) and shutil.which("gcc"):
         assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
@@ -296,7 +297,7 @@ def kernel_builds(tmp_path, params):
     flags = set(cpuinfo.read_text().split()) if cpuinfo.exists() else set()
     scans = {"avx512f": "scan_avx512f", "avx2": "scan_avx2", "plain": "scan"}
     source = tmp_path / "builds.c"
-    source.write_text(f'#include "{experiment._KERNEL_SOURCE}"\n'
+    source.write_text(f'#include "{experiment._LANES_SOURCE}"\n'
                       + "".join(f"int64_t build_{n}(PARAMS) {{ return {f}(ARGS); }}\n" for n, f in scans.items()))
     lib = tmp_path / f"builds-{params.a}-{params.b}-{params.c}.so"
     shifts = [f"-DSHIFT_{k}={v}" for k, v in zip("ABC", (params.a, params.b, params.c))]
@@ -393,7 +394,7 @@ def test_kernel_cache_ignores_relative_xdg_cache_home(monkeypatch, tmp_path, fre
     absolute = tmp_path / "xdg"
     monkeypatch.setenv("XDG_CACHE_HOME", str(absolute) if xdg == "absolute" else xdg)
     dirs = []
-    monkeypatch.setattr(experiment, "_load_kernel", lambda cache_dir, params: dirs.append(cache_dir))
+    monkeypatch.setattr(experiment, "_load_kernel", lambda cache_dir, source, defines: dirs.append(cache_dir))
     experiment._kernel(P8)
     cache = absolute if xdg == "absolute" else home / ".cache"
     assert dirs == [cache / "xsplanes"]
@@ -728,7 +729,7 @@ def test_experiment_config_validates():
         {"epsilon": -1.0}, {"epsilon": math.nan}, {"params": Params(63, 17, 26), "magnify_exp": 10},
         {"magnify_exp": 0}, {"magnify_exp": 54}, {"target_points": 0}, {"scan_cap": 0},
         {"magnify_exp": 40}, {"method": "slow"}, {"control_points": 0}, {"census_steps": 0},
-        {"n_bits": 0}, {"n_bits": 17}, {"grid": 1}, {"seed": -1}, {"control_seed": 1 << 128},
+        {"n_bits": 0}, {"n_bits": 17}, {"grid": 1}, {"grid": 4097}, {"seed": -1}, {"control_seed": 1 << 128},
     ]:
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
@@ -761,26 +762,43 @@ def test_run_experiment_deterministic(tmp_path):
 
 
 @pytest.mark.parametrize("a, e, grid", [(3, 1, 2), (23, 10, 17), (51, 23, 17), (62, 1, 17), (23, 10, 256)])
-def test_write_mesh_csv_matches_reference(tmp_path, a, e, grid):
-    # array mesh and streaming writer against the scalar mesh and the
-    # per-vertex writer; at grid 2 every fragment is dropped
-    for plane in family(a).planes:
-        path = tmp_path / f"mesh_{plane.name}.csv"
-        write_mesh_csv(path, mesh(plane, 2.0**-e, 2.0**e, grid))
-        assert path.read_text() == reference_mesh_csv(reference_mesh(plane, 2.0**-e, 2.0**e, grid))
+def test_write_mesh_csv_matches_reference(monkeypatch, tmp_path, a, e, grid):
+    # array mesh and streaming writer, with either formatter, against the
+    # scalar mesh and the per-vertex writer; at grid 2 every fragment is dropped
+    for fmt in text_paths():
+        monkeypatch.setattr(experiment, "_text_kernel", lambda: fmt)
+        for plane in family(a).planes:
+            path = tmp_path / f"mesh_{plane.name}.csv"
+            write_mesh_csv(path, mesh(plane, 2.0**-e, 2.0**e, grid))
+            assert path.read_text() == reference_mesh_csv(reference_mesh(plane, 2.0**-e, 2.0**e, grid))
 
 
-def test_write_mesh_csv_keeps_negative_zero(tmp_path):
+def test_write_mesh_csv_keeps_negative_zero(monkeypatch, tmp_path):
     # formatted values are shared by bit pattern, so -0.0 still prints as -0
-    # beside 0.0, in every column, and repeated y values print alike
+    # beside 0.0, in every column, and repeated y values print alike; the
+    # compiled formatter prints them alike too
     strips = [
         MeshStrip(0, np.array([[0.5, 0.0, -0.0], [0.5, -0.0, 0.0], [0.5, 0.0, 0.25], [0.5, 0.25, -0.0]])),
         MeshStrip(1, np.array([[-0.0, 0.25, 1e-300], [0.0, 0.25, 0.1], [0.75, -0.0, 2.0**-53]])),
     ]
     path = tmp_path / "mesh.csv"
-    write_mesh_csv(path, strips)
-    assert path.read_text() == reference_mesh_csv(strips)
-    assert path.read_text().startswith("0.5,0,-0\n0.5,-0,0\n")
+    for fmt in text_paths():
+        monkeypatch.setattr(experiment, "_text_kernel", lambda: fmt)
+        write_mesh_csv(path, strips)
+        assert path.read_text() == reference_mesh_csv(strips)
+        assert path.read_text().startswith("0.5,0,-0\n0.5,-0,0\n")
+
+
+def test_write_mesh_csv_empty_strips_on_both_paths(monkeypatch, tmp_path):
+    # no strip at all, and strips with no vertex, as "\n\n".join of the strips' row blocks
+    one = MeshStrip(0, np.array([[0.5, 0.0, 0.25]]))
+    empty = MeshStrip(1, np.empty((0, 3)))
+    path = tmp_path / "mesh.csv"
+    for strips in ([], [empty], [one, empty, one], [empty, one]):
+        for fmt in text_paths():
+            monkeypatch.setattr(experiment, "_text_kernel", lambda: fmt)
+            write_mesh_csv(path, strips)
+            assert path.read_text() == reference_mesh_csv(strips)
 
 
 @pytest.mark.parametrize("failure", ["replace", "strips"])

@@ -9,6 +9,7 @@ from helpers import component_count, height, reference_mesh
 from xsplanes.planes import (
     MeshStrip,
     Plane,
+    check_grid,
     epsilon_threshold,
     family,
     mesh,
@@ -254,8 +255,11 @@ def test_mesh_validates():
     for magnify in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             mesh(Plane(3, 1, 1), 0.5, magnify, 8)
-    with pytest.raises(ValueError):
-        mesh(Plane(3, 1, 1), 0.5, 2.0, 1)
+    # one plane's vertices take grid**2 * 24 bytes: 0.4 GB at the limit of 4096
+    check_grid(4096)
+    for grid in (1, 4097, 100_000):
+        with pytest.raises(ValueError, match=r"grid must be in 2\.\.4096"):
+            mesh(Plane(3, 1, 1), 0.5, 2.0, grid)
 
 
 def test_component_count_helper():

@@ -1,0 +1,205 @@
+"""The compiled CSV formatter (_text.c) against Python's '%.17g', and the files of both text paths."""
+
+from decimal import Decimal
+import locale
+import os
+import shutil
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from helpers import text_paths
+from xsplanes import experiment
+from xsplanes.engine import DEFAULT_PARAMS
+from xsplanes.experiment import ExperimentConfig, run_experiment, write_points_csv
+
+
+def compiled_rows(values) -> list[str]:
+    """The rows the compiled formatter writes for values, three to a row."""
+    fmt = experiment._text_kernel()
+    if fmt is None:
+        pytest.skip("the text kernel cannot be built here")
+    v = np.asarray(values, dtype=np.float64).reshape(-1, 3)
+    buf = np.empty(experiment._ROW_BYTES * len(v), dtype=np.uint8)
+    return bytes(experiment._format_rows(fmt, v, buf)).decode().splitlines(keepends=True)
+
+
+def assert_python_text(values):
+    """The compiled rows of values, padded to whole rows, are Python's '%.17g' rows."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    values = np.concatenate([values, np.full(-len(values) % 3, 0.5)])
+    got = compiled_rows(values)
+    want = ["%.17g,%.17g,%.17g\n" % tuple(row) for row in values.reshape(-1, 3).tolist()]
+    assert len(got) == len(want)
+    bad = [(g, w) for g, w in zip(got, want) if g != w]
+    assert not bad, bad[:5]
+    assert max(map(len, got)) <= experiment._ROW_BYTES
+
+
+def neighbours(x: float, n: int = 5) -> list[float]:
+    """x and the n doubles on each side of it."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[::-1] + above[1:]
+
+
+def test_random_bit_patterns():
+    rng = np.random.default_rng(20)
+    words = rng.integers(0, 1 << 64, 1_050_000, dtype=np.uint64)
+    values = words.view(np.float64)
+    values = values[np.isfinite(values)][:1_000_000]
+    assert len(values) == 1_000_000
+    assert_python_text(values)
+    # and random mantissas over the exponents of the exact integer path
+    exponents = rng.integers(1023 - 17, 1023 + 120, len(words), dtype=np.uint64)
+    assert_python_text((words & np.uint64((1 << 52) - 1 | 1 << 63) | exponents << np.uint64(52)).view(np.float64))
+
+
+def test_uniform_unit_values():
+    assert_python_text(np.random.default_rng(21).random(300_000))
+
+
+def test_powers_of_ten_and_neighbours():
+    values = [s * v for k in range(-8, 41) for v in neighbours(float(f"1e{k}")) for s in (1, -1)]
+    assert len(values) == 49 * 11 * 2
+    assert_python_text(values)
+
+
+def test_exact_path_bounds():
+    # the integer path takes 1e-5 <= |v| < 2**120; its neighbours outside go through snprintf
+    values = [s * v for x in (1e-5, 2.0**120) for v in neighbours(x) for s in (1, -1)]
+    assert_python_text(values)
+    # 16 - E = 22 at the low bound: a first draft that allowed 23 overflowed here
+    assert_python_text([9.9999999999999995e-07, 9.9999999999999995e-06, 1.0000000000000001e-05])
+
+
+def is_tie(x: float) -> bool:
+    """x lies halfway between two 17-digit decimals, so %.17g rounds it to the even one."""
+    digits = Decimal(x).normalize().as_tuple().digits
+    return len(digits) == 18 and digits[-1] == 5
+
+
+def test_half_even_ties():
+    assert compiled_rows([1 + 2**-17, 1 + 3 * 2**-17, -(1 + 2**-17)]) == [
+        "1.0000076293945312,1.0000228881835938,-1.0000076293945312\n"
+    ]
+    ties = [s * 2.0**p * (1 + j * 2**-17) for j in range(1, 64, 2) for p in (-16, -3, 0, 5, 40) for s in (1, -1)]
+    ties = [x for x in ties if is_tie(x)]
+    assert len(ties) >= 20
+    assert_python_text(ties)
+
+
+def test_zeros_subnormals_and_extremes():
+    assert_python_text([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                        -2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+                        1e-300, 1.5e-300, 1e300, 2.0**-1074 * 3, 1e-6, 9.99999e-6, 1e36, 2.0**121])
+
+
+def test_inf_and_nan():
+    negative_nan = np.array([0xFFF8000000000001], dtype=np.uint64).view(np.float64)[0]
+    assert compiled_rows([np.inf, -np.inf, np.nan]) == ["inf,-inf,nan\n"]
+    assert compiled_rows([negative_nan, 0.0, -0.0]) == ["nan,0,-0\n"]
+    assert_python_text([np.inf, -np.inf, np.nan, negative_nan, 1.0, -1.0])
+
+
+def test_longest_row_meets_the_row_bound():
+    # the longest text of a value is a negative subnormal's 24 bytes
+    longest = -2.2250738585072009e-308
+    row = compiled_rows([longest] * 3)
+    assert row == ["-2.2250738585072009e-308,-2.2250738585072009e-308,-2.2250738585072009e-308\n"]
+    assert len(row[0]) == experiment._ROW_BYTES == 75
+
+
+def test_text_ignores_callers_locale(tmp_path, monkeypatch):
+    # a caller's LC_NUMERIC with a decimal comma must not reach the text
+    # snprintf writes for zeros, tiny and huge values
+    if shutil.which("localedef") is None:
+        pytest.skip("no localedef")
+    (tmp_path / "comma").write_text(
+        'LC_NUMERIC\ndecimal_point "<U002C>"\nthousands_sep ""\ngrouping -1\nEND LC_NUMERIC\n'
+    )
+    # exit 1 warns of the categories the definition leaves out
+    subprocess.run(["localedef", "-c", "-i", str(tmp_path / "comma"), "-f", "UTF-8", str(tmp_path / "comma.UTF-8")],
+                   capture_output=True)
+    monkeypatch.setenv("LOCPATH", str(tmp_path))
+    saved = locale.setlocale(locale.LC_NUMERIC)
+    try:
+        try:
+            locale.setlocale(locale.LC_NUMERIC, "comma.UTF-8")
+        except locale.Error:
+            pytest.skip("the decimal-comma locale could not be built")
+        assert locale.localeconv()["decimal_point"] == ","
+        assert_python_text([1.5e-300, 5e-324, 2.0**200, 0.25, -0.0, 1e-5])
+    finally:
+        locale.setlocale(locale.LC_NUMERIC, saved)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5000])
+def test_write_points_csv_same_bytes_on_both_paths(monkeypatch, tmp_path, n):
+    # 5000 rows span several formatter calls
+    assert 5000 > 2 * experiment._TEXT_ROWS
+    points = np.random.default_rng(n).integers(0, 1 << 53, (n, 3), dtype=np.uint64)
+    points[:1] = 0
+    header = "# magnify=1024 params=23,17,26 seed=0x0000000000000007\n"
+    want = header + "".join("%.17g,%.17g,%.17g\n" % tuple(row) for row in (points * 2.0**-53).tolist())
+    for fmt in text_paths():
+        monkeypatch.setattr(experiment, "_text_kernel", lambda: fmt)
+        path = tmp_path / f"points-{fmt is None}.csv"
+        write_points_csv(path, points, 1024.0, DEFAULT_PARAMS, 7)
+        assert path.read_text() == want
+
+
+WORKLOADS = {
+    # the two benchmark workloads' flags, scaled down
+    "slab-scan": dict(magnify_exp=23, target_points=20),
+    "wide-slab": dict(magnify_exp=10, target_points=2000, control_points=1 << 12, census_steps=2000, grid=256),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_run_experiment_same_files_on_both_text_paths(monkeypatch, tmp_path, workload):
+    outputs = []
+    for fmt in text_paths():
+        monkeypatch.setattr(experiment, "_text_kernel", lambda: fmt)
+        out = tmp_path / f"{fmt is None}"
+        run_experiment(ExperimentConfig(seed=7, control_seed=7, output_dir=str(out), **WORKLOADS[workload]))
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert len(outputs[0]) == 11
+    assert all(files == outputs[0] for files in outputs)
+
+
+def test_text_library_built_once_by_fresh_cache(tmp_path):
+    # two mesh writers start from an empty cache: the parent builds the
+    # formatter before they fork, so neither compiles it, and no temp file
+    # is left in the cache or the output directory
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc on PATH")
+    code = """
+import subprocess, sys
+from xsplanes import experiment
+from xsplanes.engine import Params
+run = subprocess.run
+def logged(cmd, **kwargs):
+    if str(experiment._TEXT_SOURCE) in cmd:
+        with open(sys.argv[1], "a") as log:
+            log.write("built\\n")
+    return run(cmd, **kwargs)
+subprocess.run = logged
+experiment._WORKERS = 2
+experiment.run_experiment(experiment.ExperimentConfig(
+    params=Params(8, 17, 26), seed=2, target_points=300, control_points=20_000, census_steps=1_000,
+    grid=24, output_dir=sys.argv[2]))
+assert experiment._text_kernel() is not None
+"""
+    log, out, cache = tmp_path / "log", tmp_path / "out", tmp_path / "cache"
+    src = os.path.dirname(os.path.dirname(experiment.__file__))
+    env = dict(os.environ, XDG_CACHE_HOME=str(cache), PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code, str(log), str(out)], env=env, check=True, timeout=120)
+    assert log.read_text() == "built\n"
+    assert sorted(p.name.split("-")[0] for p in (cache / "xsplanes").iterdir()) == ["lanes", "text"]
+    assert len(list(out.iterdir())) == 11
+    assert not list(out.glob("*.tmp"))
