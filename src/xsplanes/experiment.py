@@ -21,27 +21,20 @@ kernel (_text.c), built and cached the same way, writes that text with
 exact integer arithmetic, byte for byte as Python does; where it cannot
 be built, Python's own formatting writes it.
 
-With an output directory, run_experiment forks one mesh writer process
-per usable CPU as soon as the scan has returned.  Writer i writes the
-mesh files of planes i, i + k, ... while the parent scores the sample,
-runs the control and the census and writes points.csv; the parent then
-waits for every writer before it writes overlay.json and report.json.  A
-writer's exception reaches the caller as an OSError with its message.  If
-the parent raises, it stops the writers and waits for them first, so no
-process outlives the call.  Every file goes through a temp file of its
-own, <name>.<pid>.<n>.tmp, renamed into place.  Where os.fork does not
-exist, the writers' work runs in-process before the parent's.
+With an output directory, run_experiment writes points.csv, the eight
+mesh files, overlay.json and report.json, in that order, once the sample
+is scored and the control and the census have run; a failed write stops
+the run, so a run that fails leaves no report.  Every file goes through
+a temp file of its own, <name>.<pid>.<n>.tmp, renamed into place.
 """
 
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-import contextlib
 import ctypes
 import functools
 import itertools
 import json
 import os
-import sys
 import threading
 import zlib
 
@@ -89,7 +82,7 @@ _CFLAGS = ("-O3", "-shared", "-fPIC")
 _CALL_TRIPLES = 1 << 28
 _CALL_HITS = 1 << 11
 _GROUP = 32
-# Control points and census steps are processed in chunks of these sizes,
+# Control points and census words are processed in chunks of these sizes,
 # which bounds their memory independently of the requested counts.
 _CONTROL_CHUNK = 1 << 15
 _CENSUS_CHUNK = 1 << 13
@@ -509,6 +502,11 @@ def case_census(state: GenState, n_steps: int, n_bits: int = 3) -> CaseCensus:
     satisfying at least one.  The carry leak frequency is the share of
     satisfied cells whose predicted plane value cx*x + cy*y misses the top
     n_bits of the actual output z.
+
+    A chunk's k steps read the k + 3 words w[i..i+k+2].  They are the s0
+    words of 64 lanes that start _CENSUS_CHUNK // 64 steps apart and
+    advance together; one jump moves every lane to the next chunk, which
+    starts _CENSUS_CHUNK - 3 steps later and so rereads the last 3 words.
     """
     _check_census(n_steps, n_bits)
     params = state.params
@@ -517,14 +515,19 @@ def case_census(state: GenState, n_steps: int, n_bits: int = 3) -> CaseCensus:
     coeffs = [[np.uint64(c & MASK64) for c in plane_coefficients(o, i, params.a)] for o, i in pairs]
     counts = np.zeros(len(pairs), dtype=np.int64)
     compound = leaks = 0
-    w0, w1 = state.s0, state.s1
-    for start in range(0, n_steps, _CENSUS_CHUNK):
-        k = min(_CENSUS_CHUNK, n_steps - start)
-        words = [w0, w1]
-        while len(words) < k + 3:
-            words.append(step_words(words[-2], words[-1], params)[1])
-        w0, w1 = words[k], words[k + 1]
-        w = np.array(words, dtype=np.uint64)
+    lanes, seg_len, chunk = 64, _CENSUS_CHUNK // 64, _CENSUS_CHUNK - 3
+    one_step = transition_rows(params)
+    starts = _lane_starts(one_step, np.array([[state.s0], [state.s1]], dtype=np.uint64), lanes, seg_len)[0]
+    jump = mat_pow(one_step, chunk)
+    words = np.empty((lanes, seg_len), dtype=np.uint64)
+    for start in range(0, n_steps, chunk):
+        k = min(chunk, n_steps - start)
+        s0, s1 = starts
+        for t in range(seg_len):
+            words[:, t] = s0
+            s0, s1 = step_words(s0, s1, params)
+        starts = act(jump, starts)
+        w = words.reshape(-1)[: k + 3]
         s, s_next = w[: k + 1], w[1 : k + 2]
         shifted = s << np.uint64(params.a)
         inner = np.array(column_cases(s >> drop, shifted >> drop))
@@ -725,109 +728,6 @@ def write_mesh_csv(path, strips) -> None:
     _atomic_write(Path(path), blocks())
 
 
-def _write_meshes(spec: SlabSpec, grid: int, meshes) -> None:
-    for plane, path in meshes:
-        write_mesh_csv(path, mesh(plane, spec.x_max, spec.magnify, grid))
-
-
-def _fork(job, part):
-    """Start job(part) in a forked process; its pid and the read end of a pipe that carries its failure.
-
-    The child leaves only through os._exit, so it never returns into the
-    caller's frames (under pytest, the test runner's) and never flushes a
-    buffer it inherited.  It ignores SIGINT, which a terminal's Ctrl-C
-    sends to the whole process group, and is stopped only by its parent's
-    one SIGTERM, which interrupts it as SIGINT would.  So the temp file it
-    is writing is removed, and no second signal cuts that cleanup short:
-    with both signals, a Ctrl-C could leave temp files behind.  The scan's
-    threads have ended by the fork; the child runs element-wise numpy code,
-    the compiled formatter and file writes, which take no lock that a
-    thread left behind (numpy's idle pool) could hold.
-    """
-    import signal  # here, not at the top: it is not loaded at start-up
-
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(r)
-            signal.signal(signal.SIGINT, signal.SIG_IGN)
-            signal.signal(signal.SIGTERM, signal.default_int_handler)
-            job(part)
-            status = 0
-        except BaseException as exc:  # the process ends here; its parent raises the message
-            os.write(w, (str(exc) if isinstance(exc, OSError) else repr(exc)).encode())
-        finally:
-            os._exit(status)
-    os.close(w)
-    return pid, open(r, "rb")
-
-
-def _reap(writers: list, stop: bool = False) -> list[str]:
-    """Wait for each (pid, pipe) writer, sent SIGTERM first if stop; the failed writers' messages, in order.
-
-    Each writer leaves the list once it has been waited for.  An exception
-    while waiting, an interrupt say, stops the writers still listed and
-    waits for them before it propagates.
-    """
-    import signal
-
-    failures = []
-    try:
-        if stop:
-            for pid, _ in writers:
-                os.kill(pid, signal.SIGTERM)
-        while writers:
-            pid, pipe = writers[0]
-            message = pipe.read()  # read to the end, which comes when the writer ends
-            status = os.waitpid(pid, 0)[1]
-            del writers[0]
-            pipe.close()
-            if status:
-                code = os.waitstatus_to_exitcode(status)
-                failures.append(message.decode(errors="replace") or f"a mesh writer ended with exit code {code}")
-    except BaseException:
-        if not stop:
-            _reap(writers, stop=True)
-        raise
-    return failures
-
-
-@contextlib.contextmanager
-def _writers(job, parts):
-    """Run job(part) for each part in a forked process of its own while the with block runs.
-
-    The block's end waits for every writer and raises the first failed
-    one's message as an OSError.  If the block raises, the writers are
-    stopped and waited for, and the block's exception propagates unchanged.
-    Without os.fork the jobs run here, in turn, before the block.
-    """
-    if not hasattr(os, "fork"):
-        for part in parts:
-            job(part)
-        yield
-        return
-    sys.stdout.flush()  # a writer inherits these buffers: emptied, they hold nothing it could emit twice
-    sys.stderr.flush()
-    procs = []
-    try:
-        for part in parts:
-            procs.append(_fork(job, part))
-        yield
-    except BaseException:
-        _reap(procs, stop=True)
-        raise
-    failures = _reap(procs)
-    if failures:
-        raise OSError(failures[0])
-
-
 def run_experiment(cfg: ExperimentConfig) -> HitReport:
     """Run the full pipeline and, if an output directory is set, write data files.
 
@@ -838,24 +738,12 @@ def run_experiment(cfg: ExperimentConfig) -> HitReport:
     fam = family(cfg.params.a)
     state = seed_state(cfg.seed, cfg.params)
     sample = slab_sample(state, spec, scan_cap=cfg.scan_cap, method=cfg.method)
-    out = None if cfg.output_dir is None else Path(cfg.output_dir)
-    parts = []
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        meshes = [(plane, out / f"mesh_{plane.name}.csv") for plane in fam.planes]
-        k = min(_WORKERS, len(meshes))
-        parts = [meshes[i::k] for i in range(k)]
-        _text_kernel()  # built or loaded here, once, so that no writer compiles it
-    with _writers(functools.partial(_write_meshes, spec, cfg.grid), parts):
-        if sample.n_in_slab:
-            stats = hit_stats(sample.points, fam, cfg.epsilon, spec)
-        else:  # a hit fraction over no points is undefined
-            stats = HitStats(0, 0, None, {p.name: 0 for p in fam.planes})
-        control = control_baseline(cfg.control_points, fam, cfg.epsilon, cfg.control_seed)
-        census = case_census(seed_state(cfg.seed, cfg.params), cfg.census_steps, cfg.n_bits)
-        if out is not None:
-            points_file = out / "points.csv"
-            write_points_csv(points_file, sample.points, spec.magnify, cfg.params, cfg.seed)
+    if sample.n_in_slab:
+        stats = hit_stats(sample.points, fam, cfg.epsilon, spec)
+    else:  # a hit fraction over no points is undefined
+        stats = HitStats(0, 0, None, {p.name: 0 for p in fam.planes})
+    control = control_baseline(cfg.control_points, fam, cfg.epsilon, cfg.control_seed)
+    census = case_census(seed_state(cfg.seed, cfg.params), cfg.census_steps, cfg.n_bits)
     if stats.hit_fraction is not None and control > 0.0:
         ratio = stats.hit_fraction / control
     else:
@@ -879,16 +767,21 @@ def run_experiment(cfg: ExperimentConfig) -> HitReport:
         case_frequencies=case_frequencies,
         carry_leak_frequency=census.carry_leak_frequency,
     )
-    if out is not None:
-        mesh_files = [path.name for _, path in meshes]
+    if cfg.output_dir is not None:
+        out = Path(cfg.output_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        write_points_csv(out / "points.csv", sample.points, spec.magnify, cfg.params, cfg.seed)
+        mesh_files = [f"mesh_{plane.name}.csv" for plane in fam.planes]
+        for plane, name in zip(fam.planes, mesh_files):
+            write_mesh_csv(out / name, mesh(plane, spec.x_max, spec.magnify, cfg.grid))
         report.files = {
-            "points": points_file.name,
+            "points": "points.csv",
             "meshes": mesh_files,
             "overlay": "overlay.json",
             "report": "report.json",
         }
         overlay = {
-            "points": points_file.name,
+            "points": "points.csv",
             "meshes": mesh_files,
             "magnify": spec.magnify,
             "epsilon": cfg.epsilon,

@@ -131,7 +131,8 @@ class MeshStrip:
 
 
 # At 4096 stations a plane's vertex array alone is 4096**2 * 24 bytes, 0.4 GB,
-# in every mesh writer at once; a grid of 10**5 would need 240 GB.
+# and the arrays that build it about 0.3 GB more; the meshes are built one
+# at a time.  A grid of 10**5 would need 240 GB.
 MAX_GRID = 4096
 
 

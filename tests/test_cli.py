@@ -316,9 +316,8 @@ def test_planes_mesh_writer_failure_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_planes_process_prints_one_report(tmp_path):
-    # stdout and stderr go to files, so they are block-buffered: a mesh
-    # writer process that returned into the CLI or emitted what it inherited
-    # would print twice
+    # stdout and stderr go to files, so they are block-buffered: the one
+    # report and the two stderr lines reach them once each, whole
     out_dir = tmp_path / "o"
     src = os.path.dirname(os.path.dirname(experiment.__file__))
     env = dict(os.environ, PYTHONPATH=src)

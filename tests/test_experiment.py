@@ -649,7 +649,7 @@ def _recount(state, n_steps, n_bits):
                     leaks += tops((cx * x + cy * y) & MASK64) != tops(z)
         compound += any_cell
     grid = {f"{o.value}|{i.value}": v / n_steps for (o, i), v in counts.items()}
-    return grid, compound / n_steps, leaks / checks
+    return grid, compound / n_steps, (leaks / checks) if checks else 0.0
 
 
 def test_census_against_independent_recount():
@@ -662,10 +662,22 @@ def test_census_against_independent_recount():
     assert census.carry_leak_frequency == leak
 
 
-@pytest.mark.parametrize("params, n_bits", [(Params(23, 17, 26), 3), (Params(5, 9, 11), 2)])
-def test_census_recount_across_chunks(params, n_bits):
-    # more than two chunks, ending in a partial one
-    n_steps = 2 * _CENSUS_CHUNK + 1001
+_SEAM = _CENSUS_CHUNK - 3  # the steps of one census chunk
+
+
+@pytest.mark.parametrize(
+    "params, n_bits, n_steps",
+    [
+        # more than two chunks, ending in a partial one
+        pytest.param(Params(23, 17, 26), 3, 2 * _CENSUS_CHUNK + 1001, id="params0-3"),
+        pytest.param(Params(5, 9, 11), 2, 2 * _CENSUS_CHUNK + 1001, id="params1-2"),
+        # the seams between chunks, where the lanes jump and 3 words are reread
+        *(pytest.param(Params(23, 17, 26), 3, n, id=f"seam-{n}")
+          for n in (1, _SEAM - 1, _SEAM, _SEAM + 1, 2 * _SEAM, 2 * _SEAM + 1)),
+        pytest.param(Params(26, 19, 5), 3, 2 * _SEAM + 1, id="small-c"),
+    ],
+)
+def test_census_recount_across_chunks(params, n_bits, n_steps):
     state = seed_state(10, params)
     census = case_census(state, n_steps, n_bits)
     grid, compound, leak = _recount(state, n_steps, n_bits)
@@ -841,19 +853,8 @@ def test_atomic_write_of_one_path_inside_another(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
-def assert_no_writer_left(out):
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert not list(out.glob("*.tmp"))
-
-
-@pytest.mark.parametrize("workers, fork", [(1, True), (3, True), (16, True), (2, False)])
-def test_run_experiment_meshes_match_in_process_writer(monkeypatch, tmp_path, workers, fork):
-    # meshes written by 1, 3 or 8 writer processes, or in-process where
-    # os.fork does not exist, are the single-process writer's bytes
-    monkeypatch.setattr(experiment, "_WORKERS", workers)
-    if not fork:
-        monkeypatch.delattr(os, "fork")
+def test_run_experiment_meshes_match_in_process_writer(tmp_path):
+    # the run's mesh files, in family order, are write_mesh_csv's bytes
     cfg = _small_config(tmp_path, "run")
     report = run_experiment(cfg)
     planes = family(cfg.params.a).planes
@@ -861,12 +862,11 @@ def test_run_experiment_meshes_match_in_process_writer(monkeypatch, tmp_path, wo
     for plane, name in zip(planes, report.files["meshes"]):
         write_mesh_csv(tmp_path / name, mesh(plane, cfg.spec.x_max, cfg.spec.magnify, cfg.grid))
         assert (tmp_path / "run" / name).read_bytes() == (tmp_path / name).read_bytes()
-    assert_no_writer_left(tmp_path / "run")
+    assert not list((tmp_path / "run").glob("*.tmp"))
 
 
-@pytest.mark.parametrize("fork", [True, False])
-def test_run_experiment_mesh_writer_failure(monkeypatch, tmp_path, fork):
-    # every writer fails halfway through its first file; the first writer's
+def test_run_experiment_mesh_writer_failure(monkeypatch, tmp_path):
+    # every mesh write fails halfway through its file; the first mesh's
     # message is raised, and neither overlay.json nor report.json is written
     def failing(path, strips):
         def chunks():
@@ -876,8 +876,6 @@ def test_run_experiment_mesh_writer_failure(monkeypatch, tmp_path, fork):
         experiment._atomic_write(Path(path), chunks())
 
     monkeypatch.setattr(experiment, "write_mesh_csv", failing)
-    if not fork:
-        monkeypatch.delattr(os, "fork")
     cfg = _small_config(tmp_path, "run")
     first = family(cfg.params.a).planes[0]
     with pytest.raises(OSError) as info:
@@ -885,13 +883,14 @@ def test_run_experiment_mesh_writer_failure(monkeypatch, tmp_path, fork):
     assert str(info.value) == f"disk full at mesh_{first.name}.csv"
     out = tmp_path / "run"
     assert not (out / "report.json").exists() and not (out / "overlay.json").exists()
-    assert_no_writer_left(out)
+    assert not list(out.glob("*.tmp"))
 
 
 @pytest.mark.parametrize("exc", [RuntimeError("census failed"), KeyboardInterrupt()], ids=["error", "interrupt"])
 def test_run_experiment_parent_failure_stops_writers(monkeypatch, tmp_path, exc):
-    # the writers hang mid-file; an exception in the parent stops them, so
-    # the call returns at once, with that exception, no writer and no temp file
+    # the census fails before any file is written, so the mesh writes,
+    # which would hang mid-file, never start: the call returns at once,
+    # with that exception and no temp file
     def hanging(path, strips):
         def chunks():
             yield "partial"
@@ -911,16 +910,14 @@ def test_run_experiment_parent_failure_stops_writers(monkeypatch, tmp_path, exc)
     assert time.monotonic() - start < 30
     out = tmp_path / "run"
     assert not (out / "report.json").exists()
-    assert_no_writer_left(out)
+    assert not list(out.glob("*.tmp"))
 
 
-CTRL_C = """
-import os, signal, sys, time
+HANG_IN_MESH = """
+import sys, time
 from pathlib import Path
 from xsplanes import experiment
 from xsplanes.engine import Params
-
-out = Path(sys.argv[1])
 
 def hanging(path, strips):
     def chunks():
@@ -928,40 +925,32 @@ def hanging(path, strips):
         time.sleep(60)
     experiment._atomic_write(Path(path), chunks())
 
-def ctrl_c(*args):
-    while len(list(out.glob("*.tmp"))) < 2:  # both writers are mid-file
-        time.sleep(0.01)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    os.killpg(0, signal.SIGINT)  # only the writers see this one
-    signal.signal(signal.SIGINT, signal.default_int_handler)
-    time.sleep(0.3)
-    print(len(list(out.glob("*.tmp"))), flush=True)
-    os.killpg(0, signal.SIGINT)
-    time.sleep(60)
-
-experiment._WORKERS = 2
 experiment.write_mesh_csv = hanging
-experiment.case_census = ctrl_c
 experiment.run_experiment(experiment.ExperimentConfig(
     params=Params(8, 17, 26), seed=2, target_points=300, control_points=20_000, census_steps=1_000,
-    grid=24, output_dir=str(out)))
+    grid=24, output_dir=sys.argv[1]))
 """
 
 
 def test_ctrl_c_stops_run_and_writers(tmp_path):
-    # a terminal's Ctrl-C sends SIGINT to the whole process group while the
-    # writers are mid-file.  The writers ignore it and are interrupted only
-    # by their parent's SIGTERM, so no second signal cuts their cleanup
-    # short: the run ends by the interrupt, with no process left in its
-    # group and no temp file
+    # a terminal's Ctrl-C sends SIGINT to the whole process group while a
+    # mesh file is half written: the run ends by the interrupt, with no
+    # process left in its group, no temp file and no report
     out = tmp_path / "o"
     src = os.path.dirname(os.path.dirname(experiment.__file__))
-    proc = subprocess.Popen([sys.executable, "-c", CTRL_C, str(out)], env=dict(os.environ, PYTHONPATH=src),
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
-    mid_file, err = proc.communicate(timeout=120)
+    proc = subprocess.Popen([sys.executable, "-c", HANG_IN_MESH, str(out)], env=dict(os.environ, PYTHONPATH=src),
+                            stderr=subprocess.PIPE, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 120
+        while not list(out.glob("mesh_*.tmp")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
     assert proc.returncode == -signal.SIGINT, err.decode()
-    assert mid_file == b"2\n"
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, 0)
     assert not list(out.glob("*.tmp"))
-    assert not (out / "report.json").exists()
+    assert (out / "points.csv").exists() and not (out / "report.json").exists()

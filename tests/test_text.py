@@ -173,9 +173,8 @@ def test_run_experiment_same_files_on_both_text_paths(monkeypatch, tmp_path, wor
 
 
 def test_text_library_built_once_by_fresh_cache(tmp_path):
-    # two mesh writers start from an empty cache: the parent builds the
-    # formatter before they fork, so neither compiles it, and no temp file
-    # is left in the cache or the output directory
+    # a run from an empty cache compiles the formatter once, for all nine
+    # CSV files, and leaves no temp file in the cache or the output directory
     if shutil.which("gcc") is None:
         pytest.skip("no gcc on PATH")
     code = """
@@ -189,7 +188,6 @@ def logged(cmd, **kwargs):
             log.write("built\\n")
     return run(cmd, **kwargs)
 subprocess.run = logged
-experiment._WORKERS = 2
 experiment.run_experiment(experiment.ExperimentConfig(
     params=Params(8, 17, 26), seed=2, target_points=300, control_points=20_000, census_steps=1_000,
     grid=24, output_dir=sys.argv[2]))
