@@ -853,21 +853,34 @@ def test_atomic_write_of_one_path_inside_another(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
-def test_run_experiment_meshes_match_in_process_writer(tmp_path):
+def assert_no_writer_left(out):
+    # the run starts no process of its own and leaves no temp file
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not list(out.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("seed, fork", [(1, True), (3, True), (16, True), (2, False)])
+def test_run_experiment_meshes_match_in_process_writer(monkeypatch, tmp_path, seed, fork):
     # the run's mesh files, in family order, are write_mesh_csv's bytes
-    cfg = _small_config(tmp_path, "run")
+    # whatever the scan's seed, and also where os.fork does not exist
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    cfg = dataclasses.replace(_small_config(tmp_path, "run"), seed=seed)
     report = run_experiment(cfg)
     planes = family(cfg.params.a).planes
     assert report.files["meshes"] == [f"mesh_{p.name}.csv" for p in planes]
     for plane, name in zip(planes, report.files["meshes"]):
         write_mesh_csv(tmp_path / name, mesh(plane, cfg.spec.x_max, cfg.spec.magnify, cfg.grid))
         assert (tmp_path / "run" / name).read_bytes() == (tmp_path / name).read_bytes()
-    assert not list((tmp_path / "run").glob("*.tmp"))
+    assert_no_writer_left(tmp_path / "run")
 
 
-def test_run_experiment_mesh_writer_failure(monkeypatch, tmp_path):
-    # every mesh write fails halfway through its file; the first mesh's
-    # message is raised, and neither overlay.json nor report.json is written
+@pytest.mark.parametrize("fork", [True, False])
+def test_run_experiment_mesh_writer_failure(monkeypatch, tmp_path, fork):
+    # every mesh write fails halfway through its file, with or without
+    # os.fork; the first mesh's message is raised, and neither overlay.json
+    # nor report.json is written
     def failing(path, strips):
         def chunks():
             yield "partial"
@@ -876,6 +889,8 @@ def test_run_experiment_mesh_writer_failure(monkeypatch, tmp_path):
         experiment._atomic_write(Path(path), chunks())
 
     monkeypatch.setattr(experiment, "write_mesh_csv", failing)
+    if not fork:
+        monkeypatch.delattr(os, "fork")
     cfg = _small_config(tmp_path, "run")
     first = family(cfg.params.a).planes[0]
     with pytest.raises(OSError) as info:
@@ -883,7 +898,7 @@ def test_run_experiment_mesh_writer_failure(monkeypatch, tmp_path):
     assert str(info.value) == f"disk full at mesh_{first.name}.csv"
     out = tmp_path / "run"
     assert not (out / "report.json").exists() and not (out / "overlay.json").exists()
-    assert not list(out.glob("*.tmp"))
+    assert_no_writer_left(out)
 
 
 @pytest.mark.parametrize("exc", [RuntimeError("census failed"), KeyboardInterrupt()], ids=["error", "interrupt"])
