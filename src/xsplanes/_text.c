@@ -2,11 +2,21 @@
  *
  * xs_format_rows writes each row of a (rows, 3) float64 array as
  * "%.17g,%.17g,%.17g\n", byte for byte as Python's '%.17g' % v, and
- * returns the number of bytes written.  A value takes at most 24 bytes
- * (sign, 17 digits, point and a three-digit exponent, as in
- * -4.9406564584124654e-324), so a row takes at most 3 * 24 + 3 = 75
- * bytes, and out must hold 75 * rows.  Returns -1, with out undefined, if
- * no C numeric locale can be made.
+ * returns the number of bytes written.  Before row r it also writes one
+ * blank line "\n" for each of the nbreaks row indices in breaks (ascending,
+ * may repeat; NULL if nbreaks is 0) that equals r, and after the last row
+ * one for each that equals rows.  A value takes at most 24 bytes (sign, 17
+ * digits, point and a three-digit exponent, as in -4.9406564584124654e-324),
+ * so a row takes at most 3 * 24 + 3 = 75 bytes, and out must hold
+ * 75 * rows + nbreaks.  Returns -1, with out undefined, if no C numeric
+ * locale can be made.
+ *
+ * Within one call a value whose bit pattern was already formatted in the
+ * same column copies that text from a small table on the stack, so a
+ * mesh's x (constant along a strip) and y (the same stations in every
+ * strip) are formatted once a call.  Keying by bits keeps -0.0 and 0.0
+ * apart.  A text is copied as a fixed 24 bytes and the excess is
+ * overwritten by what follows, which the bound above leaves room for.
  *
  * Finite values with 1e-5 <= |v| < 2**120 are converted exactly in
  * integers.  With v = m * 2**q and E = floor(log10 |v|), the 17 digits are
@@ -16,12 +26,15 @@
  * floor(log10 2**e2) for the binary exponent e2, exact over this range,
  * which is E or E - 1; an N of 10**17 or more means E + 1, whether the
  * estimate was low or rounding carried into an 18th digit, and is
- * recomputed there once.  The digits are laid out as %g does: trailing
- * zeros dropped, exponent form e+XX / e-XX when E < -4 or E >= 17.
+ * recomputed there once.  The digits of N come two at a time from a table
+ * of the pairs 00..99, for its top nine and low eight digits apart.  They
+ * are laid out as %g does: trailing zeros dropped, exponent form e+XX /
+ * e-XX when E < -4 or E >= 17.
  *
- * Every other value (zeros, tiny, huge, subnormal, inf) goes through
- * snprintf under a C LC_NUMERIC locale, so the text never depends on the
- * caller's locale; NaN of either sign prints as nan, as in Python.
+ * Zeros are written as 0 and -0.  Every other value (tiny, huge,
+ * subnormal, inf) goes through snprintf under a C LC_NUMERIC locale, so
+ * the text never depends on the caller's locale; NaN of either sign
+ * prints as nan, as in Python.
  */
 #include <locale.h>
 #include <math.h>
@@ -32,6 +45,12 @@
 typedef unsigned __int128 u128;
 
 #define TEN17 100000000000000000ull
+#define TEN8 100000000u
+
+static const char PAIRS[200] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
 
 static const uint64_t P10[20] = {
     1ull, 10ull, 100ull, 1000ull, 10000ull, 100000ull, 1000000ull, 10000000ull, 100000000ull,
@@ -62,6 +81,16 @@ static uint64_t scaled(uint64_t m, int q, int k)
     return n + (rem > half || (rem == half && (n & 1)));
 }
 
+/* the eight decimal digits of x < 10**8 at d */
+static void digits8(uint32_t x, char *d)
+{
+    uint32_t hi = x / 10000, lo = x % 10000;
+    memcpy(d, PAIRS + 2 * (hi / 100), 2);
+    memcpy(d + 2, PAIRS + 2 * (hi % 100), 2);
+    memcpy(d + 4, PAIRS + 2 * (lo / 100), 2);
+    memcpy(d + 6, PAIRS + 2 * (lo % 100), 2);
+}
+
 /* The %.17g text of v at p, for 1e-5 <= |v| < 2**120; returns its length. */
 static int exact(double v, char *p)
 {
@@ -74,8 +103,10 @@ static int exact(double v, char *p)
     if (n >= TEN17)
         n = scaled(m, q, 16 - ++e);
     char d[17];
-    for (int i = 16; i >= 0; i--, n /= 10)
-        d[i] = (char)('0' + n % 10);
+    uint32_t top = (uint32_t)(n / TEN8);  /* below 10**9 */
+    d[0] = (char)('0' + top / TEN8);
+    digits8(top % TEN8, d + 1);
+    digits8((uint32_t)(n % TEN8), d + 9);
     int nd = 17;
     while (d[nd - 1] == '0')
         nd--;
@@ -86,7 +117,7 @@ static int exact(double v, char *p)
         *s++ = d[0];
         if (nd > 1) {
             *s++ = '.';
-            memcpy(s, d + 1, nd - 1);
+            memcpy(s, d + 1, 16);  /* fixed-length copies stay within the 24 bytes */
             s += nd - 1;
         }
         *s++ = 'e';
@@ -102,38 +133,101 @@ static int exact(double v, char *p)
             memcpy(s, d + e + 1, nd - e - 1);
             s += nd - e - 1;
         }
-    } else {
-        *s++ = '0';
-        *s++ = '.';
-        memset(s, '0', -e - 1);
-        s += -e - 1;
-        memcpy(s, d, nd);
+    } else {  /* "0.", then -e - 1 <= 3 zeros */
+        memcpy(s, "0.000", 5);
+        s += 1 - e;
+        memcpy(s, d, 17);
         s += nd;
     }
     return (int)(s - p);
 }
 
-int64_t xs_format_rows(const double *v, int64_t rows, char *out)
+/* The %.17g text of v, whose bit pattern is bits, at p; returns its length,
+ * or -1 if no C locale can be made.  *c holds the C locale once one is
+ * needed, and *old the caller's, for xs_format_rows to restore. */
+static int text(double v, uint64_t bits, char *p, locale_t *c, locale_t *old)
 {
+    double a = fabs(v);
+    if (a >= 1e-5 && a < 0x1p120)
+        return exact(v, p);
+    if (!(bits << 1)) {  /* 0.0 or -0.0 */
+        memcpy(p, bits ? "-0" : "0", 2);
+        return bits ? 2 : 1;
+    }
+    if (isnan(v)) {
+        memcpy(p, "nan", 3);
+        return 3;
+    }
+    if (!*c) {
+        if (!(*c = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0)))
+            return -1;
+        *old = uselocale(*c);
+    }
+    return snprintf(p, 25, "%.17g", v);  /* its NUL lands where the separator goes */
+}
+
+/* The texts of one column kept in a call: an open-addressing table of
+ * SLOTS slots, each 0 or 1 + the index of a kept text.  At most KEEP =
+ * SLOTS / 2 texts are kept, so a lookup always meets an empty slot; later
+ * new values are formatted every time.  A column with no hit by the time
+ * its table is full (random points, a mesh's z) is not looked up again in
+ * the call, which keeps a miss at about the cost of no table. */
+#define SLOT_BITS 9
+#define SLOTS (1 << SLOT_BITS)
+#define KEEP (SLOTS / 2)
+
+struct column {
+    uint16_t slot[SLOTS];
+    int kept, hits;
+    uint8_t len[KEEP];
+    struct {
+        uint64_t bits;
+        char s[24];
+    } text[KEEP];
+};
+
+int64_t xs_format_rows(const double *v, int64_t rows, const int64_t *breaks, int64_t nbreaks, char *out)
+{
+    struct column col[3];
     locale_t c = (locale_t)0, old = (locale_t)0;
     char *p = out;
-    for (int64_t i = 0; i < 3 * rows; i++) {
-        double a = fabs(v[i]);
-        if (a >= 1e-5 && a < 0x1p120) {
-            p += exact(v[i], p);
-        } else if (isnan(v[i])) {
-            memcpy(p, "nan", 3);
-            p += 3;
-        } else {
-            if (!c) {
-                if (!(c = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0)))
-                    return -1;
-                old = uselocale(c);
-            }
-            p += snprintf(p, 25, "%.17g", v[i]);  /* its NUL lands where the separator goes */
-        }
-        *p++ = i % 3 == 2 ? '\n' : ',';
+    int64_t b = 0;
+    for (int k = 0; k < 3; k++) {
+        memset(col[k].slot, 0, sizeof col[k].slot);
+        col[k].kept = col[k].hits = 0;
     }
+    for (int64_t r = 0; r < rows; r++) {
+        for (; b < nbreaks && breaks[b] <= r; b++)
+            *p++ = '\n';
+        for (int k = 0; k < 3; k++) {
+            struct column *t = &col[k];
+            uint64_t bits;
+            memcpy(&bits, &v[3 * r + k], sizeof bits);
+            unsigned h = (unsigned)((bits * 0x9e3779b97f4a7c15ull) >> (64 - SLOT_BITS)), i = 0;
+            if (t->kept < KEEP || t->hits)
+                while ((i = t->slot[h]) && t->text[i - 1].bits != bits)
+                    h = (h + 1) & (SLOTS - 1);
+            if (i) {
+                t->hits = 1;
+                memcpy(p, t->text[i - 1].s, 24);
+                p += t->len[i - 1];
+            } else {
+                int len = text(v[3 * r + k], bits, p, &c, &old);
+                if (len < 0)
+                    return -1;
+                if (t->kept < KEEP) {
+                    t->text[t->kept].bits = bits;
+                    memcpy(t->text[t->kept].s, p, 24);
+                    t->len[t->kept] = (uint8_t)len;
+                    t->slot[h] = (uint16_t)++t->kept;
+                }
+                p += len;
+            }
+            *p++ = k == 2 ? '\n' : ',';
+        }
+    }
+    for (; b < nbreaks; b++)
+        *p++ = '\n';
     if (c) {
         uselocale(old);
         freelocale(c);

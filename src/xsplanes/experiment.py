@@ -622,8 +622,9 @@ class HitReport:
 _ROW = "%.17g,%.17g,%.17g"
 _TMP_IDS = itertools.count()
 # The compiled CSV formatter (_text.c) writes at most _ROW_BYTES bytes a
-# row; points.csv is formatted _TEXT_ROWS rows a call, a mesh a strip a
-# call, so the text buffer stays small however many points are written.
+# row and one a blank line; points.csv and the meshes are formatted at most
+# _TEXT_ROWS rows a call, a mesh with at most _TEXT_ROWS blank lines a call,
+# so the text buffer stays small however many points or strips are written.
 _TEXT_SOURCE = Path(__file__).with_name("_text.c")
 _ROW_BYTES = 75
 _TEXT_ROWS = 1 << 11
@@ -632,16 +633,22 @@ _TEXT_ROWS = 1 << 11
 @functools.cache
 def _text_kernel():
     """The compiled %.17g row formatter, loaded once per process, or None where it cannot be built."""
-    ptr = ctypes.c_void_p
-    return _compiled(_TEXT_SOURCE, (), "xs_format_rows", ctypes.c_int64, [ptr, ctypes.c_int64, ptr])
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    return _compiled(_TEXT_SOURCE, (), "xs_format_rows", i64, [ptr, i64, ptr, i64, ptr])
 
 
-def _format_rows(fmt, values, buf: np.ndarray) -> memoryview:
-    """The rows of an (n, 3) float64 array as %.17g CSV text in buf, written by fmt: a view of buf."""
+def _format_rows(fmt, values, buf: np.ndarray, breaks=()) -> memoryview:
+    """The rows of an (n, 3) float64 array as %.17g CSV text in buf, written by fmt: a view of buf.
+
+    A blank line goes before row i for each i in breaks, ascending, and
+    after the last row for each i equal to n.
+    """
     values = np.ascontiguousarray(values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[1] != 3 or buf.dtype != np.uint8 or buf.size < _ROW_BYTES * len(values):
-        raise ValueError(f"need (n, 3) rows and a uint8 buffer of {_ROW_BYTES} bytes a row")
-    n = fmt(values.ctypes.data, len(values), buf.ctypes.data)
+    breaks = np.ascontiguousarray(breaks, dtype=np.int64)
+    if (values.ndim != 2 or values.shape[1] != 3 or breaks.ndim != 1 or buf.dtype != np.uint8
+            or buf.size < _ROW_BYTES * len(values) + len(breaks)):
+        raise ValueError(f"need (n, 3) rows and a uint8 buffer of {_ROW_BYTES} bytes a row and one a break")
+    n = fmt(values.ctypes.data, len(values), breaks.ctypes.data, len(breaks), buf.ctypes.data)
     if n < 0:
         raise OSError("no C numeric locale for the CSV text")
     return memoryview(buf)[:n]
@@ -697,35 +704,57 @@ class _Formatted(dict):
 def write_mesh_csv(path, strips) -> None:
     """Mesh strips as `x_mag,y,z` rows, blank line between strips.
 
-    Written strip by strip.  The compiled formatter formats a strip in one
-    call.  Without it, the x and y values, which repeat across a mesh (one
-    x per strip, one y per station), are each formatted once, and only z
-    is formatted per vertex.
+    With the compiled formatter, consecutive strips are formatted
+    _TEXT_ROWS rows a call, a longer strip split across calls, with the
+    blank lines between strips passed as breaks; the formatter reuses the
+    text of x and y values repeated within a call.  Without it, the x and
+    y values, which repeat across a mesh (one x per strip, one y per
+    station), are each formatted once, and only z is formatted per vertex.
+    Either way the text is the strips' rows, "\n\n"-joined strip by
+    strip, and a final newline.
     """
     fmt = _text_kernel()
     text = _Formatted()
 
-    def blocks():
-        sep = ""
-        buf = np.empty(0, dtype=np.uint8)
+    def batches():
+        # each row ends in "\n"; a blank line goes before each strip but the
+        # first and stands for an empty strip's rows, and no strip at all
+        # writes as one empty strip
+        buf = np.empty((_ROW_BYTES + 1) * _TEXT_ROWS, dtype=np.uint8)
+        none = np.empty((0, 3))
+        pending, n, breaks, first = [none], 0, [], True
         for strip in strips:
             v = strip.vertices
-            if fmt is not None:
-                if buf.size < _ROW_BYTES * len(v):
-                    buf = np.empty(_ROW_BYTES * len(v), dtype=np.uint8)
-                yield sep
-                yield _format_rows(fmt, v, buf)[:-1]  # the rows without the last newline
-            else:
-                bits = v.view(np.uint64)
-                args = [None] * v.size
-                args[2::3] = v[:, 2].tolist()
-                args[0::3] = map(text.__getitem__, bits[:, 0].tolist())
-                args[1::3] = map(text.__getitem__, bits[:, 1].tolist())
-                yield sep + "\n".join(["%s,%s,%.17g"] * len(v)) % tuple(args)
+            if len(breaks) + 2 > _TEXT_ROWS:  # here n < _TEXT_ROWS
+                yield _format_rows(fmt, np.concatenate(pending), buf, breaks)
+                pending, n, breaks = [none], 0, []
+            breaks += [n] * ((not first) + (len(v) == 0))
+            first = False
+            pending.append(v)
+            n += len(v)
+            while n >= _TEXT_ROWS:
+                rows = np.concatenate(pending)
+                yield _format_rows(fmt, rows[:_TEXT_ROWS], buf, breaks)
+                pending, n, breaks = [rows[_TEXT_ROWS:]], n - _TEXT_ROWS, []
+        if first:
+            breaks.append(0)
+        if n or breaks:
+            yield _format_rows(fmt, np.concatenate(pending), buf, breaks)
+
+    def blocks():
+        sep = ""
+        for strip in strips:
+            v = strip.vertices
+            bits = v.view(np.uint64)
+            args = [None] * v.size
+            args[2::3] = v[:, 2].tolist()
+            args[0::3] = map(text.__getitem__, bits[:, 0].tolist())
+            args[1::3] = map(text.__getitem__, bits[:, 1].tolist())
+            yield sep + "\n".join(["%s,%s,%.17g"] * len(v)) % tuple(args)
             sep = "\n\n"
         yield "\n"
 
-    _atomic_write(Path(path), blocks())
+    _atomic_write(Path(path), blocks() if fmt is None else batches())
 
 
 def run_experiment(cfg: ExperimentConfig) -> HitReport:

@@ -813,6 +813,45 @@ def test_write_mesh_csv_empty_strips_on_both_paths(monkeypatch, tmp_path):
             assert path.read_text() == reference_mesh_csv(strips)
 
 
+def batched_strips(case: str) -> list[MeshStrip]:
+    """Strips that exercise the compiled writer's batching and text reuse."""
+    rng = np.random.default_rng(len(case))
+    rows = experiment._TEXT_ROWS
+
+    def strip(x, ys):
+        v = np.empty((len(ys), 3))
+        v[:, 0], v[:, 1], v[:, 2] = x, ys, rng.random(len(ys))
+        return MeshStrip(0, v)
+
+    stations = np.arange(300) / 299
+    empty = MeshStrip(1, np.empty((0, 3)))
+    if case == "straddle":  # strips end on the first call boundary, then one straddles the second
+        assert rows == 10 * 200 + 48
+        return [strip(0.25, stations[:200]) for _ in range(10)] + [strip(0.5, stations[:48]), empty] + [
+            strip(0.75, stations) for _ in range(8)] + [empty, strip(1.0, stations[:10])]
+    if case == "long":  # one strip of more rows than a call, between short ones
+        return [strip(0.0, stations[:5]), strip(0.5, rng.random(2 * rows + 7)), strip(1.0, stations[:5])]
+    if case == "zeros-nans":  # -0.0 and 0.0, two NaN payloads and neighbours in every column, across strips
+        nans = np.array([0x7FF8000000000001, 0xFFF8000000000002], dtype=np.uint64).view(np.float64)
+        values = np.array([0.0, -0.0, *nans, 0.5, np.nextafter(0.5, 1.0)])
+        return [MeshStrip(j, values[rng.integers(0, len(values), (600, 3))]) for j in range(5)]
+    if case == "many-values":  # 1000 distinct x and y values a call, repeating
+        xs = rng.random(1000)
+        return [MeshStrip(0, np.column_stack([xs, xs[::-1], rng.random(1000)])) for _ in range(5)]
+    assert case == "many-empty"  # more blank lines than a call takes, after a call's worth of rows
+    return [strip(0.5, rng.random(rows - 8))] + [empty] * (rows + 5) + [strip(0.5, stations[:3])]
+
+
+@pytest.mark.parametrize("case", ["straddle", "long", "zeros-nans", "many-values", "many-empty"])
+def test_write_mesh_csv_batches_match_reference(monkeypatch, tmp_path, case):
+    strips = batched_strips(case)
+    path = tmp_path / "mesh.csv"
+    for fmt in text_paths():
+        monkeypatch.setattr(experiment, "_text_kernel", lambda: fmt)
+        write_mesh_csv(path, strips)
+        assert path.read_text() == reference_mesh_csv(strips)
+
+
 @pytest.mark.parametrize("failure", ["replace", "strips"])
 def test_atomic_write_failure_leaves_target_and_no_temp(monkeypatch, tmp_path, failure):
     target = tmp_path / "mesh.csv"

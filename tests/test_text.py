@@ -114,6 +114,35 @@ def test_longest_row_meets_the_row_bound():
     assert len(row[0]) == experiment._ROW_BYTES == 75
 
 
+def test_breaks_fill_a_buffer_of_the_bound_and_no_more():
+    # worst-case rows, a blank line before every row, into a buffer of
+    # exactly the bound: the fixed-length copies of reused text stay inside
+    fmt = experiment._text_kernel()
+    if fmt is None:
+        pytest.skip("the text kernel cannot be built here")
+    longest, rows = -2.2250738585072009e-308, 40
+    size = experiment._ROW_BYTES * rows + rows
+    buf = np.full(size + 32, 0xA5, dtype=np.uint8)
+    text = experiment._format_rows(fmt, np.full((rows, 3), longest), buf[:size], np.arange(rows))
+    assert bytes(text) == (("\n" + "%.17g,%.17g,%.17g\n" % ((longest,) * 3)) * rows).encode()
+    assert len(text) == size
+    assert (buf[size:] == 0xA5).all()
+    with pytest.raises(ValueError, match="one a break"):
+        experiment._format_rows(fmt, np.full((rows, 3), longest), buf[: size - 1], np.arange(rows))
+
+
+def test_breaks_go_before_their_rows():
+    # repeated breaks write one blank line each, and breaks equal to the
+    # row count go after the last row
+    fmt = experiment._text_kernel()
+    if fmt is None:
+        pytest.skip("the text kernel cannot be built here")
+    buf = np.empty(experiment._ROW_BYTES * 8, dtype=np.uint8)
+    rows = [[0.5, 0.0, 0.25], [0.5, 1.0, 0.75]]
+    assert bytes(experiment._format_rows(fmt, rows, buf, [0, 1, 1, 2])) == b"\n0.5,0,0.25\n\n\n0.5,1,0.75\n\n"
+    assert bytes(experiment._format_rows(fmt, np.empty((0, 3)), buf, [0, 0])) == b"\n\n"
+
+
 def test_text_ignores_callers_locale(tmp_path, monkeypatch):
     # a caller's LC_NUMERIC with a decimal comma must not reach the text
     # snprintf writes for zeros, tiny and huge values
