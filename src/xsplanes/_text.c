@@ -11,12 +11,9 @@
  * 75 * rows + nbreaks.  Returns -1, with out undefined, if no C numeric
  * locale can be made.
  *
- * Within one call a value whose bit pattern was already formatted in the
- * same column copies that text from a small table on the stack, so a
- * mesh's x (constant along a strip) and y (the same stations in every
- * strip) are formatted once a call.  Keying by bits keeps -0.0 and 0.0
- * apart.  A text is copied as a fixed 24 bytes and the excess is
- * overwritten by what follows, which the bound above leaves room for.
+ * A value with the same bit pattern as the one above it in its column,
+ * such as a mesh's x along a strip, copies that row's text instead of
+ * being formatted again.  Comparing bits keeps -0.0 and 0.0 apart.
  *
  * Finite values with 1e-5 <= |v| < 2**120 are converted exactly in
  * integers.  With v = m * 2**q and E = floor(log10 |v|), the 17 digits are
@@ -117,7 +114,7 @@ static int exact(double v, char *p)
         *s++ = d[0];
         if (nd > 1) {
             *s++ = '.';
-            memcpy(s, d + 1, 16);  /* fixed-length copies stay within the 24 bytes */
+            memcpy(s, d + 1, nd - 1);
             s += nd - 1;
         }
         *s++ = 'e';
@@ -133,26 +130,28 @@ static int exact(double v, char *p)
             memcpy(s, d + e + 1, nd - e - 1);
             s += nd - e - 1;
         }
-    } else {  /* "0.", then -e - 1 <= 3 zeros */
-        memcpy(s, "0.000", 5);
-        s += 1 - e;
-        memcpy(s, d, 17);
+    } else {
+        *s++ = '0';
+        *s++ = '.';
+        memset(s, '0', -e - 1);
+        s += -e - 1;
+        memcpy(s, d, nd);
         s += nd;
     }
     return (int)(s - p);
 }
 
-/* The %.17g text of v, whose bit pattern is bits, at p; returns its length,
- * or -1 if no C locale can be made.  *c holds the C locale once one is
- * needed, and *old the caller's, for xs_format_rows to restore. */
-static int text(double v, uint64_t bits, char *p, locale_t *c, locale_t *old)
+/* The %.17g text of v at p; returns its length, or -1 if no C locale can
+ * be made.  *c holds the C locale once one is needed, and *old the
+ * caller's, for xs_format_rows to restore. */
+static int text(double v, char *p, locale_t *c, locale_t *old)
 {
     double a = fabs(v);
     if (a >= 1e-5 && a < 0x1p120)
         return exact(v, p);
-    if (!(bits << 1)) {  /* 0.0 or -0.0 */
-        memcpy(p, bits ? "-0" : "0", 2);
-        return bits ? 2 : 1;
+    if (a == 0) {
+        memcpy(p, signbit(v) ? "-0" : "0", 2);
+        return signbit(v) ? 2 : 1;
     }
     if (isnan(v)) {
         memcpy(p, "nan", 3);
@@ -166,63 +165,23 @@ static int text(double v, uint64_t bits, char *p, locale_t *c, locale_t *old)
     return snprintf(p, 25, "%.17g", v);  /* its NUL lands where the separator goes */
 }
 
-/* The texts of one column kept in a call: an open-addressing table of
- * SLOTS slots, each 0 or 1 + the index of a kept text.  At most KEEP =
- * SLOTS / 2 texts are kept, so a lookup always meets an empty slot; later
- * new values are formatted every time.  A column with no hit by the time
- * its table is full (random points, a mesh's z) is not looked up again in
- * the call, which keeps a miss at about the cost of no table. */
-#define SLOT_BITS 9
-#define SLOTS (1 << SLOT_BITS)
-#define KEEP (SLOTS / 2)
-
-struct column {
-    uint16_t slot[SLOTS];
-    int kept, hits;
-    uint8_t len[KEEP];
-    struct {
-        uint64_t bits;
-        char s[24];
-    } text[KEEP];
-};
-
 int64_t xs_format_rows(const double *v, int64_t rows, const int64_t *breaks, int64_t nbreaks, char *out)
 {
-    struct column col[3];
     locale_t c = (locale_t)0, old = (locale_t)0;
-    char *p = out;
+    char *p = out, *above[3] = {0};  /* each column's text in the row above */
+    int len[3] = {0};
     int64_t b = 0;
-    for (int k = 0; k < 3; k++) {
-        memset(col[k].slot, 0, sizeof col[k].slot);
-        col[k].kept = col[k].hits = 0;
-    }
     for (int64_t r = 0; r < rows; r++) {
         for (; b < nbreaks && breaks[b] <= r; b++)
             *p++ = '\n';
         for (int k = 0; k < 3; k++) {
-            struct column *t = &col[k];
-            uint64_t bits;
-            memcpy(&bits, &v[3 * r + k], sizeof bits);
-            unsigned h = (unsigned)((bits * 0x9e3779b97f4a7c15ull) >> (64 - SLOT_BITS)), i = 0;
-            if (t->kept < KEEP || t->hits)
-                while ((i = t->slot[h]) && t->text[i - 1].bits != bits)
-                    h = (h + 1) & (SLOTS - 1);
-            if (i) {
-                t->hits = 1;
-                memcpy(p, t->text[i - 1].s, 24);
-                p += t->len[i - 1];
-            } else {
-                int len = text(v[3 * r + k], bits, p, &c, &old);
-                if (len < 0)
-                    return -1;
-                if (t->kept < KEEP) {
-                    t->text[t->kept].bits = bits;
-                    memcpy(t->text[t->kept].s, p, 24);
-                    t->len[t->kept] = (uint8_t)len;
-                    t->slot[h] = (uint16_t)++t->kept;
-                }
-                p += len;
-            }
+            const double *x = &v[3 * r + k];
+            if (r && !memcmp(x, x - 3, sizeof *x))
+                memcpy(p, above[k], len[k]);
+            else if ((len[k] = text(*x, p, &c, &old)) < 0)
+                return -1;
+            above[k] = p;
+            p += len[k];
             *p++ = k == 2 ? '\n' : ',';
         }
     }

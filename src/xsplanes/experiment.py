@@ -622,9 +622,10 @@ class HitReport:
 _ROW = "%.17g,%.17g,%.17g"
 _TMP_IDS = itertools.count()
 # The compiled CSV formatter (_text.c) writes at most _ROW_BYTES bytes a
-# row and one a blank line; points.csv and the meshes are formatted at most
-# _TEXT_ROWS rows a call, a mesh with at most _TEXT_ROWS blank lines a call,
-# so the text buffer stays small however many points or strips are written.
+# row and one a blank line.  points.csv and the meshes are formatted into
+# one buffer of _ROW_BYTES * _TEXT_ROWS bytes a file, a call's rows and
+# blank lines filling at most that, so the buffer stays small however many
+# points or strips are written.
 _TEXT_SOURCE = Path(__file__).with_name("_text.c")
 _ROW_BYTES = 75
 _TEXT_ROWS = 1 << 11
@@ -704,12 +705,13 @@ class _Formatted(dict):
 def write_mesh_csv(path, strips) -> None:
     """Mesh strips as `x_mag,y,z` rows, blank line between strips.
 
-    With the compiled formatter, consecutive strips are formatted
+    With the compiled formatter, consecutive strips are formatted up to
     _TEXT_ROWS rows a call, a longer strip split across calls, with the
-    blank lines between strips passed as breaks; the formatter reuses the
-    text of x and y values repeated within a call.  Without it, the x and
-    y values, which repeat across a mesh (one x per strip, one y per
-    station), are each formatted once, and only z is formatted per vertex.
+    blank lines between strips passed as breaks; x is constant along a
+    strip, and the formatter copies the text of a value equal to the one
+    above it.  Without it, the x and y values, which repeat across a mesh
+    (one x per strip, one y per station), are each formatted once, and only
+    z is formatted per vertex.
     Either way the text is the strips' rows, "\n\n"-joined strip by
     strip, and a final newline.
     """
@@ -719,23 +721,26 @@ def write_mesh_csv(path, strips) -> None:
     def batches():
         # each row ends in "\n"; a blank line goes before each strip but the
         # first and stands for an empty strip's rows, and no strip at all
-        # writes as one empty strip
-        buf = np.empty((_ROW_BYTES + 1) * _TEXT_ROWS, dtype=np.uint8)
+        # writes as one empty strip; a call's rows and blank lines fill at
+        # most buf, a longer strip going on in the next call
+        buf = np.empty(_ROW_BYTES * _TEXT_ROWS, dtype=np.uint8)
         none = np.empty((0, 3))
         pending, n, breaks, first = [none], 0, [], True
         for strip in strips:
             v = strip.vertices
-            if len(breaks) + 2 > _TEXT_ROWS:  # here n < _TEXT_ROWS
+            if _ROW_BYTES * n + len(breaks) + 2 > buf.size:
                 yield _format_rows(fmt, np.concatenate(pending), buf, breaks)
                 pending, n, breaks = [none], 0, []
             breaks += [n] * ((not first) + (len(v) == 0))
             first = False
-            pending.append(v)
-            n += len(v)
-            while n >= _TEXT_ROWS:
-                rows = np.concatenate(pending)
-                yield _format_rows(fmt, rows[:_TEXT_ROWS], buf, breaks)
-                pending, n, breaks = [rows[_TEXT_ROWS:]], n - _TEXT_ROWS, []
+            while len(v):
+                take = (buf.size - len(breaks)) // _ROW_BYTES - n
+                rows, v = v[:take], v[take:]
+                pending.append(rows)
+                n += len(rows)
+                if len(v):
+                    yield _format_rows(fmt, np.concatenate(pending), buf, breaks)
+                    pending, n, breaks = [none], 0, []
         if first:
             breaks.append(0)
         if n or breaks:

@@ -801,21 +801,9 @@ def test_write_mesh_csv_keeps_negative_zero(monkeypatch, tmp_path):
         assert path.read_text().startswith("0.5,0,-0\n0.5,-0,0\n")
 
 
-def test_write_mesh_csv_empty_strips_on_both_paths(monkeypatch, tmp_path):
-    # no strip at all, and strips with no vertex, as "\n\n".join of the strips' row blocks
-    one = MeshStrip(0, np.array([[0.5, 0.0, 0.25]]))
-    empty = MeshStrip(1, np.empty((0, 3)))
-    path = tmp_path / "mesh.csv"
-    for strips in ([], [empty], [one, empty, one], [empty, one]):
-        for fmt in text_paths():
-            monkeypatch.setattr(experiment, "_text_kernel", lambda: fmt)
-            write_mesh_csv(path, strips)
-            assert path.read_text() == reference_mesh_csv(strips)
-
-
-def batched_strips(case: str) -> list[MeshStrip]:
-    """Strips that exercise the compiled writer's batching and text reuse."""
-    rng = np.random.default_rng(len(case))
+def batched_strips() -> list[list[MeshStrip]]:
+    """Strip lists that exercise the compiled writer's calls and its copies of repeated text."""
+    rng = np.random.default_rng(5)
     rows = experiment._TEXT_ROWS
 
     def strip(x, ys):
@@ -825,31 +813,40 @@ def batched_strips(case: str) -> list[MeshStrip]:
 
     stations = np.arange(300) / 299
     empty = MeshStrip(1, np.empty((0, 3)))
-    if case == "straddle":  # strips end on the first call boundary, then one straddles the second
-        assert rows == 10 * 200 + 48
-        return [strip(0.25, stations[:200]) for _ in range(10)] + [strip(0.5, stations[:48]), empty] + [
-            strip(0.75, stations) for _ in range(8)] + [empty, strip(1.0, stations[:10])]
-    if case == "long":  # one strip of more rows than a call, between short ones
-        return [strip(0.0, stations[:5]), strip(0.5, rng.random(2 * rows + 7)), strip(1.0, stations[:5])]
-    if case == "zeros-nans":  # -0.0 and 0.0, two NaN payloads and neighbours in every column, across strips
-        nans = np.array([0x7FF8000000000001, 0xFFF8000000000002], dtype=np.uint64).view(np.float64)
-        values = np.array([0.0, -0.0, *nans, 0.5, np.nextafter(0.5, 1.0)])
-        return [MeshStrip(j, values[rng.integers(0, len(values), (600, 3))]) for j in range(5)]
-    if case == "many-values":  # 1000 distinct x and y values a call, repeating
-        xs = rng.random(1000)
-        return [MeshStrip(0, np.column_stack([xs, xs[::-1], rng.random(1000)])) for _ in range(5)]
-    assert case == "many-empty"  # more blank lines than a call takes, after a call's worth of rows
-    return [strip(0.5, rng.random(rows - 8))] + [empty] * (rows + 5) + [strip(0.5, stations[:3])]
+    # ten 200-row strips and their blank lines leave 47 rows in the first
+    # call: strips end before, on and after that boundary, with empty
+    # strips at it, then one straddles the second call
+    straddle = [
+        [strip(0.25, stations[:200]) for _ in range(10)] + [strip(0.5, stations[:end]), empty]
+        + [strip(0.75, stations) for _ in range(8)] + [empty, strip(1.0, stations[:10])]
+        for end in (46, 47, 48)
+    ]
+    # one strip of more rows than a call, between short ones
+    long = [strip(0.0, stations[:5]), strip(0.5, rng.random(2 * rows + 7)), strip(1.0, stations[:5])]
+    # -0.0 and 0.0, two NaN payloads and neighbours in every column, repeated across strips
+    nans = np.array([0x7FF8000000000001, 0xFFF8000000000002], dtype=np.uint64).view(np.float64)
+    values = np.array([0.0, -0.0, *nans, 0.5, np.nextafter(0.5, 1.0)])
+    zeros_nans = [MeshStrip(j, values[rng.integers(0, len(values), (600, 3))]) for j in range(5)]
+    # 1000 distinct x and y values a call, each repeated, but not in the row above
+    xs = rng.random(1000)
+    many_values = [MeshStrip(0, np.column_stack([xs, xs[::-1], rng.random(1000)])) for _ in range(5)]
+    # more blank lines than fit in a call, after most of a call's rows
+    many_empty = [strip(0.5, rng.random(rows - 8))] + [empty] * (rows + 5) + [strip(0.5, stations[:3])]
+    return [*straddle, long, zeros_nans, many_values, many_empty]
 
 
-@pytest.mark.parametrize("case", ["straddle", "long", "zeros-nans", "many-values", "many-empty"])
-def test_write_mesh_csv_batches_match_reference(monkeypatch, tmp_path, case):
-    strips = batched_strips(case)
+def test_write_mesh_csv_empty_strips_on_both_paths(monkeypatch, tmp_path):
+    # no strip at all, and strips with no vertex, as "\n\n".join of the
+    # strips' row blocks; also strips across the compiled writer's calls
+    one = MeshStrip(0, np.array([[0.5, 0.0, 0.25]]))
+    empty = MeshStrip(1, np.empty((0, 3)))
     path = tmp_path / "mesh.csv"
-    for fmt in text_paths():
-        monkeypatch.setattr(experiment, "_text_kernel", lambda: fmt)
-        write_mesh_csv(path, strips)
-        assert path.read_text() == reference_mesh_csv(strips)
+    paths = text_paths()  # before _text_kernel is patched
+    for strips in ([], [empty], [one, empty, one], [empty, one], *batched_strips()):
+        for fmt in paths:
+            monkeypatch.setattr(experiment, "_text_kernel", lambda: fmt)
+            write_mesh_csv(path, strips)
+            assert path.read_text() == reference_mesh_csv(strips)
 
 
 @pytest.mark.parametrize("failure", ["replace", "strips"])

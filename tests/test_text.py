@@ -116,7 +116,7 @@ def test_longest_row_meets_the_row_bound():
 
 def test_breaks_fill_a_buffer_of_the_bound_and_no_more():
     # worst-case rows, a blank line before every row, into a buffer of
-    # exactly the bound: the fixed-length copies of reused text stay inside
+    # exactly the bound: the copies of each row's repeated text stay inside
     fmt = experiment._text_kernel()
     if fmt is None:
         pytest.skip("the text kernel cannot be built here")
