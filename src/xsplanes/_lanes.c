@@ -19,9 +19,12 @@
  * a minimum is in the slab.  Denser slabs and a segment's last partial
  * chunk test every step.
  *
- * The scan is compiled for AVX-512, AVX2 and plain x86-64, and the CPU
- * picks one at each call.  The helpers are always inlined, so each build
- * compiles them for its own instruction set.
+ * On x86-64 the scan is compiled for AVX-512, AVX2 and plain x86-64, and
+ * the CPU picks one at each call.  The helpers are always inlined, so each
+ * build compiles them for its own instruction set.  Other targets reject
+ * those builds' target attributes and feature tests, so there, and on
+ * x86-64 under -DPLAIN_SCAN_ONLY (which only the tests set, to check this
+ * branch), xs_scan_lanes is the plain scan alone.
  */
 #include <stdint.h>
 #include <string.h>
@@ -109,6 +112,7 @@ int64_t scan(PARAMS)
     return n;
 }
 
+#if defined(__x86_64__) && !defined(PLAIN_SCAN_ONLY)
 __attribute__((target("avx512f"))) static int64_t scan_avx512f(PARAMS) { return scan(ARGS); }
 __attribute__((target("avx2"))) static int64_t scan_avx2(PARAMS) { return scan(ARGS); }
 
@@ -120,3 +124,6 @@ int64_t xs_scan_lanes(PARAMS)
         return scan_avx2(ARGS);
     return scan(ARGS);
 }
+#else
+int64_t xs_scan_lanes(PARAMS) { return scan(ARGS); }
+#endif

@@ -16,10 +16,12 @@ per usable CPU.  A small C kernel (_lanes.c), compiled on first use and
 loaded with ctypes, advances them; where it cannot be built, vectorized
 numpy word ops do.  All paths produce bit-identical results.
 
-The CSV files hold each coordinate as Python's '%.17g' text.  A second C
-kernel (_text.c), built and cached the same way, writes that text with
-exact integer arithmetic, byte for byte as Python does; where it cannot
-be built, Python's own formatting writes it.
+The CSV files hold each coordinate as Python's '%.17g' text.  One writer
+passes the rows of points.csv and of each mesh to a formatter, a buffer's
+worth a call.  A second C kernel (_text.c), built and cached the same way,
+formats them with exact integer arithmetic, byte for byte as Python does;
+where it cannot be built, a Python formatter takes the same calls and
+writes the same text, formatting each distinct value of a call once.
 
 With an output directory, run_experiment writes points.csv, the eight
 mesh files, overlay.json and report.json, in that order, once the sample
@@ -74,9 +76,10 @@ _LANES_PER_WORKER = 1 << 15
 # threshold: a buffer for a worker's whole range raised wide-slab's peak
 # RSS by 1 MB.  A call's lanes are a multiple of the kernel's group of 32
 # interleaved lanes.  Each shift triple has its own library, compiled with
-# the counts as constants on the triple's first scan.  A library holds
-# AVX-512, AVX2 and plain builds of the scan and picks one by the CPU's
-# features at each call, so a cached library runs on any x86-64 CPU.
+# the counts as constants on the triple's first scan.  On x86-64 a library
+# holds AVX-512, AVX2 and plain builds of the scan and picks one by the
+# CPU's features at each call, so a cached library runs on any x86-64 CPU;
+# other targets build the plain scan alone.
 _LANES_SOURCE = Path(__file__).with_name("_lanes.c")
 _CFLAGS = ("-O3", "-shared", "-fPIC")
 _CALL_TRIPLES = 1 << 28
@@ -619,13 +622,12 @@ class HitReport:
         return dict(asdict(self), seed=f"0x{self.seed:016x}")
 
 
-_ROW = "%.17g,%.17g,%.17g"
 _TMP_IDS = itertools.count()
 # The compiled CSV formatter (_text.c) writes at most _ROW_BYTES bytes a
-# row and one a blank line.  points.csv and the meshes are formatted into
-# one buffer of _ROW_BYTES * _TEXT_ROWS bytes a file, a call's rows and
-# blank lines filling at most that, so the buffer stays small however many
-# points or strips are written.
+# row and one a blank line.  A file is formatted a call at a time into one
+# buffer of _ROW_BYTES * _TEXT_ROWS bytes, a call's rows and blank lines
+# filling at most that, so the buffer, and the float64 rows of a call,
+# stay small however many points or strips are written.
 _TEXT_SOURCE = Path(__file__).with_name("_text.c")
 _ROW_BYTES = 75
 _TEXT_ROWS = 1 << 11
@@ -655,6 +657,21 @@ def _format_rows(fmt, values, buf: np.ndarray, breaks=()) -> memoryview:
     return memoryview(buf)[:n]
 
 
+def _python_rows(values: np.ndarray, breaks) -> str:
+    """The text _format_rows writes for an (n, 3) float64 array and breaks, in Python's '%.17g'.
+
+    Each distinct bit pattern of the call is formatted once, so -0.0 and
+    0.0 stay apart, and a mesh's x and y values, which repeat along and
+    across strips, are formatted once a call.
+    """
+    bits, index = np.unique(values.view(np.uint64), return_inverse=True)
+    texts = ("%.17g\n" * len(bits) % tuple(bits.view(np.float64).tolist())).split("\n")
+    rows = ["%s,%s,%s\n"] * len(values) + [""]
+    for i in breaks:
+        rows[i] = "\n" + rows[i]
+    return "".join(rows) % tuple(map(texts.__getitem__, index.ravel().tolist()))
+
+
 def _atomic_write(path: Path, chunks) -> None:
     """Write the strings or bytes of an iterable to path through a temp file renamed into place.
 
@@ -676,90 +693,61 @@ def _atomic_write(path: Path, chunks) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def write_points_csv(path, points, magnify: float, params: Params, seed: int) -> None:
-    """Slab words as `x_mag,y,z` unit-interval rows under a reproducibility header line."""
-    header = f"# magnify={int(magnify)} params={params.a},{params.b},{params.c} seed=0x{seed:016x}\n"
+def _write_rows(path: Path, head: str, blocks) -> None:
+    """Write head, then for each (blank, rows) of blocks that many blank lines and the (n, 3) rows as %.17g CSV.
+
+    Consecutive blocks go to the formatter together, their blank lines as
+    breaks, as many rows as fit in one buffer a call, a longer block going
+    on in the next call; each call's text is one write.  Blocks are taken
+    one at a time as the file is written.
+    """
     fmt = _text_kernel()
-    if fmt is None:
-        rows = (_ROW + "\n") * len(points) % tuple((points * 2.0**-53).ravel().tolist())
-        _atomic_write(Path(path), [header, rows])
-        return
+    size = _ROW_BYTES * _TEXT_ROWS
+    text = _python_rows if fmt is None else functools.partial(_format_rows, fmt, buf=np.empty(size, dtype=np.uint8))
 
-    def chunks():
-        yield header
-        buf = np.empty(_ROW_BYTES * min(len(points), _TEXT_ROWS), dtype=np.uint8)
-        for start in range(0, len(points), _TEXT_ROWS):
-            yield _format_rows(fmt, points[start : start + _TEXT_ROWS] * 2.0**-53, buf)
+    def calls():
+        yield head
+        pending, n, breaks = [], 0, []
+        for blank, rows in blocks:
+            if _ROW_BYTES * n + len(breaks) + blank > size:
+                yield text(np.concatenate(pending), breaks=breaks)
+                pending, n, breaks = [], 0, []
+            breaks += [n] * blank
+            while True:
+                take = (size - len(breaks)) // _ROW_BYTES - n
+                pending.append(rows[:take])
+                n += len(pending[-1])
+                rows = rows[take:]
+                if not len(rows):
+                    break
+                yield text(np.concatenate(pending), breaks=breaks)
+                pending, n, breaks = [], 0, []
+        if n or breaks:
+            yield text(np.concatenate(pending), breaks=breaks)
 
-    _atomic_write(Path(path), chunks())
+    _atomic_write(path, calls())
 
 
-class _Formatted(dict):
-    """The %.17g text of float64 values, keyed by bit pattern so that -0.0 and 0.0 stay apart."""
+def write_points_csv(path, points, magnify: float, params: Params, seed: int) -> None:
+    """Slab words as `x_mag,y,z` unit-interval rows under a reproducibility header line.
 
-    def __missing__(self, bits: int) -> str:
-        text = self[bits] = "%.17g" % np.uint64(bits).view(np.float64)
-        return text
+    The words become floats _TEXT_ROWS rows at a time, one block each.
+    """
+    header = f"# magnify={int(magnify)} params={params.a},{params.b},{params.c} seed=0x{seed:016x}\n"
+    blocks = ((0, points[i : i + _TEXT_ROWS] * 2.0**-53) for i in range(0, len(points), _TEXT_ROWS))
+    _write_rows(Path(path), header, blocks)
 
 
 def write_mesh_csv(path, strips) -> None:
     """Mesh strips as `x_mag,y,z` rows, blank line between strips.
 
-    With the compiled formatter, consecutive strips are formatted up to
-    _TEXT_ROWS rows a call, a longer strip split across calls, with the
-    blank lines between strips passed as breaks; x is constant along a
-    strip, and the formatter copies the text of a value equal to the one
-    above it.  Without it, the x and y values, which repeat across a mesh
-    (one x per strip, one y per station), are each formatted once, and only
-    z is formatted per vertex.
-    Either way the text is the strips' rows, "\n\n"-joined strip by
-    strip, and a final newline.
+    An empty strip writes one blank line of its own, and no strip at all
+    writes as one empty strip, so the text is the strips' rows,
+    "\n\n"-joined strip by strip, and a final newline.
     """
-    fmt = _text_kernel()
-    text = _Formatted()
-
-    def batches():
-        # each row ends in "\n"; a blank line goes before each strip but the
-        # first and stands for an empty strip's rows, and no strip at all
-        # writes as one empty strip; a call's rows and blank lines fill at
-        # most buf, a longer strip going on in the next call
-        buf = np.empty(_ROW_BYTES * _TEXT_ROWS, dtype=np.uint8)
-        none = np.empty((0, 3))
-        pending, n, breaks, first = [none], 0, [], True
-        for strip in strips:
-            v = strip.vertices
-            if _ROW_BYTES * n + len(breaks) + 2 > buf.size:
-                yield _format_rows(fmt, np.concatenate(pending), buf, breaks)
-                pending, n, breaks = [none], 0, []
-            breaks += [n] * ((not first) + (len(v) == 0))
-            first = False
-            while len(v):
-                take = (buf.size - len(breaks)) // _ROW_BYTES - n
-                rows, v = v[:take], v[take:]
-                pending.append(rows)
-                n += len(rows)
-                if len(v):
-                    yield _format_rows(fmt, np.concatenate(pending), buf, breaks)
-                    pending, n, breaks = [none], 0, []
-        if first:
-            breaks.append(0)
-        if n or breaks:
-            yield _format_rows(fmt, np.concatenate(pending), buf, breaks)
-
-    def blocks():
-        sep = ""
-        for strip in strips:
-            v = strip.vertices
-            bits = v.view(np.uint64)
-            args = [None] * v.size
-            args[2::3] = v[:, 2].tolist()
-            args[0::3] = map(text.__getitem__, bits[:, 0].tolist())
-            args[1::3] = map(text.__getitem__, bits[:, 1].tolist())
-            yield sep + "\n".join(["%s,%s,%.17g"] * len(v)) % tuple(args)
-            sep = "\n\n"
-        yield "\n"
-
-    _atomic_write(Path(path), blocks() if fmt is None else batches())
+    blocks = ((bool(i) + (len(s.vertices) == 0), s.vertices) for i, s in enumerate(strips))
+    first = next(blocks, (1, np.empty((0, 3))))
+    _write_rows(Path(path), "", itertools.chain([first], blocks))
 
 
 def run_experiment(cfg: ExperimentConfig) -> HitReport:

@@ -290,6 +290,8 @@ def kernel_builds(tmp_path, params):
 
     The library calls the one build the CPU's features select, so a C file
     that includes _lanes.c exports each build under a name of its own.
+    "plain-only" is the library as other targets than x86-64 compile it,
+    its xs_scan_lanes the plain scan with no dispatch.
     """
     if platform.machine() != "x86_64":
         pytest.skip("the kernel's builds are x86-64 builds")
@@ -299,17 +301,18 @@ def kernel_builds(tmp_path, params):
     source = tmp_path / "builds.c"
     source.write_text(f'#include "{experiment._LANES_SOURCE}"\n'
                       + "".join(f"int64_t build_{n}(PARAMS) {{ return {f}(ARGS); }}\n" for n, f in scans.items()))
-    lib = tmp_path / f"builds-{params.a}-{params.b}-{params.c}.so"
     shifts = [f"-DSHIFT_{k}={v}" for k, v in zip("ABC", (params.a, params.b, params.c))]
-    subprocess.run(["gcc", *experiment._CFLAGS, *shifts, "-o", str(lib), str(source)], check=True)
-    library = ctypes.CDLL(str(lib))
+    libraries = {}
+    for name, src, defines in [("builds", source, []), ("plain-only", experiment._LANES_SOURCE, ["-DPLAIN_SCAN_ONLY"])]:
+        lib = tmp_path / f"{name}-{params.a}-{params.b}-{params.c}.so"
+        subprocess.run(["gcc", *experiment._CFLAGS, *shifts, *defines, "-o", str(lib), str(src)], check=True)
+        libraries[name] = ctypes.CDLL(str(lib))
+    builds = {n: getattr(libraries["builds"], f"build_{n}") for n in scans if n == "plain" or n in flags}
+    builds["plain-only"] = libraries["plain-only"].xs_scan_lanes
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    builds = {}
-    for name in scans:
-        if name == "plain" or name in flags:
-            build = builds[name] = getattr(library, f"build_{name}")
-            build.restype = i64
-            build.argtypes = [ptr, ptr, i64, i64, ctypes.c_uint64, ptr, i64]
+    for build in builds.values():
+        build.restype = i64
+        build.argtypes = [ptr, ptr, i64, i64, ctypes.c_uint64, ptr, i64]
     return builds
 
 
@@ -322,7 +325,8 @@ def test_compiled_kernel_matches_numpy_scan(tmp_path):
     # one planted at t = seg_len lies one step past the segment.  The kernel
     # stores hits by group, then t, then lane; _scan_block by t, then lane.
     # Each triple has a library of its own, (26, 19, 5) one with a small c;
-    # besides the library's choice, every build the CPU supports is checked.
+    # besides the library's choice, every build the CPU supports is checked,
+    # and the library other targets than x86-64 build.
     for params in (DEFAULT_PARAMS, Params(26, 19, 5)):
         kernel = experiment._kernel(params)
         if kernel is None:
@@ -802,7 +806,7 @@ def test_write_mesh_csv_keeps_negative_zero(monkeypatch, tmp_path):
 
 
 def batched_strips() -> list[list[MeshStrip]]:
-    """Strip lists that exercise the compiled writer's calls and its copies of repeated text."""
+    """Strip lists that exercise the writer's calls and the formatters' reuse of repeated text."""
     rng = np.random.default_rng(5)
     rows = experiment._TEXT_ROWS
 
@@ -837,7 +841,7 @@ def batched_strips() -> list[list[MeshStrip]]:
 
 def test_write_mesh_csv_empty_strips_on_both_paths(monkeypatch, tmp_path):
     # no strip at all, and strips with no vertex, as "\n\n".join of the
-    # strips' row blocks; also strips across the compiled writer's calls
+    # strips' row blocks; also strips across the writer's calls
     one = MeshStrip(0, np.array([[0.5, 0.0, 0.25]]))
     empty = MeshStrip(1, np.empty((0, 3)))
     path = tmp_path / "mesh.csv"
@@ -859,7 +863,9 @@ def test_atomic_write_failure_leaves_target_and_no_temp(monkeypatch, tmp_path, f
         raise OSError("rename failed")
 
     def broken_strips():
+        # strips are taken as the file is written, not all before it opens
         yield whole[0]
+        assert list(tmp_path.glob("mesh.csv.*.tmp"))
         raise OSError("strip source failed")
 
     if failure == "replace":

@@ -1,4 +1,4 @@
-"""The compiled CSV formatter (_text.c) against Python's '%.17g', and the files of both text paths."""
+"""The CSV formatters, compiled (_text.c) and Python's, against '%.17g', and the files of both text paths."""
 
 from decimal import Decimal
 import locale
@@ -16,14 +16,21 @@ from xsplanes.engine import DEFAULT_PARAMS
 from xsplanes.experiment import ExperimentConfig, run_experiment, write_points_csv
 
 
+def format_rows(fmt, values, breaks=()) -> str:
+    """The text formatter fmt (compiled, or None for Python's) writes for values, three to a row, and breaks."""
+    v = np.asarray(values, dtype=np.float64).reshape(-1, 3)
+    if fmt is None:
+        return experiment._python_rows(v, breaks)
+    buf = np.empty(experiment._ROW_BYTES * len(v) + len(breaks), dtype=np.uint8)
+    return bytes(experiment._format_rows(fmt, v, buf, breaks)).decode()
+
+
 def compiled_rows(values) -> list[str]:
     """The rows the compiled formatter writes for values, three to a row."""
     fmt = experiment._text_kernel()
     if fmt is None:
         pytest.skip("the text kernel cannot be built here")
-    v = np.asarray(values, dtype=np.float64).reshape(-1, 3)
-    buf = np.empty(experiment._ROW_BYTES * len(v), dtype=np.uint8)
-    return bytes(experiment._format_rows(fmt, v, buf)).decode().splitlines(keepends=True)
+    return format_rows(fmt, values).splitlines(keepends=True)
 
 
 def assert_python_text(values):
@@ -100,10 +107,19 @@ def test_zeros_subnormals_and_extremes():
 
 
 def test_inf_and_nan():
+    # on both formatters, and on Python's alone where the kernel cannot be built
     negative_nan = np.array([0xFFF8000000000001], dtype=np.uint64).view(np.float64)[0]
-    assert compiled_rows([np.inf, -np.inf, np.nan]) == ["inf,-inf,nan\n"]
-    assert compiled_rows([negative_nan, 0.0, -0.0]) == ["nan,0,-0\n"]
-    assert_python_text([np.inf, -np.inf, np.nan, negative_nan, 1.0, -1.0])
+    nans = np.array([0x7FF8000000000001, 0xFFF8000000000002], dtype=np.uint64).view(np.float64)
+    values = [np.inf, -np.inf, np.nan, negative_nan, 1.0, -1.0]
+    for fmt in text_paths():
+        assert format_rows(fmt, [np.inf, -np.inf, np.nan]) == "inf,-inf,nan\n"
+        assert format_rows(fmt, [negative_nan, 0.0, -0.0]) == "nan,0,-0\n"
+        # -0.0, 0.0 and two NaN payloads in one call, each repeated in and
+        # across rows: every bit pattern keeps the text of its own
+        assert format_rows(fmt, [-0.0, 0.0, nans[0], nans[1], -0.0, 0.0, nans[1], nans[0], 0.0]) == (
+            "-0,0,nan\nnan,-0,0\nnan,nan,0\n"
+        )
+        assert format_rows(fmt, values) == "%.17g,%.17g,%.17g\n%.17g,%.17g,%.17g\n" % tuple(values)
 
 
 def test_longest_row_meets_the_row_bound():
@@ -133,19 +149,17 @@ def test_breaks_fill_a_buffer_of_the_bound_and_no_more():
 
 def test_breaks_go_before_their_rows():
     # repeated breaks write one blank line each, and breaks equal to the
-    # row count go after the last row
-    fmt = experiment._text_kernel()
-    if fmt is None:
-        pytest.skip("the text kernel cannot be built here")
-    buf = np.empty(experiment._ROW_BYTES * 8, dtype=np.uint8)
+    # row count go after the last row, on both formatters
     rows = [[0.5, 0.0, 0.25], [0.5, 1.0, 0.75]]
-    assert bytes(experiment._format_rows(fmt, rows, buf, [0, 1, 1, 2])) == b"\n0.5,0,0.25\n\n\n0.5,1,0.75\n\n"
-    assert bytes(experiment._format_rows(fmt, np.empty((0, 3)), buf, [0, 0])) == b"\n\n"
+    for fmt in text_paths():
+        assert format_rows(fmt, rows, [0, 1, 1, 2]) == "\n0.5,0,0.25\n\n\n0.5,1,0.75\n\n"
+        assert format_rows(fmt, np.empty((0, 3)), [0, 0]) == "\n\n"
 
 
 def test_text_ignores_callers_locale(tmp_path, monkeypatch):
     # a caller's LC_NUMERIC with a decimal comma must not reach the text
-    # snprintf writes for zeros, tiny and huge values
+    # snprintf writes for tiny, subnormal and huge values (1.5e-300, 5e-324,
+    # 2.0**200); zeros and the integer path's values never reach snprintf
     if shutil.which("localedef") is None:
         pytest.skip("no localedef")
     (tmp_path / "comma").write_text(
@@ -186,6 +200,10 @@ WORKLOADS = {
     # the two benchmark workloads' flags, scaled down
     "slab-scan": dict(magnify_exp=23, target_points=20),
     "wide-slab": dict(magnify_exp=10, target_points=2000, control_points=1 << 12, census_steps=2000, grid=256),
+    # every strip splits into single-vertex fragments: meshes of no strip
+    "grid-2": dict(magnify_exp=10, target_points=2000, control_points=1 << 12, census_steps=2000, grid=2),
+    # a scan that finds no slab point: points.csv of no row
+    "no-slab-point": dict(magnify_exp=23, target_points=20, scan_cap=1000),
 }
 
 
@@ -199,6 +217,10 @@ def test_run_experiment_same_files_on_both_text_paths(monkeypatch, tmp_path, wor
         outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert len(outputs[0]) == 11
     assert all(files == outputs[0] for files in outputs)
+    if workload == "grid-2":
+        assert all(text == b"\n" for name, text in outputs[0].items() if name.startswith("mesh_"))
+    if workload == "no-slab-point":
+        assert outputs[0]["points.csv"] == b"# magnify=8388608 params=23,17,26 seed=0x0000000000000007\n"
 
 
 def test_text_library_built_once_by_fresh_cache(tmp_path):
