@@ -8,14 +8,15 @@ hex to keep 64-bit values unambiguous.
 """
 
 import argparse
+from dataclasses import fields
 from itertools import islice
 import json
 import math
 import sys
 
-from .engine import Params, iter_outputs, seed_state, to_unit
+from .engine import DEFAULT_PARAMS, Params, iter_outputs, seed_state, to_unit
 from .experiment import ExperimentConfig, case_census, control_baseline, run_experiment
-from .planes import family, union_rate
+from .planes import MAX_GRID, family, union_rate
 from .xorapprox import compound_probability, count_cases, verify_xor_diff, verify_xor_sum
 
 
@@ -27,15 +28,18 @@ def _hex_word(text: str) -> int:
 
 
 def _add_params(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--a", type=int, default=23, help="left-shift count (default 23)")
-    parser.add_argument("--b", type=int, default=17, help="first right-shift count (default 17)")
-    parser.add_argument("--c", type=int, default=26, help="second right-shift count (default 26)")
+    parser.add_argument("--a", type=int, default=DEFAULT_PARAMS.a,
+                        help="left-shift count (default %(default)s)")
+    parser.add_argument("--b", type=int, default=DEFAULT_PARAMS.b,
+                        help="first right-shift count (default %(default)s)")
+    parser.add_argument("--c", type=int, default=DEFAULT_PARAMS.c,
+                        help="second right-shift count (default %(default)s)")
 
 
 def _add_seed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--seed", type=_hex_word, default=1, metavar="HEX",
-        help="64-bit seed in hex (default 1)",
+        "--seed", type=_hex_word, default=ExperimentConfig.seed, metavar="HEX",
+        help=f"64-bit seed in hex (default {ExperimentConfig.seed:#x})",
     )
 
 
@@ -64,30 +68,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_planes = sub.add_parser("planes", help="slab sampling, hit statistics, plot data")
     _add_params(p_planes)
     _add_seed(p_planes)
-    p_planes.add_argument("--epsilon", type=float, default=2.0**-10,
-                          help="plane-proximity tolerance (default 2**-10)")
-    p_planes.add_argument("--target-points", type=int, default=None,
-                          help="slab points to collect (default 1000; 10000 with --full-scale)")
-    p_planes.add_argument("--full-scale", action="store_true",
-                          help="collect the full 10000-point cloud")
-    p_planes.add_argument("--scan-cap", type=int, default=None,
+    p_planes.add_argument("--epsilon", type=float, default=ExperimentConfig.epsilon,
+                          help="plane-proximity tolerance (default %(default)s)")
+    p_planes.add_argument("--target-points", type=int, default=ExperimentConfig.target_points,
+                          help="slab points to collect (default %(default)s)")
+    p_planes.add_argument("--scan-cap", type=int, default=ExperimentConfig.scan_cap,
                           help="hard cap on triples scanned (default: sized to the target)")
-    p_planes.add_argument("--magnify-exp", type=int, default=None,
+    p_planes.add_argument("--magnify-exp", type=int, default=ExperimentConfig.magnify_exp,
                           help="slab/magnification exponent e: x < 2**-e, x-axis scaled by 2**e (default a)")
-    p_planes.add_argument("--grid", type=int, default=64,
-                          help="mesh stations per axis (default 64, at most 4096)")
-    p_planes.add_argument("--control-points", type=int, default=1 << 17,
-                          help="control sample size (default 131072)")
-    p_planes.add_argument("--control-seed", type=_hex_word, default=271828, metavar="HEX",
-                          help="control generator key in hex (default 0x425d4)")
-    p_planes.add_argument("--census-steps", type=int, default=50000,
-                          help="steps for the case census (default 50000)")
-    p_planes.add_argument("--n-bits", type=int, default=3,
-                          help="top-bit width for the census (default 3)")
+    p_planes.add_argument("--grid", type=int, default=ExperimentConfig.grid,
+                          help=f"mesh stations per axis (default %(default)s, at most {MAX_GRID})")
+    p_planes.add_argument("--control-points", type=int, default=ExperimentConfig.control_points,
+                          help="control sample size (default %(default)s)")
+    p_planes.add_argument("--control-seed", type=_hex_word, default=ExperimentConfig.control_seed, metavar="HEX",
+                          help=f"control generator key in hex (default {ExperimentConfig.control_seed:#x})")
+    p_planes.add_argument("--census-steps", type=int, default=ExperimentConfig.census_steps,
+                          help="steps for the case census (default %(default)s)")
+    p_planes.add_argument("--n-bits", type=int, default=ExperimentConfig.n_bits,
+                          help="top-bit width for the census (default %(default)s)")
     p_planes.add_argument("--min-ratio", type=float, default=10.0,
                           help="pass threshold on hit/control ratio (default 10)")
-    p_planes.add_argument("--method", choices=("auto", "sequential", "fast"), default="auto",
-                          help="scan implementation (default auto)")
+    p_planes.add_argument("--method", choices=("fast", "sequential"), default=ExperimentConfig.method,
+                          help="fast, the lane scan, or sequential, its one-step reference (default %(default)s)")
     p_planes.add_argument("--output-dir", default="planes_out",
                           help="directory for CSV/JSON data files (default planes_out)")
     p_planes.add_argument("--control-only", action="store_true",
@@ -96,10 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_census = sub.add_parser("census", help="compound-case frequencies over a stream")
     _add_params(p_census)
     _add_seed(p_census)
-    p_census.add_argument("--steps", type=int, default=50000,
-                          help="steps to tally (default 50000)")
-    p_census.add_argument("--n-bits", type=int, default=3,
-                          help="top-bit width (default 3)")
+    p_census.add_argument("--steps", type=int, default=ExperimentConfig.census_steps,
+                          help="steps to tally (default %(default)s)")
+    p_census.add_argument("--n-bits", type=int, default=ExperimentConfig.n_bits,
+                          help="top-bit width (default %(default)s)")
 
     return parser
 
@@ -158,29 +160,13 @@ def cmd_planes(args) -> int:
         }
         print(json.dumps(payload, indent=2))
         return 0
-    target = args.target_points
-    if target is None:
-        target = 10000 if args.full_scale else 1000
-    cfg = ExperimentConfig(
-        params=params,
-        seed=args.seed,
-        epsilon=args.epsilon,
-        magnify_exp=args.magnify_exp,
-        target_points=target,
-        scan_cap=args.scan_cap,
-        method=args.method,
-        control_points=args.control_points,
-        control_seed=args.control_seed,
-        census_steps=args.census_steps,
-        n_bits=args.n_bits,
-        grid=args.grid,
-        output_dir=args.output_dir,
-    )
-    print(f"scanning slab x < 2**-{cfg.spec.e} for {target} points", file=sys.stderr)
+    settings = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig) if f.name != "params"}
+    cfg = ExperimentConfig(params=params, **settings)
+    print(f"scanning slab x < 2**-{cfg.spec.e} for {cfg.target_points} points", file=sys.stderr)
     report = run_experiment(cfg)
     print(json.dumps(report.to_dict(), indent=2))
     if report.truncated:
-        print(f"scan cap reached with {report.n_in_slab}/{target} points", file=sys.stderr)
+        print(f"scan cap reached with {report.n_in_slab}/{cfg.target_points} points", file=sys.stderr)
     ratio = report.concentration_ratio
     if report.n_in_slab == 0:
         print("no concentration ratio: the scan found no slab point", file=sys.stderr)

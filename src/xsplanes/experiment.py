@@ -9,12 +9,13 @@ the full unit cube, where the eight plane neighborhoods are essentially
 disjoint and the uniform hit rate is close to 16*epsilon.
 
 Scanning a slab at x_max = 2**-23 needs billions of triples per thousand
-kept points, so besides the plain sequential scan there is a fast path
-that uses the packed-pair transition map to start many lane segments at
-exact stream offsets and advances the lanes in one contiguous lane range
-per usable CPU.  A small C kernel (_lanes.c), compiled on first use and
-loaded with ctypes, advances them; where it cannot be built, vectorized
-numpy word ops do.  All paths produce bit-identical results.
+kept points, so the scan uses the packed-pair transition map to start
+many lane segments at exact stream offsets and advances the lanes in one
+contiguous lane range per usable CPU.  A small C kernel (_lanes.c),
+compiled on first use and loaded with ctypes, advances them; where it
+cannot be built, vectorized numpy word ops do.  A plain sequential scan,
+one Python-int step at a time, is kept as the reference: every path
+produces bit-identical results.
 
 The CSV files hold each coordinate as Python's '%.17g' text.  One writer
 passes the rows of points.csv and of each mesh to a formatter, a buffer's
@@ -59,8 +60,8 @@ from .xorapprox import COMBINE_ORDER, column_cases, compound_probability, plane_
 
 DEFAULT_SCAN_CAP = 1 << 32
 # Without an explicit scan cap, an expected scan longer than this many
-# triples is refused before it starts: on two cores it takes about 30 s
-# with the compiled kernel, about 11 minutes with the numpy scan.
+# triples is refused before it starts: on two cores it takes about 35 s
+# with the compiled kernel, about 12 minutes with the numpy scan.
 MAX_DEFAULT_WORK = 1 << 38
 # The fast scan runs one lane range per usable CPU.  The lanes per worker
 # are sized for the numpy fallback, whose ufuncs release the GIL so the
@@ -156,26 +157,24 @@ def slab_sample(
     state: GenState,
     spec: SlabSpec,
     scan_cap: int | None = None,
-    method: str = "auto",
+    method: str = "fast",
 ) -> SlabSample:
     """Scan overlapping triples, keeping the words (X << e, Y, Z) for x < 2**-e.
 
     Stops at target_points, or at the scan cap with the truncated flag set.
-    method is "sequential", "fast", or "auto" (fast for large scans); both
-    paths yield identical samples.
+    method "fast" is the lane scan; "sequential" steps one Python-int
+    state at a time and is the reference the lane scan must equal.
     """
     cap = resolve_scan_cap(spec, scan_cap)
     _check_method(method)
-    if method == "auto":
-        method = "fast" if cap > 200_000 else "sequential"
     scan = _scan_sequential if method == "sequential" else _scan_fast
     last_in = (1 << (64 - spec.e)) - 1  # x < 2**-e  iff  output o <= last_in
     return SlabSample(*scan(state, spec, cap, last_in))
 
 
 def _check_method(method: str) -> None:
-    if method not in ("auto", "sequential", "fast"):
-        raise ValueError(f"method must be 'sequential', 'fast' or 'auto', got {method!r}")
+    if method not in ("fast", "sequential"):
+        raise ValueError(f"method must be 'fast' or 'sequential', got {method!r}")
 
 
 def _scan_sequential(state, spec, cap, last_in):
@@ -494,7 +493,7 @@ def _check_census(n_steps: int, n_bits: int) -> None:
         raise ValueError(f"n_bits must be in 1..16, got {n_bits}")
 
 
-def case_census(state: GenState, n_steps: int, n_bits: int = 3) -> CaseCensus:
+def case_census(state: GenState, n_steps: int, n_bits: int) -> CaseCensus:
     """Tally the 3x3 compound-case grid over n_steps consecutive steps.
 
     Step i sees the state words s0..s3 = w[i..i+3].  Its inner cases are
@@ -571,7 +570,7 @@ class ExperimentConfig:
     magnify_exp: int | None = None
     target_points: int = 1000
     scan_cap: int | None = None
-    method: str = "auto"
+    method: str = "fast"
     control_points: int = 1 << 17
     control_seed: int = 271828
     census_steps: int = 50000

@@ -46,7 +46,6 @@ def big_run():
         seed=1,
         epsilon=EPSILON,
         target_points=1000,
-        method="fast",
         control_points=CONTROL_POINTS,
         control_seed=271828,
         census_steps=50_000,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,8 +7,9 @@ import sys
 import pytest
 
 from xsplanes import experiment
-from xsplanes.cli import main
-from xsplanes.engine import Params, iter_outputs, seed_state
+from xsplanes.cli import build_parser, main
+from xsplanes.engine import DEFAULT_PARAMS, Params, iter_outputs, seed_state
+from xsplanes.experiment import ExperimentConfig
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +105,40 @@ def test_census_n_bits_range_exits_2(capsys, n_bits):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+# the parser attributes that perfbench/layers.py reads
+LAYERS_ATTRIBUTES = (
+    "a b c seed epsilon target_points scan_cap magnify_exp grid control_points control_seed "
+    "census_steps n_bits method output_dir control_only"
+).split()
+
+
+def test_planes_defaults_are_the_config_defaults():
+    # each setting's default is defined once, in ExperimentConfig; output_dir
+    # is the exception, since the command writes its files where the config
+    # defaults to writing none
+    args = build_parser().parse_args(["planes"])
+    config = ExperimentConfig()
+    assert Params(args.a, args.b, args.c) == config.params == DEFAULT_PARAMS
+    for field in dataclasses.fields(ExperimentConfig):
+        if field.name not in ("params", "output_dir"):
+            assert getattr(args, field.name) == getattr(config, field.name), field.name
+    assert all(hasattr(args, name) for name in LAYERS_ATTRIBUTES)
+
+
+def test_census_defaults_are_the_config_defaults():
+    args = build_parser().parse_args(["census"])
+    config = ExperimentConfig()
+    assert (args.steps, args.n_bits, args.seed) == (config.census_steps, config.n_bits, config.seed)
+    assert Params(args.a, args.b, args.c) == DEFAULT_PARAMS
+
+
+@pytest.mark.parametrize("flags", [("--method", "auto"), ("--full-scale",)], ids=" ".join)
+def test_planes_removed_settings_exit_2(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["planes", *flags])
+    assert exc.value.code == 2
 
 
 PLANES_ARGS = [

@@ -136,6 +136,18 @@ def test_slab_sample_paths_agree(monkeypatch):
         assert_same_sample(fast, seq)
     assert seq.truncated is False
     assert seq.n_in_slab == 400
+    # the default method is the lane scan at every cap, small ones and those
+    # either side of 200,000 too; 1000 points need about 256,000 triples, so
+    # each of these caps truncates
+    spec = slab_spec(8, target_points=1000)
+    refs = {cap: slab_sample(state, spec, scan_cap=cap, method="sequential")
+            for cap in (10_000, 199_999, 200_000, 200_001)}
+    monkeypatch.setattr(experiment, "_scan_sequential", None)  # the default must not call it
+    for kernel in lane_kernels(P8):
+        monkeypatch.setattr(experiment, "_kernel", lambda params: kernel)
+        for cap, seq in refs.items():
+            assert seq.truncated and seq.n_triples_scanned == cap
+            assert_same_sample(slab_sample(state, spec, scan_cap=cap), seq)
 
 
 def test_lane_starts_are_stepped_states():
@@ -467,8 +479,9 @@ def test_slab_sample_acceptance_rate_consistency():
 
 def test_slab_sample_method_validated():
     spec = slab_spec(8, target_points=10)
-    with pytest.raises(ValueError):
-        slab_sample(seed_state(1, P8), spec, scan_cap=100, method="warp")
+    for method in ("warp", "auto"):
+        with pytest.raises(ValueError):
+            slab_sample(seed_state(1, P8), spec, scan_cap=100, method=method)
 
 
 def test_control_generator_slab_acceptance():
@@ -744,7 +757,7 @@ def test_experiment_config_validates():
     for bad in [
         {"epsilon": -1.0}, {"epsilon": math.nan}, {"params": Params(63, 17, 26), "magnify_exp": 10},
         {"magnify_exp": 0}, {"magnify_exp": 54}, {"target_points": 0}, {"scan_cap": 0},
-        {"magnify_exp": 40}, {"method": "slow"}, {"control_points": 0}, {"census_steps": 0},
+        {"magnify_exp": 40}, {"method": "slow"}, {"method": "auto"}, {"control_points": 0}, {"census_steps": 0},
         {"n_bits": 0}, {"n_bits": 17}, {"grid": 1}, {"grid": 4097}, {"seed": -1}, {"control_seed": 1 << 128},
     ]:
         with pytest.raises(ValueError):
