@@ -4,9 +4,9 @@ The pipeline scans consecutive overlapping output triples (x, y, z), keeps
 the 53-bit words of those whose x falls in the slab x < 2**-e, magnifies
 x for plotting by an exact shift, and measures how the kept points
 concentrate near the eight predicted planes.
-A counter-based control generator (Philox) supplies the null statistic on
-the full unit cube, where the eight plane neighborhoods are essentially
-disjoint and the uniform hit rate is close to 16*epsilon.
+A counter-based control generator (numpy's Philox stream) supplies the
+null statistic on the full unit cube, where the eight plane neighborhoods
+are essentially disjoint and the uniform hit rate is close to 16*epsilon.
 
 Scanning a slab at x_max = 2**-23 needs billions of triples per thousand
 kept points, so the scan uses the packed-pair transition map to start
@@ -23,6 +23,9 @@ worth a call.  A second C kernel (_text.c), built and cached the same way,
 formats them with exact integer arithmetic, byte for byte as Python does;
 where it cannot be built, a Python formatter takes the same calls and
 writes the same text, formatting each distinct value of a call once.
+A third (_control.c) draws the control's Philox stream and counts its
+hits without allocating; where it cannot be built, numpy.random's Philox
+draws the stream, and only then is numpy.random imported.
 
 With an output directory, run_experiment writes points.csv, the eight
 mesh files, overlay.json and report.json, in that order, once the sample
@@ -86,8 +89,11 @@ _CFLAGS = ("-O3", "-shared", "-fPIC")
 _CALL_TRIPLES = 1 << 28
 _CALL_HITS = 1 << 11
 _GROUP = 32
-# Control points and census words are processed in chunks of these sizes,
-# which bounds their memory independently of the requested counts.
+# The compiled control count (_control.c) allocates nothing.  Without it,
+# control points are processed in chunks, as census words always are, of
+# these sizes, which bounds their memory independently of the requested
+# counts.
+_CONTROL_SOURCE = Path(__file__).with_name("_control.c")
 _CONTROL_CHUNK = 1 << 15
 _CENSUS_CHUNK = 1 << 13
 
@@ -114,8 +120,8 @@ class SlabSpec:
         return float(1 << self.e)
 
 
-def slab_spec(a: int, magnify_exp: int | None = None, target_points: int = 1000) -> SlabSpec:
-    """Slab x < 2**-e with magnification 2**e; e defaults to the shift count a."""
+def slab_spec(a: int, magnify_exp: int | None, target_points: int) -> SlabSpec:
+    """Slab x < 2**-e with magnification 2**e; e is magnify_exp, or the shift count a where that is None."""
     return SlabSpec(a if magnify_exp is None else magnify_exp, target_points)
 
 
@@ -445,26 +451,46 @@ def hit_stats(points, fam: PlaneFamily, epsilon: float, spec: SlabSpec) -> HitSt
     return HitStats(len(points), hits, hits / len(points), per_plane)
 
 
-def _check_control(n_points: int) -> None:
+def _check_control(n_points: int, control_seed: int) -> None:
     if n_points < 1:
         raise ValueError(f"n_points must be >= 1, got {n_points}")
+    # ctypes would wrap a count or key out of range silently, where Philox
+    # runs the count or rejects the key
+    if n_points >= 1 << 63:
+        raise ValueError(f"n_points must be below 2**63, got {n_points}")
+    if not 0 <= control_seed < 1 << 128:
+        raise ValueError(f"control_seed must be in 0..2**128-1, got {control_seed}")
+
+
+@functools.cache
+def _control_kernel():
+    """The compiled Philox control count, loaded once per process, or None where it cannot be built."""
+    ptr, i64, u64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64
+    return _compiled(_CONTROL_SOURCE, (), "xs_control_hits", i64, [u64, u64, i64, ptr, ptr, u64])
 
 
 def control_baseline(n_points: int, fam: PlaneFamily, epsilon: float, control_seed: int) -> float:
     """Hit fraction of uniform cube points from a counter-based generator.
 
-    Philox (counter-based, unrelated to the xorshift family) drives the
-    points: each coordinate is the top 53 bits of one raw word, the same
-    value Generator.random would give.  On the full cube the eight plane
-    neighborhoods are nearly disjoint so the expected value is a bit under
-    16*epsilon.  For a = 52 - k the two coefficient families coincide on
+    numpy's Philox(key=control_seed) stream (counter-based, unrelated to
+    the xorshift family) drives the points: each coordinate is the top 53
+    bits of one raw word, the same value Generator.random would give.  The
+    compiled kernel draws the stream and counts the hits in one call;
+    without it, numpy's Philox draws it in chunks.  On the full cube the
+    eight plane neighborhoods are nearly disjoint so the expected value is
+    a bit under 16*epsilon.  For a = 52 - k the two coefficient families coincide on
     the grid points with X = 0 mod 2**k, which lowers it to about
     (16 - 8/2**k)*epsilon: 14*epsilon at a = 50, 12*epsilon at a = 51.
     For a >= 52 they coincide on the whole 53-bit grid, which halves it
     to 8*epsilon.  planes.union_rate gives the union bound.
     """
-    _check_control(n_points)
+    _check_control(n_points, control_seed)
     thr = epsilon_threshold(epsilon)
+    kernel = _control_kernel()
+    if kernel is not None:
+        c = (ctypes.c_uint64 * 8)(*(p.sign_x * p.m & MASK64 for p in fam.planes))
+        sy = (ctypes.c_uint64 * 8)(*(p.sign_y & MASK64 for p in fam.planes))
+        return kernel(control_seed & MASK64, control_seed >> 64, n_points, c, sy, thr) / n_points
     bitgen = np.random.Philox(key=control_seed)
     hits = 0
     for start in range(0, n_points, _CONTROL_CHUNK):
@@ -582,12 +608,10 @@ class ExperimentConfig:
         # each check raises ValueError on a bad setting
         epsilon_threshold(self.epsilon)
         family(self.params.a)
-        _check_control(self.control_points)
+        _check_control(self.control_points, self.control_seed)
         _check_census(self.census_steps, self.n_bits)
         check_grid(self.grid)
         seed_state(self.seed, self.params)
-        if not 0 <= self.control_seed < 1 << 128:
-            raise ValueError(f"control_seed must be in 0..2**128-1, got {self.control_seed}")
         resolve_scan_cap(self.spec, self.scan_cap)
         _check_method(self.method)
 

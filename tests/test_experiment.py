@@ -65,36 +65,36 @@ def slab_words(points, e):
 
 
 def test_slab_spec_reciprocal_invariant():
-    spec = slab_spec(23)
+    spec = slab_spec(23, None, 1000)
     assert spec.magnify * spec.x_max == 1.0
     assert spec.x_max == 2.0**-23
-    spec22 = slab_spec(23, magnify_exp=22)
+    spec22 = slab_spec(23, 22, 1000)
     assert spec22.magnify == float(1 << 22)
 
 
 def test_slab_spec_validates():
     with pytest.raises(ValueError):
-        slab_spec(23, magnify_exp=0)
+        slab_spec(23, 0, 1000)
     with pytest.raises(ValueError):
-        slab_spec(23, magnify_exp=54)
+        slab_spec(23, 54, 1000)
     with pytest.raises(ValueError):
-        slab_spec(54)
+        slab_spec(54, None, 1000)
     for e, target in ((0, 10), (54, 10), (2, 0)):
         with pytest.raises(ValueError):
             SlabSpec(e, target)
 
 
 def test_resolve_scan_cap():
-    spec8 = slab_spec(8, target_points=1000)
+    spec8 = slab_spec(8, None, 1000)
     assert resolve_scan_cap(spec8, None) == DEFAULT_SCAN_CAP
-    spec23 = slab_spec(23, target_points=1000)
+    spec23 = slab_spec(23, None, 1000)
     assert resolve_scan_cap(spec23, None) == 4 * 1000 * (1 << 23)
     assert resolve_scan_cap(spec8, 12345) == 12345
     with pytest.raises(ValueError):
         resolve_scan_cap(spec8, 0)
     # the full-scale run fits the default budget; a = 30 does not, unless capped
-    assert resolve_scan_cap(slab_spec(23, target_points=10_000), None) == 4 * 10_000 * (1 << 23)
-    spec30 = slab_spec(30, target_points=1000)
+    assert resolve_scan_cap(slab_spec(23, None, 10_000), None) == 4 * 10_000 * (1 << 23)
+    spec30 = slab_spec(30, None, 1000)
     with pytest.raises(ValueError, match="--scan-cap"):
         resolve_scan_cap(spec30, None)
     assert resolve_scan_cap(spec30, 1 << 40) == 1 << 40
@@ -127,7 +127,7 @@ def test_accept_threshold_matches_float_compare(monkeypatch):
 
 
 def test_slab_sample_paths_agree(monkeypatch):
-    spec = slab_spec(8, target_points=400)
+    spec = slab_spec(8, None, 400)
     state = seed_state(3, P8)
     seq = slab_sample(state, spec, scan_cap=500_000, method="sequential")
     for kernel in lane_kernels(P8):
@@ -139,7 +139,7 @@ def test_slab_sample_paths_agree(monkeypatch):
     # the default method is the lane scan at every cap, small ones and those
     # either side of 200,000 too; 1000 points need about 256,000 triples, so
     # each of these caps truncates
-    spec = slab_spec(8, target_points=1000)
+    spec = slab_spec(8, None, 1000)
     refs = {cap: slab_sample(state, spec, scan_cap=cap, method="sequential")
             for cap in (10_000, 199_999, 200_000, 200_001)}
     monkeypatch.setattr(experiment, "_scan_sequential", None)  # the default must not call it
@@ -209,7 +209,7 @@ def test_fast_scan_independent_of_workers_and_blocks(monkeypatch):
 def test_fast_scan_worker_exception_propagates(monkeypatch):
     # a failure in a worker thread's lane range reaches the caller, on either lane scan
     monkeypatch.setattr(experiment, "_WORKERS", 2)
-    spec = slab_spec(8, target_points=50)
+    spec = slab_spec(8, None, 50)
     for kernel in lane_kernels(P8):
         name = "_scan_block" if kernel is None else "_scan_compiled"
         real_block = getattr(experiment, name)
@@ -236,7 +236,7 @@ def test_compiled_kernel_in_use_where_gcc_is_found(monkeypatch):
         raise AssertionError("numpy lane scan used")
 
     monkeypatch.setattr(experiment, "_scan_block", numpy_block)
-    slab_sample(seed_state(3, P8), slab_spec(8, target_points=50), scan_cap=500_000, method="fast")
+    slab_sample(seed_state(3, P8), slab_spec(8, None, 50), scan_cap=500_000, method="fast")
 
 
 @pytest.mark.parametrize("cflags", [("-shared", "-fno-such-option"), ("-c",)], ids=["compile", "load"])
@@ -448,7 +448,7 @@ def test_concurrent_first_compiles_both_load(tmp_path):
 
 
 def test_slab_sample_magnified_coordinates():
-    spec = slab_spec(8, target_points=200)
+    spec = slab_spec(8, None, 200)
     sample = slab_sample(seed_state(4, P8), spec, scan_cap=200_000)
     assert sample.n_in_slab == 200
     assert sample.points.dtype == np.uint64
@@ -458,7 +458,7 @@ def test_slab_sample_magnified_coordinates():
 
 
 def test_slab_sample_truncation():
-    spec = slab_spec(8, target_points=10_000)
+    spec = slab_spec(8, None, 10_000)
     sample = slab_sample(seed_state(5, P8), spec, scan_cap=2_000, method="sequential")
     assert sample.truncated
     assert sample.n_triples_scanned == 2_000
@@ -470,7 +470,7 @@ def test_slab_sample_truncation():
 def test_slab_sample_acceptance_rate_consistency():
     # the scan length needed for the target should be binomially consistent
     # with acceptance rate x_max; generator outputs are near uniform (6 sigma)
-    spec = slab_spec(8, target_points=500)
+    spec = slab_spec(8, None, 500)
     sample = slab_sample(seed_state(6, P8), spec, scan_cap=5_000_000)
     n = sample.n_triples_scanned
     expect = n * spec.x_max
@@ -478,7 +478,7 @@ def test_slab_sample_acceptance_rate_consistency():
 
 
 def test_slab_sample_method_validated():
-    spec = slab_spec(8, target_points=10)
+    spec = slab_spec(8, None, 10)
     for method in ("warp", "auto"):
         with pytest.raises(ValueError):
             slab_sample(seed_state(1, P8), spec, scan_cap=100, method=method)
@@ -496,7 +496,7 @@ def test_control_generator_slab_acceptance():
 
 def test_hit_stats_points_on_planes():
     fam = family(8)
-    spec = slab_spec(8, target_points=10)
+    spec = slab_spec(8, None, 10)
     pts = []
     for k, plane in enumerate(fam.planes):
         x = (k + 1) * 2.0**-12
@@ -509,7 +509,7 @@ def test_hit_stats_points_on_planes():
 
 def test_hit_stats_epsilon_half_catches_all():
     fam = family(8)
-    spec = slab_spec(8, target_points=10)
+    spec = slab_spec(8, None, 10)
     pts = slab_words([(0.1, 0.2, 0.3), (0.9, 0.8, 0.7), (0.5, 0.5, 0.5)], 0)
     stats = hit_stats(pts, fam, 0.5, spec)
     assert stats.hit_fraction == 1.0
@@ -517,16 +517,16 @@ def test_hit_stats_epsilon_half_catches_all():
 
 def test_hit_stats_empty_rejected():
     with pytest.raises(ValueError):
-        hit_stats(np.empty((0, 3), dtype=np.uint64), family(8), 0.01, slab_spec(8))
+        hit_stats(np.empty((0, 3), dtype=np.uint64), family(8), 0.01, slab_spec(8, None, 1000))
     for eps in (-0.1, math.nan):
         with pytest.raises(ValueError):
-            hit_stats(slab_words([(0.001, 0.2, 0.3)], 8), family(8), eps, slab_spec(8))
+            hit_stats(slab_words([(0.001, 0.2, 0.3)], 8), family(8), eps, slab_spec(8, None, 1000))
 
 
 def test_hit_stats_matches_raw_word_scoring():
     # slab points scored through hit_stats equal the 53-bit words of the
     # same triples scored directly
-    spec = slab_spec(8, target_points=300)
+    spec = slab_spec(8, None, 300)
     state = seed_state(3, P8)
     sample = slab_sample(state, spec, method="sequential")
     outs = iter_outputs(state)
@@ -552,7 +552,7 @@ def test_hit_stats_matches_raw_word_scoring():
 def test_hit_stats_unmagnifies_x():
     # a point on a plane only after dividing x_mag by the magnification
     fam = family(8)
-    spec = slab_spec(8, target_points=10)
+    spec = slab_spec(8, None, 10)
     plane = fam.planes[4]
     x = 2.0**-10
     z = height(plane, x, 0.5)
@@ -605,6 +605,72 @@ def test_control_baseline_near_uniform_union_measure():
     expect = 16 * eps
     sigma = math.sqrt(expect * (1 - expect) / n)
     assert abs(frac - expect) <= 4 * sigma
+
+
+def compiled_control():
+    """The compiled control count; the test is skipped where it cannot be built."""
+    kernel = experiment._control_kernel()
+    if kernel is None:
+        pytest.skip("no compiled control kernel")
+    return kernel
+
+
+@pytest.mark.parametrize("a", [1, 8, 23, 50, 51, 52, 62])
+def test_control_kernel_matches_numpy_philox(monkeypatch, a):
+    # the kernel draws numpy's Philox stream across the 4-word block edges
+    # and the numpy path's 32,768-point chunk edges, for keys at both ends
+    # of both key words
+    kernel = compiled_control()
+    fam = family(a)
+    for n in (1, 2, 3, 4, 5, 32767, 32768, 32769, 100001):
+        for key in (0, 1, (1 << 64) - 1, 1 << 64, (1 << 128) - 1):
+            for eps in (0.0, 2.0**-10, 0.5):
+                monkeypatch.setattr(experiment, "_control_kernel", lambda: kernel)
+                got = control_baseline(n, fam, eps, key)
+                monkeypatch.setattr(experiment, "_control_kernel", lambda: None)
+                assert got == control_baseline(n, fam, eps, key), (n, key, eps)
+
+
+def test_control_kernel_matches_numpy_philox_across_keys(monkeypatch):
+    # about 2,000 hits a key: a wrong word anywhere in the stream would move the count
+    kernel = compiled_control()
+    fam = family(23)
+    keys = [271828 + 7919 * i for i in range(40)] + [(1 << 127) + 12345 * i for i in range(10)]
+    for key in keys:
+        monkeypatch.setattr(experiment, "_control_kernel", lambda: kernel)
+        got = control_baseline(1 << 17, fam, 2.0**-10, key)
+        monkeypatch.setattr(experiment, "_control_kernel", lambda: None)
+        assert got == control_baseline(1 << 17, fam, 2.0**-10, key), key
+
+
+def test_control_baseline_rejects_values_ctypes_would_wrap(monkeypatch):
+    # ctypes would wrap key 2**128 to 0, key -1 to 2**64 - 1 and 2**64 + 3
+    # points to 3; both paths refuse them, the keys as Philox does
+    for kernel in (experiment._control_kernel(), None):
+        monkeypatch.setattr(experiment, "_control_kernel", lambda: kernel)
+        for key in (1 << 128, -1):
+            with pytest.raises(ValueError, match="control_seed"):
+                control_baseline(100, family(8), 2.0**-10, key)
+        for n in (1 << 63, (1 << 64) + 3):
+            with pytest.raises(ValueError, match="n_points"):
+                control_baseline(n, family(8), 2.0**-10, 1)
+
+
+def test_compiled_run_never_imports_numpy_random():
+    # with the compiled control count, numpy.random (and the OpenSSL
+    # modules it pulls in) stays out of a planes run
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc on PATH")
+    code = """
+import contextlib, io, sys
+from xsplanes.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    main(["planes", "--a", "8", "--target-points", "50", "--control-points", "1000", "--census-steps", "1000",
+          "--grid", "8"])
+assert "numpy.random" not in sys.modules
+"""
+    src = os.path.dirname(os.path.dirname(experiment.__file__))
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), check=True, timeout=120)
 
 
 def test_census_step_degenerate_tops_fill_grid():

@@ -225,7 +225,8 @@ def test_run_experiment_same_files_on_both_text_paths(monkeypatch, tmp_path, wor
 
 def test_text_library_built_once_by_fresh_cache(tmp_path):
     # a run from an empty cache compiles the formatter once, for all nine
-    # CSV files, and leaves no temp file in the cache or the output directory
+    # CSV files, builds one library per kernel (control count, lane scan and
+    # formatter), and leaves no temp file in the cache or the output directory
     if shutil.which("gcc") is None:
         pytest.skip("no gcc on PATH")
     code = """
@@ -249,6 +250,6 @@ assert experiment._text_kernel() is not None
     env = dict(os.environ, XDG_CACHE_HOME=str(cache), PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code, str(log), str(out)], env=env, check=True, timeout=120)
     assert log.read_text() == "built\n"
-    assert sorted(p.name.split("-")[0] for p in (cache / "xsplanes").iterdir()) == ["lanes", "text"]
+    assert sorted(p.name.split("-")[0] for p in (cache / "xsplanes").iterdir()) == ["control", "lanes", "text"]
     assert len(list(out.iterdir())) == 11
     assert not list(out.glob("*.tmp"))
