@@ -407,6 +407,12 @@ def _scan_fast(state, spec, cap, last_in):
         hits.append(np.stack([base + lane * seg_len + t, s0, s1]))
         n_hits += len(t)
         base += lanes * seg_len
+        # Freed now, not when the next block rebinds them, so that the peak
+        # RSS does not depend on how many blocks the seed needs: the lane
+        # starts (1 MB) held while the next block's are built, or the hit
+        # rows (1.6 MB at 50000 hits) held while the hits are sorted, each
+        # added about 2 MB to it.
+        del starts, lane, t, s0, s1
     offset, s0, s1 = np.concatenate(hits, axis=1)
     first = np.argsort(offset)[:target]
     offset, s0, s1 = offset[first], s0[first], s1[first]
