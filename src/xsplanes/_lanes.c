@@ -3,13 +3,14 @@
  * Compiled once per shift triple, given as -DSHIFT_A=a -DSHIFT_B=b
  * -DSHIFT_C=c, so every shift is by a constant.
  *
- * Lane j starts at state (hi[j], lo[j]) and is advanced seg_len steps.  At
- * step t, a lane whose output s0 + s1 is at most last_in is a hit, stored
- * as (lane, t, s0, s1) in the rows of hits, a 4 x cap array.  Returns the
- * number of hits, which may exceed cap: only the first cap are stored.
- * Lanes run in interleaved groups of GROUP so the compiler vectorizes the
- * step across lanes; a short last group repeats its last lane, whose hits
- * are not stored twice.  Hits come in order of group, then t, then lane.
+ * Lane j starts at state (hi[j], lo[j]), stream offset base + j*seg_len, and
+ * is advanced seg_len steps.  At step t, a lane whose output s0 + s1 is at
+ * most last_in is a hit, stored as its offset base + j*seg_len + t and its
+ * state s0, s1 in the rows of hits, a 3 x cap array.  Returns the number of
+ * hits, which may exceed cap: only the first cap are stored.  Lanes run in
+ * interleaved groups of GROUP so the compiler vectorizes the step across
+ * lanes; a short last group repeats its last lane, whose hits are not stored
+ * twice.  Hits come in order of group, then t, then lane.
  *
  * Testing every step for a hit costs a horizontal OR over the group.  On a
  * sparse slab, where a group expects under 1/4 hit in CHUNK steps
@@ -44,8 +45,8 @@ void step(uint64_t *s0, uint64_t *s1)
 
 /* Steps m lanes of group g from t0 to t_end, testing every step; returns the new hit count. */
 static inline __attribute__((always_inline))
-int64_t record(uint64_t *s0, uint64_t *s1, int64_t g, int64_t m, int64_t t0, int64_t t_end,
-               uint64_t last_in, uint64_t *hits, int64_t cap, int64_t n)
+int64_t record(uint64_t *s0, uint64_t *s1, int64_t g, int64_t m, int64_t t0, int64_t t_end, int64_t seg_len,
+               uint64_t base, uint64_t last_in, uint64_t *hits, int64_t cap, int64_t n)
 {
     for (int64_t t = t0; t < t_end; t++) {
         int any = 0;
@@ -56,10 +57,9 @@ int64_t record(uint64_t *s0, uint64_t *s1, int64_t g, int64_t m, int64_t t0, int
                 if (s0[j] + s1[j] > last_in)
                     continue;
                 if (n < cap) {
-                    hits[n] = g + j;
-                    hits[cap + n] = t;
-                    hits[2 * cap + n] = s0[j];
-                    hits[3 * cap + n] = s1[j];
+                    hits[n] = base + (uint64_t)((g + j) * seg_len + t);
+                    hits[cap + n] = s0[j];
+                    hits[2 * cap + n] = s1[j];
                 }
                 n++;
             }
@@ -69,9 +69,9 @@ int64_t record(uint64_t *s0, uint64_t *s1, int64_t g, int64_t m, int64_t t0, int
     return n;
 }
 
-#define PARAMS const uint64_t *hi, const uint64_t *lo, int64_t lanes, int64_t seg_len, \
+#define PARAMS const uint64_t *hi, const uint64_t *lo, int64_t lanes, int64_t seg_len, uint64_t base, \
                uint64_t last_in, uint64_t *hits, int64_t cap
-#define ARGS hi, lo, lanes, seg_len, last_in, hits, cap
+#define ARGS hi, lo, lanes, seg_len, base, last_in, hits, cap
 
 static inline __attribute__((always_inline))
 int64_t scan(PARAMS)
@@ -104,10 +104,10 @@ int64_t scan(PARAMS)
                 for (int j = 0; j < GROUP; j++)
                     any |= least[j] <= last_in;
                 if (any)  /* steps the saved states to the same end */
-                    n = record(k0, k1, g, m, t, t + CHUNK, last_in, hits, cap, n);
+                    n = record(k0, k1, g, m, t, t + CHUNK, seg_len, base, last_in, hits, cap, n);
             }
         }
-        n = record(s0, s1, g, m, t, seg_len, last_in, hits, cap, n);
+        n = record(s0, s1, g, m, t, seg_len, seg_len, base, last_in, hits, cap, n);
     }
     return n;
 }

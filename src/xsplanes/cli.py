@@ -15,7 +15,7 @@ import math
 import sys
 
 from .engine import DEFAULT_PARAMS, Params, iter_outputs, seed_state, to_unit
-from .experiment import ExperimentConfig, case_census, control_baseline, run_experiment
+from .experiment import MAX_TARGET_POINTS, ExperimentConfig, case_census, control_baseline, run_experiment
 from .planes import MAX_GRID, family, union_rate
 from .xorapprox import compound_probability, count_cases, verify_xor_diff, verify_xor_sum
 
@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_planes.add_argument("--epsilon", type=float, default=ExperimentConfig.epsilon,
                           help="plane-proximity tolerance (default %(default)s)")
     p_planes.add_argument("--target-points", type=int, default=ExperimentConfig.target_points,
-                          help="slab points to collect (default %(default)s)")
+                          help=f"slab points to collect (default %(default)s, at most {MAX_TARGET_POINTS})")
     p_planes.add_argument("--scan-cap", type=int, default=ExperimentConfig.scan_cap,
                           help="hard cap on triples scanned (default: sized to the target)")
     p_planes.add_argument("--magnify-exp", type=int, default=ExperimentConfig.magnify_exp,

@@ -89,6 +89,9 @@ _CFLAGS = ("-O3", "-shared", "-fPIC")
 _CALL_TRIPLES = 1 << 28
 _CALL_HITS = 1 << 11
 _GROUP = 32
+# xs_scan_lanes(hi, lo, lanes, seg_len, base, last_in, hits, cap) -> number of hits
+_LANES_ARGTYPES = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_uint64,
+                   ctypes.c_uint64, ctypes.c_void_p, ctypes.c_int64)
 # The compiled control count (_control.c) allocates nothing.  Without it,
 # control points are processed in chunks, as census words always are, of
 # these sizes, which bounds their memory independently of the requested
@@ -96,6 +99,9 @@ _GROUP = 32
 _CONTROL_SOURCE = Path(__file__).with_name("_control.c")
 _CONTROL_CHUNK = 1 << 15
 _CENSUS_CHUNK = 1 << 13
+# The hit rows and points grow with the target, not with the triples scanned:
+# a planes run of 2**22 points at x < 2**-1 peaks at about 550 MB RSS.
+MAX_TARGET_POINTS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -108,8 +114,8 @@ class SlabSpec:
     def __post_init__(self):
         if not 1 <= self.e <= 53:
             raise ValueError(f"magnify exponent must be in 1..53, got {self.e}")
-        if self.target_points < 1:
-            raise ValueError(f"target_points must be >= 1, got {self.target_points}")
+        if not 1 <= self.target_points <= MAX_TARGET_POINTS:
+            raise ValueError(f"target_points must be in 1..{MAX_TARGET_POINTS}, got {self.target_points}")
 
     @property
     def x_max(self) -> float:
@@ -225,26 +231,25 @@ def _lane_starts(one_step, start, lanes, seg_len):
     return starts, act(seg, starts[:, -1:])
 
 
-def _scan_block(hi, lo, scratch, params, seg_len, last_in):
+def _scan_block(hi, lo, scratch, params, seg_len, base, last_in):
     """Advance all lanes seg_len steps; return the hits where a triple enters the slab.
 
-    Lane j covers triple offsets [j*seg_len, (j+1)*seg_len) of the stream.
-    The hits are a (4, n) uint64 array with rows lane, t, s0, s1, the layout
-    of the compiled kernel's buffer: a hit is recorded as its state, from
-    which the caller steps out the triple's other two outputs.  hi, lo and
-    the three scratch arrays are overwritten.
+    Lane j covers triple offsets [base + j*seg_len, base + (j+1)*seg_len) of
+    the stream.  The hits are a (3, n) uint64 array with rows offset, s0, s1,
+    the layout of the compiled kernel's buffer: a hit's stream offset and its
+    state, from which the caller steps out the triple's other two outputs.
+    hi, lo and the three scratch arrays are overwritten.
     """
     s0, s1 = hi, lo
     out, t1, t2 = scratch
     ua, ub, uc = np.uint64(params.a), np.uint64(params.b), np.uint64(params.c)
-    last_in = np.uint64(last_in)
-    hits = [np.empty((4, 0), dtype=np.uint64)]
+    last_in, seg = np.uint64(last_in), np.uint64(seg_len)
+    hits = [np.empty((3, 0), dtype=np.uint64)]
     for t in range(seg_len):
         np.add(s0, s1, out=out)
         if out.min() <= last_in:
-            # uint64 lane numbers: stacked with int64 ones the rows would turn to float64
-            lane = np.flatnonzero(out <= last_in).astype(np.uint64)
-            hits.append(np.stack([lane, np.full_like(lane, t), s0[lane], s1[lane]]))
+            lane = np.flatnonzero(out <= last_in)
+            hits.append(np.stack([lane.astype(np.uint64) * seg + np.uint64(base + t), s0[lane], s1[lane]]))
         np.left_shift(s0, ua, out=t1)
         np.bitwise_xor(t1, s0, out=t1)
         np.right_shift(t1, ub, out=t2)
@@ -310,12 +315,11 @@ def _compiled(source: Path, defines: tuple[str, ...], name: str, restype, argtyp
 @functools.cache
 def _kernel(params: Params):
     """The compiled lane scan for params, loaded once per triple, or None."""
-    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
     defines = (f"-DSHIFT_A={params.a}", f"-DSHIFT_B={params.b}", f"-DSHIFT_C={params.c}")
-    return _compiled(_LANES_SOURCE, defines, "xs_scan_lanes", i64, [ptr, ptr, i64, i64, ctypes.c_uint64, ptr, i64])
+    return _compiled(_LANES_SOURCE, defines, "xs_scan_lanes", ctypes.c_int64, _LANES_ARGTYPES)
 
 
-def _scan_compiled(kernel, hi, lo, seg_len, last_in):
+def _scan_compiled(kernel, hi, lo, seg_len, base, last_in):
     """_scan_block through the compiled kernel: the same hits, and hi and lo left unchanged.
 
     A call that finds more hits than the buffer holds reports how many, and
@@ -326,21 +330,19 @@ def _scan_compiled(kernel, hi, lo, seg_len, last_in):
         raise ValueError("lane starts must be two contiguous uint64 arrays of one length")
     call = min(_CALL_TRIPLES, (_CALL_HITS << 64) // (last_in + 1))
     step = max(_GROUP, call // seg_len // _GROUP * _GROUP)
-    buf = np.empty((4, _CALL_HITS * 3 // 2), dtype=np.uint64)
+    buf = np.empty((3, _CALL_HITS * 3 // 2), dtype=np.uint64)
     hits = []
     for start in range(0, hi.shape[0], step):
         h, l = hi[start : start + step], lo[start : start + step]
-        while (found := kernel(h.ctypes.data, l.ctypes.data, h.shape[0], seg_len, last_in, buf.ctypes.data,
-                               buf.shape[1])) > buf.shape[1]:
-            buf = np.empty((4, found), dtype=np.uint64)
-        part = buf[:, :found].copy()
-        part[0] += np.uint64(start)
-        hits.append(part)
+        while (found := kernel(h.ctypes.data, l.ctypes.data, h.shape[0], seg_len, base + start * seg_len, last_in,
+                               buf.ctypes.data, buf.shape[1])) > buf.shape[1]:
+            buf = np.empty((3, found), dtype=np.uint64)
+        hits.append(buf[:, :found].copy())
     return np.concatenate(hits, axis=1)
 
 
-def _scan_lanes(hi, lo, params, seg_len, last_in):
-    """Scan contiguous lane ranges, one per worker; the (4, n) hits carry block lane numbers.
+def _scan_lanes(hi, lo, params, seg_len, base, last_in):
+    """Scan contiguous lane ranges, one per worker, from stream offset base; the (3, n) hits of _scan_block.
 
     Each worker runs the compiled kernel, or _scan_block where none could
     be built.  The calling thread scans range 0 itself, so one worker
@@ -360,10 +362,10 @@ def _scan_lanes(hi, lo, params, seg_len, last_in):
     found = [None] * k
 
     def scan(i):
-        r = slice(bounds[i], bounds[i + 1])
+        r, at = slice(bounds[i], bounds[i + 1]), base + bounds[i] * seg_len
         if kernel is not None:
-            return _scan_compiled(kernel, hi[r], lo[r], seg_len, last_in)
-        return _scan_block(hi[r], lo[r], [a[r] for a in scratch], params, seg_len, last_in)
+            return _scan_compiled(kernel, hi[r], lo[r], seg_len, at, last_in)
+        return _scan_block(hi[r], lo[r], [a[r] for a in scratch], params, seg_len, at, last_in)
 
     def work(i):
         try:
@@ -378,10 +380,9 @@ def _scan_lanes(hi, lo, params, seg_len, last_in):
     found[0] = scan(0)
     for th in threads:
         th.join()
-    for start, part in zip(bounds, found):
+    for part in found:
         if isinstance(part, BaseException):
             raise part
-        part[0] += np.uint64(start)
     return np.concatenate(found, axis=1)
 
 
@@ -403,16 +404,12 @@ def _scan_fast(state, spec, cap, last_in):
             seg_len = remaining // lanes
         # the next block's start is taken before the numpy scan overwrites the lane starts
         starts, start = _lane_starts(one_step, start, lanes, seg_len)
-        lane, t, s0, s1 = _scan_lanes(*starts, params, seg_len, last_in)
-        hits.append(np.stack([base + lane * seg_len + t, s0, s1]))
-        n_hits += len(t)
+        hits.append(_scan_lanes(*starts, params, seg_len, base, last_in))
+        n_hits += hits[-1].shape[1]
         base += lanes * seg_len
-        # Freed now, not when the next block rebinds them, so that the peak
-        # RSS does not depend on how many blocks the seed needs: the lane
-        # starts (1 MB) held while the next block's are built, or the hit
-        # rows (1.6 MB at 50000 hits) held while the hits are sorted, each
-        # added about 2 MB to it.
-        del starts, lane, t, s0, s1
+        # freed now, not when the next block's are built beside them, which
+        # added about 2 MB to the peak RSS of a seed that needs two blocks
+        del starts
     offset, s0, s1 = np.concatenate(hits, axis=1)
     first = np.argsort(offset)[:target]
     offset, s0, s1 = offset[first], s0[first], s1[first]

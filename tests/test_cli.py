@@ -259,13 +259,16 @@ def test_planes_over_default_budget_exits_2(tmp_path, capsys, monkeypatch, flags
     [("--grid", "0"), ("--grid", "1"), ("--grid", "4097"), ("--grid", "100000"), ("--control-points", "0"),
      ("--census-steps", "0"),
      ("--n-bits", "0"), ("--n-bits", "17"), ("--magnify-exp", "0"), ("--magnify-exp", "54"),
-     ("--scan-cap", "0"), ("--epsilon", "-1"), ("--a", "63"), ("--min-ratio", "nan")],
+     ("--scan-cap", "0"), ("--epsilon", "-1"), ("--a", "63"), ("--min-ratio", "nan"),
+     ("--target-points", "4194305"), ("--magnify-exp", "1", "--target-points", "1000000000")],
     ids=" ".join,
 )
 def test_planes_bad_setting_exits_2_before_scan(tmp_path, capsys, monkeypatch, flags):
     # each used to exit 2 only after the full scan; --grid 1 also left a lone points.csv,
     # --grid 100000 a lone points.csv and a MemoryError in every mesh writer, and
-    # --min-ratio nan passed every ratio.  Nothing is printed before the error.
+    # --min-ratio nan passed every ratio.  A target over 2**22 points fits the
+    # triple budget at a wide slab, but its hit rows and points outgrow memory.
+    # Nothing is printed before the error.
     def no_scan(*args):
         raise AssertionError("scan started")
 

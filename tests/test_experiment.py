@@ -1,5 +1,7 @@
+import ast
 import ctypes
 import dataclasses
+import fnmatch
 import json
 import math
 import os
@@ -79,9 +81,10 @@ def test_slab_spec_validates():
         slab_spec(23, 54, 1000)
     with pytest.raises(ValueError):
         slab_spec(54, None, 1000)
-    for e, target in ((0, 10), (54, 10), (2, 0)):
+    for e, target in ((0, 10), (54, 10), (2, 0), (1, experiment.MAX_TARGET_POINTS + 1)):
         with pytest.raises(ValueError):
             SlabSpec(e, target)
+    assert SlabSpec(1, experiment.MAX_TARGET_POINTS).target_points == 1 << 22
 
 
 def test_resolve_scan_cap():
@@ -226,6 +229,17 @@ def test_fast_scan_worker_exception_propagates(monkeypatch):
                 slab_sample(seed_state(3, P8), spec, scan_cap=500_000, method="fast")
 
 
+def test_every_kernel_source_is_package_data():
+    # an installed package without a kernel's source runs its Python fallback without a word
+    root = Path(__file__).resolve().parents[1]
+    section = (root / "pyproject.toml").read_text().split("[tool.setuptools.package-data]")[1].split("\n[")[0]
+    patterns = [p for line in section.splitlines() if line.startswith("xsplanes")
+                for p in ast.literal_eval(line.split("=", 1)[1].strip())]
+    sources = sorted(p.name for p in (root / "src" / "xsplanes").glob("_*.c"))
+    assert {"_lanes.c", "_text.c", "_control.c"} <= set(sources)
+    assert [s for s in sources if not any(fnmatch.fnmatchcase(s, p) for p in patterns)] == []
+
+
 def test_compiled_kernel_in_use_where_gcc_is_found(monkeypatch):
     # a silent fallback would hide a fivefold slowdown
     if shutil.which("gcc") is None:
@@ -261,11 +275,11 @@ def test_compiled_scan_reruns_on_hit_overflow(monkeypatch):
     real = experiment._kernel(P8)
     if real is None:
         pytest.skip("the lane-scan kernel cannot be built here")
-    calls = []  # (lanes, overflowed) per call
+    calls = []  # (thread, lanes, base, overflowed) per call
 
-    def counted(*args):
-        found = real(*args)
-        calls.append((args[2], found > args[-1]))
+    def counted(hi, lo, lanes, seg_len, base, last_in, hits, cap):
+        found = real(hi, lo, lanes, seg_len, base, last_in, hits, cap)
+        calls.append((threading.get_ident(), lanes, base, found > cap))
         return found
 
     monkeypatch.setattr(experiment, "_kernel", lambda params: counted)
@@ -274,8 +288,12 @@ def test_compiled_scan_reruns_on_hit_overflow(monkeypatch):
     state = seed_state(5, P8)
     seq = slab_sample(state, spec, scan_cap=1_000_000, method="sequential")
     assert_same_sample(slab_sample(state, spec, scan_cap=1_000_000, method="fast"), seq)
-    assert max(lanes for lanes, _ in calls) == experiment._GROUP
-    assert any(over for _, over in calls)
+    assert max(lanes for _, lanes, _, _ in calls) == experiment._GROUP
+    assert any(over for *_, over in calls)
+    # the rerun is its thread's next call, on the same lanes from the same stream offset
+    for i, (thread, lanes, base, over) in enumerate(calls):
+        if over:
+            assert next(c for c in calls[i + 1 :] if c[0] == thread) == (thread, lanes, base, False)
 
 
 def _unstep(s1, s2, params):
@@ -290,10 +308,10 @@ def _unstep(s1, s2, params):
     return s0, s1
 
 
-def _kernel_hits(kernel, hi, lo, seg_len, last_in, cap):
-    """One direct kernel call: the hit count and the stored (4, min(count, cap)) hits."""
-    buf = np.zeros((4, cap), dtype=np.uint64)
-    found = kernel(hi.ctypes.data, lo.ctypes.data, len(hi), seg_len, last_in, buf.ctypes.data, cap)
+def _kernel_hits(kernel, hi, lo, seg_len, base, last_in, cap):
+    """One direct kernel call: the hit count and the stored (3, min(count, cap)) hits (offset, s0, s1)."""
+    buf = np.zeros((3, cap), dtype=np.uint64)
+    found = kernel(hi.ctypes.data, lo.ctypes.data, len(hi), seg_len, base, last_in, buf.ctypes.data, cap)
     return found, buf[:, : min(found, cap)]
 
 
@@ -321,10 +339,9 @@ def kernel_builds(tmp_path, params):
         libraries[name] = ctypes.CDLL(str(lib))
     builds = {n: getattr(libraries["builds"], f"build_{n}") for n in scans if n == "plain" or n in flags}
     builds["plain-only"] = libraries["plain-only"].xs_scan_lanes
-    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
     for build in builds.values():
-        build.restype = i64
-        build.argtypes = [ptr, ptr, i64, i64, ctypes.c_uint64, ptr, i64]
+        build.restype = ctypes.c_int64
+        build.argtypes = experiment._LANES_ARGTYPES
     return builds
 
 
@@ -336,6 +353,8 @@ def test_compiled_kernel_matches_numpy_scan(tmp_path):
     # edges, in a segment's partial last chunk, and in a padded last group;
     # one planted at t = seg_len lies one step past the segment.  The kernel
     # stores hits by group, then t, then lane; _scan_block by t, then lane.
+    # Both record a hit's stream offset base + lane*seg_len + t, checked at
+    # base 0 and at a base past 2**32.
     # Each triple has a library of its own, (26, 19, 5) one with a small c;
     # besides the library's choice, every build the CPU supports is checked,
     # and the library other targets than x86-64 build.
@@ -361,19 +380,22 @@ def test_compiled_kernel_matches_numpy_scan(tmp_path):
                             for _ in range(t):
                                 s = _unstep(*s, params)
                             hi[lane], lo[lane] = s
-                        scratch = [np.empty(lanes, dtype=np.uint64) for _ in range(3)]
-                        ref = _scan_block(hi.copy(), lo.copy(), scratch, params, seg_len, last_in)
-                        ref = ref[:, np.lexsort((ref[0], ref[1], ref[0] // 32))]
-                        assert ref.shape[1] >= sum(t < seg_len for t in times[run : run + lanes])
-                        for name, kernel in kernels.items():
-                            case = (params, name, e, seg_len, lanes, run)
-                            found, hits = _kernel_hits(kernel, hi, lo, seg_len, last_in, lanes * seg_len)
-                            assert found == ref.shape[1], case
-                            assert np.array_equal(hits, ref), case
-                            # an overflowing buffer: the total, and the first hit stored
-                            found, hits = _kernel_hits(kernel, hi, lo, seg_len, last_in, 1)
-                            assert found == ref.shape[1], case
-                            assert np.array_equal(hits, ref[:, :1]), case
+                        for base in (0, (1 << 40) + 5):
+                            scratch = [np.empty(lanes, dtype=np.uint64) for _ in range(3)]
+                            ref = _scan_block(hi.copy(), lo.copy(), scratch, params, seg_len, base, last_in)
+                            hit_lane, hit_t = np.divmod(ref[0] - np.uint64(base), np.uint64(seg_len))
+                            ref = ref[:, np.lexsort((hit_lane, hit_t, hit_lane // np.uint64(32)))]
+                            assert ref.shape[1] >= sum(t < seg_len for t in times[run : run + lanes])
+                            for name, kernel in kernels.items():
+                                case = (params, name, e, seg_len, lanes, run, base)
+                                found, hits = _kernel_hits(kernel, hi, lo, seg_len, base, last_in,
+                                                           lanes * seg_len)
+                                assert found == ref.shape[1], case
+                                assert np.array_equal(hits, ref), case
+                                # an overflowing buffer: the total, and the first hit stored
+                                found, hits = _kernel_hits(kernel, hi, lo, seg_len, base, last_in, 1)
+                                assert found == ref.shape[1], case
+                                assert np.array_equal(hits, ref[:, :1]), case
 
 
 @pytest.fixture
