@@ -235,16 +235,16 @@ def _scan_block(hi, lo, scratch, params, seg_len, base, last_in):
     """Advance all lanes seg_len steps; return the hits where a triple enters the slab.
 
     Lane j covers triple offsets [base + j*seg_len, base + (j+1)*seg_len) of
-    the stream.  The hits are a (3, n) uint64 array with rows offset, s0, s1,
-    the layout of the compiled kernel's buffer: a hit's stream offset and its
-    state, from which the caller steps out the triple's other two outputs.
-    hi, lo and the three scratch arrays are overwritten.
+    the stream.  The hits are a list of (3, n) uint64 arrays with rows offset,
+    s0, s1, the layout of the compiled kernel's buffer: a hit's stream offset
+    and its state, from which the caller steps out the triple's other two
+    outputs.  hi, lo and the three scratch arrays are overwritten.
     """
     s0, s1 = hi, lo
     out, t1, t2 = scratch
     ua, ub, uc = np.uint64(params.a), np.uint64(params.b), np.uint64(params.c)
     last_in, seg = np.uint64(last_in), np.uint64(seg_len)
-    hits = [np.empty((3, 0), dtype=np.uint64)]
+    hits = []
     for t in range(seg_len):
         np.add(s0, s1, out=out)
         if out.min() <= last_in:
@@ -258,7 +258,7 @@ def _scan_block(hi, lo, scratch, params, seg_len, base, last_in):
         np.bitwise_xor(t1, t2, out=t1)
         np.bitwise_xor(t1, s1, out=t1)
         s0, s1, t1 = s1, t1, s0
-    return np.concatenate(hits, axis=1)
+    return hits
 
 
 def _load_kernel(cache_dir: Path, source: Path, defines: tuple[str, ...] = ()):
@@ -338,11 +338,11 @@ def _scan_compiled(kernel, hi, lo, seg_len, base, last_in):
                                buf.ctypes.data, buf.shape[1])) > buf.shape[1]:
             buf = np.empty((3, found), dtype=np.uint64)
         hits.append(buf[:, :found].copy())
-    return np.concatenate(hits, axis=1)
+    return hits
 
 
 def _scan_lanes(hi, lo, params, seg_len, base, last_in):
-    """Scan contiguous lane ranges, one per worker, from stream offset base; the (3, n) hits of _scan_block.
+    """Scan contiguous lane ranges, one per worker, from stream offset base; the hit list of _scan_block.
 
     Each worker runs the compiled kernel, or _scan_block where none could
     be built.  The calling thread scans range 0 itself, so one worker
@@ -383,7 +383,7 @@ def _scan_lanes(hi, lo, params, seg_len, base, last_in):
     for part in found:
         if isinstance(part, BaseException):
             raise part
-    return np.concatenate(found, axis=1)
+    return [hit for part in found for hit in part]
 
 
 def _scan_fast(state, spec, cap, last_in):
@@ -391,11 +391,11 @@ def _scan_fast(state, spec, cap, last_in):
     target = spec.target_points
     one_step = transition_rows(params)
     start = np.array([[state.s0], [state.s1]], dtype=np.uint64)
-    hits = []  # (3, n) uint64 arrays with rows offset, s0, s1
-    n_hits = base = 0
+    hits = [np.empty((3, 0), dtype=np.uint64)]  # (3, n) arrays with rows offset, s0, s1
+    base = 0
     # each block is sized to the expected remaining work, so the scan stops
     # at most one small follow-up block past the target
-    while base < cap and n_hits < target:
+    while base < cap and (n_hits := sum(h.shape[1] for h in hits)) < target:
         remaining = cap - base
         block = min(remaining, ((target - n_hits) << spec.e) + 4096)
         lanes = max(1, min(_WORKERS * _LANES_PER_WORKER, block // 64))
@@ -404,13 +404,13 @@ def _scan_fast(state, spec, cap, last_in):
             seg_len = remaining // lanes
         # the next block's start is taken before the numpy scan overwrites the lane starts
         starts, start = _lane_starts(one_step, start, lanes, seg_len)
-        hits.append(_scan_lanes(*starts, params, seg_len, base, last_in))
-        n_hits += hits[-1].shape[1]
+        hits += _scan_lanes(*starts, params, seg_len, base, last_in)
         base += lanes * seg_len
         # freed now, not when the next block's are built beside them, which
         # added about 2 MB to the peak RSS of a seed that needs two blocks
         del starts
     offset, s0, s1 = np.concatenate(hits, axis=1)
+    del hits  # so each hit row is held once, in the concatenation
     first = np.argsort(offset)[:target]
     offset, s0, s1 = offset[first], s0[first], s1[first]
     if len(offset) < target:

@@ -159,13 +159,13 @@ def mesh(plane: Plane, x_max: float, magnify: float, grid: int) -> list[MeshStri
     steps = grid - 1
     x = np.arange(grid) / steps * x_max
     y = np.arange(grid) / steps
-    # float() rounds the coefficient exactly as Python's int * float does
-    f = float(plane.sign_x * plane.m) * x[:, None] + plane.sign_y * y
-    branch = np.floor(f)
     vertices = np.empty((grid, grid, 3))
     vertices[..., 0] = (magnify * x)[:, None]
     vertices[..., 1] = y
-    vertices[..., 2] = f - branch
+    # f, folded in place; float() rounds the coefficient exactly as Python's int * float does
+    z = np.add(float(plane.sign_x * plane.m) * x[:, None], plane.sign_y * y, out=vertices[..., 2])
+    branch = np.floor(z)
+    z -= branch
     vertices = vertices.reshape(-1, 3)
     vertices.flags.writeable = False
     branch = branch.ravel()

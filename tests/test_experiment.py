@@ -382,7 +382,9 @@ def test_compiled_kernel_matches_numpy_scan(tmp_path):
                             hi[lane], lo[lane] = s
                         for base in (0, (1 << 40) + 5):
                             scratch = [np.empty(lanes, dtype=np.uint64) for _ in range(3)]
-                            ref = _scan_block(hi.copy(), lo.copy(), scratch, params, seg_len, base, last_in)
+                            ref = np.concatenate([np.empty((3, 0), dtype=np.uint64),
+                                                  *_scan_block(hi.copy(), lo.copy(), scratch, params, seg_len,
+                                                               base, last_in)], axis=1)
                             hit_lane, hit_t = np.divmod(ref[0] - np.uint64(base), np.uint64(seg_len))
                             ref = ref[:, np.lexsort((hit_lane, hit_t, hit_lane // np.uint64(32)))]
                             assert ref.shape[1] >= sum(t < seg_len for t in times[run : run + lanes])
