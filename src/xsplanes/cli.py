@@ -15,7 +15,8 @@ import math
 import sys
 
 from .engine import DEFAULT_PARAMS, Params, iter_outputs, seed_state, to_unit
-from .experiment import MAX_TARGET_POINTS, ExperimentConfig, case_census, control_baseline, run_experiment
+from .experiment import (MAX_CENSUS_STEPS, MAX_CONTROL_POINTS, MAX_TARGET_POINTS, ExperimentConfig, case_census,
+                         control_baseline, run_experiment)
 from .planes import MAX_GRID, family, union_rate
 from .xorapprox import compound_probability, count_cases, verify_xor_diff, verify_xor_sum
 
@@ -79,11 +80,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_planes.add_argument("--grid", type=int, default=ExperimentConfig.grid,
                           help=f"mesh stations per axis (default %(default)s, at most {MAX_GRID})")
     p_planes.add_argument("--control-points", type=int, default=ExperimentConfig.control_points,
-                          help="control sample size (default %(default)s)")
+                          help=f"control sample size (default %(default)s, at most {MAX_CONTROL_POINTS}, "
+                               "about 2 minutes with the compiled kernel)")
     p_planes.add_argument("--control-seed", type=_hex_word, default=ExperimentConfig.control_seed, metavar="HEX",
                           help=f"control generator key in hex (default {ExperimentConfig.control_seed:#x})")
     p_planes.add_argument("--census-steps", type=int, default=ExperimentConfig.census_steps,
-                          help="steps for the case census (default %(default)s)")
+                          help=f"steps for the case census (default %(default)s, at most {MAX_CENSUS_STEPS}, "
+                               "about 15 minutes)")
     p_planes.add_argument("--n-bits", type=int, default=ExperimentConfig.n_bits,
                           help="top-bit width for the census (default %(default)s)")
     p_planes.add_argument("--min-ratio", type=float, default=10.0,
@@ -99,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(p_census)
     _add_seed(p_census)
     p_census.add_argument("--steps", type=int, default=ExperimentConfig.census_steps,
-                          help="steps to tally (default %(default)s)")
+                          help=f"steps to tally (default %(default)s, at most {MAX_CENSUS_STEPS}, about 15 minutes)")
     p_census.add_argument("--n-bits", type=int, default=ExperimentConfig.n_bits,
                           help="top-bit width (default %(default)s)")
 

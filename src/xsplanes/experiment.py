@@ -100,8 +100,15 @@ _CONTROL_SOURCE = Path(__file__).with_name("_control.c")
 _CONTROL_CHUNK = 1 << 15
 _CENSUS_CHUNK = 1 << 13
 # The hit rows and points grow with the target, not with the triples scanned:
-# a planes run of 2**22 points at x < 2**-1 peaks at about 550 MB RSS.
+# a planes run of 2**22 points at x < 2**-1 peaks at 470-490 MB RSS (510-515
+# MB without the compiled kernels; 2-core AVX-512 Xeon).
 MAX_TARGET_POINTS = 1 << 22
+# The control and census counts are bounded by time, as the scan is.  On a
+# 2-core AVX-512 Xeon 2**32 control points take about 2 minutes with the
+# compiled kernel (7-10 minutes with numpy's Philox), and 2**32 census steps
+# 12-15 minutes.
+MAX_CONTROL_POINTS = 1 << 32
+MAX_CENSUS_STEPS = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -455,12 +462,9 @@ def hit_stats(points, fam: PlaneFamily, epsilon: float, spec: SlabSpec) -> HitSt
 
 
 def _check_control(n_points: int, control_seed: int) -> None:
-    if n_points < 1:
-        raise ValueError(f"n_points must be >= 1, got {n_points}")
-    # ctypes would wrap a count or key out of range silently, where Philox
-    # runs the count or rejects the key
-    if n_points >= 1 << 63:
-        raise ValueError(f"n_points must be below 2**63, got {n_points}")
+    if not 1 <= n_points <= MAX_CONTROL_POINTS:
+        raise ValueError(f"n_points must be in 1..{MAX_CONTROL_POINTS}, got {n_points}")
+    # ctypes would wrap a key out of range silently, where Philox rejects it
     if not 0 <= control_seed < 1 << 128:
         raise ValueError(f"control_seed must be in 0..2**128-1, got {control_seed}")
 
@@ -516,8 +520,8 @@ class CaseCensus:
 
 
 def _check_census(n_steps: int, n_bits: int) -> None:
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if not 1 <= n_steps <= MAX_CENSUS_STEPS:
+        raise ValueError(f"n_steps must be in 1..{MAX_CENSUS_STEPS}, got {n_steps}")
     if not 1 <= n_bits <= 16:
         raise ValueError(f"n_bits must be in 1..16, got {n_bits}")
 

@@ -260,7 +260,8 @@ def test_planes_over_default_budget_exits_2(tmp_path, capsys, monkeypatch, flags
      ("--census-steps", "0"),
      ("--n-bits", "0"), ("--n-bits", "17"), ("--magnify-exp", "0"), ("--magnify-exp", "54"),
      ("--scan-cap", "0"), ("--epsilon", "-1"), ("--a", "63"), ("--min-ratio", "nan"),
-     ("--target-points", "4194305"), ("--magnify-exp", "1", "--target-points", "1000000000")],
+     ("--target-points", "4194305"), ("--magnify-exp", "1", "--target-points", "1000000000"),
+     ("--control-points", "4294967297"), ("--census-steps", "4294967297")],
     ids=" ".join,
 )
 def test_planes_bad_setting_exits_2_before_scan(tmp_path, capsys, monkeypatch, flags):
@@ -268,7 +269,8 @@ def test_planes_bad_setting_exits_2_before_scan(tmp_path, capsys, monkeypatch, f
     # --grid 100000 a lone points.csv and a MemoryError in every mesh writer, and
     # --min-ratio nan passed every ratio.  A target over 2**22 points fits the
     # triple budget at a wide slab, but its hit rows and points outgrow memory.
-    # Nothing is printed before the error.
+    # Over 2**32 control points or census steps, the run takes from minutes to
+    # millennia.  Nothing is printed before the error.
     def no_scan(*args):
         raise AssertionError("scan started")
 
@@ -283,6 +285,25 @@ def test_planes_bad_setting_exits_2_before_scan(tmp_path, capsys, monkeypatch, f
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "scanning" not in err
     assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("census", "--steps", "4294967297"), ("census", "--steps", "1000000000000"),
+     ("planes", "--control-only", "--control-points", "4294967297")],
+    ids=" ".join,
+)
+def test_count_over_its_cap_exits_2_before_work(capsys, monkeypatch, argv):
+    # 10**12 census steps ran for about two days; 2**63 control points would run for millennia
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr("xsplanes.experiment._lane_starts", no_work)
+    monkeypatch.setattr("xsplanes.experiment._control_kernel", no_work)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_planes_no_control_hit_says_so(tmp_path, capsys):

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -491,6 +492,23 @@ def test_slab_sample_truncation():
     assert_same_sample(fast, sample)
 
 
+def test_slab_sample_holds_each_hit_row_once(monkeypatch):
+    # the (offset, s0, s1) hit rows are copied out of the lane scan once, into
+    # one array; a second copy of every row took 120 bytes a target point
+    spec, state = SlabSpec(4, 1 << 16), seed_state(1)
+    for kernel in lane_kernels(DEFAULT_PARAMS):
+        monkeypatch.setattr(experiment, "_kernel", lambda params: kernel)
+        want = slab_sample(state, spec)  # loads the kernel outside the measure
+        tracemalloc.start()
+        try:
+            got = slab_sample(state, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_same_sample(got, want)
+        assert peak <= 100 * spec.target_points, (kernel, peak / spec.target_points)
+
+
 def test_slab_sample_acceptance_rate_consistency():
     # the scan length needed for the target should be binomially consistent
     # with acceptance rate x_max; generator outputs are near uniform (6 sigma)
@@ -849,9 +867,11 @@ def test_experiment_config_validates():
         {"magnify_exp": 0}, {"magnify_exp": 54}, {"target_points": 0}, {"scan_cap": 0},
         {"magnify_exp": 40}, {"method": "slow"}, {"method": "auto"}, {"control_points": 0}, {"census_steps": 0},
         {"n_bits": 0}, {"n_bits": 17}, {"grid": 1}, {"grid": 4097}, {"seed": -1}, {"control_seed": 1 << 128},
+        {"control_points": (1 << 32) + 1}, {"census_steps": (1 << 32) + 1},
     ]:
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
+    ExperimentConfig(control_points=1 << 32, census_steps=1 << 32)
     cfg = ExperimentConfig(magnify_exp=10)
     assert cfg.spec == slab_spec(23, 10, 1000)
     with pytest.raises(dataclasses.FrozenInstanceError):

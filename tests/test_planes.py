@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -247,6 +248,20 @@ def test_mesh_matches_scalar_reference(a, e, grid):
         got_v = np.concatenate([s.vertices for s in got] + [np.empty((0, 3))])
         want_v = np.array([v for s in want for v in s.vertices]).reshape(-1, 3)
         assert (got_v.view(np.uint64) == want_v.view(np.uint64)).all()
+
+
+def test_mesh_peak_holds_vertices_and_branches_only():
+    # the heights are computed and folded inside the vertex array; building
+    # them beside it, and the fold in a temporary, peaked at twice its size
+    grid = 1024
+    tracemalloc.start()
+    try:
+        strips = mesh(family(23).planes[0], 2.0**-23, 2.0**23, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(s.vertices) for s in strips) > grid * (grid - 2)
+    assert peak <= 1.6 * grid * grid * 24, peak / (grid * grid * 24)
 
 
 def test_mesh_validates():
