@@ -103,10 +103,10 @@ _CENSUS_CHUNK = 1 << 13
 # a planes run of 2**22 points at x < 2**-1 peaks at 470-490 MB RSS (510-515
 # MB without the compiled kernels; 2-core AVX-512 Xeon).
 MAX_TARGET_POINTS = 1 << 22
-# The control and census counts are bounded by time, as the scan is.  On a
-# 2-core AVX-512 Xeon 2**32 control points take about 2 minutes with the
-# compiled kernel (7-10 minutes with numpy's Philox), and 2**32 census steps
-# 12-15 minutes.
+# The control and census counts are bounded by time, as the scan is (so the
+# control's count also fits the kernel's int64).  On a 2-core AVX-512 Xeon
+# 2**32 control points take about 2 minutes with the compiled kernel (7-10
+# minutes with numpy's Philox), and 2**32 census steps 12-15 minutes.
 MAX_CONTROL_POINTS = 1 << 32
 MAX_CENSUS_STEPS = 1 << 32
 

@@ -294,7 +294,7 @@ def test_planes_bad_setting_exits_2_before_scan(tmp_path, capsys, monkeypatch, f
     ids=" ".join,
 )
 def test_count_over_its_cap_exits_2_before_work(capsys, monkeypatch, argv):
-    # 10**12 census steps ran for about two days; 2**63 control points would run for millennia
+    # 10**12 census steps would run for about two days, 2**63 control points for millennia
     def no_work(*args):
         raise AssertionError("work started")
 
