@@ -91,12 +91,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="top-bit width for the census (default %(default)s)")
     p_planes.add_argument("--min-ratio", type=float, default=10.0,
                           help="pass threshold on hit/control ratio (default 10)")
-    p_planes.add_argument("--method", choices=("fast", "sequential"), default=ExperimentConfig.method,
-                          help="fast, the lane scan, or sequential, its one-step reference (default %(default)s)")
     p_planes.add_argument("--output-dir", default="planes_out",
                           help="directory for CSV/JSON data files (default planes_out)")
     p_planes.add_argument("--control-only", action="store_true",
                           help="compute only the control baseline")
+    p_planes.set_defaults(method="fast")  # read by perfbench/layers.py; goes with its pipeline copy (ROADMAP item 2)
 
     p_census = sub.add_parser("census", help="compound-case frequencies over a stream")
     _add_params(p_census)

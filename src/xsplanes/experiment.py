@@ -13,9 +13,9 @@ kept points, so the scan uses the packed-pair transition map to start
 many lane segments at exact stream offsets and advances the lanes in one
 contiguous lane range per usable CPU.  A small C kernel (_lanes.c),
 compiled on first use and loaded with ctypes, advances them; where it
-cannot be built, vectorized numpy word ops do.  A plain sequential scan,
-one Python-int step at a time, is kept as the reference: every path
-produces bit-identical results.
+cannot be built, vectorized numpy word ops do.  Both give bit-identical
+results; the tests hold the reference, a plain sequential scan one
+Python-int step at a time.
 
 The CSV files hold each coordinate as Python's '%.17g' text.  One writer
 passes the rows of points.csv and of each mesh to a formatter, a buffer's
@@ -66,7 +66,7 @@ DEFAULT_SCAN_CAP = 1 << 32
 # triples is refused before it starts: on two cores it takes about 35 s
 # with the compiled kernel, about 12 minutes with the numpy scan.
 MAX_DEFAULT_WORK = 1 << 38
-# The fast scan runs one lane range per usable CPU.  The lanes per worker
+# The lane scan runs one lane range per usable CPU.  The lanes per worker
 # are sized for the numpy fallback, whose ufuncs release the GIL so the
 # ranges advance in parallel: 2**15 lanes keep one worker's five scratch
 # arrays (1.25 MB) in its core's L2 cache, and fewer lanes lose more time
@@ -178,43 +178,16 @@ def slab_sample(
     scan_cap: int | None = None,
     method: str = "fast",
 ) -> SlabSample:
-    """Scan overlapping triples, keeping the words (X << e, Y, Z) for x < 2**-e.
+    """Scan overlapping triples with the lane scan, keeping the words (X << e, Y, Z) for x < 2**-e.
 
     Stops at target_points, or at the scan cap with the truncated flag set.
-    method "fast" is the lane scan; "sequential" steps one Python-int
-    state at a time and is the reference the lane scan must equal.
+    method must be "fast".
     """
     cap = resolve_scan_cap(spec, scan_cap)
-    _check_method(method)
-    scan = _scan_sequential if method == "sequential" else _scan_fast
+    if method != "fast":  # only perfbench/layers.py passes it; goes with that file's pipeline copy (ROADMAP item 2)
+        raise ValueError(f"method must be 'fast', got {method!r}")
     last_in = (1 << (64 - spec.e)) - 1  # x < 2**-e  iff  output o <= last_in
-    return SlabSample(*scan(state, spec, cap, last_in))
-
-
-def _check_method(method: str) -> None:
-    if method not in ("fast", "sequential"):
-        raise ValueError(f"method must be 'fast' or 'sequential', got {method!r}")
-
-
-def _scan_sequential(state, spec, cap, last_in):
-    params = state.params
-    e = spec.e
-    target = spec.target_points
-    s0, s1 = state.s0, state.s1
-    o0 = (s0 + s1) & MASK64
-    s0, s1 = step_words(s0, s1, params)
-    o1 = (s0 + s1) & MASK64
-    s0, s1 = step_words(s0, s1, params)
-    o2 = (s0 + s1) & MASK64
-    words = []
-    for k in range(cap):
-        if o0 <= last_in:
-            words += [(o0 >> 11) << e, o1 >> 11, o2 >> 11]
-            if len(words) == 3 * target:
-                break
-        s0, s1 = step_words(s0, s1, params)
-        o0, o1, o2 = o1, o2, (s0 + s1) & MASK64
-    return np.array(words, dtype=np.uint64).reshape(-1, 3), k + 1, len(words) < 3 * target
+    return SlabSample(*_scan_fast(state, spec, cap, last_in))
 
 
 def _lane_starts(one_step, start, lanes, seg_len):
@@ -603,7 +576,6 @@ class ExperimentConfig:
     magnify_exp: int | None = None
     target_points: int = 1000
     scan_cap: int | None = None
-    method: str = "fast"
     control_points: int = 1 << 17
     control_seed: int = 271828
     census_steps: int = 50000
@@ -620,7 +592,6 @@ class ExperimentConfig:
         check_grid(self.grid)
         seed_state(self.seed, self.params)
         resolve_scan_cap(self.spec, self.scan_cap)
-        _check_method(self.method)
 
     @property
     def spec(self) -> SlabSpec:
@@ -789,7 +760,7 @@ def run_experiment(cfg: ExperimentConfig) -> HitReport:
     spec = cfg.spec
     fam = family(cfg.params.a)
     state = seed_state(cfg.seed, cfg.params)
-    sample = slab_sample(state, spec, scan_cap=cfg.scan_cap, method=cfg.method)
+    sample = slab_sample(state, spec, scan_cap=cfg.scan_cap)
     if sample.n_in_slab:
         stats = hit_stats(sample.points, fam, cfg.epsilon, spec)
     else:  # a hit fraction over no points is undefined

@@ -1,12 +1,14 @@
 """Reference code that only the tests use.
 
-The scalar mesh loop and the per-vertex mesh writer are the references for
-planes.mesh and experiment.write_mesh_csv, and classify, the case label of
-one pair, is the reference for xorapprox.column_cases.  The GF(2) row
-matrices are the Python-int reference for the package's uint64 word-array
-core: a linear map on 128-bit packed pairs (s0 << 64) | s1 is the list of
-its basis images, row i the image of the vector whose only set bit is the
-i-th from the top.  text_paths lists the CSV formatters a test runs.
+reference_scan, the slab scan one Python-int step at a time, is the
+reference for experiment.slab_sample's lane scans.  The scalar mesh loop
+and the per-vertex mesh writer are the references for planes.mesh and
+experiment.write_mesh_csv, and classify, the case label of one pair, is
+the reference for xorapprox.column_cases.  The GF(2) row matrices are the
+Python-int reference for the package's uint64 word-array core: a linear
+map on 128-bit packed pairs (s0 << 64) | s1 is the list of its basis
+images, row i the image of the vector whose only set bit is the i-th from
+the top.  text_paths lists the CSV formatters a test runs.
 """
 
 from dataclasses import dataclass
@@ -27,6 +29,29 @@ def step(state: GenState) -> tuple[GenState, int]:
     out = (state.s0 + state.s1) & MASK64
     s1, s2 = step_words(state.s0, state.s1, state.params)
     return GenState(s1, s2, state.params), out
+
+
+def reference_scan(state: GenState, spec, cap: int) -> tuple[np.ndarray, int, bool]:
+    """slab_sample's (points, n_triples_scanned, truncated) for an explicit cap, by stepping one state at a time."""
+    params = state.params
+    e = spec.e
+    target = spec.target_points
+    last_in = (1 << (64 - e)) - 1
+    s0, s1 = state.s0, state.s1
+    o0 = (s0 + s1) & MASK64
+    s0, s1 = step_words(s0, s1, params)
+    o1 = (s0 + s1) & MASK64
+    s0, s1 = step_words(s0, s1, params)
+    o2 = (s0 + s1) & MASK64
+    words = []
+    for k in range(cap):
+        if o0 <= last_in:
+            words += [(o0 >> 11) << e, o1 >> 11, o2 >> 11]
+            if len(words) == 3 * target:
+                break
+        s0, s1 = step_words(s0, s1, params)
+        o0, o1, o2 = o1, o2, (s0 + s1) & MASK64
+    return np.array(words, dtype=np.uint64).reshape(-1, 3), k + 1, len(words) < 3 * target
 
 
 def height(plane, x: float, y: float) -> float:

@@ -40,7 +40,7 @@ def _criterion(num, description, ok):
 
 @pytest.fixture(scope="module")
 def big_run():
-    """Criteria 7/8 pipeline: (23,17,26), seed 1, 1000 slab points, fast scan."""
+    """Criteria 7/8 pipeline: (23,17,26), seed 1, 1000 slab points, lane scan."""
     cfg = ExperimentConfig(
         params=Params(23, 17, 26),
         seed=1,

@@ -9,7 +9,7 @@ import pytest
 from xsplanes import experiment
 from xsplanes.cli import build_parser, main
 from xsplanes.engine import DEFAULT_PARAMS, Params, iter_outputs, seed_state
-from xsplanes.experiment import ExperimentConfig
+from xsplanes.experiment import ExperimentConfig, slab_sample, slab_spec
 
 
 def run_cli(capsys, *argv):
@@ -134,11 +134,26 @@ def test_census_defaults_are_the_config_defaults():
     assert Params(args.a, args.b, args.c) == DEFAULT_PARAMS
 
 
-@pytest.mark.parametrize("flags", [("--method", "auto"), ("--full-scale",)], ids=" ".join)
+@pytest.mark.parametrize(
+    "flags", [("--method", "auto"), ("--full-scale",), ("--method", "sequential"), ("--method", "fast")],
+    ids=" ".join,
+)
 def test_planes_removed_settings_exit_2(capsys, flags):
+    # parsed only: a parser that took them would start the run
     with pytest.raises(SystemExit) as exc:
-        main(["planes", *flags])
+        build_parser().parse_args(["planes", *flags])
     assert exc.value.code == 2
+    assert flags[0] in capsys.readouterr().err
+
+
+def test_planes_method_default_runs_the_one_scan():
+    # the package holds one scan; the parser keeps a method default without a
+    # flag, which perfbench/layers.py passes to slab_sample
+    assert "method" not in {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert not hasattr(experiment, "_scan_sequential")
+    method = build_parser().parse_args(["planes"]).method
+    sample = slab_sample(seed_state(1, Params(8, 17, 26)), slab_spec(8, None, 10), scan_cap=100_000, method=method)
+    assert (sample.n_in_slab, sample.truncated) == (10, False)
 
 
 PLANES_ARGS = [

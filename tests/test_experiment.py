@@ -18,7 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import classify, height, reference_mesh, reference_mesh_csv, text_paths
+from helpers import classify, height, reference_mesh, reference_mesh_csv, reference_scan, text_paths
 from xsplanes import experiment
 from xsplanes.engine import (
     DEFAULT_PARAMS,
@@ -35,6 +35,7 @@ from xsplanes.experiment import (
     _CENSUS_CHUNK,
     DEFAULT_SCAN_CAP,
     ExperimentConfig,
+    SlabSample,
     SlabSpec,
     _scan_block,
     case_census,
@@ -60,6 +61,11 @@ def assert_same_sample(sample, ref):
     assert np.array_equal(sample.points, ref.points)
     assert sample.n_triples_scanned == ref.n_triples_scanned
     assert sample.truncated == ref.truncated
+
+
+def reference_sample(state, spec, cap):
+    """The sequential reference scan's result as a SlabSample."""
+    return SlabSample(*reference_scan(state, spec, cap))
 
 
 def slab_words(points, e):
@@ -123,8 +129,8 @@ def test_accept_threshold_matches_float_compare(monkeypatch):
             inside = to_unit(o0) < spec.x_max
             for kernel in lane_kernels(P8):
                 monkeypatch.setattr(experiment, "_kernel", lambda params: kernel)
-                for method in ("sequential", "fast"):
-                    sample = slab_sample(GenState(o0, 0, P8), spec, scan_cap=1, method=method)
+                state = GenState(o0, 0, P8)
+                for sample in (reference_sample(state, spec, 1), slab_sample(state, spec, scan_cap=1)):
                     assert sample.n_in_slab == inside
                     if inside:
                         assert sample.points[0, 0] == u53 << e < 1 << 53
@@ -133,25 +139,47 @@ def test_accept_threshold_matches_float_compare(monkeypatch):
 def test_slab_sample_paths_agree(monkeypatch):
     spec = slab_spec(8, None, 400)
     state = seed_state(3, P8)
-    seq = slab_sample(state, spec, scan_cap=500_000, method="sequential")
+    seq = reference_sample(state, spec, 500_000)
     for kernel in lane_kernels(P8):
         monkeypatch.setattr(experiment, "_kernel", lambda params: kernel)
-        fast = slab_sample(state, spec, scan_cap=500_000, method="fast")
+        fast = slab_sample(state, spec, scan_cap=500_000)
         assert_same_sample(fast, seq)
     assert seq.truncated is False
     assert seq.n_in_slab == 400
-    # the default method is the lane scan at every cap, small ones and those
-    # either side of 200,000 too; 1000 points need about 256,000 triples, so
-    # each of these caps truncates
+    # small caps and those either side of 200,000 too; 1000 points need
+    # about 256,000 triples, so each of these caps truncates
     spec = slab_spec(8, None, 1000)
-    refs = {cap: slab_sample(state, spec, scan_cap=cap, method="sequential")
-            for cap in (10_000, 199_999, 200_000, 200_001)}
-    monkeypatch.setattr(experiment, "_scan_sequential", None)  # the default must not call it
+    refs = {cap: reference_sample(state, spec, cap) for cap in (10_000, 199_999, 200_000, 200_001)}
     for kernel in lane_kernels(P8):
         monkeypatch.setattr(experiment, "_kernel", lambda params: kernel)
         for cap, seq in refs.items():
             assert seq.truncated and seq.n_triples_scanned == cap
             assert_same_sample(slab_sample(state, spec, scan_cap=cap), seq)
+
+
+def test_lane_scans_match_reference_at_caps_1_to_65(monkeypatch):
+    # A cap of at most 65 triples is scanned as one lane of cap steps.  On the
+    # dense slab e = 2 the kernel tests every step; seed 2 reaches its 8
+    # points at offset 39, so the caps below 40 truncate.  On the sparse slab
+    # e = 13 it runs 64-step chunks and then the segment's partial last
+    # chunk step by step.  Seeds 505, 3411 and 5976, found by searching with
+    # reference_scan, have their first slab triple at offset 62, 63 and 64, so
+    # caps 63-65 put it on either side of the chunk's end.
+    cases = [(SlabSpec(2, 8), 2, 39)] + [(SlabSpec(13, 1), seed, t) for seed, t in ((505, 62), (3411, 63), (5976, 64))]
+    refs = {}
+    for spec, seed, last in cases:
+        state = seed_state(seed, P8)
+        refs[spec, seed] = [(cap, state, reference_sample(state, spec, cap)) for cap in range(1, 66)]
+        assert [ref.truncated for _, _, ref in refs[spec, seed]] == [cap <= last for cap in range(1, 66)]
+        assert refs[spec, seed][-1][2].n_triples_scanned == last + 1
+    for kernel in lane_kernels(P8):
+        monkeypatch.setattr(experiment, "_kernel", lambda params: kernel)
+        for (spec, seed), runs in refs.items():
+            for cap, state, ref in runs:
+                got = slab_sample(state, spec, scan_cap=cap)
+                case = (kernel is None, spec.e, seed, cap)
+                assert got.points.dtype == np.uint64 and np.array_equal(got.points, ref.points), case
+                assert (got.n_triples_scanned, got.truncated) == (ref.n_triples_scanned, ref.truncated), case
 
 
 def test_lane_starts_are_stepped_states():
@@ -194,14 +222,14 @@ def test_fast_scan_independent_of_workers_and_blocks(monkeypatch):
     sys.setswitchinterval(1e-6)  # frequent GIL hand-offs between the workers
     try:
         for cap in (1_000_000, 250_575):
-            seq = slab_sample(state, spec, scan_cap=cap, method="sequential")
+            seq = reference_sample(state, spec, cap)
             assert seq.truncated == (cap == 250_575)
             for kernel in lane_kernels(P8):
                 monkeypatch.setattr(experiment, "_kernel", lambda params: kernel)
                 for workers in (1, 2, 3):
                     monkeypatch.setattr(experiment, "_WORKERS", workers)
                     blocks.clear()
-                    fast = slab_sample(state, spec, scan_cap=cap, method="fast")
+                    fast = slab_sample(state, spec, scan_cap=cap)
                     assert_same_sample(fast, seq)
                     assert len(blocks) >= 2
                     if seq.truncated and workers > 1:
@@ -227,7 +255,7 @@ def test_fast_scan_worker_exception_propagates(monkeypatch):
             mp.setattr(experiment, "_kernel", lambda params: kernel)
             mp.setattr(experiment, name, failing_block)
             with pytest.raises(ZeroDivisionError, match="worker failed"):
-                slab_sample(seed_state(3, P8), spec, scan_cap=500_000, method="fast")
+                slab_sample(seed_state(3, P8), spec, scan_cap=500_000)
 
 
 def test_every_kernel_source_is_package_data():
@@ -251,7 +279,7 @@ def test_compiled_kernel_in_use_where_gcc_is_found(monkeypatch):
         raise AssertionError("numpy lane scan used")
 
     monkeypatch.setattr(experiment, "_scan_block", numpy_block)
-    slab_sample(seed_state(3, P8), slab_spec(8, None, 50), scan_cap=500_000, method="fast")
+    slab_sample(seed_state(3, P8), slab_spec(8, None, 50), scan_cap=500_000)
 
 
 @pytest.mark.parametrize("cflags", [("-shared", "-fno-such-option"), ("-c",)], ids=["compile", "load"])
@@ -259,7 +287,7 @@ def test_kernel_build_failure_falls_back_to_numpy(monkeypatch, tmp_path, cflags)
     # an unknown flag fails the compile; -c builds an object file that cannot be loaded
     spec = slab_spec(8, magnify_exp=12, target_points=60)
     state = seed_state(16, P8)
-    default = slab_sample(state, spec, scan_cap=1_000_000, method="fast")
+    default = slab_sample(state, spec, scan_cap=1_000_000)
     monkeypatch.setattr(experiment, "_CFLAGS", cflags)
     defines = tuple(f"-DSHIFT_{k}={v}" for k, v in zip("ABC", (P8.a, P8.b, P8.c)))
     kernel = experiment._load_kernel(tmp_path, experiment._LANES_SOURCE, defines)
@@ -267,7 +295,7 @@ def test_kernel_build_failure_falls_back_to_numpy(monkeypatch, tmp_path, cflags)
     if cflags == ("-c",) and shutil.which("gcc"):
         assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
     monkeypatch.setattr(experiment, "_kernel", lambda params: kernel)
-    assert_same_sample(slab_sample(state, spec, scan_cap=1_000_000, method="fast"), default)
+    assert_same_sample(slab_sample(state, spec, scan_cap=1_000_000), default)
 
 
 def test_compiled_scan_reruns_on_hit_overflow(monkeypatch):
@@ -287,8 +315,8 @@ def test_compiled_scan_reruns_on_hit_overflow(monkeypatch):
     monkeypatch.setattr(experiment, "_CALL_HITS", 1)
     spec = slab_spec(8, magnify_exp=4, target_points=3000)
     state = seed_state(5, P8)
-    seq = slab_sample(state, spec, scan_cap=1_000_000, method="sequential")
-    assert_same_sample(slab_sample(state, spec, scan_cap=1_000_000, method="fast"), seq)
+    seq = reference_sample(state, spec, 1_000_000)
+    assert_same_sample(slab_sample(state, spec, scan_cap=1_000_000), seq)
     assert max(lanes for _, lanes, _, _ in calls) == experiment._GROUP
     assert any(over for *_, over in calls)
     # the rerun is its thread's next call, on the same lanes from the same stream offset
@@ -418,9 +446,9 @@ def test_kernels_of_different_triples_never_mix(monkeypatch, tmp_path, fresh_ker
     spec = slab_spec(8, magnify_exp=12, target_points=60)
     for params in (DEFAULT_PARAMS, P8, DEFAULT_PARAMS):
         state = seed_state(16, params)
-        seq = slab_sample(state, spec, scan_cap=1_000_000, method="sequential")
+        seq = reference_sample(state, spec, 1_000_000)
         assert experiment._kernel(params) is not None
-        assert_same_sample(slab_sample(state, spec, scan_cap=1_000_000, method="fast"), seq)
+        assert_same_sample(slab_sample(state, spec, scan_cap=1_000_000), seq)
     assert [p.suffix for p in (tmp_path / "xsplanes").iterdir()] == [".so", ".so"]
 
 
@@ -455,8 +483,8 @@ def test_kernel_without_home_falls_back_to_numpy(monkeypatch, fresh_kernel):
     assert experiment._kernel(P8) is None
     spec = slab_spec(8, magnify_exp=12, target_points=60)
     state = seed_state(16, P8)
-    seq = slab_sample(state, spec, scan_cap=1_000_000, method="sequential")
-    assert_same_sample(slab_sample(state, spec, scan_cap=1_000_000, method="fast"), seq)
+    seq = reference_sample(state, spec, 1_000_000)
+    assert_same_sample(slab_sample(state, spec, scan_cap=1_000_000), seq)
 
 
 def test_concurrent_first_compiles_both_load(tmp_path):
@@ -484,11 +512,11 @@ def test_slab_sample_magnified_coordinates():
 
 def test_slab_sample_truncation():
     spec = slab_spec(8, None, 10_000)
-    sample = slab_sample(seed_state(5, P8), spec, scan_cap=2_000, method="sequential")
+    sample = reference_sample(seed_state(5, P8), spec, 2_000)
     assert sample.truncated
     assert sample.n_triples_scanned == 2_000
     assert sample.n_in_slab < 10_000
-    fast = slab_sample(seed_state(5, P8), spec, scan_cap=2_000, method="fast")
+    fast = slab_sample(seed_state(5, P8), spec, scan_cap=2_000)
     assert_same_sample(fast, sample)
 
 
@@ -521,7 +549,7 @@ def test_slab_sample_acceptance_rate_consistency():
 
 def test_slab_sample_method_validated():
     spec = slab_spec(8, None, 10)
-    for method in ("warp", "auto"):
+    for method in ("warp", "auto", "sequential"):
         with pytest.raises(ValueError):
             slab_sample(seed_state(1, P8), spec, scan_cap=100, method=method)
 
@@ -570,7 +598,7 @@ def test_hit_stats_matches_raw_word_scoring():
     # same triples scored directly
     spec = slab_spec(8, None, 300)
     state = seed_state(3, P8)
-    sample = slab_sample(state, spec, method="sequential")
+    sample = slab_sample(state, spec)
     outs = iter_outputs(state)
     o0, o1 = next(outs) >> 11, next(outs) >> 11
     rows = []
@@ -865,7 +893,7 @@ def test_experiment_config_validates():
     for bad in [
         {"epsilon": -1.0}, {"epsilon": math.nan}, {"params": Params(63, 17, 26), "magnify_exp": 10},
         {"magnify_exp": 0}, {"magnify_exp": 54}, {"target_points": 0}, {"scan_cap": 0},
-        {"magnify_exp": 40}, {"method": "slow"}, {"method": "auto"}, {"control_points": 0}, {"census_steps": 0},
+        {"magnify_exp": 40}, {"control_points": 0}, {"census_steps": 0},
         {"n_bits": 0}, {"n_bits": 17}, {"grid": 1}, {"grid": 4097}, {"seed": -1}, {"control_seed": 1 << 128},
         {"control_points": (1 << 32) + 1}, {"census_steps": (1 << 32) + 1},
     ]:
