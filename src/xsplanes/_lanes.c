@@ -1,16 +1,18 @@
-/* Lane scan of xorshift128+ for xsplanes.experiment, loaded with ctypes.
+/* Lane scan and case census of xorshift128+ for xsplanes.experiment, loaded
+ * with ctypes.
  *
  * Compiled once per shift triple, given as -DSHIFT_A=a -DSHIFT_B=b
  * -DSHIFT_C=c, so every shift is by a constant.
  *
- * Lane j starts at state (hi[j], lo[j]), stream offset base + j*seg_len, and
- * is advanced seg_len steps.  At step t, a lane whose output s0 + s1 is at
- * most last_in is a hit, stored as its offset base + j*seg_len + t and its
- * state s0, s1 in the rows of hits, a 3 x cap array.  Returns the number of
- * hits, which may exceed cap: only the first cap are stored.  Lanes run in
- * interleaved groups of GROUP so the compiler vectorizes the step across
- * lanes; a short last group repeats its last lane, whose hits are not stored
- * twice.  Hits come in order of group, then t, then lane.
+ * The lane scan, xs_scan_lanes: lane j starts at state (hi[j], lo[j]),
+ * stream offset base + j*seg_len, and is advanced seg_len steps.  At step
+ * t, a lane whose output s0 + s1 is at most last_in is a hit, stored as its
+ * offset base + j*seg_len + t and its state s0, s1 in the rows of hits, a
+ * 3 x cap array.  Returns the number of hits, which may exceed cap: only
+ * the first cap are stored.  Lanes run in interleaved groups of GROUP so
+ * the compiler vectorizes the step across lanes; a short last group repeats
+ * its last lane, whose hits are not stored twice.  Hits come in order of
+ * group, then t, then lane.
  *
  * Testing every step for a hit costs a horizontal OR over the group.  On a
  * sparse slab, where a group expects under 1/4 hit in CHUNK steps
@@ -26,6 +28,10 @@
  * those builds' target attributes and feature tests, so there, and on
  * x86-64 under -DPLAIN_SCAN_ONLY (which only the tests set, to check this
  * branch), xs_scan_lanes is the plain scan alone.
+ *
+ * The case census, xs_census, walks the stream one step at a time from a
+ * state and allocates nothing.  It is scalar code, built once outside the
+ * scan's instruction-set builds.
  */
 #include <stdint.h>
 #include <string.h>
@@ -127,3 +133,61 @@ int64_t xs_scan_lanes(PARAMS)
 #else
 int64_t xs_scan_lanes(PARAMS) { return scan(ARGS); }
 #endif
+
+static inline uint64_t next_word(uint64_t s0, uint64_t s1)
+{
+    uint64_t x = s0 ^ (s0 << SHIFT_A);
+    return x ^ (x >> SHIFT_B) ^ s1 ^ (s1 >> SHIFT_C);
+}
+
+/* The column conditions on the top bits x >> drop, y >> drop: bit 0 sum, bit 1 diff, bit 2 rev_diff. */
+static inline int cases(uint64_t x, uint64_t y, int drop)
+{
+    x >>= drop;
+    y >>= drop;
+    return ((x & y) == 0) | ((~x & y) == 0) << 1 | ((x & ~y) == 0) << 2;
+}
+
+/* The census of n steps of the stream w[0] = s0, w[1] = s1, ... on the top
+ * n_bits bits.  Step i sees w[i..i+3].  Its inner cases are those of
+ * (w, w << a) and its outer cases those of (w_next, w ^ (w << a)), each
+ * held at both w[i] and w[i+1]; cell 3*o + k, for outer case o and inner
+ * case k, holds when both do.  counts[cell] counts the steps where the cell
+ * holds, and *leaks those cells whose plane value cx[cell]*x + cy[cell]*y,
+ * in uint64 wraparound arithmetic, differs from z in the top bits, where x,
+ * y and z are the step's outputs w[i] + w[i+1], w[i+1] + w[i+2] and
+ * w[i+2] + w[i+3].  counts and *leaks are added to, not set.  Returns the
+ * number of steps where some cell holds.
+ */
+int64_t xs_census(uint64_t s0, uint64_t s1, int64_t n, int64_t n_bits, const uint64_t *cx, const uint64_t *cy,
+                  int64_t *counts, int64_t *leaks)
+{
+    int drop = 64 - (int)n_bits;
+    uint64_t w0 = s0, w1 = s1, w2 = next_word(w0, w1), w3 = next_word(w1, w2);
+    int inner = cases(w0, w0 << SHIFT_A, drop), outer = cases(w1, w0 ^ (w0 << SHIFT_A), drop);
+    int64_t compound = 0;
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t shifted = w1 << SHIFT_A;
+        int inner1 = cases(w1, shifted, drop), outer1 = cases(w2, w1 ^ shifted, drop);
+        int both_inner = inner & inner1, both_outer = outer & outer1;
+        if (both_inner && both_outer) {
+            uint64_t x = w0 + w1, y = w1 + w2, z = w2 + w3;
+            for (int o = 0; o < 3; o++) {
+                for (int k = 0; k < 3; k++) {
+                    if (both_outer >> o & both_inner >> k & 1) {
+                        counts[3 * o + k]++;
+                        *leaks += ((cx[3 * o + k] * x + cy[3 * o + k] * y) ^ z) >> drop != 0;
+                    }
+                }
+            }
+            compound++;
+        }
+        inner = inner1;
+        outer = outer1;
+        w0 = w1;
+        w1 = w2;
+        w2 = w3;
+        w3 = next_word(w1, w2);
+    }
+    return compound;
+}

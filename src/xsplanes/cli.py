@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"control generator key in hex (default {ExperimentConfig.control_seed:#x})")
     p_planes.add_argument("--census-steps", type=int, default=ExperimentConfig.census_steps,
                           help=f"steps for the case census (default %(default)s, at most {MAX_CENSUS_STEPS}, "
-                               "about 15 minutes)")
+                               "about 1.5 minutes with the compiled census)")
     p_planes.add_argument("--n-bits", type=int, default=ExperimentConfig.n_bits,
                           help="top-bit width for the census (default %(default)s)")
     p_planes.add_argument("--min-ratio", type=float, default=10.0,
@@ -101,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(p_census)
     _add_seed(p_census)
     p_census.add_argument("--steps", type=int, default=ExperimentConfig.census_steps,
-                          help=f"steps to tally (default %(default)s, at most {MAX_CENSUS_STEPS}, about 15 minutes)")
+                          help=f"steps to tally (default %(default)s, at most {MAX_CENSUS_STEPS}, "
+                               "about 1.5 minutes with the compiled census)")
     p_census.add_argument("--n-bits", type=int, default=ExperimentConfig.n_bits,
                           help="top-bit width (default %(default)s)")
 

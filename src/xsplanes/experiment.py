@@ -15,7 +15,9 @@ contiguous lane range per usable CPU.  A small C kernel (_lanes.c),
 compiled on first use and loaded with ctypes, advances them; where it
 cannot be built, vectorized numpy word ops do.  Both give bit-identical
 results; the tests hold the reference, a plain sequential scan one
-Python-int step at a time.
+Python-int step at a time.  The same library holds the case census, one
+pass over the stream from the seed state; where it cannot be built, numpy
+tallies the same counts from 64 lanes started by the scan's jump-ahead.
 
 The CSV files hold each coordinate as Python's '%.17g' text.  One writer
 passes the rows of points.csv and of each mesh to a formatter, a buffer's
@@ -92,8 +94,11 @@ _GROUP = 32
 # xs_scan_lanes(hi, lo, lanes, seg_len, base, last_in, hits, cap) -> number of hits
 _LANES_ARGTYPES = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_uint64,
                    ctypes.c_uint64, ctypes.c_void_p, ctypes.c_int64)
-# The compiled control count (_control.c) allocates nothing.  Without it,
-# control points are processed in chunks, as census words always are, of
+# xs_census(s0, s1, n_steps, n_bits, cx, cy, counts, leaks) -> compound steps, from the same library
+_CENSUS_ARGTYPES = (ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+                    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
+# The compiled control count (_control.c) and census allocate nothing.
+# Without them, control points and census words are processed in chunks of
 # these sizes, which bounds their memory independently of the requested
 # counts.
 _CONTROL_SOURCE = Path(__file__).with_name("_control.c")
@@ -106,7 +111,8 @@ MAX_TARGET_POINTS = 1 << 22
 # The control and census counts are bounded by time, as the scan is (so the
 # control's count also fits the kernel's int64).  On a 2-core AVX-512 Xeon
 # 2**32 control points take about 2 minutes with the compiled kernel (7-10
-# minutes with numpy's Philox), and 2**32 census steps 12-15 minutes.
+# minutes with numpy's Philox), and 2**32 census steps about 1.5 minutes
+# with the compiled census (18-22 minutes with the numpy census).
 MAX_CONTROL_POINTS = 1 << 32
 MAX_CENSUS_STEPS = 1 << 32
 
@@ -292,11 +298,14 @@ def _compiled(source: Path, defines: tuple[str, ...], name: str, restype, argtyp
     return function
 
 
+def _shift_defines(params: Params) -> tuple[str, ...]:
+    return (f"-DSHIFT_A={params.a}", f"-DSHIFT_B={params.b}", f"-DSHIFT_C={params.c}")
+
+
 @functools.cache
 def _kernel(params: Params):
     """The compiled lane scan for params, loaded once per triple, or None."""
-    defines = (f"-DSHIFT_A={params.a}", f"-DSHIFT_B={params.b}", f"-DSHIFT_C={params.c}")
-    return _compiled(_LANES_SOURCE, defines, "xs_scan_lanes", ctypes.c_int64, _LANES_ARGTYPES)
+    return _compiled(_LANES_SOURCE, _shift_defines(params), "xs_scan_lanes", ctypes.c_int64, _LANES_ARGTYPES)
 
 
 def _scan_compiled(kernel, hi, lo, seg_len, base, last_in):
@@ -499,6 +508,12 @@ def _check_census(n_steps: int, n_bits: int) -> None:
         raise ValueError(f"n_bits must be in 1..16, got {n_bits}")
 
 
+@functools.cache
+def _census_kernel(params: Params):
+    """The compiled census for params, from the lane scan's library, loaded once per triple, or None."""
+    return _compiled(_LANES_SOURCE, _shift_defines(params), "xs_census", ctypes.c_int64, _CENSUS_ARGTYPES)
+
+
 def case_census(state: GenState, n_steps: int, n_bits: int) -> CaseCensus:
     """Tally the 3x3 compound-case grid over n_steps consecutive steps.
 
@@ -511,17 +526,46 @@ def case_census(state: GenState, n_steps: int, n_bits: int) -> CaseCensus:
     satisfied cells whose predicted plane value cx*x + cy*y misses the top
     n_bits of the actual output z.
 
+    The compiled census (xs_census in _lanes.c) walks the stream from the
+    state in one call; where it cannot be built, _census_chunks tallies the
+    same counts with numpy.
+    """
+    _check_census(n_steps, n_bits)
+    params = state.params
+    pairs = [(o, i) for o in COMBINE_ORDER for i in COMBINE_ORDER]
+    coeffs = [[c & MASK64 for c in plane_coefficients(o, i, params.a)] for o, i in pairs]
+    kernel = _census_kernel(params)
+    if kernel is not None:
+        cx, cy = ((ctypes.c_uint64 * 9)(*column) for column in zip(*coeffs))
+        cells, leaked = (ctypes.c_int64 * 9)(), ctypes.c_int64()
+        compound = kernel(state.s0, state.s1, n_steps, n_bits, cx, cy, cells, ctypes.byref(leaked))
+        counts, leaks = list(cells), leaked.value
+    else:
+        counts, compound, leaks = _census_chunks(state, n_steps, n_bits, coeffs)
+    checks = sum(counts)
+    grid = {f"{o.value}|{i.value}": c / n_steps for (o, i), c in zip(pairs, counts)}
+    return CaseCensus(
+        n_steps=n_steps,
+        n_bits=n_bits,
+        grid=grid,
+        compound_frequency=compound / n_steps,
+        carry_leak_frequency=(leaks / checks) if checks else 0.0,
+        uniform_model_estimate=compound_probability(n_bits)[1],
+    )
+
+
+def _census_chunks(state, n_steps, n_bits, coeffs):
+    """The census's (cell counts, compound steps, leaks) in numpy, given the nine cells' (cx, cy) mod 2**64.
+
     A chunk's k steps read the k + 3 words w[i..i+k+2].  They are the s0
     words of 64 lanes that start _CENSUS_CHUNK // 64 steps apart and
     advance together; one jump moves every lane to the next chunk, which
     starts _CENSUS_CHUNK - 3 steps later and so rereads the last 3 words.
     """
-    _check_census(n_steps, n_bits)
     params = state.params
     drop = np.uint64(64 - n_bits)
-    pairs = [(o, i) for o in COMBINE_ORDER for i in COMBINE_ORDER]
-    coeffs = [[np.uint64(c & MASK64) for c in plane_coefficients(o, i, params.a)] for o, i in pairs]
-    counts = np.zeros(len(pairs), dtype=np.int64)
+    coeffs = [(np.uint64(cx), np.uint64(cy)) for cx, cy in coeffs]
+    counts = np.zeros(len(coeffs), dtype=np.int64)
     compound = leaks = 0
     lanes, seg_len, chunk = 64, _CENSUS_CHUNK // 64, _CENSUS_CHUNK - 3
     one_step = transition_rows(params)
@@ -542,23 +586,14 @@ def case_census(state: GenState, n_steps: int, n_bits: int) -> CaseCensus:
         outer = np.array(column_cases(s_next >> drop, (s ^ shifted) >> drop))
         # one row per (outer, inner) cell: both cases hold at both words
         both_outer, both_inner = outer[:, :-1] & outer[:, 1:], inner[:, :-1] & inner[:, 1:]
-        cells = (both_outer[:, None] & both_inner[None]).reshape(len(pairs), k)
+        cells = (both_outer[:, None] & both_inner[None]).reshape(len(coeffs), k)
         out = w[:-1] + w[1:]
         x, y, z = out[:k], out[1 : k + 1], out[2:]
         for cell, (cx, cy) in zip(cells, coeffs):
             leaks += int((cell & (((cx * x + cy * y) ^ z) >> drop != 0)).sum())
         counts += cells.sum(axis=1)
         compound += int(cells.any(axis=0).sum())
-    checks = int(counts.sum())
-    grid = {f"{o.value}|{i.value}": int(c) / n_steps for (o, i), c in zip(pairs, counts)}
-    return CaseCensus(
-        n_steps=n_steps,
-        n_bits=n_bits,
-        grid=grid,
-        compound_frequency=compound / n_steps,
-        carry_leak_frequency=(leaks / checks) if checks else 0.0,
-        uniform_model_estimate=compound_probability(n_bits)[1],
-    )
+    return counts.tolist(), compound, leaks
 
 
 @dataclass(frozen=True)

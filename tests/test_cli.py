@@ -309,10 +309,11 @@ def test_planes_bad_setting_exits_2_before_scan(tmp_path, capsys, monkeypatch, f
     ids=" ".join,
 )
 def test_count_over_its_cap_exits_2_before_work(capsys, monkeypatch, argv):
-    # 10**12 census steps would run for about two days, 2**63 control points for millennia
+    # 10**12 census steps would run for hours compiled and days in numpy, 2**63 control points for millennia
     def no_work(*args):
         raise AssertionError("work started")
 
+    monkeypatch.setattr("xsplanes.experiment._census_kernel", no_work)
     monkeypatch.setattr("xsplanes.experiment._lane_starts", no_work)
     monkeypatch.setattr("xsplanes.experiment._control_kernel", no_work)
     code, out, err = run_cli(capsys, *argv)

@@ -2,6 +2,7 @@ import ast
 import ctypes
 import dataclasses
 import fnmatch
+import functools
 import json
 import math
 import os
@@ -765,8 +766,8 @@ def test_census_frequencies_consistent():
     assert census.uniform_model_estimate == pytest.approx(0.285087, abs=1e-6)
 
 
-def _recount(state, n_steps, n_bits):
-    """(grid, compound, leak) recomputed step by step with scalar classify."""
+def _recount_steps(state, n_steps, n_bits):
+    """Per step, the satisfied (outer, inner) cells and how many of them leak, by scalar classify."""
     params = state.params
     a = params.a
 
@@ -776,33 +777,46 @@ def _recount(state, n_steps, n_bits):
     words = [state.s0, state.s1]
     while len(words) < n_steps + 3:
         words.append(step_words(words[-2], words[-1], params)[1])
-    counts = {(o, i): 0 for o in COMBINE_ORDER for i in COMBINE_ORDER}
-    compound = checks = leaks = 0
     for j in range(n_steps):
         s0, s1, s2, s3 = words[j : j + 4]
         shifted0 = (s0 << a) & MASK64
         shifted1 = (s1 << a) & MASK64
         inner = [
-            classify(tops(s0), tops(shifted0), n_bits),
-            classify(tops(s1), tops(shifted1), n_bits),
+            classify(tops(s0), tops(shifted0), n_bits).kinds(),
+            classify(tops(s1), tops(shifted1), n_bits).kinds(),
         ]
         outer = [
-            classify(tops(s1), tops(s0 ^ shifted0), n_bits),
-            classify(tops(s2), tops(s1 ^ shifted1), n_bits),
+            classify(tops(s1), tops(s0 ^ shifted0), n_bits).kinds(),
+            classify(tops(s2), tops(s1 ^ shifted1), n_bits).kinds(),
         ]
         x, y, z = (s0 + s1) & MASK64, (s1 + s2) & MASK64, (s2 + s3) & MASK64
-        any_cell = False
-        for o in COMBINE_ORDER:
-            for i in COMBINE_ORDER:
-                if all(o in lab.kinds() for lab in outer) and all(i in lab.kinds() for lab in inner):
-                    counts[o, i] += 1
-                    any_cell = True
-                    cx, cy = plane_coefficients(o, i, a)
-                    checks += 1
-                    leaks += tops((cx * x + cy * y) & MASK64) != tops(z)
-        compound += any_cell
+        cells = [(o, i) for o in COMBINE_ORDER for i in COMBINE_ORDER
+                 if all(o in kinds for kinds in outer) and all(i in kinds for kinds in inner)]
+        leaks = 0
+        for o, i in cells:
+            cx, cy = plane_coefficients(o, i, a)
+            leaks += tops((cx * x + cy * y) & MASK64) != tops(z)
+        yield cells, leaks
+
+
+def _tally(steps):
+    """(grid, compound, leak) of the per-step records of _recount_steps."""
+    counts = {(o, i): 0 for o in COMBINE_ORDER for i in COMBINE_ORDER}
+    compound = checks = leaks = 0
+    for cells, leaked in steps:
+        for cell in cells:
+            counts[cell] += 1
+        compound += bool(cells)
+        checks += len(cells)
+        leaks += leaked
+    n_steps = len(steps)
     grid = {f"{o.value}|{i.value}": v / n_steps for (o, i), v in counts.items()}
     return grid, compound / n_steps, (leaks / checks) if checks else 0.0
+
+
+def _recount(state, n_steps, n_bits):
+    """(grid, compound, leak) recomputed step by step with scalar classify."""
+    return _tally(list(_recount_steps(state, n_steps, n_bits)))
 
 
 def test_census_against_independent_recount():
@@ -837,6 +851,59 @@ def test_census_recount_across_chunks(params, n_bits, n_steps):
     assert census.grid == grid
     assert census.compound_frequency == compound
     assert census.carry_leak_frequency == leak
+
+
+_CENSUS_STEPS = (1, 2, 3, 4, _SEAM - 1, _SEAM + 1, 2 * _SEAM + 1)
+
+
+@functools.cache
+def _recounted_steps(state, n_bits):
+    """_recount_steps over the longest census of test_census_kernel_matches_numpy, recounted once."""
+    return list(_recount_steps(state, _CENSUS_STEPS[-1], n_bits))
+
+
+@pytest.mark.parametrize("n_steps", _CENSUS_STEPS)
+@pytest.mark.parametrize("n_bits", [1, 3, 16])
+@pytest.mark.parametrize(
+    "start",
+    [
+        *(pytest.param(seed_state(10, Params(a, b, c)), id=f"{a}-{b}-{c}")
+          for a, b, c in ((23, 17, 26), (26, 19, 5), (5, 9, 11), (1, 17, 26), (63, 17, 26))),
+        # every top bit of the first words is zero, so every cell holds
+        pytest.param(GenState(1, 1, Params(23, 17, 26)), id="degenerate"),
+    ],
+)
+def test_census_kernel_matches_numpy(monkeypatch, start, n_bits, n_steps):
+    # the compiled census walks the stream one step at a time from the
+    # start; the numpy census reads it from 64 lanes in chunks that meet at
+    # seams.  Each matches the scalar recount, and so each other, over the
+    # first steps and on both sides of one seam and past two
+    want = _tally(_recounted_steps(start, n_bits)[:n_steps])
+    kernel = experiment._census_kernel(start.params)
+    got = []
+    for path in ([kernel] if kernel is not None else []) + [None]:
+        monkeypatch.setattr(experiment, "_census_kernel", lambda params: path)
+        census = case_census(start, n_steps, n_bits)
+        assert (census.grid, census.compound_frequency, census.carry_leak_frequency) == want, path
+        got.append(census)
+    assert got[0] == got[-1]
+
+
+def test_compiled_census_pays_no_jump_ahead(monkeypatch):
+    # the compiled census walks the stream from the start state; only the
+    # numpy census starts lanes by GF(2) jump-ahead
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc on PATH")
+    with monkeypatch.context() as mp:
+        mp.setattr(experiment, "_census_kernel", lambda params: None)
+        want = case_census(seed_state(1), 50000, 3)
+
+    def jump_ahead(*args):
+        raise AssertionError("census jumped ahead")
+
+    monkeypatch.setattr(experiment, "_lane_starts", jump_ahead)
+    monkeypatch.setattr(experiment, "mat_pow", jump_ahead)
+    assert case_census(seed_state(1), 50000, 3) == want
 
 
 def test_case_census_validates():

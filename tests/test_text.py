@@ -226,7 +226,8 @@ def test_run_experiment_same_files_on_both_text_paths(monkeypatch, tmp_path, wor
 def test_text_library_built_once_by_fresh_cache(tmp_path):
     # a run from an empty cache compiles the formatter once, for all nine
     # CSV files, builds one library per kernel (control count, lane scan and
-    # formatter), and leaves no temp file in the cache or the output directory
+    # census, which share one, and formatter), and leaves no temp file in the
+    # cache or the output directory
     if shutil.which("gcc") is None:
         pytest.skip("no gcc on PATH")
     code = """
