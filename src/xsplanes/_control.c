@@ -1,18 +1,21 @@
 /* Control-baseline hit count for xsplanes.experiment, loaded with ctypes.
  *
  * xs_control_hits draws numpy's Philox(key=k0 + k1 * 2**64).random_raw
- * stream and returns how many of its first n points lie within thr of one
- * of eight planes, allocating nothing.  Point i is words 3i, 3i+1 and
- * 3i+2 of the stream, each shifted right by 11, the 53-bit coordinates
- * (X, Y, Z).  It is a hit if for some plane j, T = (Z - c[j]*X - sy[j]*Y)
- * mod 2**53 in uint64 wraparound arithmetic has min(T, 2**53 - T) <= thr,
- * where c[j] is sign_x * m and sy[j] is sign_y, both mod 2**64.
+ * stream on from the 256-bit counter ctr and returns how many of its next
+ * n points lie within thr of one of eight planes, allocating nothing.
+ * Point i is words 3i, 3i+1 and 3i+2 of the stream, each shifted right by
+ * 11, the 53-bit coordinates (X, Y, Z).  It is a hit if for some plane j,
+ * T = (Z - c[j]*X - sy[j]*Y) mod 2**53 in uint64 wraparound arithmetic has
+ * min(T, 2**53 - T) <= thr, where c[j] is sign_x * m and sy[j] is sign_y,
+ * both mod 2**64.
  *
  * The stream is Philox4x64-10 (Salmon et al., SC 2011) as numpy draws it:
  * the 256-bit counter starts at 0 and is incremented, with carry, before
  * each block of four words, and the key is bumped between the ten rounds.
  * Four points take three blocks; the words of the last block past point
- * n - 1 are dropped, as the stream stops there.
+ * n - 1 are dropped, as the stream stops there.  ctr is left at the last
+ * block's counter, so calls of a multiple of 4 points each, from a counter
+ * of 0, draw one stream.
  */
 #include <stdint.h>
 
@@ -38,9 +41,10 @@ static void philox(const uint64_t ctr[4], uint64_t k0, uint64_t k1, uint64_t out
     out[0] = v0, out[1] = v1, out[2] = v2, out[3] = v3;
 }
 
-int64_t xs_control_hits(uint64_t k0, uint64_t k1, int64_t n, const uint64_t *c, const uint64_t *sy, uint64_t thr)
+int64_t xs_control_hits(uint64_t k0, uint64_t k1, uint64_t ctr[4], int64_t n, const uint64_t *c, const uint64_t *sy,
+                        uint64_t thr)
 {
-    uint64_t ctr[4] = {0, 0, 0, 0}, w[12];
+    uint64_t w[12];
     int64_t hits = 0;
     for (int64_t i = 0; i < n; i += 4) {
         for (int b = 0; b < 3; b++) {

@@ -30,8 +30,8 @@
  * branch), xs_scan_lanes is the plain scan alone.
  *
  * The case census, xs_census, walks the stream one step at a time from a
- * state and allocates nothing.  It is scalar code, built once outside the
- * scan's instruction-set builds.
+ * state, which it leaves where the walk ends, and allocates nothing.  It is
+ * scalar code, built once outside the scan's instruction-set builds.
  */
 #include <stdint.h>
 #include <string.h>
@@ -148,22 +148,23 @@ static inline int cases(uint64_t x, uint64_t y, int drop)
     return ((x & y) == 0) | ((~x & y) == 0) << 1 | ((x & ~y) == 0) << 2;
 }
 
-/* The census of n steps of the stream w[0] = s0, w[1] = s1, ... on the top
- * n_bits bits.  Step i sees w[i..i+3].  Its inner cases are those of
+/* The census of n steps of the stream w[0] = s[0], w[1] = s[1], ... on the
+ * top n_bits bits.  Step i sees w[i..i+3].  Its inner cases are those of
  * (w, w << a) and its outer cases those of (w_next, w ^ (w << a)), each
  * held at both w[i] and w[i+1]; cell 3*o + k, for outer case o and inner
  * case k, holds when both do.  counts[cell] counts the steps where the cell
  * holds, and *leaks those cells whose plane value cx[cell]*x + cy[cell]*y,
  * in uint64 wraparound arithmetic, differs from z in the top bits, where x,
  * y and z are the step's outputs w[i] + w[i+1], w[i+1] + w[i+2] and
- * w[i+2] + w[i+3].  counts and *leaks are added to, not set.  Returns the
+ * w[i+2] + w[i+3].  counts and *leaks are added to, not set, and s is left
+ * at w[n], w[n+1], so consecutive calls count one stream.  Returns the
  * number of steps where some cell holds.
  */
-int64_t xs_census(uint64_t s0, uint64_t s1, int64_t n, int64_t n_bits, const uint64_t *cx, const uint64_t *cy,
-                  int64_t *counts, int64_t *leaks)
+int64_t xs_census(uint64_t s[2], int64_t n, int64_t n_bits, const uint64_t *cx, const uint64_t *cy, int64_t *counts,
+                  int64_t *leaks)
 {
     int drop = 64 - (int)n_bits;
-    uint64_t w0 = s0, w1 = s1, w2 = next_word(w0, w1), w3 = next_word(w1, w2);
+    uint64_t w0 = s[0], w1 = s[1], w2 = next_word(w0, w1), w3 = next_word(w1, w2);
     int inner = cases(w0, w0 << SHIFT_A, drop), outer = cases(w1, w0 ^ (w0 << SHIFT_A), drop);
     int64_t compound = 0;
     for (int64_t i = 0; i < n; i++) {
@@ -189,5 +190,7 @@ int64_t xs_census(uint64_t s0, uint64_t s1, int64_t n, int64_t n_bits, const uin
         w2 = w3;
         w3 = next_word(w1, w2);
     }
+    s[0] = w0;
+    s[1] = w1;
     return compound;
 }

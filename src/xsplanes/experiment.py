@@ -16,8 +16,8 @@ compiled on first use and loaded with ctypes, advances them; where it
 cannot be built, vectorized numpy word ops do.  Both give bit-identical
 results; the tests hold the reference, a plain sequential scan one
 Python-int step at a time.  The same library holds the case census, one
-pass over the stream from the seed state; where it cannot be built, numpy
-tallies the same counts from 64 lanes started by the scan's jump-ahead.
+walk over the stream from the seed state; where it cannot be built, numpy
+runs that walk on lanes started by the scan's jump-ahead.
 
 The CSV files hold each coordinate as Python's '%.17g' text.  One writer
 passes the rows of points.csv and of each mesh to a formatter, a buffer's
@@ -94,16 +94,19 @@ _GROUP = 32
 # xs_scan_lanes(hi, lo, lanes, seg_len, base, last_in, hits, cap) -> number of hits
 _LANES_ARGTYPES = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_uint64,
                    ctypes.c_uint64, ctypes.c_void_p, ctypes.c_int64)
-# xs_census(s0, s1, n_steps, n_bits, cx, cy, counts, leaks) -> compound steps, from the same library
-_CENSUS_ARGTYPES = (ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
-                    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
-# The compiled control count (_control.c) and census allocate nothing.
-# Without them, control points and census words are processed in chunks of
-# these sizes, which bounds their memory independently of the requested
-# counts.
+# xs_census(s, n_steps, n_bits, cx, cy, counts, leaks) -> compound steps, from the same library
+_CENSUS_ARGTYPES = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
+                    ctypes.c_void_p, ctypes.c_void_p)
+# The compiled control count (_control.c) and census allocate nothing.  A
+# call runs at most _CALL_POINTS points (a multiple of Philox's 4 points in
+# 3 blocks) or _CALL_STEPS steps, about 0.1 s, and carries its counter or
+# state on, so the calling thread serves an interrupt between calls.
+# Without them, numpy draws control points in chunks and walks the census
+# on lanes, of these sizes, which bounds their memory whatever the counts.
 _CONTROL_SOURCE = Path(__file__).with_name("_control.c")
+_CALL_POINTS = _CALL_STEPS = 1 << 22
 _CONTROL_CHUNK = 1 << 15
-_CENSUS_CHUNK = 1 << 13
+_CENSUS_LANES = 1 << 11
 # The hit rows and points grow with the target, not with the triples scanned:
 # a planes run of 2**22 points at x < 2**-1 peaks at 470-490 MB RSS (510-515
 # MB without the compiled kernels; 2-core AVX-512 Xeon).
@@ -112,7 +115,7 @@ MAX_TARGET_POINTS = 1 << 22
 # control's count also fits the kernel's int64).  On a 2-core AVX-512 Xeon
 # 2**32 control points take about 2 minutes with the compiled kernel (7-10
 # minutes with numpy's Philox), and 2**32 census steps about 1.5 minutes
-# with the compiled census (18-22 minutes with the numpy census).
+# with the compiled census (7-9 minutes with the numpy census).
 MAX_CONTROL_POINTS = 1 << 32
 MAX_CENSUS_STEPS = 1 << 32
 
@@ -455,7 +458,7 @@ def _check_control(n_points: int, control_seed: int) -> None:
 def _control_kernel():
     """The compiled Philox control count, loaded once per process, or None where it cannot be built."""
     ptr, i64, u64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64
-    return _compiled(_CONTROL_SOURCE, (), "xs_control_hits", i64, [u64, u64, i64, ptr, ptr, u64])
+    return _compiled(_CONTROL_SOURCE, (), "xs_control_hits", i64, [u64, u64, ptr, i64, ptr, ptr, u64])
 
 
 def control_baseline(n_points: int, fam: PlaneFamily, epsilon: float, control_seed: int) -> float:
@@ -464,14 +467,14 @@ def control_baseline(n_points: int, fam: PlaneFamily, epsilon: float, control_se
     numpy's Philox(key=control_seed) stream (counter-based, unrelated to
     the xorshift family) drives the points: each coordinate is the top 53
     bits of one raw word, the same value Generator.random would give.  The
-    compiled kernel draws the stream and counts the hits in one call;
-    without it, numpy's Philox draws it in chunks.  On the full cube the
-    eight plane neighborhoods are nearly disjoint so the expected value is
-    a bit under 16*epsilon.  For a = 52 - k the two coefficient families coincide on
-    the grid points with X = 0 mod 2**k, which lowers it to about
-    (16 - 8/2**k)*epsilon: 14*epsilon at a = 50, 12*epsilon at a = 51.
-    For a >= 52 they coincide on the whole 53-bit grid, which halves it
-    to 8*epsilon.  planes.union_rate gives the union bound.
+    compiled kernel draws the stream and counts the hits, _CALL_POINTS
+    points a call; without it, numpy's Philox draws it in chunks.  On the
+    full cube the eight plane neighborhoods are nearly disjoint so the
+    expected value is a bit under 16*epsilon.  For a = 52 - k the two
+    coefficient families coincide on the grid points with X = 0 mod 2**k,
+    lowering it to about (16 - 8/2**k)*epsilon: 14*epsilon at a = 50,
+    12*epsilon at a = 51.  For a >= 52 they coincide on the whole 53-bit
+    grid, halving it to 8*epsilon.  planes.union_rate gives the union bound.
     """
     _check_control(n_points, control_seed)
     thr = epsilon_threshold(epsilon)
@@ -479,7 +482,9 @@ def control_baseline(n_points: int, fam: PlaneFamily, epsilon: float, control_se
     if kernel is not None:
         c = (ctypes.c_uint64 * 8)(*(p.sign_x * p.m & MASK64 for p in fam.planes))
         sy = (ctypes.c_uint64 * 8)(*(p.sign_y & MASK64 for p in fam.planes))
-        return kernel(control_seed & MASK64, control_seed >> 64, n_points, c, sy, thr) / n_points
+        ctr, k0, k1 = (ctypes.c_uint64 * 4)(), control_seed & MASK64, control_seed >> 64
+        return sum(kernel(k0, k1, ctr, min(_CALL_POINTS, n_points - i), c, sy, thr)
+                   for i in range(0, n_points, _CALL_POINTS)) / n_points
     bitgen = np.random.Philox(key=control_seed)
     hits = 0
     for start in range(0, n_points, _CONTROL_CHUNK):
@@ -527,8 +532,8 @@ def case_census(state: GenState, n_steps: int, n_bits: int) -> CaseCensus:
     n_bits of the actual output z.
 
     The compiled census (xs_census in _lanes.c) walks the stream from the
-    state in one call; where it cannot be built, _census_chunks tallies the
-    same counts with numpy.
+    state, _CALL_STEPS steps a call; where it cannot be built,
+    _census_lanes runs the same walk with numpy, on lanes side by side.
     """
     _check_census(n_steps, n_bits)
     params = state.params
@@ -537,11 +542,12 @@ def case_census(state: GenState, n_steps: int, n_bits: int) -> CaseCensus:
     kernel = _census_kernel(params)
     if kernel is not None:
         cx, cy = ((ctypes.c_uint64 * 9)(*column) for column in zip(*coeffs))
-        cells, leaked = (ctypes.c_int64 * 9)(), ctypes.c_int64()
-        compound = kernel(state.s0, state.s1, n_steps, n_bits, cx, cy, cells, ctypes.byref(leaked))
+        s, cells, leaked = (ctypes.c_uint64 * 2)(state.s0, state.s1), (ctypes.c_int64 * 9)(), ctypes.c_int64()
+        compound = sum(kernel(s, min(_CALL_STEPS, n_steps - i), n_bits, cx, cy, cells, ctypes.byref(leaked))
+                       for i in range(0, n_steps, _CALL_STEPS))
         counts, leaks = list(cells), leaked.value
     else:
-        counts, compound, leaks = _census_chunks(state, n_steps, n_bits, coeffs)
+        counts, compound, leaks = _census_lanes(state, n_steps, n_bits, coeffs)
     checks = sum(counts)
     grid = {f"{o.value}|{i.value}": c / n_steps for (o, i), c in zip(pairs, counts)}
     return CaseCensus(
@@ -554,45 +560,39 @@ def case_census(state: GenState, n_steps: int, n_bits: int) -> CaseCensus:
     )
 
 
-def _census_chunks(state, n_steps, n_bits, coeffs):
+def _census_lanes(state, n_steps, n_bits, coeffs):
     """The census's (cell counts, compound steps, leaks) in numpy, given the nine cells' (cx, cy) mod 2**64.
 
-    A chunk's k steps read the k + 3 words w[i..i+k+2].  They are the s0
-    words of 64 lanes that start _CENSUS_CHUNK // 64 steps apart and
-    advance together; one jump moves every lane to the next chunk, which
-    starts _CENSUS_CHUNK - 3 steps later and so rereads the last 3 words.
+    xs_census's walk on lanes side by side: lane j walks steps [j*seg_len,
+    (j+1)*seg_len), up to step n_steps, from its jump-ahead start.  A step
+    where no lane holds a cell skips the nine cells.
     """
     params = state.params
-    drop = np.uint64(64 - n_bits)
-    coeffs = [(np.uint64(cx), np.uint64(cy)) for cx, cy in coeffs]
-    counts = np.zeros(len(coeffs), dtype=np.int64)
-    compound = leaks = 0
-    lanes, seg_len, chunk = 64, _CENSUS_CHUNK // 64, _CENSUS_CHUNK - 3
-    one_step = transition_rows(params)
-    starts = _lane_starts(one_step, np.array([[state.s0], [state.s1]], dtype=np.uint64), lanes, seg_len)[0]
-    jump = mat_pow(one_step, chunk)
-    words = np.empty((lanes, seg_len), dtype=np.uint64)
-    for start in range(0, n_steps, chunk):
-        k = min(chunk, n_steps - start)
-        s0, s1 = starts
-        for t in range(seg_len):
-            words[:, t] = s0
-            s0, s1 = step_words(s0, s1, params)
-        starts = act(jump, starts)
-        w = words.reshape(-1)[: k + 3]
-        s, s_next = w[: k + 1], w[1 : k + 2]
-        shifted = s << np.uint64(params.a)
-        inner = np.array(column_cases(s >> drop, shifted >> drop))
-        outer = np.array(column_cases(s_next >> drop, (s ^ shifted) >> drop))
-        # one row per (outer, inner) cell: both cases hold at both words
-        both_outer, both_inner = outer[:, :-1] & outer[:, 1:], inner[:, :-1] & inner[:, 1:]
-        cells = (both_outer[:, None] & both_inner[None]).reshape(len(coeffs), k)
-        out = w[:-1] + w[1:]
-        x, y, z = out[:k], out[1 : k + 1], out[2:]
-        for cell, (cx, cy) in zip(cells, coeffs):
-            leaks += int((cell & (((cx * x + cy * y) ^ z) >> drop != 0)).sum())
-        counts += cells.sum(axis=1)
-        compound += int(cells.any(axis=0).sum())
+    lanes = min(_CENSUS_LANES, n_steps)
+    seg_len = -(-n_steps // lanes)
+    w0, w1 = _lane_starts(transition_rows(params), np.array([[state.s0], [state.s1]], np.uint64), lanes, seg_len)[0]
+    w2 = step_words(w0, w1, params)[1]
+    w3 = step_words(w1, w2, params)[1]
+    a, drop = np.uint64(params.a), np.uint64(64 - n_bits)
+    cx, cy = (np.array(column, dtype=np.uint64)[:, None] for column in zip(*coeffs))
+    steps_left = n_steps - seg_len * np.arange(lanes)
+    inner = np.array(column_cases(w0 >> drop, (w0 << a) >> drop))
+    outer = np.array(column_cases(w1 >> drop, (w0 ^ (w0 << a)) >> drop))
+    counts, compound, leaks = np.zeros(len(coeffs), dtype=np.int64), 0, 0
+    for t in range(seg_len):
+        shifted = w1 << a
+        inner1 = np.array(column_cases(w1 >> drop, shifted >> drop))
+        outer1 = np.array(column_cases(w2 >> drop, (w1 ^ shifted) >> drop))
+        cells = ((outer & outer1)[:, None] & (inner & inner1)[None]).reshape(-1, lanes) & (steps_left > t)
+        if cells.any():
+            # the plane values in place: a fresh (9, lanes) array a term made the census up to twice as slow
+            plane = cx * (w0 + w1)
+            plane += cy * (w1 + w2)
+            plane ^= w2 + w3
+            counts += np.count_nonzero(cells, axis=1)
+            leaks += np.count_nonzero(cells & (plane >= np.uint64(1) << drop))
+            compound += np.count_nonzero(cells.any(axis=0))
+        inner, outer, w0, w1, w2, w3 = inner1, outer1, w1, w2, w3, step_words(w2, w3, params)[1]
     return counts.tolist(), compound, leaks
 
 

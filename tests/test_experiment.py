@@ -33,7 +33,7 @@ from xsplanes.engine import (
     transition_rows,
 )
 from xsplanes.experiment import (
-    _CENSUS_CHUNK,
+    _CENSUS_LANES,
     DEFAULT_SCAN_CAP,
     ExperimentConfig,
     SlabSample,
@@ -714,6 +714,21 @@ def test_control_kernel_matches_numpy_philox_across_keys(monkeypatch):
         assert got == control_baseline(1 << 17, fam, 2.0**-10, key), key
 
 
+def test_control_kernel_in_slices_matches_one_call(monkeypatch):
+    # the compiled control count carries the Philox counter from call to
+    # call, so calls of 8 points count what one call and numpy's Philox count
+    compiled_control()
+    fam = family(23)
+    for n in (1, 4, 7, 8, 9, 16, 17, 1001):
+        for key in (1, (1 << 128) - 1):
+            one_call = control_baseline(n, fam, 2.0**-6, key)
+            with monkeypatch.context() as mp:
+                mp.setattr(experiment, "_CALL_POINTS", 8)
+                sliced = control_baseline(n, fam, 2.0**-6, key)
+                mp.setattr(experiment, "_control_kernel", lambda: None)
+                assert sliced == one_call == control_baseline(n, fam, 2.0**-6, key), (n, key)
+
+
 def test_control_baseline_rejects_values_ctypes_would_wrap(monkeypatch):
     # ctypes would wrap key 2**128 to 0, key -1 to 2**64 - 1 and 2**64 + 3
     # points to 3; both paths refuse them, the keys as Philox does
@@ -829,19 +844,25 @@ def test_census_against_independent_recount():
     assert census.carry_leak_frequency == leak
 
 
-_SEAM = _CENSUS_CHUNK - 3  # the steps of one census chunk
+# The numpy census runs min(L, n) lanes of ceil(n / L) steps, L = _CENSUS_LANES.
+L = _CENSUS_LANES
+# Counts whose last lanes are short or empty: at 4 steps a lane, lane
+# L - 1 runs 0, 1 or 2 steps (8188, 8189, 8190); at 8, 2 or 3 (16378,
+# 16379).  Their ids say "seam": the chunked numpy census these counts were
+# first chosen for rejoined its chunks there.
+_SHORT_LAST_LANE = (8188, 8189, 8190, 16378, 16379)
 
 
 @pytest.mark.parametrize(
     "params, n_bits, n_steps",
     [
-        # more than two chunks, ending in a partial one
-        pytest.param(Params(23, 17, 26), 3, 2 * _CENSUS_CHUNK + 1001, id="params0-3"),
-        pytest.param(Params(5, 9, 11), 2, 2 * _CENSUS_CHUNK + 1001, id="params1-2"),
-        # the seams between chunks, where the lanes jump and 3 words are reread
-        *(pytest.param(Params(23, 17, 26), 3, n, id=f"seam-{n}")
-          for n in (1, _SEAM - 1, _SEAM, _SEAM + 1, 2 * _SEAM, 2 * _SEAM + 1)),
-        pytest.param(Params(26, 19, 5), 3, 2 * _SEAM + 1, id="small-c"),
+        # 9 steps a lane: lane 1931 runs 6 steps and the lanes after it none
+        pytest.param(Params(23, 17, 26), 3, 17385, id="params0-3"),
+        pytest.param(Params(5, 9, 11), 2, 17385, id="params1-2"),
+        *(pytest.param(Params(23, 17, 26), 3, n, id=f"seam-{n}") for n in (1, *_SHORT_LAST_LANE)),
+        # the lane edges: fewer steps than lanes, one step a lane, two and three
+        *(pytest.param(Params(23, 17, 26), 3, n, id=f"lanes-{n}") for n in (L - 1, L, L + 1, 2 * L - 1, 2 * L + 1)),
+        pytest.param(Params(26, 19, 5), 3, 16379, id="small-c"),
     ],
 )
 def test_census_recount_across_chunks(params, n_bits, n_steps):
@@ -853,13 +874,13 @@ def test_census_recount_across_chunks(params, n_bits, n_steps):
     assert census.carry_leak_frequency == leak
 
 
-_CENSUS_STEPS = (1, 2, 3, 4, _SEAM - 1, _SEAM + 1, 2 * _SEAM + 1)
+_CENSUS_STEPS = (1, 2, 3, 4, L - 1, L, L + 1, 2 * L - 1, 2 * L + 1, 8188, 8190, 16379)
 
 
 @functools.cache
 def _recounted_steps(state, n_bits):
     """_recount_steps over the longest census of test_census_kernel_matches_numpy, recounted once."""
-    return list(_recount_steps(state, _CENSUS_STEPS[-1], n_bits))
+    return list(_recount_steps(state, max(_CENSUS_STEPS), n_bits))
 
 
 @pytest.mark.parametrize("n_steps", _CENSUS_STEPS)
@@ -875,9 +896,9 @@ def _recounted_steps(state, n_bits):
 )
 def test_census_kernel_matches_numpy(monkeypatch, start, n_bits, n_steps):
     # the compiled census walks the stream one step at a time from the
-    # start; the numpy census reads it from 64 lanes in chunks that meet at
-    # seams.  Each matches the scalar recount, and so each other, over the
-    # first steps and on both sides of one seam and past two
+    # start; the numpy census runs the same walk on lanes side by side.
+    # Each matches the scalar recount, and so each other, over the first
+    # steps, at the lane edges and where the last lane is short or empty
     want = _tally(_recounted_steps(start, n_bits)[:n_steps])
     kernel = experiment._census_kernel(start.params)
     got = []
@@ -904,6 +925,38 @@ def test_compiled_census_pays_no_jump_ahead(monkeypatch):
     monkeypatch.setattr(experiment, "_lane_starts", jump_ahead)
     monkeypatch.setattr(experiment, "mat_pow", jump_ahead)
     assert case_census(seed_state(1), 50000, 3) == want
+
+
+def test_compiled_census_in_slices_matches_one_call(monkeypatch):
+    # the compiled census carries the state from call to call, so calls of
+    # 7 steps count what one call and the numpy census count
+    start = seed_state(10)
+    if experiment._census_kernel(start.params) is None:
+        pytest.skip("no compiled census")
+    for n_steps in (1, 6, 7, 8, 14, 15, 1000):
+        for n_bits in (1, 3):
+            one_call = case_census(start, n_steps, n_bits)
+            with monkeypatch.context() as mp:
+                mp.setattr(experiment, "_CALL_STEPS", 7)
+                sliced = case_census(start, n_steps, n_bits)
+                mp.setattr(experiment, "_census_kernel", lambda params: None)
+                assert sliced == one_call == case_census(start, n_steps, n_bits), (n_steps, n_bits)
+
+
+def test_numpy_census_memory_does_not_grow_with_steps(monkeypatch):
+    # the numpy census holds a few arrays of _CENSUS_LANES words, however
+    # many steps each lane walks
+    monkeypatch.setattr(experiment, "_census_kernel", lambda params: None)
+    case_census(seed_state(1), 1000, 3)  # first-use allocations outside the measure
+    peaks = []
+    for n_steps in (1 << 16, 1 << 20):
+        tracemalloc.start()
+        try:
+            case_census(seed_state(1), n_steps, 3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 1 << 20 and abs(peaks[1] - peaks[0]) < 1 << 14, peaks
 
 
 def test_case_census_validates():
