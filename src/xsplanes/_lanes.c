@@ -32,6 +32,17 @@
  * The case census, xs_census, walks the stream one step at a time from a
  * state, which it leaves where the walk ends, and allocates nothing.  It is
  * scalar code, built once outside the scan's instruction-set builds.
+ *
+ * The lane starts, xs_lane_starts, are the states at stream offsets 0,
+ * seg_len, 2*seg_len, ... from a state, reached by GF(2) jump-ahead.  The
+ * step is linear in the packed pair (s0 << 64) | s1; its matrix, held as
+ * the images of the 128 basis vectors, is raised to seg_len by squaring.
+ * The power is then turned into 16 tables, one per byte of a state, of the
+ * xors of every subset of that byte's 8 basis images, so a jump is 32
+ * lookups, and each start is the jump of the one before.  Like xs_census it
+ * takes its state in and out, leaving it lanes*seg_len steps on, and is
+ * scalar code built once.  Its tables (64 KB) live on its stack: it keeps
+ * no static state, so threads may call it at once.
  */
 #include <stdint.h>
 #include <string.h>
@@ -193,4 +204,70 @@ int64_t xs_census(uint64_t s[2], int64_t n, int64_t n_bits, const uint64_t *cx, 
     s[0] = w0;
     s[1] = w1;
     return compound;
+}
+
+/* A linear map of packed pairs as its 128 basis images: image i, of the
+ * vector with only the i-th bit from the top set, is (m[i][0], m[i][1]). */
+typedef uint64_t map_t[128][2];
+/* Table k of a map: entry b is the xor of images 8k + j for each bit 7 - j set in b. */
+typedef uint64_t tables_t[16][256][2];
+
+static void fill_tables(const map_t m, tables_t tab)
+{
+    for (int k = 0; k < 16; k++) {
+        tab[k][0][0] = tab[k][0][1] = 0;
+        for (int j = 0; j < 8; j++) {  /* byte values with highest set bit 1 << j */
+            for (int b = 0; b < 1 << j; b++) {
+                tab[k][(1 << j) + b][0] = tab[k][b][0] ^ m[8 * k + 7 - j][0];
+                tab[k][(1 << j) + b][1] = tab[k][b][1] ^ m[8 * k + 7 - j][1];
+            }
+        }
+    }
+}
+
+/* The map of tab applied to (v[0], v[1]), written to out, which may be v. */
+static inline void apply(const tables_t tab, const uint64_t v[2], uint64_t out[2])
+{
+    uint64_t o0 = 0, o1 = 0;
+    for (int k = 0; k < 8; k++) {
+        const uint64_t *e0 = tab[k][v[0] >> (56 - 8 * k) & 255], *e1 = tab[8 + k][v[1] >> (56 - 8 * k) & 255];
+        o0 ^= e0[0] ^ e1[0];
+        o1 ^= e0[1] ^ e1[1];
+    }
+    out[0] = o0;
+    out[1] = o1;
+}
+
+/* Writes the states at stream offsets j*seg_len from s to (hi[j], lo[j]),
+ * j = 0..lanes-1 (lanes, seg_len >= 0), and leaves s at offset
+ * lanes*seg_len. */
+void xs_lane_starts(uint64_t s[2], int64_t lanes, int64_t seg_len, uint64_t *hi, uint64_t *lo)
+{
+    map_t power, base;
+    tables_t tab;
+    for (int i = 0; i < 128; i++) {
+        uint64_t s0 = i < 64 ? (uint64_t)1 << (63 - i) : 0, s1 = i < 64 ? 0 : (uint64_t)1 << (127 - i);
+        power[i][0] = s0;  /* the identity */
+        power[i][1] = s1;
+        base[i][0] = s1;  /* one step */
+        base[i][1] = next_word(s0, s1);
+    }
+    for (uint64_t k = (uint64_t)seg_len; k; k >>= 1) {
+        fill_tables(base, tab);
+        for (int i = 0; i < 128; i++) {
+            if (k & 1)
+                apply(tab, power[i], power[i]);
+            if (k > 1)
+                apply(tab, base[i], base[i]);
+        }
+    }
+    fill_tables(power, tab);
+    uint64_t v[2] = {s[0], s[1]};
+    for (int64_t j = 0; j < lanes; j++) {
+        hi[j] = v[0];
+        lo[j] = v[1];
+        apply(tab, v, v);
+    }
+    s[0] = v[0];
+    s[1] = v[1];
 }

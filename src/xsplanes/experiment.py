@@ -9,15 +9,16 @@ null statistic on the full unit cube, where the eight plane neighborhoods
 are essentially disjoint and the uniform hit rate is close to 16*epsilon.
 
 Scanning a slab at x_max = 2**-23 needs billions of triples per thousand
-kept points, so the scan uses the packed-pair transition map to start
-many lane segments at exact stream offsets and advances the lanes in one
-contiguous lane range per usable CPU.  A small C kernel (_lanes.c),
-compiled on first use and loaded with ctypes, advances them; where it
-cannot be built, vectorized numpy word ops do.  Both give bit-identical
-results; the tests hold the reference, a plain sequential scan one
-Python-int step at a time.  The same library holds the case census, one
-walk over the stream from the seed state; where it cannot be built, numpy
-runs that walk on lanes started by the scan's jump-ahead.
+kept points, so the scan starts many lane segments at exact stream
+offsets, jumping ahead by a power of the packed-pair transition map, and
+advances the lanes in one contiguous lane range per usable CPU.  A small C
+library (_lanes.c), compiled on first use and loaded with ctypes, starts
+the lanes and advances them; where it cannot be built, numpy does both,
+the starts with matrix tables and the steps with vectorized word ops.
+Both give bit-identical results; the tests hold the reference, a plain
+sequential scan one Python-int step at a time.  The same library holds
+the case census, one walk over the stream from the seed state; where it
+cannot be built, numpy runs that walk on lanes started as the scan's are.
 
 The CSV files hold each coordinate as Python's '%.17g' text.  One writer
 passes the rows of points.csv and of each mesh to a formatter, a buffer's
@@ -97,6 +98,8 @@ _LANES_ARGTYPES = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_in
 # xs_census(s, n_steps, n_bits, cx, cy, counts, leaks) -> compound steps, from the same library
 _CENSUS_ARGTYPES = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
                     ctypes.c_void_p, ctypes.c_void_p)
+# xs_lane_starts(s, lanes, seg_len, hi, lo), from the same library
+_STARTS_ARGTYPES = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)
 # The compiled control count (_control.c) and census allocate nothing.  A
 # call runs at most _CALL_POINTS points (a multiple of Philox's 4 points in
 # 3 blocks) or _CALL_STEPS steps, about 0.1 s, and carries its counter or
@@ -199,15 +202,23 @@ def slab_sample(
     return SlabSample(*_scan_fast(state, spec, cap, last_in))
 
 
-def _lane_starts(one_step, start, lanes, seg_len):
+def _lane_starts(params, start, lanes, seg_len):
     """The (2, lanes) states at stream offsets 0, seg_len, 2*seg_len, ... from the (2, 1) start.
 
-    Built by repeated doubling: each round maps the first block of starts
-    forward by the squared segment transition.  Returns the (2, 1) state at
-    offset lanes*seg_len as well, for chaining blocks.
+    Returns the (2, 1) state at offset lanes*seg_len as well, for chaining
+    blocks.  The compiled xs_lane_starts chains the starts, each the jump of
+    the one before.  Where it cannot be built, numpy fills them by repeated
+    doubling: each round maps the first block of starts forward by the
+    squared segment transition.  A block's 65,536 starts take 1.2-2.5 ms
+    compiled and 12-22 ms in numpy (2-core AVX-512 Xeon).
     """
-    seg = mat_pow(one_step, seg_len)
     starts = np.empty((2, lanes), dtype=np.uint64)
+    kernel = _starts_kernel(params)
+    if kernel is not None:
+        s = (ctypes.c_uint64 * 2)(*start.ravel().tolist())
+        kernel(s, lanes, seg_len, starts[0].ctypes.data, starts[1].ctypes.data)
+        return starts, np.array([[s[0]], [s[1]]], dtype=np.uint64)
+    seg = mat_pow(transition_rows(params), seg_len)
     starts[:, :1] = start
     filled = 1
     jump = seg
@@ -311,6 +322,12 @@ def _kernel(params: Params):
     return _compiled(_LANES_SOURCE, _shift_defines(params), "xs_scan_lanes", ctypes.c_int64, _LANES_ARGTYPES)
 
 
+@functools.cache
+def _starts_kernel(params: Params):
+    """The compiled lane starts for params, from the lane scan's library, loaded once per triple, or None."""
+    return _compiled(_LANES_SOURCE, _shift_defines(params), "xs_lane_starts", None, _STARTS_ARGTYPES)
+
+
 def _scan_compiled(kernel, hi, lo, seg_len, base, last_in):
     """_scan_block through the compiled kernel: the same hits, and hi and lo left unchanged.
 
@@ -381,7 +398,6 @@ def _scan_lanes(hi, lo, params, seg_len, base, last_in):
 def _scan_fast(state, spec, cap, last_in):
     params = state.params
     target = spec.target_points
-    one_step = transition_rows(params)
     start = np.array([[state.s0], [state.s1]], dtype=np.uint64)
     hits = [np.empty((3, 0), dtype=np.uint64)]  # (3, n) arrays with rows offset, s0, s1
     base = 0
@@ -394,8 +410,8 @@ def _scan_fast(state, spec, cap, last_in):
         seg_len = (block + lanes - 1) // lanes
         if lanes * seg_len > remaining:
             seg_len = remaining // lanes
-        # the next block's start is taken before the numpy scan overwrites the lane starts
-        starts, start = _lane_starts(one_step, start, lanes, seg_len)
+        # the next block's start comes with the lane starts, before the numpy scan overwrites them
+        starts, start = _lane_starts(params, start, lanes, seg_len)
         hits += _scan_lanes(*starts, params, seg_len, base, last_in)
         base += lanes * seg_len
         # freed now, not when the next block's are built beside them, which
@@ -570,7 +586,7 @@ def _census_lanes(state, n_steps, n_bits, coeffs):
     params = state.params
     lanes = min(_CENSUS_LANES, n_steps)
     seg_len = -(-n_steps // lanes)
-    w0, w1 = _lane_starts(transition_rows(params), np.array([[state.s0], [state.s1]], np.uint64), lanes, seg_len)[0]
+    w0, w1 = _lane_starts(params, np.array([[state.s0], [state.s1]], np.uint64), lanes, seg_len)[0]
     w2 = step_words(w0, w1, params)[1]
     w3 = step_words(w1, w2, params)[1]
     a, drop = np.uint64(params.a), np.uint64(64 - n_bits)

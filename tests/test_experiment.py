@@ -3,6 +3,7 @@ import ctypes
 import dataclasses
 import fnmatch
 import functools
+import itertools
 import json
 import math
 import os
@@ -30,7 +31,6 @@ from xsplanes.engine import (
     seed_state,
     step_words,
     to_unit,
-    transition_rows,
 )
 from xsplanes.experiment import (
     _CENSUS_LANES,
@@ -183,23 +183,83 @@ def test_lane_scans_match_reference_at_caps_1_to_65(monkeypatch):
                 assert (got.n_triples_scanned, got.truncated) == (ref.n_triples_scanned, ref.truncated), case
 
 
-def test_lane_starts_are_stepped_states():
-    # lane j starts j*seg_len steps into the stream, and the returned start
-    # lies lanes*seg_len steps in; seg_len values are not powers of two
-    state = seed_state(5, P8)
-    one_step = transition_rows(P8)
+def start_paths(params):
+    """The lane starts to test: params' compiled starts where they can be built, then numpy's doubling."""
+    kernel = experiment._starts_kernel(params)
+    return ([kernel] if kernel is not None else []) + [None]
+
+
+def _both_starts(monkeypatch, params, state, lanes, seg_len):
+    """_lane_starts from state on each of start_paths(params), as (starts, next start) pairs."""
     start = np.array([[state.s0], [state.s1]], dtype=np.uint64)
-    for lanes, seg_len in ((1, 5), (7, 3), (7, 100), (100, 13)):
-        states = [(state.s0, state.s1)]
-        s0, s1 = states[0]
-        for _ in range(lanes * seg_len):
-            s0, s1 = step_words(s0, s1, P8)
-            states.append((s0, s1))
-        starts, nxt = experiment._lane_starts(one_step, start, lanes, seg_len)
-        assert starts.shape == (2, lanes) and starts.dtype == np.uint64
-        assert list(zip(*starts.tolist())) == states[::seg_len][:lanes]
-        assert nxt.shape == (2, 1)
-        assert tuple(nxt.ravel().tolist()) == states[-1]
+    got = []
+    for kernel in start_paths(params):
+        with monkeypatch.context() as mp:
+            mp.setattr(experiment, "_starts_kernel", lambda params: kernel)
+            got.append(experiment._lane_starts(params, start, lanes, seg_len))
+    return got
+
+
+def test_lane_starts_are_stepped_states(monkeypatch):
+    # lane j starts j*seg_len steps into the stream, and the returned start
+    # lies lanes*seg_len steps in, on the compiled starts and numpy's
+    # doubling alike; seg_len values are not powers of two.  The short
+    # streams are stepped one Python-int step at a time; at 65,536 lanes each
+    # start and the next block's start are the one before stepped seg_len
+    # times, all lanes at once.  Past 2**32 steps only the two paths are
+    # compared
+    for params in (P8, DEFAULT_PARAMS, Params(26, 19, 5)):
+        state = seed_state(5, params)
+        for lanes, seg_len in ((1, 1), (1, 5), (7, 3), (7, 100), (100, 13), (65536, 782), (3, (1 << 32) + 1),
+                               (3, (1 << 40) + 3)):
+            case = (params, lanes, seg_len)
+            got = _both_starts(monkeypatch, params, state, lanes, seg_len)
+            for starts, nxt in got:
+                assert starts.shape == (2, lanes) and starts.dtype == np.uint64, case
+                assert nxt.shape == (2, 1) and nxt.dtype == np.uint64, case
+                assert np.array_equal(starts, got[-1][0]) and np.array_equal(nxt, got[-1][1]), case
+            starts, nxt = got[0]
+            assert tuple(starts[:, 0].tolist()) == (state.s0, state.s1), case
+            if lanes * seg_len <= 1000:
+                states = [(state.s0, state.s1)]
+                for _ in range(lanes * seg_len):
+                    states.append(step_words(*states[-1], params))
+                assert list(zip(*starts.tolist())) == states[::seg_len][:lanes], case
+                assert tuple(nxt.ravel().tolist()) == states[-1], case
+            elif seg_len < 1 << 32:
+                s0, s1 = starts
+                for _ in range(seg_len):
+                    s0, s1 = step_words(s0, s1, params)
+                assert np.array_equal(np.stack([s0, s1]), np.concatenate([starts[:, 1:], nxt], axis=1)), case
+
+
+def test_compiled_lane_starts_from_two_threads_at_once(monkeypatch):
+    # xs_lane_starts keeps its tables on its own stack: two threads calling
+    # it at once, each with a segment length of its own, get numpy's starts
+    # on every call
+    kernel = experiment._starts_kernel(DEFAULT_PARAMS)
+    if kernel is None:
+        pytest.skip("the compiled lane starts cannot be built here")
+    state = seed_state(11)
+    start = np.array([[state.s0], [state.s1]], dtype=np.uint64)
+    want = {seg_len: _both_starts(monkeypatch, DEFAULT_PARAMS, state, 65536, seg_len)[-1] for seg_len in (782, 25601)}
+    barrier = threading.Barrier(len(want))
+    got = {}
+
+    def run(seg_len):
+        barrier.wait()
+        got[seg_len] = [experiment._lane_starts(DEFAULT_PARAMS, start, 65536, seg_len) for _ in range(20)]
+
+    threads = [threading.Thread(target=run, args=(seg_len,)) for seg_len in want]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=60)
+    assert not any(th.is_alive() for th in threads)
+    for seg_len, (starts, nxt) in want.items():
+        assert len(got[seg_len]) == 20
+        for got_starts, got_nxt in got[seg_len]:
+            assert np.array_equal(got_starts, starts) and np.array_equal(got_nxt, nxt), seg_len
 
 
 def test_fast_scan_independent_of_workers_and_blocks(monkeypatch):
@@ -207,13 +267,14 @@ def test_fast_scan_independent_of_workers_and_blocks(monkeypatch):
     # At x < 2**-12 the first block often falls short of the target: seed
     # 16 needs three blocks, and the cap of the second case truncates the
     # run in a last block of fewer lanes than workers.  The compiled kernel
-    # pads each five-lane range to its group of 32.
+    # pads each five-lane range to its group of 32.  Each scan runs on the
+    # compiled lane starts and on numpy's.
     monkeypatch.setattr(experiment, "_LANES_PER_WORKER", 5)
     blocks = []
 
-    def counted_starts(one_step, start, lanes, seg_len):
+    def counted_starts(params, start, lanes, seg_len):
         blocks.append(lanes)
-        return real_starts(one_step, start, lanes, seg_len)
+        return real_starts(params, start, lanes, seg_len)
 
     real_starts = experiment._lane_starts
     monkeypatch.setattr(experiment, "_lane_starts", counted_starts)
@@ -225,8 +286,9 @@ def test_fast_scan_independent_of_workers_and_blocks(monkeypatch):
         for cap in (1_000_000, 250_575):
             seq = reference_sample(state, spec, cap)
             assert seq.truncated == (cap == 250_575)
-            for kernel in lane_kernels(P8):
+            for kernel, starts_kernel in itertools.product(lane_kernels(P8), start_paths(P8)):
                 monkeypatch.setattr(experiment, "_kernel", lambda params: kernel)
+                monkeypatch.setattr(experiment, "_starts_kernel", lambda params: starts_kernel)
                 for workers in (1, 2, 3):
                     monkeypatch.setattr(experiment, "_WORKERS", workers)
                     blocks.clear()
@@ -361,18 +423,44 @@ def kernel_builds(tmp_path, params):
     source = tmp_path / "builds.c"
     source.write_text(f'#include "{experiment._LANES_SOURCE}"\n'
                       + "".join(f"int64_t build_{n}(PARAMS) {{ return {f}(ARGS); }}\n" for n, f in scans.items()))
-    shifts = [f"-DSHIFT_{k}={v}" for k, v in zip("ABC", (params.a, params.b, params.c))]
-    libraries = {}
-    for name, src, defines in [("builds", source, []), ("plain-only", experiment._LANES_SOURCE, ["-DPLAIN_SCAN_ONLY"])]:
-        lib = tmp_path / f"{name}-{params.a}-{params.b}-{params.c}.so"
-        subprocess.run(["gcc", *experiment._CFLAGS, *shifts, *defines, "-o", str(lib), str(src)], check=True)
-        libraries[name] = ctypes.CDLL(str(lib))
-    builds = {n: getattr(libraries["builds"], f"build_{n}") for n in scans if n == "plain" or n in flags}
-    builds["plain-only"] = libraries["plain-only"].xs_scan_lanes
+    library = lanes_library(tmp_path, "builds", source, params)
+    builds = {n: getattr(library, f"build_{n}") for n in scans if n == "plain" or n in flags}
+    builds["plain-only"] = plain_only_library(tmp_path, params).xs_scan_lanes
     for build in builds.values():
         build.restype = ctypes.c_int64
         build.argtypes = experiment._LANES_ARGTYPES
     return builds
+
+
+def lanes_library(tmp_path, name, source, params, defines=()):
+    """source compiled for params as the lane library is, with the -D flags defines, and loaded."""
+    lib = tmp_path / f"{name}-{params.a}-{params.b}-{params.c}.so"
+    subprocess.run(["gcc", *experiment._CFLAGS, *experiment._shift_defines(params), *defines, "-o", str(lib),
+                    str(source)], check=True)
+    return ctypes.CDLL(str(lib))
+
+
+def plain_only_library(tmp_path, params):
+    """The lane library for params as targets other than x86-64 build it."""
+    return lanes_library(tmp_path, "plain-only", experiment._LANES_SOURCE, params, ["-DPLAIN_SCAN_ONLY"])
+
+
+def test_plain_only_library_starts_lanes_as_numpy_does(monkeypatch, tmp_path):
+    # the library that targets other than x86-64 build holds the same xs_lane_starts
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc on PATH")
+    for params in (DEFAULT_PARAMS, Params(26, 19, 5)):
+        plain = plain_only_library(tmp_path, params).xs_lane_starts
+        plain.restype, plain.argtypes = None, experiment._STARTS_ARGTYPES
+        state = seed_state(3, params)
+        start = np.array([[state.s0], [state.s1]], dtype=np.uint64)
+        for lanes, seg_len in ((1, 1), (100, 13), (65536, 782), (3, (1 << 40) + 3)):
+            want = _both_starts(monkeypatch, params, state, lanes, seg_len)[-1]
+            with monkeypatch.context() as mp:
+                mp.setattr(experiment, "_starts_kernel", lambda params: plain)
+                starts, nxt = experiment._lane_starts(params, start, lanes, seg_len)
+            case = (params, lanes, seg_len)
+            assert np.array_equal(starts, want[0]) and np.array_equal(nxt, want[1]), case
 
 
 def test_compiled_kernel_matches_numpy_scan(tmp_path):
@@ -432,10 +520,12 @@ def test_compiled_kernel_matches_numpy_scan(tmp_path):
 
 @pytest.fixture
 def fresh_kernel():
-    """_kernel looked up afresh in the test, and again after it."""
+    """_kernel and _starts_kernel looked up afresh in the test, and again after it."""
     experiment._kernel.cache_clear()
+    experiment._starts_kernel.cache_clear()
     yield
     experiment._kernel.cache_clear()
+    experiment._starts_kernel.cache_clear()
 
 
 def test_kernels_of_different_triples_never_mix(monkeypatch, tmp_path, fresh_kernel):
@@ -481,7 +571,7 @@ def test_kernel_without_home_falls_back_to_numpy(monkeypatch, fresh_kernel):
     monkeypatch.delenv("XDG_CACHE_HOME")
     monkeypatch.delenv("HOME", raising=False)
     monkeypatch.setattr(pwd, "getpwuid", no_entry)
-    assert experiment._kernel(P8) is None
+    assert experiment._kernel(P8) is None and experiment._starts_kernel(P8) is None
     spec = slab_spec(8, magnify_exp=12, target_points=60)
     state = seed_state(16, P8)
     seq = reference_sample(state, spec, 1_000_000)
