@@ -3,8 +3,9 @@
 Reports go to stdout (JSON for `planes` and `census`, a plain table for
 `verify`), progress notes to stderr, data files to the output directory.
 Exit codes: 0 pass, 1 verification or threshold failure, 2 usage or I/O
-error.  Every command is deterministic given its flags; seeds are given in
-hex to keep 64-bit values unambiguous.
+error, or, for `planes` and `census`, C kernels that gcc cannot build.
+Every command is deterministic given its flags; seeds are given in hex to
+keep 64-bit values unambiguous.
 """
 
 import argparse
@@ -15,8 +16,8 @@ import math
 import sys
 
 from .engine import DEFAULT_PARAMS, Params, iter_outputs, seed_state, to_unit
-from .experiment import (MAX_CENSUS_STEPS, MAX_CONTROL_POINTS, MAX_TARGET_POINTS, ExperimentConfig, case_census,
-                         control_baseline, run_experiment)
+from .experiment import (MAX_CENSUS_STEPS, MAX_CONTROL_POINTS, MAX_TARGET_POINTS, ExperimentConfig, KernelError,
+                         case_census, control_baseline, load_kernels, run_experiment)
 from .planes import MAX_GRID, family, union_rate
 from .xorapprox import compound_probability, count_cases, verify_xor_diff, verify_xor_sum
 
@@ -165,6 +166,7 @@ def cmd_planes(args) -> int:
         return 0
     settings = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig) if f.name != "params"}
     cfg = ExperimentConfig(params=params, **settings)
+    load_kernels(params)
     print(f"scanning slab x < 2**-{cfg.spec.e} for {cfg.target_points} points", file=sys.stderr)
     report = run_experiment(cfg)
     print(json.dumps(report.to_dict(), indent=2))
@@ -218,7 +220,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ValueError as exc:
+    except (ValueError, KernelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

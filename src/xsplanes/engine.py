@@ -8,15 +8,12 @@ State is a pair of 64-bit words (s0, s1).  One step emits
 i.e. the shift-count triple (a, b, c) drives one left xorshift of s0,
 one right xorshift of the result, and one right xorshift of s1.  A word is
 read as a GF(2) row vector with its most significant bit first; the step is
-linear in the packed pair (s0 << 64) | s1, and the matrix helpers at the end
-of the module raise it to a power, on uint64 word arrays, to start scans at
-exact offsets.
+linear in the packed pair (s0 << 64) | s1, and the lane library (_lanes.c)
+raises its matrix to a power to start scans at exact offsets.
 """
 
 from dataclasses import dataclass
 import warnings
-
-import numpy as np
 
 WIDTH = 64
 MASK64 = (1 << WIDTH) - 1
@@ -119,67 +116,3 @@ def iter_outputs(state: GenState):
     while True:
         yield (s0 + s1) & MASK64
         s0, s1 = step_words(s0, s1, params)
-
-
-# -- GF(2) matrices on uint64 words --------------------------------------------
-#
-# A batch of n state vectors is a (2, n) uint64 array: row 0 holds the s0
-# words and row 1 the s1 words of the packed pairs (s0 << 64) | s1.  A
-# linear map is the batch of its 128 basis images, a (2, 128) array whose
-# column i is the image of the vector with only the i-th bit from the top
-# set.  Vectors act as row vectors, so act(mat_mul(m, n), v) equals
-# act(n, act(m, v)): m first, then n.  act reads a vector a byte at a
-# time through tables, 32 lookups per vector instead of 128 bit
-# selections; the bytes are taken with shifts and masks, not a uint8 view,
-# so nothing depends on the machine's byte order.
-
-
-def act(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Apply m to every column of v: the xor of the basis images selected by its set bits.
-
-    Byte k of a vector (k = 0..15 from the top) indexes a table whose 256
-    entries are the xors of every subset of basis images 8k..8k+7, built
-    by eight doubling xors.
-    """
-    images = m.reshape(2, 16, 8)  # [row, k, bit of byte k from its top]
-    tables = np.zeros((2, 16, 256), dtype=np.uint64)
-    for j in range(8):  # byte values with highest set bit 1 << j
-        tables[:, :, 1 << j : 2 << j] = tables[:, :, : 1 << j] ^ images[:, :, 7 - j, None]
-    out = np.zeros_like(v)
-    byte = np.uint64(255)
-    for k in range(16):
-        index = (v[k // 8] >> np.uint64(56 - 8 * (k % 8))) & byte
-        out[0] ^= tables[0, k].take(index)
-        out[1] ^= tables[1, k].take(index)
-    return out
-
-
-def mat_mul(m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """The map that applies m, then n: n acting on m's basis images."""
-    return act(n, m)
-
-
-def identity() -> np.ndarray:
-    """The identity map: column i has only the i-th bit from the top set."""
-    bits = np.uint64(1) << np.arange(WIDTH - 1, -1, -1, dtype=np.uint64)
-    zero = np.zeros_like(bits)
-    return np.block([[bits, zero], [zero, bits]])
-
-
-def mat_pow(m: np.ndarray, k: int) -> np.ndarray:
-    """k-fold composition of m (k >= 0), by repeated squaring."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    result = identity()
-    while k:
-        if k & 1:
-            result = mat_mul(result, m)
-        k >>= 1
-        if k:
-            m = mat_mul(m, m)
-    return result
-
-
-def transition_rows(params: Params) -> np.ndarray:
-    """One step as a (2, 128) matrix: step_words applied to every basis vector."""
-    return np.array(step_words(*identity(), params))

@@ -4,31 +4,30 @@ The pipeline scans consecutive overlapping output triples (x, y, z), keeps
 the 53-bit words of those whose x falls in the slab x < 2**-e, magnifies
 x for plotting by an exact shift, and measures how the kept points
 concentrate near the eight predicted planes.
-A counter-based control generator (numpy's Philox stream) supplies the
-null statistic on the full unit cube, where the eight plane neighborhoods
-are essentially disjoint and the uniform hit rate is close to 16*epsilon.
+A counter-based control generator (the Philox stream numpy's Philox draws)
+supplies the null statistic on the full unit cube, where the eight plane
+neighborhoods are essentially disjoint and the uniform hit rate is close to
+16*epsilon.
 
 Scanning a slab at x_max = 2**-23 needs billions of triples per thousand
 kept points, so the scan starts many lane segments at exact stream
 offsets, jumping ahead by a power of the packed-pair transition map, and
-advances the lanes in one contiguous lane range per usable CPU.  A small C
-library (_lanes.c), compiled on first use and loaded with ctypes, starts
-the lanes and advances them; where it cannot be built, numpy does both,
-the starts with matrix tables and the steps with vectorized word ops.
-Both give bit-identical results; the tests hold the reference, a plain
-sequential scan one Python-int step at a time.  The same library holds
-the case census, one walk over the stream from the seed state; where it
-cannot be built, numpy runs that walk on lanes started as the scan's are.
+advances the lanes in one contiguous lane range per usable CPU.  Each stage
+has one implementation, a small C library compiled with gcc on first use
+into $XDG_CACHE_HOME/xsplanes and loaded with ctypes.  The lane library
+(_lanes.c) starts the lanes, advances them and walks the case census from
+the seed state; the tests hold a plain sequential scan, one Python-int step
+at a time, and numpy versions of each stage as references.  A second
+library (_text.c) formats the CSV text and a third (_control.c) draws the
+control's Philox stream and counts its hits without allocating.  Where gcc
+or the cache directory is missing, or a library cannot be built or loaded,
+the stage that needs it raises KernelError, and the planes and census
+commands exit 2 before any output.
 
 The CSV files hold each coordinate as Python's '%.17g' text.  One writer
-passes the rows of points.csv and of each mesh to a formatter, a buffer's
-worth a call.  A second C kernel (_text.c), built and cached the same way,
-formats them with exact integer arithmetic, byte for byte as Python does;
-where it cannot be built, a Python formatter takes the same calls and
-writes the same text, formatting each distinct value of a call once.
-A third (_control.c) draws the control's Philox stream and counts its
-hits without allocating; where it cannot be built, numpy.random's Philox
-draws the stream, and only then is numpy.random imported.
+passes the rows of points.csv and of each mesh to the formatter, a buffer's
+worth a call, which formats them with exact integer arithmetic, byte for
+byte as Python does.
 
 With an output directory, run_experiment writes points.csv, the eight
 mesh files, overlay.json and report.json, in that order, once the sample
@@ -37,6 +36,7 @@ the run, so a run that fails leaves no report.  Every file goes through
 a temp file of its own, <name>.<pid>.<n>.tmp, renamed into place.
 """
 
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 import ctypes
@@ -49,31 +49,19 @@ import zlib
 
 import numpy as np
 
-from .engine import (
-    DEFAULT_PARAMS,
-    MASK64,
-    GenState,
-    Params,
-    act,
-    mat_mul,
-    mat_pow,
-    seed_state,
-    step_words,
-    transition_rows,
-)
+from .engine import DEFAULT_PARAMS, MASK64, GenState, Params, seed_state, step_words
 from .planes import PlaneFamily, check_grid, epsilon_threshold, family, mesh, nearest_plane
-from .xorapprox import COMBINE_ORDER, column_cases, compound_probability, plane_coefficients
+from .xorapprox import COMBINE_ORDER, compound_probability, plane_coefficients
 
 DEFAULT_SCAN_CAP = 1 << 32
 # Without an explicit scan cap, an expected scan longer than this many
-# triples is refused before it starts: on two cores it takes about 35 s
-# with the compiled kernel, about 12 minutes with the numpy scan.
+# triples is refused before it starts: it takes about 35 s on two cores.
 MAX_DEFAULT_WORK = 1 << 38
-# The lane scan runs one lane range per usable CPU.  The lanes per worker
-# are sized for the numpy fallback, whose ufuncs release the GIL so the
-# ranges advance in parallel: 2**15 lanes keep one worker's five scratch
-# arrays (1.25 MB) in its core's L2 cache, and fewer lanes lose more time
-# to GIL hand-offs between steps.  The compiled kernel keeps that size.
+# The lane scan runs one lane range per usable CPU, of at most 2**15 lanes:
+# a block's lane starts then take 16 bytes a lane, 1 MB for 65,536 lanes,
+# which xs_lane_starts builds in 1.2-2.5 ms (2-core AVX-512 Xeon).  The size
+# was first chosen for a numpy scan; the kernel takes a range in calls of
+# about _CALL_TRIPLES triples, however many lanes it has.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _LANES_PER_WORKER = 1 << 15
 # The compiled lane scan.  One call covers at most about 2**28 triples
@@ -104,21 +92,16 @@ _STARTS_ARGTYPES = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_vo
 # call runs at most _CALL_POINTS points (a multiple of Philox's 4 points in
 # 3 blocks) or _CALL_STEPS steps, about 0.1 s, and carries its counter or
 # state on, so the calling thread serves an interrupt between calls.
-# Without them, numpy draws control points in chunks and walks the census
-# on lanes, of these sizes, which bounds their memory whatever the counts.
 _CONTROL_SOURCE = Path(__file__).with_name("_control.c")
 _CALL_POINTS = _CALL_STEPS = 1 << 22
-_CONTROL_CHUNK = 1 << 15
-_CENSUS_LANES = 1 << 11
 # The hit rows and points grow with the target, not with the triples scanned:
-# a planes run of 2**22 points at x < 2**-1 peaks at 470-490 MB RSS (510-515
-# MB without the compiled kernels; 2-core AVX-512 Xeon).
+# a planes run of 2**22 points at x < 2**-1 peaks at 470-490 MB RSS (2-core
+# AVX-512 Xeon).
 MAX_TARGET_POINTS = 1 << 22
 # The control and census counts are bounded by time, as the scan is (so the
 # control's count also fits the kernel's int64).  On a 2-core AVX-512 Xeon
-# 2**32 control points take about 2 minutes with the compiled kernel (7-10
-# minutes with numpy's Philox), and 2**32 census steps about 1.5 minutes
-# with the compiled census (7-9 minutes with the numpy census).
+# 2**32 control points take about 2 minutes and 2**32 census steps about 1.5
+# minutes.
 MAX_CONTROL_POINTS = 1 << 32
 MAX_CENSUS_STEPS = 1 << 32
 
@@ -207,69 +190,34 @@ def _lane_starts(params, start, lanes, seg_len):
 
     Returns the (2, 1) state at offset lanes*seg_len as well, for chaining
     blocks.  The compiled xs_lane_starts chains the starts, each the jump of
-    the one before.  Where it cannot be built, numpy fills them by repeated
-    doubling: each round maps the first block of starts forward by the
-    squared segment transition.  A block's 65,536 starts take 1.2-2.5 ms
-    compiled and 12-22 ms in numpy (2-core AVX-512 Xeon).
+    the one before.  A block's 65,536 starts take 1.2-2.5 ms (2-core
+    AVX-512 Xeon).
     """
     starts = np.empty((2, lanes), dtype=np.uint64)
-    kernel = _starts_kernel(params)
-    if kernel is not None:
-        s = (ctypes.c_uint64 * 2)(*start.ravel().tolist())
-        kernel(s, lanes, seg_len, starts[0].ctypes.data, starts[1].ctypes.data)
-        return starts, np.array([[s[0]], [s[1]]], dtype=np.uint64)
-    seg = mat_pow(transition_rows(params), seg_len)
-    starts[:, :1] = start
-    filled = 1
-    jump = seg
-    while filled < lanes:
-        chunk = min(filled, lanes - filled)
-        starts[:, filled : filled + chunk] = act(jump, starts[:, :chunk])
-        filled += chunk
-        if filled < lanes:
-            jump = mat_mul(jump, jump)
-    return starts, act(seg, starts[:, -1:])
+    s = (ctypes.c_uint64 * 2)(*start.ravel().tolist())
+    _lane_kernels(params).starts(s, lanes, seg_len, starts[0].ctypes.data, starts[1].ctypes.data)
+    return starts, np.array([[s[0]], [s[1]]], dtype=np.uint64)
 
 
-def _scan_block(hi, lo, scratch, params, seg_len, base, last_in):
-    """Advance all lanes seg_len steps; return the hits where a triple enters the slab.
+class KernelError(RuntimeError):
+    """A C kernel library that cannot be built or loaded; the message names gcc and the cache directory."""
 
-    Lane j covers triple offsets [base + j*seg_len, base + (j+1)*seg_len) of
-    the stream.  The hits are a list of (3, n) uint64 arrays with rows offset,
-    s0, s1, the layout of the compiled kernel's buffer: a hit's stream offset
-    and its state, from which the caller steps out the triple's other two
-    outputs.  hi, lo and the three scratch arrays are overwritten.
-    """
-    s0, s1 = hi, lo
-    out, t1, t2 = scratch
-    ua, ub, uc = np.uint64(params.a), np.uint64(params.b), np.uint64(params.c)
-    last_in, seg = np.uint64(last_in), np.uint64(seg_len)
-    hits = []
-    for t in range(seg_len):
-        np.add(s0, s1, out=out)
-        if out.min() <= last_in:
-            lane = np.flatnonzero(out <= last_in)
-            hits.append(np.stack([lane.astype(np.uint64) * seg + np.uint64(base + t), s0[lane], s1[lane]]))
-        np.left_shift(s0, ua, out=t1)
-        np.bitwise_xor(t1, s0, out=t1)
-        np.right_shift(t1, ub, out=t2)
-        np.bitwise_xor(t1, t2, out=t1)
-        np.right_shift(s1, uc, out=t2)
-        np.bitwise_xor(t1, t2, out=t1)
-        np.bitwise_xor(t1, s1, out=t1)
-        s0, s1, t1 = s1, t1, s0
-    return hits
+
+def _need_gcc(where: str, cause) -> KernelError:
+    return KernelError(f"planes and census need gcc: cannot build {where}: {' '.join(str(cause).split())}")
 
 
 def _load_kernel(cache_dir: Path, source: Path, defines: tuple[str, ...] = ()):
-    """The ctypes library built from source with the -D flags defines into cache_dir on a miss; None if it cannot be.
+    """The ctypes library built from source with the -D flags defines into cache_dir on a miss.
 
     The library is named by the source's stem and a crc32 of the source,
     the compiler flags, defines included, and the machine type.  It is
     compiled under a name of its own and then renamed into place, so
-    concurrent first runs each load a whole file.
+    concurrent first runs each load a whole file.  Raises KernelError where
+    gcc is missing or fails, or the library cannot be written or loaded.
     """
     flags = (*_CFLAGS, *defines)
+    where = f"{source.name} into {cache_dir}"
     try:
         key = zlib.crc32(b"\0".join([source.read_bytes(), " ".join(flags).encode(), os.uname().machine.encode()]))
         path = cache_dir / f"{source.stem.lstrip('_')}-{key:08x}.so"
@@ -280,59 +228,66 @@ def _load_kernel(cache_dir: Path, source: Path, defines: tuple[str, ...] = ()):
             tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
             try:
                 cmd = ["gcc", *flags, "-o", str(tmp), str(source)]
-                if subprocess.run(cmd, capture_output=True).returncode != 0:
-                    return None
+                if (code := subprocess.run(cmd, capture_output=True).returncode) != 0:
+                    raise _need_gcc(where, f"gcc exited with status {code}")
                 os.replace(tmp, path)
             finally:
                 tmp.unlink(missing_ok=True)
         return ctypes.CDLL(str(path))
-    except OSError:  # no compiler, cache or loadable library
-        return None
+    except OSError as exc:  # no compiler, cache or loadable library
+        raise _need_gcc(where, exc) from exc
 
 
-def _compiled(source: Path, defines: tuple[str, ...], name: str, restype, argtypes):
-    """Function name of source's library from $XDG_CACHE_HOME/xsplanes, typed for ctypes, or None.
+def _compiled(source: Path, defines: tuple[str, ...], signatures: dict):
+    """The functions of source's library from $XDG_CACHE_HOME/xsplanes, by name, typed for ctypes.
 
-    As the XDG spec asks, a relative XDG_CACHE_HOME is ignored for
-    ~/.cache.  Without a home directory there is no cache, and the caller
-    runs its Python code.
+    signatures maps each function's name to its (restype, argtypes).  As
+    the XDG spec asks, a relative XDG_CACHE_HOME is ignored for ~/.cache.
+    Raises KernelError where the library cannot be built or loaded, or
+    there is no home directory for the cache.
     """
     cache_home = Path(os.environ.get("XDG_CACHE_HOME", ""))
     if not cache_home.is_absolute():
         try:
             cache_home = Path.home() / ".cache"
-        except RuntimeError:  # no HOME and no passwd entry
-            return None
+        except RuntimeError as exc:  # no HOME and no passwd entry
+            raise _need_gcc(f"{source.name}: no cache directory ($XDG_CACHE_HOME/xsplanes or ~/.cache/xsplanes)",
+                            exc) from exc
     library = _load_kernel(cache_home / "xsplanes", source, defines)
-    if library is None:
-        return None
-    function = getattr(library, name)
-    function.restype = restype
-    function.argtypes = argtypes
-    return function
+    functions = []
+    for name, (restype, argtypes) in signatures.items():
+        function = getattr(library, name)
+        function.restype, function.argtypes = restype, argtypes
+        functions.append(function)
+    return functions
 
 
 def _shift_defines(params: Params) -> tuple[str, ...]:
     return (f"-DSHIFT_A={params.a}", f"-DSHIFT_B={params.b}", f"-DSHIFT_C={params.c}")
 
 
-@functools.cache
-def _kernel(params: Params):
-    """The compiled lane scan for params, loaded once per triple, or None."""
-    return _compiled(_LANES_SOURCE, _shift_defines(params), "xs_scan_lanes", ctypes.c_int64, _LANES_ARGTYPES)
+_LaneKernels = namedtuple("_LaneKernels", "scan starts census")
 
 
 @functools.cache
-def _starts_kernel(params: Params):
-    """The compiled lane starts for params, from the lane scan's library, loaded once per triple, or None."""
-    return _compiled(_LANES_SOURCE, _shift_defines(params), "xs_lane_starts", None, _STARTS_ARGTYPES)
+def _lane_kernels(params: Params) -> _LaneKernels:
+    """The lane scan, lane starts and census compiled for params, one library loaded once per triple."""
+    return _LaneKernels(*_compiled(_LANES_SOURCE, _shift_defines(params), {
+        "xs_scan_lanes": (ctypes.c_int64, _LANES_ARGTYPES),
+        "xs_lane_starts": (None, _STARTS_ARGTYPES),
+        "xs_census": (ctypes.c_int64, _CENSUS_ARGTYPES),
+    }))
 
 
 def _scan_compiled(kernel, hi, lo, seg_len, base, last_in):
-    """_scan_block through the compiled kernel: the same hits, and hi and lo left unchanged.
+    """Advance lanes (hi, lo) seg_len steps with kernel; return the hits where a triple enters the slab.
 
-    A call that finds more hits than the buffer holds reports how many, and
-    is rerun with a buffer of that size, so no hit is dropped.
+    Lane j covers triple offsets [base + j*seg_len, base + (j+1)*seg_len) of
+    the stream.  The hits are a list of (3, n) uint64 arrays with rows
+    offset, s0, s1: a hit's stream offset and its state, from which the
+    caller steps out the triple's other two outputs.  hi and lo are left
+    unchanged.  A call that finds more hits than the buffer holds reports
+    how many, and is rerun with a buffer of that size, so no hit is dropped.
     """
     if not (hi.dtype == lo.dtype == np.uint64 and hi.shape == lo.shape and hi.flags.c_contiguous
             and lo.flags.c_contiguous):
@@ -351,30 +306,20 @@ def _scan_compiled(kernel, hi, lo, seg_len, base, last_in):
 
 
 def _scan_lanes(hi, lo, params, seg_len, base, last_in):
-    """Scan contiguous lane ranges, one per worker, from stream offset base; the hit list of _scan_block.
+    """Scan contiguous lane ranges, one per worker, from stream offset base; the hit list of _scan_compiled.
 
-    Each worker runs the compiled kernel, or _scan_block where none could
-    be built.  The calling thread scans range 0 itself, so one worker
-    starts no thread.  A worker's exception is re-raised here.  The numpy
-    scan's scratch arrays are allocated here too, since memory a worker
-    thread allocates stays in its own malloc arena after the block.  They
-    are no larger than hi and lo: freeing a larger one would raise glibc's
-    mmap threshold, and later arrays of that size would then stay on the
-    heap.  Both cost about 1-2 MB of peak RSS.
+    The calling thread scans range 0 itself, so one worker starts no
+    thread.  A worker's exception is re-raised here.
     """
     n = hi.shape[0]
     k = min(_WORKERS, n)
     bounds = [n * i // k for i in range(k + 1)]
-    kernel = _kernel(params)
-    if kernel is None:
-        scratch = [np.empty(n, dtype=np.uint64) for _ in range(3)]
+    kernel = _lane_kernels(params).scan
     found = [None] * k
 
     def scan(i):
-        r, at = slice(bounds[i], bounds[i + 1]), base + bounds[i] * seg_len
-        if kernel is not None:
-            return _scan_compiled(kernel, hi[r], lo[r], seg_len, at, last_in)
-        return _scan_block(hi[r], lo[r], [a[r] for a in scratch], params, seg_len, at, last_in)
+        r = slice(bounds[i], bounds[i + 1])
+        return _scan_compiled(kernel, hi[r], lo[r], seg_len, base + bounds[i] * seg_len, last_in)
 
     def work(i):
         try:
@@ -410,7 +355,7 @@ def _scan_fast(state, spec, cap, last_in):
         seg_len = (block + lanes - 1) // lanes
         if lanes * seg_len > remaining:
             seg_len = remaining // lanes
-        # the next block's start comes with the lane starts, before the numpy scan overwrites them
+        # the next block's start comes with the lane starts
         starts, start = _lane_starts(params, start, lanes, seg_len)
         hits += _scan_lanes(*starts, params, seg_len, base, last_in)
         base += lanes * seg_len
@@ -472,9 +417,10 @@ def _check_control(n_points: int, control_seed: int) -> None:
 
 @functools.cache
 def _control_kernel():
-    """The compiled Philox control count, loaded once per process, or None where it cannot be built."""
+    """The compiled Philox control count, loaded once per process."""
     ptr, i64, u64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64
-    return _compiled(_CONTROL_SOURCE, (), "xs_control_hits", i64, [u64, u64, ptr, i64, ptr, ptr, u64])
+    (kernel,) = _compiled(_CONTROL_SOURCE, (), {"xs_control_hits": (i64, [u64, u64, ptr, i64, ptr, ptr, u64])})
+    return kernel
 
 
 def control_baseline(n_points: int, fam: PlaneFamily, epsilon: float, control_seed: int) -> float:
@@ -484,30 +430,22 @@ def control_baseline(n_points: int, fam: PlaneFamily, epsilon: float, control_se
     the xorshift family) drives the points: each coordinate is the top 53
     bits of one raw word, the same value Generator.random would give.  The
     compiled kernel draws the stream and counts the hits, _CALL_POINTS
-    points a call; without it, numpy's Philox draws it in chunks.  On the
-    full cube the eight plane neighborhoods are nearly disjoint so the
-    expected value is a bit under 16*epsilon.  For a = 52 - k the two
-    coefficient families coincide on the grid points with X = 0 mod 2**k,
-    lowering it to about (16 - 8/2**k)*epsilon: 14*epsilon at a = 50,
-    12*epsilon at a = 51.  For a >= 52 they coincide on the whole 53-bit
-    grid, halving it to 8*epsilon.  planes.union_rate gives the union bound.
+    points a call.  On the full cube the eight plane neighborhoods are
+    nearly disjoint so the expected value is a bit under 16*epsilon.  For
+    a = 52 - k the two coefficient families coincide on the grid points
+    with X = 0 mod 2**k, lowering it to about (16 - 8/2**k)*epsilon:
+    14*epsilon at a = 50, 12*epsilon at a = 51.  For a >= 52 they coincide
+    on the whole 53-bit grid, halving it to 8*epsilon.  planes.union_rate
+    gives the union bound.
     """
     _check_control(n_points, control_seed)
     thr = epsilon_threshold(epsilon)
     kernel = _control_kernel()
-    if kernel is not None:
-        c = (ctypes.c_uint64 * 8)(*(p.sign_x * p.m & MASK64 for p in fam.planes))
-        sy = (ctypes.c_uint64 * 8)(*(p.sign_y & MASK64 for p in fam.planes))
-        ctr, k0, k1 = (ctypes.c_uint64 * 4)(), control_seed & MASK64, control_seed >> 64
-        return sum(kernel(k0, k1, ctr, min(_CALL_POINTS, n_points - i), c, sy, thr)
-                   for i in range(0, n_points, _CALL_POINTS)) / n_points
-    bitgen = np.random.Philox(key=control_seed)
-    hits = 0
-    for start in range(0, n_points, _CONTROL_CHUNK):
-        k = min(_CONTROL_CHUNK, n_points - start)
-        d, _ = nearest_plane((bitgen.random_raw(3 * k) >> np.uint64(11)).reshape(k, 3), fam)
-        hits += int((d <= thr).sum())
-    return hits / n_points
+    c = (ctypes.c_uint64 * 8)(*(p.sign_x * p.m & MASK64 for p in fam.planes))
+    sy = (ctypes.c_uint64 * 8)(*(p.sign_y & MASK64 for p in fam.planes))
+    ctr, k0, k1 = (ctypes.c_uint64 * 4)(), control_seed & MASK64, control_seed >> 64
+    return sum(kernel(k0, k1, ctr, min(_CALL_POINTS, n_points - i), c, sy, thr)
+               for i in range(0, n_points, _CALL_POINTS)) / n_points
 
 
 @dataclass
@@ -529,12 +467,6 @@ def _check_census(n_steps: int, n_bits: int) -> None:
         raise ValueError(f"n_bits must be in 1..16, got {n_bits}")
 
 
-@functools.cache
-def _census_kernel(params: Params):
-    """The compiled census for params, from the lane scan's library, loaded once per triple, or None."""
-    return _compiled(_LANES_SOURCE, _shift_defines(params), "xs_census", ctypes.c_int64, _CENSUS_ARGTYPES)
-
-
 def case_census(state: GenState, n_steps: int, n_bits: int) -> CaseCensus:
     """Tally the 3x3 compound-case grid over n_steps consecutive steps.
 
@@ -548,22 +480,18 @@ def case_census(state: GenState, n_steps: int, n_bits: int) -> CaseCensus:
     n_bits of the actual output z.
 
     The compiled census (xs_census in _lanes.c) walks the stream from the
-    state, _CALL_STEPS steps a call; where it cannot be built,
-    _census_lanes runs the same walk with numpy, on lanes side by side.
+    state, _CALL_STEPS steps a call.
     """
     _check_census(n_steps, n_bits)
     params = state.params
+    kernel = _lane_kernels(params).census
     pairs = [(o, i) for o in COMBINE_ORDER for i in COMBINE_ORDER]
     coeffs = [[c & MASK64 for c in plane_coefficients(o, i, params.a)] for o, i in pairs]
-    kernel = _census_kernel(params)
-    if kernel is not None:
-        cx, cy = ((ctypes.c_uint64 * 9)(*column) for column in zip(*coeffs))
-        s, cells, leaked = (ctypes.c_uint64 * 2)(state.s0, state.s1), (ctypes.c_int64 * 9)(), ctypes.c_int64()
-        compound = sum(kernel(s, min(_CALL_STEPS, n_steps - i), n_bits, cx, cy, cells, ctypes.byref(leaked))
-                       for i in range(0, n_steps, _CALL_STEPS))
-        counts, leaks = list(cells), leaked.value
-    else:
-        counts, compound, leaks = _census_lanes(state, n_steps, n_bits, coeffs)
+    cx, cy = ((ctypes.c_uint64 * 9)(*column) for column in zip(*coeffs))
+    s, cells, leaked = (ctypes.c_uint64 * 2)(state.s0, state.s1), (ctypes.c_int64 * 9)(), ctypes.c_int64()
+    compound = sum(kernel(s, min(_CALL_STEPS, n_steps - i), n_bits, cx, cy, cells, ctypes.byref(leaked))
+                   for i in range(0, n_steps, _CALL_STEPS))
+    counts, leaks = list(cells), leaked.value
     checks = sum(counts)
     grid = {f"{o.value}|{i.value}": c / n_steps for (o, i), c in zip(pairs, counts)}
     return CaseCensus(
@@ -574,42 +502,6 @@ def case_census(state: GenState, n_steps: int, n_bits: int) -> CaseCensus:
         carry_leak_frequency=(leaks / checks) if checks else 0.0,
         uniform_model_estimate=compound_probability(n_bits)[1],
     )
-
-
-def _census_lanes(state, n_steps, n_bits, coeffs):
-    """The census's (cell counts, compound steps, leaks) in numpy, given the nine cells' (cx, cy) mod 2**64.
-
-    xs_census's walk on lanes side by side: lane j walks steps [j*seg_len,
-    (j+1)*seg_len), up to step n_steps, from its jump-ahead start.  A step
-    where no lane holds a cell skips the nine cells.
-    """
-    params = state.params
-    lanes = min(_CENSUS_LANES, n_steps)
-    seg_len = -(-n_steps // lanes)
-    w0, w1 = _lane_starts(params, np.array([[state.s0], [state.s1]], np.uint64), lanes, seg_len)[0]
-    w2 = step_words(w0, w1, params)[1]
-    w3 = step_words(w1, w2, params)[1]
-    a, drop = np.uint64(params.a), np.uint64(64 - n_bits)
-    cx, cy = (np.array(column, dtype=np.uint64)[:, None] for column in zip(*coeffs))
-    steps_left = n_steps - seg_len * np.arange(lanes)
-    inner = np.array(column_cases(w0 >> drop, (w0 << a) >> drop))
-    outer = np.array(column_cases(w1 >> drop, (w0 ^ (w0 << a)) >> drop))
-    counts, compound, leaks = np.zeros(len(coeffs), dtype=np.int64), 0, 0
-    for t in range(seg_len):
-        shifted = w1 << a
-        inner1 = np.array(column_cases(w1 >> drop, shifted >> drop))
-        outer1 = np.array(column_cases(w2 >> drop, (w1 ^ shifted) >> drop))
-        cells = ((outer & outer1)[:, None] & (inner & inner1)[None]).reshape(-1, lanes) & (steps_left > t)
-        if cells.any():
-            # the plane values in place: a fresh (9, lanes) array a term made the census up to twice as slow
-            plane = cx * (w0 + w1)
-            plane += cy * (w1 + w2)
-            plane ^= w2 + w3
-            counts += np.count_nonzero(cells, axis=1)
-            leaks += np.count_nonzero(cells & (plane >= np.uint64(1) << drop))
-            compound += np.count_nonzero(cells.any(axis=0))
-        inner, outer, w0, w1, w2, w3 = inner1, outer1, w1, w2, w3, step_words(w2, w3, params)[1]
-    return counts.tolist(), compound, leaks
 
 
 @dataclass(frozen=True)
@@ -687,9 +579,10 @@ _TEXT_ROWS = 1 << 11
 
 @functools.cache
 def _text_kernel():
-    """The compiled %.17g row formatter, loaded once per process, or None where it cannot be built."""
+    """The compiled %.17g row formatter, loaded once per process."""
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    return _compiled(_TEXT_SOURCE, (), "xs_format_rows", i64, [ptr, i64, ptr, i64, ptr])
+    (fmt,) = _compiled(_TEXT_SOURCE, (), {"xs_format_rows": (i64, [ptr, i64, ptr, i64, ptr])})
+    return fmt
 
 
 def _format_rows(fmt, values, buf: np.ndarray, breaks=()) -> memoryview:
@@ -707,21 +600,6 @@ def _format_rows(fmt, values, buf: np.ndarray, breaks=()) -> memoryview:
     if n < 0:
         raise OSError("no C numeric locale for the CSV text")
     return memoryview(buf)[:n]
-
-
-def _python_rows(values: np.ndarray, breaks) -> str:
-    """The text _format_rows writes for an (n, 3) float64 array and breaks, in Python's '%.17g'.
-
-    Each distinct bit pattern of the call is formatted once, so -0.0 and
-    0.0 stay apart, and a mesh's x and y values, which repeat along and
-    across strips, are formatted once a call.
-    """
-    bits, index = np.unique(values.view(np.uint64), return_inverse=True)
-    texts = ("%.17g\n" * len(bits) % tuple(bits.view(np.float64).tolist())).split("\n")
-    rows = ["%s,%s,%s\n"] * len(values) + [""]
-    for i in breaks:
-        rows[i] = "\n" + rows[i]
-    return "".join(rows) % tuple(map(texts.__getitem__, index.ravel().tolist()))
 
 
 def _atomic_write(path: Path, chunks) -> None:
@@ -753,9 +631,8 @@ def _write_rows(path: Path, head: str, blocks) -> None:
     on in the next call; each call's text is one write.  Blocks are taken
     one at a time as the file is written.
     """
-    fmt = _text_kernel()
     size = _ROW_BYTES * _TEXT_ROWS
-    text = _python_rows if fmt is None else functools.partial(_format_rows, fmt, buf=np.empty(size, dtype=np.uint8))
+    text = functools.partial(_format_rows, _text_kernel(), buf=np.empty(size, dtype=np.uint8))
 
     def calls():
         yield head
@@ -800,6 +677,17 @@ def write_mesh_csv(path, strips) -> None:
     blocks = ((bool(i) + (len(s.vertices) == 0), s.vertices) for i, s in enumerate(strips))
     first = next(blocks, (1, np.empty((0, 3))))
     _write_rows(Path(path), "", itertools.chain([first], blocks))
+
+
+def load_kernels(params: Params) -> None:
+    """Load, building on a miss, the lane, control and text libraries that run_experiment uses for params.
+
+    Raises KernelError where one cannot be built or loaded, so a caller can
+    check them before it starts a run.
+    """
+    _lane_kernels(params)
+    _control_kernel()
+    _text_kernel()
 
 
 def run_experiment(cfg: ExperimentConfig) -> HitReport:

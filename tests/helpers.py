@@ -4,22 +4,35 @@ reference_scan, the slab scan one Python-int step at a time, is the
 reference for experiment.slab_sample's lane scans.  The scalar mesh loop
 and the per-vertex mesh writer are the references for planes.mesh and
 experiment.write_mesh_csv, and classify, the case label of one pair, is
-the reference for xorapprox.column_cases.  The GF(2) row matrices are the
-Python-int reference for the package's uint64 word-array core: a linear
-map on 128-bit packed pairs (s0 << 64) | s1 is the list of its basis
-images, row i the image of the vector whose only set bit is the i-th from
-the top.  text_paths lists the CSV formatters a test runs.
+the reference for xorapprox.column_cases.
+
+Each compiled stage of experiment has a numpy or Python reference here,
+which the tests run in its place: scan_block for the lane scan, lane_starts
+(GF(2) jump-ahead by repeated doubling) for xs_lane_starts, reference_census
+for the case census, reference_control (numpy's Philox) for the control
+count and python_rows for the CSV formatter.  reference_stages puts all of
+them in place at once.
+
+The GF(2) matrices come twice.  The uint64 word-array core (act, mat_mul,
+identity, mat_pow, transition_rows) starts lane_starts' lanes and checks
+the step's period; the Python-int rows are its reference.  A linear map on
+128-bit packed pairs (s0 << 64) | s1 is the list of its basis images, row
+i the image of the vector whose only set bit is the i-th from the top.
 """
 
+import contextlib
+import ctypes
 from dataclasses import dataclass
 import math
 
 import numpy as np
+import pytest
 
-from xsplanes import experiment
-from xsplanes.engine import MASK64, WIDTH, GenState, step_words
-from xsplanes.planes import MeshStrip
-from xsplanes.xorapprox import COMBINE_ORDER, Combine
+from xsplanes import cli, experiment
+from xsplanes.engine import MASK64, WIDTH, GenState, Params, step_words
+from xsplanes.experiment import CaseCensus
+from xsplanes.planes import MeshStrip, epsilon_threshold, nearest_plane
+from xsplanes.xorapprox import COMBINE_ORDER, Combine, column_cases, compound_probability, plane_coefficients
 
 BITS = 128
 
@@ -85,12 +98,6 @@ def reference_mesh(plane, x_max: float, magnify: float, grid: int) -> list[MeshS
     return strips
 
 
-def text_paths():
-    """The CSV formatters to test: the compiled one where it can be built, then Python's (None)."""
-    fmt = experiment._text_kernel()
-    return ([fmt] if fmt is not None else []) + [None]
-
-
 def reference_mesh_csv(strips) -> str:
     """The text of experiment.write_mesh_csv, formatting every coordinate of every vertex."""
     blocks = ("\n".join("%.17g,%.17g,%.17g" % tuple(v) for v in strip.vertices) for strip in strips)
@@ -142,7 +149,7 @@ def matrix_of(op) -> list[int]:
     return [op(1 << (BITS - 1 - i)) for i in range(BITS)]
 
 
-def act(rows: list[int], v: int) -> int:
+def act_rows(rows: list[int], v: int) -> int:
     """Row vector times matrix: xor of the rows selected by v's set bits."""
     acc = 0
     while v:
@@ -160,3 +167,237 @@ def words(vectors) -> np.ndarray:
 def ints(batch: np.ndarray) -> list[int]:
     """The 128-bit ints of a (2, n) uint64 array's columns."""
     return [(int(h) << 64) | int(l) for h, l in zip(*batch)]
+
+
+# -- GF(2) matrices on uint64 words --------------------------------------------
+#
+# A batch of n state vectors is a (2, n) uint64 array: row 0 holds the s0
+# words and row 1 the s1 words of the packed pairs (s0 << 64) | s1.  A
+# linear map is the batch of its 128 basis images, a (2, 128) array whose
+# column i is the image of the vector with only the i-th bit from the top
+# set.  Vectors act as row vectors, so act(mat_mul(m, n), v) equals
+# act(n, act(m, v)): m first, then n.  act reads a vector a byte at a
+# time through tables, 32 lookups per vector instead of 128 bit
+# selections, as xs_lane_starts does; the bytes are taken with shifts and
+# masks, not a uint8 view, so nothing depends on the machine's byte order.
+
+
+def act(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Apply m to every column of v: the xor of the basis images selected by its set bits.
+
+    Byte k of a vector (k = 0..15 from the top) indexes a table whose 256
+    entries are the xors of every subset of basis images 8k..8k+7, built
+    by eight doubling xors.
+    """
+    images = m.reshape(2, 16, 8)  # [row, k, bit of byte k from its top]
+    tables = np.zeros((2, 16, 256), dtype=np.uint64)
+    for j in range(8):  # byte values with highest set bit 1 << j
+        tables[:, :, 1 << j : 2 << j] = tables[:, :, : 1 << j] ^ images[:, :, 7 - j, None]
+    out = np.zeros_like(v)
+    byte = np.uint64(255)
+    for k in range(16):
+        index = (v[k // 8] >> np.uint64(56 - 8 * (k % 8))) & byte
+        out[0] ^= tables[0, k].take(index)
+        out[1] ^= tables[1, k].take(index)
+    return out
+
+
+def mat_mul(m: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The map that applies m, then n: n acting on m's basis images."""
+    return act(n, m)
+
+
+def identity() -> np.ndarray:
+    """The identity map: column i has only the i-th bit from the top set."""
+    bits = np.uint64(1) << np.arange(WIDTH - 1, -1, -1, dtype=np.uint64)
+    zero = np.zeros_like(bits)
+    return np.block([[bits, zero], [zero, bits]])
+
+
+def mat_pow(m: np.ndarray, k: int) -> np.ndarray:
+    """k-fold composition of m (k >= 0), by repeated squaring."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    result = identity()
+    while k:
+        if k & 1:
+            result = mat_mul(result, m)
+        k >>= 1
+        if k:
+            m = mat_mul(m, m)
+    return result
+
+
+def transition_rows(params: Params) -> np.ndarray:
+    """One step as a (2, 128) matrix: step_words applied to every basis vector."""
+    return np.array(step_words(*identity(), params))
+
+
+# -- numpy and Python references for the compiled stages -----------------------
+
+
+def lane_starts(params, start, lanes, seg_len):
+    """experiment._lane_starts in numpy: the starts, and the next block's, by repeated doubling.
+
+    Each round maps the first block of starts forward by the squared
+    segment transition.  A block's 65,536 starts take 12-22 ms (2-core
+    AVX-512 Xeon).
+    """
+    seg = mat_pow(transition_rows(params), seg_len)
+    starts = np.empty((2, lanes), dtype=np.uint64)
+    starts[:, :1] = start
+    filled = 1
+    jump = seg
+    while filled < lanes:
+        chunk = min(filled, lanes - filled)
+        starts[:, filled : filled + chunk] = act(jump, starts[:, :chunk])
+        filled += chunk
+        if filled < lanes:
+            jump = mat_mul(jump, jump)
+    return starts, act(seg, starts[:, -1:])
+
+
+def scan_block(hi, lo, params, seg_len, base, last_in):
+    """experiment._scan_lanes in numpy: advance all lanes seg_len steps; the hits where a triple enters the slab.
+
+    The hits are the same (3, n) uint64 arrays of rows offset, s0, s1 as
+    the compiled kernel's, by t, then lane, where the kernel's come by
+    group, then t, then lane.  hi and lo are overwritten.
+    """
+    s0, s1 = hi, lo
+    out, t1, t2 = (np.empty_like(hi) for _ in range(3))
+    ua, ub, uc = np.uint64(params.a), np.uint64(params.b), np.uint64(params.c)
+    last_in, seg = np.uint64(last_in), np.uint64(seg_len)
+    hits = []
+    for t in range(seg_len):
+        np.add(s0, s1, out=out)
+        if out.min() <= last_in:
+            lane = np.flatnonzero(out <= last_in)
+            hits.append(np.stack([lane.astype(np.uint64) * seg + np.uint64(base + t), s0[lane], s1[lane]]))
+        np.left_shift(s0, ua, out=t1)
+        np.bitwise_xor(t1, s0, out=t1)
+        np.right_shift(t1, ub, out=t2)
+        np.bitwise_xor(t1, t2, out=t1)
+        np.right_shift(s1, uc, out=t2)
+        np.bitwise_xor(t1, t2, out=t1)
+        np.bitwise_xor(t1, s1, out=t1)
+        s0, s1, t1 = s1, t1, s0
+    return hits
+
+
+def numpy_scan(params):
+    """scan_block in experiment._scan_compiled's place, for params' lanes: the kernel it is given goes unused."""
+    return lambda kernel, hi, lo, seg_len, base, last_in: scan_block(hi, lo, params, seg_len, base, last_in)
+
+
+# The numpy census runs min(CENSUS_LANES, n) lanes of ceil(n / CENSUS_LANES) steps.
+CENSUS_LANES = 1 << 11
+
+
+def census_lanes(state, n_steps, n_bits, coeffs):
+    """The census's (cell counts, compound steps, leaks) in numpy, given the nine cells' (cx, cy) mod 2**64.
+
+    xs_census's walk on lanes side by side: lane j walks steps [j*seg_len,
+    (j+1)*seg_len), up to step n_steps, from its jump-ahead start.  A step
+    where no lane holds a cell skips the nine cells.
+    """
+    params = state.params
+    lanes = min(CENSUS_LANES, n_steps)
+    seg_len = -(-n_steps // lanes)
+    w0, w1 = lane_starts(params, np.array([[state.s0], [state.s1]], np.uint64), lanes, seg_len)[0]
+    w2 = step_words(w0, w1, params)[1]
+    w3 = step_words(w1, w2, params)[1]
+    a, drop = np.uint64(params.a), np.uint64(64 - n_bits)
+    cx, cy = (np.array(column, dtype=np.uint64)[:, None] for column in zip(*coeffs))
+    steps_left = n_steps - seg_len * np.arange(lanes)
+    inner = np.array(column_cases(w0 >> drop, (w0 << a) >> drop))
+    outer = np.array(column_cases(w1 >> drop, (w0 ^ (w0 << a)) >> drop))
+    counts, compound, leaks = np.zeros(len(coeffs), dtype=np.int64), 0, 0
+    for t in range(seg_len):
+        shifted = w1 << a
+        inner1 = np.array(column_cases(w1 >> drop, shifted >> drop))
+        outer1 = np.array(column_cases(w2 >> drop, (w1 ^ shifted) >> drop))
+        cells = ((outer & outer1)[:, None] & (inner & inner1)[None]).reshape(-1, lanes) & (steps_left > t)
+        if cells.any():
+            # the plane values in place: a fresh (9, lanes) array a term made the census up to twice as slow
+            plane = cx * (w0 + w1)
+            plane += cy * (w1 + w2)
+            plane ^= w2 + w3
+            counts += np.count_nonzero(cells, axis=1)
+            leaks += np.count_nonzero(cells & (plane >= np.uint64(1) << drop))
+            compound += np.count_nonzero(cells.any(axis=0))
+        inner, outer, w0, w1, w2, w3 = inner1, outer1, w1, w2, w3, step_words(w2, w3, params)[1]
+    return counts.tolist(), compound, leaks
+
+
+def reference_census(state, n_steps, n_bits) -> CaseCensus:
+    """experiment.case_census's result from census_lanes."""
+    pairs = [(o, i) for o in COMBINE_ORDER for i in COMBINE_ORDER]
+    coeffs = [[c & MASK64 for c in plane_coefficients(o, i, state.params.a)] for o, i in pairs]
+    counts, compound, leaks = census_lanes(state, n_steps, n_bits, coeffs)
+    checks = sum(counts)
+    grid = {f"{o.value}|{i.value}": c / n_steps for (o, i), c in zip(pairs, counts)}
+    return CaseCensus(n_steps, n_bits, grid, compound / n_steps, (leaks / checks) if checks else 0.0,
+                      compound_probability(n_bits)[1])
+
+
+# numpy's Philox draws the control's points this many at a time
+CONTROL_CHUNK = 1 << 15
+
+
+def reference_control(n_points, fam, epsilon, control_seed) -> float:
+    """experiment.control_baseline's hit fraction, numpy's Philox(key=control_seed) drawing the points."""
+    thr = epsilon_threshold(epsilon)
+    bitgen = np.random.Philox(key=control_seed)
+    hits = 0
+    for start in range(0, n_points, CONTROL_CHUNK):
+        k = min(CONTROL_CHUNK, n_points - start)
+        d, _ = nearest_plane((bitgen.random_raw(3 * k) >> np.uint64(11)).reshape(k, 3), fam)
+        hits += int((d <= thr).sum())
+    return hits / n_points
+
+
+def python_rows(values: np.ndarray, breaks) -> str:
+    """The text experiment._format_rows writes for an (n, 3) float64 array and breaks, in Python's '%.17g'.
+
+    Each distinct bit pattern of the call is formatted once, so -0.0 and
+    0.0 stay apart, and a mesh's x and y values, which repeat along and
+    across strips, are formatted once a call.
+    """
+    bits, index = np.unique(values.view(np.uint64), return_inverse=True)
+    texts = ("%.17g\n" * len(bits) % tuple(bits.view(np.float64).tolist())).split("\n")
+    rows = ["%s,%s,%s\n"] * len(values) + [""]
+    for i in breaks:
+        rows[i] = "\n" + rows[i]
+    return "".join(rows) % tuple(map(texts.__getitem__, index.ravel().tolist()))
+
+
+def python_format_rows(values, n, breaks, n_breaks, buf) -> int:
+    """python_rows with the compiled formatter's calling convention, to stand in for it.
+
+    It takes the addresses of n rows of three doubles, of n_breaks int64
+    breaks and of the buffer, writes the text there and returns its length.
+    """
+    rows = np.frombuffer((ctypes.c_double * (3 * n)).from_address(values), dtype=np.float64).reshape(n, 3)
+    at = np.frombuffer((ctypes.c_int64 * n_breaks).from_address(breaks), dtype=np.int64)
+    text = python_rows(rows, at.tolist()).encode()
+    ctypes.memmove(buf, text, len(text))
+    return len(text)
+
+
+def text_paths():
+    """The CSV formatters to test: the compiled one, then python_format_rows in its place."""
+    return [experiment._text_kernel(), python_format_rows]
+
+
+@contextlib.contextmanager
+def reference_stages(params):
+    """Every compiled stage of a planes or census command for params run by its reference here, in the block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiment, "_scan_compiled", numpy_scan(params))
+        mp.setattr(experiment, "_lane_starts", lane_starts)
+        mp.setattr(experiment, "_text_kernel", lambda: python_format_rows)
+        for module in (experiment, cli):
+            mp.setattr(module, "control_baseline", reference_control)
+            mp.setattr(module, "case_census", reference_census)
+        yield

@@ -3,7 +3,7 @@
 The plane-concentration run (criteria 7 and 8) scans ~8e9 triples at the
 production shift parameters; it is the long pole of the suite, well inside
 its ten-minute budget: about 3 s on two cores with the compiled lane
-kernel, about 21 s with the numpy fallback.
+kernel.
 """
 
 import json

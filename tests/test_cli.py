@@ -313,7 +313,7 @@ def test_count_over_its_cap_exits_2_before_work(capsys, monkeypatch, argv):
     def no_work(*args):
         raise AssertionError("work started")
 
-    monkeypatch.setattr("xsplanes.experiment._census_kernel", no_work)
+    monkeypatch.setattr("xsplanes.experiment._lane_kernels", no_work)
     monkeypatch.setattr("xsplanes.experiment._lane_starts", no_work)
     monkeypatch.setattr("xsplanes.experiment._control_kernel", no_work)
     code, out, err = run_cli(capsys, *argv)
@@ -409,3 +409,38 @@ def test_planes_process_prints_one_report(tmp_path):
         "scanning slab x < 2**-8 for 150 points\n"
         f"concentration ratio {report['concentration_ratio']:.2f} (threshold 0.0)\n"
     )
+
+
+def test_planes_and_census_without_gcc_exit_2_in_one_line(tmp_path):
+    # A PATH that holds python3 but no gcc, and an empty kernel cache.
+    # planes, with or without --control-only, and census exit 2 with one
+    # stderr line that names gcc and the cache directory, print nothing and
+    # write no output directory; a bad flag is still reported first.  gen
+    # and verify need no compiler and print what they print with gcc
+    nogcc, cache, out_dir = tmp_path / "nogcc", tmp_path / "cache", tmp_path / "o"
+    nogcc.mkdir()
+    (nogcc / "python3").symlink_to(sys.executable)
+    src = os.path.dirname(os.path.dirname(experiment.__file__))
+
+    def run(*argv, gcc=False):
+        env = dict(os.environ, XDG_CACHE_HOME=str(cache), PYTHONPATH=src)
+        if not gcc:
+            env["PATH"] = str(nogcc)
+        python = sys.executable if gcc else str(nogcc / "python3")
+        return subprocess.run([python, "-m", "xsplanes", *argv], env=env, cwd=tmp_path, capture_output=True,
+                              text=True, timeout=120)
+
+    for argv in (PLANES_ARGS, [*PLANES_ARGS, "--control-only"], ["census", "--steps", "1000"]):
+        proc = run(*argv, "--output-dir", str(out_dir)) if argv[0] == "planes" else run(*argv)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: "), proc.stderr
+        assert "gcc" in proc.stderr and str(cache / "xsplanes") in proc.stderr, proc.stderr
+        assert not out_dir.exists() and not (tmp_path / "planes_out").exists()
+    proc = run(*PLANES_ARGS, "--grid", "1", "--output-dir", str(out_dir))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: grid must be in 2..4096, got 1\n")
+    for argv in (["gen", "--count", "5"], ["verify", "--n-max", "3"]):
+        with_gcc, without = run(*argv, gcc=True), run(*argv)
+        assert (without.returncode, without.stderr) == (0, "")
+        assert (without.returncode, without.stdout, without.stderr) == (with_gcc.returncode, with_gcc.stdout,
+                                                                        with_gcc.stderr)

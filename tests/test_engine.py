@@ -6,21 +6,17 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import step
+from helpers import act, identity, mat_pow, step, transition_rows
 from xsplanes.engine import (
     DEFAULT_PARAMS,
     MASK64,
     GenState,
     Params,
-    act,
-    identity,
     iter_outputs,
-    mat_pow,
     seed_state,
     splitmix64,
     step_words,
     to_unit,
-    transition_rows,
 )
 
 

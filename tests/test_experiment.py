@@ -16,11 +16,25 @@ import sys
 import threading
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from helpers import classify, height, reference_mesh, reference_mesh_csv, reference_scan, text_paths
+from helpers import (
+    CENSUS_LANES,
+    classify,
+    height,
+    lane_starts,
+    numpy_scan,
+    reference_census,
+    reference_control,
+    reference_mesh,
+    reference_mesh_csv,
+    reference_scan,
+    scan_block,
+    text_paths,
+)
 from xsplanes import experiment
 from xsplanes.engine import (
     DEFAULT_PARAMS,
@@ -33,12 +47,11 @@ from xsplanes.engine import (
     to_unit,
 )
 from xsplanes.experiment import (
-    _CENSUS_LANES,
     DEFAULT_SCAN_CAP,
     ExperimentConfig,
+    KernelError,
     SlabSample,
     SlabSpec,
-    _scan_block,
     case_census,
     control_baseline,
     hit_stats,
@@ -111,10 +124,9 @@ def test_resolve_scan_cap():
     assert resolve_scan_cap(spec30, 1 << 40) == 1 << 40
 
 
-def lane_kernels(params):
-    """The lane scans to test: params' compiled kernel where it can be built, then the numpy fallback."""
-    kernel = experiment._kernel(params)
-    return ([kernel] if kernel is not None else []) + [None]
+def lane_scans(params):
+    """The lane-range scans to test: the compiled kernel's, then the numpy reference in its place."""
+    return [experiment._scan_compiled, numpy_scan(params)]
 
 
 def test_accept_threshold_matches_float_compare(monkeypatch):
@@ -128,8 +140,8 @@ def test_accept_threshold_matches_float_compare(monkeypatch):
         for u53 in {0, thr - 1, thr, thr + 1, (1 << 53) - 1}:
             o0 = (u53 << 11) | 0x7FF
             inside = to_unit(o0) < spec.x_max
-            for kernel in lane_kernels(P8):
-                monkeypatch.setattr(experiment, "_kernel", lambda params: kernel)
+            for scan in lane_scans(P8):
+                monkeypatch.setattr(experiment, "_scan_compiled", scan)
                 state = GenState(o0, 0, P8)
                 for sample in (reference_sample(state, spec, 1), slab_sample(state, spec, scan_cap=1)):
                     assert sample.n_in_slab == inside
@@ -141,8 +153,8 @@ def test_slab_sample_paths_agree(monkeypatch):
     spec = slab_spec(8, None, 400)
     state = seed_state(3, P8)
     seq = reference_sample(state, spec, 500_000)
-    for kernel in lane_kernels(P8):
-        monkeypatch.setattr(experiment, "_kernel", lambda params: kernel)
+    for scan in lane_scans(P8):
+        monkeypatch.setattr(experiment, "_scan_compiled", scan)
         fast = slab_sample(state, spec, scan_cap=500_000)
         assert_same_sample(fast, seq)
     assert seq.truncated is False
@@ -151,8 +163,8 @@ def test_slab_sample_paths_agree(monkeypatch):
     # about 256,000 triples, so each of these caps truncates
     spec = slab_spec(8, None, 1000)
     refs = {cap: reference_sample(state, spec, cap) for cap in (10_000, 199_999, 200_000, 200_001)}
-    for kernel in lane_kernels(P8):
-        monkeypatch.setattr(experiment, "_kernel", lambda params: kernel)
+    for scan in lane_scans(P8):
+        monkeypatch.setattr(experiment, "_scan_compiled", scan)
         for cap, seq in refs.items():
             assert seq.truncated and seq.n_triples_scanned == cap
             assert_same_sample(slab_sample(state, spec, scan_cap=cap), seq)
@@ -173,34 +185,28 @@ def test_lane_scans_match_reference_at_caps_1_to_65(monkeypatch):
         refs[spec, seed] = [(cap, state, reference_sample(state, spec, cap)) for cap in range(1, 66)]
         assert [ref.truncated for _, _, ref in refs[spec, seed]] == [cap <= last for cap in range(1, 66)]
         assert refs[spec, seed][-1][2].n_triples_scanned == last + 1
-    for kernel in lane_kernels(P8):
-        monkeypatch.setattr(experiment, "_kernel", lambda params: kernel)
+    for path, scan in enumerate(lane_scans(P8)):
+        monkeypatch.setattr(experiment, "_scan_compiled", scan)
         for (spec, seed), runs in refs.items():
             for cap, state, ref in runs:
                 got = slab_sample(state, spec, scan_cap=cap)
-                case = (kernel is None, spec.e, seed, cap)
+                case = (path, spec.e, seed, cap)
                 assert got.points.dtype == np.uint64 and np.array_equal(got.points, ref.points), case
                 assert (got.n_triples_scanned, got.truncated) == (ref.n_triples_scanned, ref.truncated), case
 
 
-def start_paths(params):
-    """The lane starts to test: params' compiled starts where they can be built, then numpy's doubling."""
-    kernel = experiment._starts_kernel(params)
-    return ([kernel] if kernel is not None else []) + [None]
+def start_paths():
+    """The lane starts to test: the compiled xs_lane_starts, then the numpy reference's doubling."""
+    return [experiment._lane_starts, lane_starts]
 
 
-def _both_starts(monkeypatch, params, state, lanes, seg_len):
-    """_lane_starts from state on each of start_paths(params), as (starts, next start) pairs."""
+def _both_starts(params, state, lanes, seg_len):
+    """The lane starts from state on each of start_paths(), as (starts, next start) pairs."""
     start = np.array([[state.s0], [state.s1]], dtype=np.uint64)
-    got = []
-    for kernel in start_paths(params):
-        with monkeypatch.context() as mp:
-            mp.setattr(experiment, "_starts_kernel", lambda params: kernel)
-            got.append(experiment._lane_starts(params, start, lanes, seg_len))
-    return got
+    return [path(params, start, lanes, seg_len) for path in start_paths()]
 
 
-def test_lane_starts_are_stepped_states(monkeypatch):
+def test_lane_starts_are_stepped_states():
     # lane j starts j*seg_len steps into the stream, and the returned start
     # lies lanes*seg_len steps in, on the compiled starts and numpy's
     # doubling alike; seg_len values are not powers of two.  The short
@@ -213,7 +219,7 @@ def test_lane_starts_are_stepped_states(monkeypatch):
         for lanes, seg_len in ((1, 1), (1, 5), (7, 3), (7, 100), (100, 13), (65536, 782), (3, (1 << 32) + 1),
                                (3, (1 << 40) + 3)):
             case = (params, lanes, seg_len)
-            got = _both_starts(monkeypatch, params, state, lanes, seg_len)
+            got = _both_starts(params, state, lanes, seg_len)
             for starts, nxt in got:
                 assert starts.shape == (2, lanes) and starts.dtype == np.uint64, case
                 assert nxt.shape == (2, 1) and nxt.dtype == np.uint64, case
@@ -233,16 +239,13 @@ def test_lane_starts_are_stepped_states(monkeypatch):
                 assert np.array_equal(np.stack([s0, s1]), np.concatenate([starts[:, 1:], nxt], axis=1)), case
 
 
-def test_compiled_lane_starts_from_two_threads_at_once(monkeypatch):
+def test_compiled_lane_starts_from_two_threads_at_once():
     # xs_lane_starts keeps its tables on its own stack: two threads calling
     # it at once, each with a segment length of its own, get numpy's starts
     # on every call
-    kernel = experiment._starts_kernel(DEFAULT_PARAMS)
-    if kernel is None:
-        pytest.skip("the compiled lane starts cannot be built here")
     state = seed_state(11)
     start = np.array([[state.s0], [state.s1]], dtype=np.uint64)
-    want = {seg_len: _both_starts(monkeypatch, DEFAULT_PARAMS, state, 65536, seg_len)[-1] for seg_len in (782, 25601)}
+    want = {seg_len: lane_starts(DEFAULT_PARAMS, start, 65536, seg_len) for seg_len in (782, 25601)}
     barrier = threading.Barrier(len(want))
     got = {}
 
@@ -267,16 +270,16 @@ def test_fast_scan_independent_of_workers_and_blocks(monkeypatch):
     # At x < 2**-12 the first block often falls short of the target: seed
     # 16 needs three blocks, and the cap of the second case truncates the
     # run in a last block of fewer lanes than workers.  The compiled kernel
-    # pads each five-lane range to its group of 32.  Each scan runs on the
-    # compiled lane starts and on numpy's.
+    # pads each five-lane range to its group of 32.  Each lane scan runs on
+    # the compiled lane starts and on numpy's.
     monkeypatch.setattr(experiment, "_LANES_PER_WORKER", 5)
     blocks = []
+    paths = list(itertools.product(lane_scans(P8), start_paths()))
 
     def counted_starts(params, start, lanes, seg_len):
         blocks.append(lanes)
-        return real_starts(params, start, lanes, seg_len)
+        return starts(params, start, lanes, seg_len)
 
-    real_starts = experiment._lane_starts
     monkeypatch.setattr(experiment, "_lane_starts", counted_starts)
     spec = slab_spec(8, magnify_exp=12, target_points=60)
     state = seed_state(16, P8)
@@ -286,9 +289,8 @@ def test_fast_scan_independent_of_workers_and_blocks(monkeypatch):
         for cap in (1_000_000, 250_575):
             seq = reference_sample(state, spec, cap)
             assert seq.truncated == (cap == 250_575)
-            for kernel, starts_kernel in itertools.product(lane_kernels(P8), start_paths(P8)):
-                monkeypatch.setattr(experiment, "_kernel", lambda params: kernel)
-                monkeypatch.setattr(experiment, "_starts_kernel", lambda params: starts_kernel)
+            for scan, starts in paths:
+                monkeypatch.setattr(experiment, "_scan_compiled", scan)
                 for workers in (1, 2, 3):
                     monkeypatch.setattr(experiment, "_WORKERS", workers)
                     blocks.clear()
@@ -305,24 +307,21 @@ def test_fast_scan_worker_exception_propagates(monkeypatch):
     # a failure in a worker thread's lane range reaches the caller, on either lane scan
     monkeypatch.setattr(experiment, "_WORKERS", 2)
     spec = slab_spec(8, None, 50)
-    for kernel in lane_kernels(P8):
-        name = "_scan_block" if kernel is None else "_scan_compiled"
-        real_block = getattr(experiment, name)
+    for scan in lane_scans(P8):
 
-        def failing_block(*args):
+        def failing_scan(*args):
             if threading.current_thread() is not threading.main_thread():
                 raise ZeroDivisionError("worker failed")
-            return real_block(*args)
+            return scan(*args)
 
         with monkeypatch.context() as mp:
-            mp.setattr(experiment, "_kernel", lambda params: kernel)
-            mp.setattr(experiment, name, failing_block)
+            mp.setattr(experiment, "_scan_compiled", failing_scan)
             with pytest.raises(ZeroDivisionError, match="worker failed"):
                 slab_sample(seed_state(3, P8), spec, scan_cap=500_000)
 
 
 def test_every_kernel_source_is_package_data():
-    # an installed package without a kernel's source runs its Python fallback without a word
+    # an installed package without a kernel's source could not run planes or census
     root = Path(__file__).resolve().parents[1]
     section = (root / "pyproject.toml").read_text().split("[tool.setuptools.package-data]")[1].split("\n[")[0]
     patterns = [p for line in section.splitlines() if line.startswith("xsplanes")
@@ -332,41 +331,43 @@ def test_every_kernel_source_is_package_data():
     assert [s for s in sources if not any(fnmatch.fnmatchcase(s, p) for p in patterns)] == []
 
 
-def test_compiled_kernel_in_use_where_gcc_is_found(monkeypatch):
-    # a silent fallback would hide a fivefold slowdown
-    if shutil.which("gcc") is None:
-        pytest.skip("no gcc on PATH")
-    assert experiment._kernel(P8) is not None
+def test_compiled_kernel_in_use_where_gcc_is_found():
+    # gcc builds the lane library, its three functions load typed, and the scan runs through it
+    assert shutil.which("gcc") is not None
+    kernels = experiment._lane_kernels(P8)
+    assert [f.__name__ for f in kernels] == ["xs_scan_lanes", "xs_lane_starts", "xs_census"]
+    assert all(isinstance(f, ctypes._CFuncPtr) for f in kernels)
+    spec, state = slab_spec(8, None, 50), seed_state(3, P8)
+    assert_same_sample(slab_sample(state, spec, scan_cap=500_000), reference_sample(state, spec, 500_000))
 
-    def numpy_block(*args):
-        raise AssertionError("numpy lane scan used")
 
-    monkeypatch.setattr(experiment, "_scan_block", numpy_block)
-    slab_sample(seed_state(3, P8), slab_spec(8, None, 50), scan_cap=500_000)
+def assert_names_gcc_and_cache(error, cache_dir):
+    """A KernelError's message is one line that names gcc and the cache directory."""
+    message = str(error.value)
+    assert "\n" not in message and "gcc" in message and str(cache_dir) in message, message
 
 
 @pytest.mark.parametrize("cflags", [("-shared", "-fno-such-option"), ("-c",)], ids=["compile", "load"])
-def test_kernel_build_failure_falls_back_to_numpy(monkeypatch, tmp_path, cflags):
-    # an unknown flag fails the compile; -c builds an object file that cannot be loaded
-    spec = slab_spec(8, magnify_exp=12, target_points=60)
-    state = seed_state(16, P8)
-    default = slab_sample(state, spec, scan_cap=1_000_000)
+def test_kernel_build_failure_raises(monkeypatch, tmp_path, fresh_kernel, cflags):
+    # an unknown flag fails the compile; -c builds an object file that
+    # cannot be loaded.  Either raises KernelError, and so does a scan that
+    # needs the library
     monkeypatch.setattr(experiment, "_CFLAGS", cflags)
-    defines = tuple(f"-DSHIFT_{k}={v}" for k, v in zip("ABC", (P8.a, P8.b, P8.c)))
-    kernel = experiment._load_kernel(tmp_path, experiment._LANES_SOURCE, defines)
-    assert kernel is None
-    if cflags == ("-c",) and shutil.which("gcc"):
-        assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
-    monkeypatch.setattr(experiment, "_kernel", lambda params: kernel)
-    assert_same_sample(slab_sample(state, spec, scan_cap=1_000_000), default)
+    with pytest.raises(KernelError) as error:
+        experiment._load_kernel(tmp_path, experiment._LANES_SOURCE, experiment._shift_defines(P8))
+    assert_names_gcc_and_cache(error, tmp_path)
+    assert [p.suffix for p in tmp_path.iterdir()] == ([".so"] if cflags == ("-c",) else [])
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "fresh"))
+    with pytest.raises(KernelError) as error:
+        slab_sample(seed_state(16, P8), slab_spec(8, magnify_exp=12, target_points=60), scan_cap=1_000_000)
+    assert_names_gcc_and_cache(error, tmp_path / "fresh" / "xsplanes")
 
 
 def test_compiled_scan_reruns_on_hit_overflow(monkeypatch):
     # calls of 32 lanes and a first buffer of one hit: at x < 2**-4 the first call overflows
     # and is rerun with a buffer of the size it reports
-    real = experiment._kernel(P8)
-    if real is None:
-        pytest.skip("the lane-scan kernel cannot be built here")
+    kernels = experiment._lane_kernels(P8)
+    real = kernels.scan
     calls = []  # (thread, lanes, base, overflowed) per call
 
     def counted(hi, lo, lanes, seg_len, base, last_in, hits, cap):
@@ -374,7 +375,7 @@ def test_compiled_scan_reruns_on_hit_overflow(monkeypatch):
         calls.append((threading.get_ident(), lanes, base, found > cap))
         return found
 
-    monkeypatch.setattr(experiment, "_kernel", lambda params: counted)
+    monkeypatch.setattr(experiment, "_lane_kernels", lambda params: kernels._replace(scan=counted))
     monkeypatch.setattr(experiment, "_CALL_HITS", 1)
     spec = slab_spec(8, magnify_exp=4, target_points=3000)
     state = seed_state(5, P8)
@@ -447,17 +448,16 @@ def plain_only_library(tmp_path, params):
 
 def test_plain_only_library_starts_lanes_as_numpy_does(monkeypatch, tmp_path):
     # the library that targets other than x86-64 build holds the same xs_lane_starts
-    if shutil.which("gcc") is None:
-        pytest.skip("no gcc on PATH")
     for params in (DEFAULT_PARAMS, Params(26, 19, 5)):
         plain = plain_only_library(tmp_path, params).xs_lane_starts
         plain.restype, plain.argtypes = None, experiment._STARTS_ARGTYPES
+        kernels = experiment._lane_kernels(params)._replace(starts=plain)
         state = seed_state(3, params)
         start = np.array([[state.s0], [state.s1]], dtype=np.uint64)
         for lanes, seg_len in ((1, 1), (100, 13), (65536, 782), (3, (1 << 40) + 3)):
-            want = _both_starts(monkeypatch, params, state, lanes, seg_len)[-1]
+            want = lane_starts(params, start, lanes, seg_len)
             with monkeypatch.context() as mp:
-                mp.setattr(experiment, "_starts_kernel", lambda params: plain)
+                mp.setattr(experiment, "_lane_kernels", lambda params: kernels)
                 starts, nxt = experiment._lane_starts(params, start, lanes, seg_len)
             case = (params, lanes, seg_len)
             assert np.array_equal(starts, want[0]) and np.array_equal(nxt, want[1]), case
@@ -470,17 +470,14 @@ def test_compiled_kernel_matches_numpy_scan(tmp_path):
     # segment's last step (one of them at the slab's last output) sit at chunk
     # edges, in a segment's partial last chunk, and in a padded last group;
     # one planted at t = seg_len lies one step past the segment.  The kernel
-    # stores hits by group, then t, then lane; _scan_block by t, then lane.
+    # stores hits by group, then t, then lane; scan_block by t, then lane.
     # Both record a hit's stream offset base + lane*seg_len + t, checked at
     # base 0 and at a base past 2**32.
     # Each triple has a library of its own, (26, 19, 5) one with a small c;
     # besides the library's choice, every build the CPU supports is checked,
     # and the library other targets than x86-64 build.
     for params in (DEFAULT_PARAMS, Params(26, 19, 5)):
-        kernel = experiment._kernel(params)
-        if kernel is None:
-            pytest.skip("the lane-scan kernel cannot be built here")
-        kernels = {"library": kernel, **kernel_builds(tmp_path, params)}
+        kernels = {"library": experiment._lane_kernels(params).scan, **kernel_builds(tmp_path, params)}
         rng = np.random.default_rng(11)
         for e in (12, 13, 14, 23, 40):
             last_in = (1 << (64 - e)) - 1
@@ -499,10 +496,9 @@ def test_compiled_kernel_matches_numpy_scan(tmp_path):
                                 s = _unstep(*s, params)
                             hi[lane], lo[lane] = s
                         for base in (0, (1 << 40) + 5):
-                            scratch = [np.empty(lanes, dtype=np.uint64) for _ in range(3)]
                             ref = np.concatenate([np.empty((3, 0), dtype=np.uint64),
-                                                  *_scan_block(hi.copy(), lo.copy(), scratch, params, seg_len,
-                                                               base, last_in)], axis=1)
+                                                  *scan_block(hi.copy(), lo.copy(), params, seg_len, base,
+                                                              last_in)], axis=1)
                             hit_lane, hit_t = np.divmod(ref[0] - np.uint64(base), np.uint64(seg_len))
                             ref = ref[:, np.lexsort((hit_lane, hit_t, hit_lane // np.uint64(32)))]
                             assert ref.shape[1] >= sum(t < seg_len for t in times[run : run + lanes])
@@ -520,25 +516,21 @@ def test_compiled_kernel_matches_numpy_scan(tmp_path):
 
 @pytest.fixture
 def fresh_kernel():
-    """_kernel and _starts_kernel looked up afresh in the test, and again after it."""
-    experiment._kernel.cache_clear()
-    experiment._starts_kernel.cache_clear()
+    """_lane_kernels looked up afresh in the test, and again after it."""
+    experiment._lane_kernels.cache_clear()
     yield
-    experiment._kernel.cache_clear()
-    experiment._starts_kernel.cache_clear()
+    experiment._lane_kernels.cache_clear()
 
 
 def test_kernels_of_different_triples_never_mix(monkeypatch, tmp_path, fresh_kernel):
     # one process scans with two triples and returns to the first: each
     # scan runs its own triple's library, and the cache holds one per triple
-    if shutil.which("gcc") is None:
-        pytest.skip("no gcc on PATH")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     spec = slab_spec(8, magnify_exp=12, target_points=60)
     for params in (DEFAULT_PARAMS, P8, DEFAULT_PARAMS):
         state = seed_state(16, params)
         seq = reference_sample(state, spec, 1_000_000)
-        assert experiment._kernel(params) is not None
+        experiment._lane_kernels(params)
         assert_same_sample(slab_sample(state, spec, scan_cap=1_000_000), seq)
     assert [p.suffix for p in (tmp_path / "xsplanes").iterdir()] == [".so", ".so"]
 
@@ -554,15 +546,17 @@ def test_kernel_cache_ignores_relative_xdg_cache_home(monkeypatch, tmp_path, fre
     absolute = tmp_path / "xdg"
     monkeypatch.setenv("XDG_CACHE_HOME", str(absolute) if xdg == "absolute" else xdg)
     dirs = []
-    monkeypatch.setattr(experiment, "_load_kernel", lambda cache_dir, source, defines: dirs.append(cache_dir))
-    experiment._kernel(P8)
+    monkeypatch.setattr(experiment, "_load_kernel",
+                        lambda cache_dir, source, defines: dirs.append(cache_dir) or mock.MagicMock())
+    experiment._lane_kernels(P8)
     cache = absolute if xdg == "absolute" else home / ".cache"
     assert dirs == [cache / "xsplanes"]
 
 
-def test_kernel_without_home_falls_back_to_numpy(monkeypatch, fresh_kernel):
-    # with no HOME and no passwd entry the home directory cannot be found;
-    # the scan then runs in numpy instead of failing
+def test_kernel_without_home_raises(monkeypatch, fresh_kernel):
+    # with no HOME and no passwd entry the home directory cannot be found,
+    # so there is no cache to build the library into: the scan raises
+    # KernelError, in one line that names gcc and the cache it looked for
     import pwd
 
     def no_entry(uid):
@@ -571,21 +565,18 @@ def test_kernel_without_home_falls_back_to_numpy(monkeypatch, fresh_kernel):
     monkeypatch.delenv("XDG_CACHE_HOME")
     monkeypatch.delenv("HOME", raising=False)
     monkeypatch.setattr(pwd, "getpwuid", no_entry)
-    assert experiment._kernel(P8) is None and experiment._starts_kernel(P8) is None
-    spec = slab_spec(8, magnify_exp=12, target_points=60)
-    state = seed_state(16, P8)
-    seq = reference_sample(state, spec, 1_000_000)
-    assert_same_sample(slab_sample(state, spec, scan_cap=1_000_000), seq)
+    for load in (lambda: experiment._lane_kernels(P8),
+                 lambda: slab_sample(seed_state(16, P8), slab_spec(8, magnify_exp=12, target_points=60))):
+        with pytest.raises(KernelError) as error:
+            load()
+        assert_names_gcc_and_cache(error, "~/.cache/xsplanes")
 
 
 def test_concurrent_first_compiles_both_load(tmp_path):
     # two first runs at once share one empty cache; each must load a whole library
-    if shutil.which("gcc") is None:
-        pytest.skip("no gcc on PATH")
     src = os.path.dirname(os.path.dirname(experiment.__file__))
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=src)
-    code = ("from xsplanes.experiment import DEFAULT_PARAMS, _kernel; "
-            "assert _kernel(DEFAULT_PARAMS) is not None")
+    code = "from xsplanes.experiment import DEFAULT_PARAMS, _lane_kernels; _lane_kernels(DEFAULT_PARAMS)"
     procs = [subprocess.Popen([sys.executable, "-c", code], env=env) for _ in range(2)]
     assert [p.wait(timeout=120) for p in procs] == [0, 0]
     assert [p.suffix for p in (tmp_path / "xsplanes").iterdir()] == [".so"]
@@ -615,8 +606,8 @@ def test_slab_sample_holds_each_hit_row_once(monkeypatch):
     # the (offset, s0, s1) hit rows are copied out of the lane scan once, into
     # one array; a second copy of every row took 120 bytes a target point
     spec, state = SlabSpec(4, 1 << 16), seed_state(1)
-    for kernel in lane_kernels(DEFAULT_PARAMS):
-        monkeypatch.setattr(experiment, "_kernel", lambda params: kernel)
+    for scan in lane_scans(DEFAULT_PARAMS):
+        monkeypatch.setattr(experiment, "_scan_compiled", scan)
         want = slab_sample(state, spec)  # loads the kernel outside the measure
         tracemalloc.start()
         try:
@@ -625,7 +616,7 @@ def test_slab_sample_holds_each_hit_row_once(monkeypatch):
         finally:
             tracemalloc.stop()
         assert_same_sample(got, want)
-        assert peak <= 100 * spec.target_points, (kernel, peak / spec.target_points)
+        assert peak <= 100 * spec.target_points, (scan, peak / spec.target_points)
 
 
 def test_slab_sample_acceptance_rate_consistency():
@@ -768,46 +759,29 @@ def test_control_baseline_near_uniform_union_measure():
     assert abs(frac - expect) <= 4 * sigma
 
 
-def compiled_control():
-    """The compiled control count; the test is skipped where it cannot be built."""
-    kernel = experiment._control_kernel()
-    if kernel is None:
-        pytest.skip("no compiled control kernel")
-    return kernel
-
-
 @pytest.mark.parametrize("a", [1, 8, 23, 50, 51, 52, 62])
-def test_control_kernel_matches_numpy_philox(monkeypatch, a):
+def test_control_kernel_matches_numpy_philox(a):
     # the kernel draws numpy's Philox stream across the 4-word block edges
-    # and the numpy path's 32,768-point chunk edges, for keys at both ends
-    # of both key words
-    kernel = compiled_control()
+    # and the numpy reference's 32,768-point chunk edges, for keys at both
+    # ends of both key words
     fam = family(a)
     for n in (1, 2, 3, 4, 5, 32767, 32768, 32769, 100001):
         for key in (0, 1, (1 << 64) - 1, 1 << 64, (1 << 128) - 1):
             for eps in (0.0, 2.0**-10, 0.5):
-                monkeypatch.setattr(experiment, "_control_kernel", lambda: kernel)
-                got = control_baseline(n, fam, eps, key)
-                monkeypatch.setattr(experiment, "_control_kernel", lambda: None)
-                assert got == control_baseline(n, fam, eps, key), (n, key, eps)
+                assert control_baseline(n, fam, eps, key) == reference_control(n, fam, eps, key), (n, key, eps)
 
 
-def test_control_kernel_matches_numpy_philox_across_keys(monkeypatch):
+def test_control_kernel_matches_numpy_philox_across_keys():
     # about 2,000 hits a key: a wrong word anywhere in the stream would move the count
-    kernel = compiled_control()
     fam = family(23)
     keys = [271828 + 7919 * i for i in range(40)] + [(1 << 127) + 12345 * i for i in range(10)]
     for key in keys:
-        monkeypatch.setattr(experiment, "_control_kernel", lambda: kernel)
-        got = control_baseline(1 << 17, fam, 2.0**-10, key)
-        monkeypatch.setattr(experiment, "_control_kernel", lambda: None)
-        assert got == control_baseline(1 << 17, fam, 2.0**-10, key), key
+        assert control_baseline(1 << 17, fam, 2.0**-10, key) == reference_control(1 << 17, fam, 2.0**-10, key), key
 
 
 def test_control_kernel_in_slices_matches_one_call(monkeypatch):
     # the compiled control count carries the Philox counter from call to
     # call, so calls of 8 points count what one call and numpy's Philox count
-    compiled_control()
     fam = family(23)
     for n in (1, 4, 7, 8, 9, 16, 17, 1001):
         for key in (1, (1 << 128) - 1):
@@ -815,28 +789,23 @@ def test_control_kernel_in_slices_matches_one_call(monkeypatch):
             with monkeypatch.context() as mp:
                 mp.setattr(experiment, "_CALL_POINTS", 8)
                 sliced = control_baseline(n, fam, 2.0**-6, key)
-                mp.setattr(experiment, "_control_kernel", lambda: None)
-                assert sliced == one_call == control_baseline(n, fam, 2.0**-6, key), (n, key)
+            assert sliced == one_call == reference_control(n, fam, 2.0**-6, key), (n, key)
 
 
-def test_control_baseline_rejects_values_ctypes_would_wrap(monkeypatch):
+def test_control_baseline_rejects_values_ctypes_would_wrap():
     # ctypes would wrap key 2**128 to 0, key -1 to 2**64 - 1 and 2**64 + 3
-    # points to 3; both paths refuse them, the keys as Philox does
-    for kernel in (experiment._control_kernel(), None):
-        monkeypatch.setattr(experiment, "_control_kernel", lambda: kernel)
-        for key in (1 << 128, -1):
-            with pytest.raises(ValueError, match="control_seed"):
-                control_baseline(100, family(8), 2.0**-10, key)
-        for n in (1 << 63, (1 << 64) + 3):
-            with pytest.raises(ValueError, match="n_points"):
-                control_baseline(n, family(8), 2.0**-10, 1)
+    # points to 3; control_baseline refuses them, the keys as Philox does
+    for key in (1 << 128, -1):
+        with pytest.raises(ValueError, match="control_seed"):
+            control_baseline(100, family(8), 2.0**-10, key)
+    for n in (1 << 63, (1 << 64) + 3):
+        with pytest.raises(ValueError, match="n_points"):
+            control_baseline(n, family(8), 2.0**-10, 1)
 
 
 def test_compiled_run_never_imports_numpy_random():
     # with the compiled control count, numpy.random (and the OpenSSL
     # modules it pulls in) stays out of a planes run
-    if shutil.which("gcc") is None:
-        pytest.skip("no gcc on PATH")
     code = """
 import contextlib, io, sys
 from xsplanes.cli import main
@@ -934,12 +903,12 @@ def test_census_against_independent_recount():
     assert census.carry_leak_frequency == leak
 
 
-# The numpy census runs min(L, n) lanes of ceil(n / L) steps, L = _CENSUS_LANES.
-L = _CENSUS_LANES
+# The numpy census reference runs min(L, n) lanes of ceil(n / L) steps,
+# L = CENSUS_LANES.
+L = CENSUS_LANES
 # Counts whose last lanes are short or empty: at 4 steps a lane, lane
 # L - 1 runs 0, 1 or 2 steps (8188, 8189, 8190); at 8, 2 or 3 (16378,
-# 16379).  Their ids say "seam": the chunked numpy census these counts were
-# first chosen for rejoined its chunks there.
+# 16379).  One step is one lane of one step.
 _SHORT_LAST_LANE = (8188, 8189, 8190, 16378, 16379)
 
 
@@ -949,19 +918,20 @@ _SHORT_LAST_LANE = (8188, 8189, 8190, 16378, 16379)
         # 9 steps a lane: lane 1931 runs 6 steps and the lanes after it none
         pytest.param(Params(23, 17, 26), 3, 17385, id="params0-3"),
         pytest.param(Params(5, 9, 11), 2, 17385, id="params1-2"),
-        *(pytest.param(Params(23, 17, 26), 3, n, id=f"seam-{n}") for n in (1, *_SHORT_LAST_LANE)),
+        *(pytest.param(Params(23, 17, 26), 3, n, id=f"last-lane-{n}") for n in (1, *_SHORT_LAST_LANE)),
         # the lane edges: fewer steps than lanes, one step a lane, two and three
         *(pytest.param(Params(23, 17, 26), 3, n, id=f"lanes-{n}") for n in (L - 1, L, L + 1, 2 * L - 1, 2 * L + 1)),
         pytest.param(Params(26, 19, 5), 3, 16379, id="small-c"),
     ],
 )
 def test_census_recount_across_chunks(params, n_bits, n_steps):
+    # the compiled census and the numpy reference, whose lane layout the ids name
     state = seed_state(10, params)
-    census = case_census(state, n_steps, n_bits)
     grid, compound, leak = _recount(state, n_steps, n_bits)
-    assert census.grid == grid
-    assert census.compound_frequency == compound
-    assert census.carry_leak_frequency == leak
+    for census in (case_census(state, n_steps, n_bits), reference_census(state, n_steps, n_bits)):
+        assert census.grid == grid
+        assert census.compound_frequency == compound
+        assert census.carry_leak_frequency == leak
 
 
 _CENSUS_STEPS = (1, 2, 3, 4, L - 1, L, L + 1, 2 * L - 1, 2 * L + 1, 8188, 8190, 16379)
@@ -984,65 +954,52 @@ def _recounted_steps(state, n_bits):
         pytest.param(GenState(1, 1, Params(23, 17, 26)), id="degenerate"),
     ],
 )
-def test_census_kernel_matches_numpy(monkeypatch, start, n_bits, n_steps):
+def test_census_kernel_matches_numpy(start, n_bits, n_steps):
     # the compiled census walks the stream one step at a time from the
-    # start; the numpy census runs the same walk on lanes side by side.
+    # start; the numpy reference runs the same walk on lanes side by side.
     # Each matches the scalar recount, and so each other, over the first
     # steps, at the lane edges and where the last lane is short or empty
     want = _tally(_recounted_steps(start, n_bits)[:n_steps])
-    kernel = experiment._census_kernel(start.params)
-    got = []
-    for path in ([kernel] if kernel is not None else []) + [None]:
-        monkeypatch.setattr(experiment, "_census_kernel", lambda params: path)
-        census = case_census(start, n_steps, n_bits)
+    got = [case_census(start, n_steps, n_bits), reference_census(start, n_steps, n_bits)]
+    for path, census in enumerate(got):
         assert (census.grid, census.compound_frequency, census.carry_leak_frequency) == want, path
-        got.append(census)
     assert got[0] == got[-1]
 
 
 def test_compiled_census_pays_no_jump_ahead(monkeypatch):
     # the compiled census walks the stream from the start state; only the
-    # numpy census starts lanes by GF(2) jump-ahead
-    if shutil.which("gcc") is None:
-        pytest.skip("no gcc on PATH")
-    with monkeypatch.context() as mp:
-        mp.setattr(experiment, "_census_kernel", lambda params: None)
-        want = case_census(seed_state(1), 50000, 3)
+    # numpy reference starts lanes by GF(2) jump-ahead
+    want = reference_census(seed_state(1), 50000, 3)
 
     def jump_ahead(*args):
         raise AssertionError("census jumped ahead")
 
     monkeypatch.setattr(experiment, "_lane_starts", jump_ahead)
-    monkeypatch.setattr(experiment, "mat_pow", jump_ahead)
     assert case_census(seed_state(1), 50000, 3) == want
 
 
 def test_compiled_census_in_slices_matches_one_call(monkeypatch):
     # the compiled census carries the state from call to call, so calls of
-    # 7 steps count what one call and the numpy census count
+    # 7 steps count what one call and the numpy reference count
     start = seed_state(10)
-    if experiment._census_kernel(start.params) is None:
-        pytest.skip("no compiled census")
     for n_steps in (1, 6, 7, 8, 14, 15, 1000):
         for n_bits in (1, 3):
             one_call = case_census(start, n_steps, n_bits)
             with monkeypatch.context() as mp:
                 mp.setattr(experiment, "_CALL_STEPS", 7)
                 sliced = case_census(start, n_steps, n_bits)
-                mp.setattr(experiment, "_census_kernel", lambda params: None)
-                assert sliced == one_call == case_census(start, n_steps, n_bits), (n_steps, n_bits)
+            assert sliced == one_call == reference_census(start, n_steps, n_bits), (n_steps, n_bits)
 
 
-def test_numpy_census_memory_does_not_grow_with_steps(monkeypatch):
-    # the numpy census holds a few arrays of _CENSUS_LANES words, however
-    # many steps each lane walks
-    monkeypatch.setattr(experiment, "_census_kernel", lambda params: None)
-    case_census(seed_state(1), 1000, 3)  # first-use allocations outside the measure
+def test_numpy_census_memory_does_not_grow_with_steps():
+    # the numpy census reference, which CI runs over 4,000,000 steps, holds
+    # a few arrays of CENSUS_LANES words, however many steps each lane walks
+    reference_census(seed_state(1), 1000, 3)  # first-use allocations outside the measure
     peaks = []
     for n_steps in (1 << 16, 1 << 20):
         tracemalloc.start()
         try:
-            case_census(seed_state(1), n_steps, 3)
+            reference_census(seed_state(1), n_steps, 3)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
