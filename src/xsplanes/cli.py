@@ -23,7 +23,10 @@ from .xorapprox import compound_probability, count_cases, verify_xor_diff, verif
 
 
 def _hex_word(text: str) -> int:
-    value = int(text, 16)
+    try:
+        value = int(text, 16)
+    except ValueError:  # argparse would name this function in its message
+        raise argparse.ArgumentTypeError(f"not a hex word: {text!r}") from None
     if not 0 <= value < 1 << 64:
         raise argparse.ArgumentTypeError(f"seed must fit in 64 bits, got {text}")
     return value

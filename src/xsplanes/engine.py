@@ -8,8 +8,8 @@ State is a pair of 64-bit words (s0, s1).  One step emits
 i.e. the shift-count triple (a, b, c) drives one left xorshift of s0,
 one right xorshift of the result, and one right xorshift of s1.  A word is
 read as a GF(2) row vector with its most significant bit first; the step is
-linear in the packed pair (s0 << 64) | s1, and the lane library (_lanes.c)
-raises its matrix to a power to start scans at exact offsets.
+linear in the packed pair (s0 << 64) | s1, and the stage library
+(_stages.c) raises its matrix to a power to start scans at exact offsets.
 """
 
 from dataclasses import dataclass
@@ -47,7 +47,7 @@ class Params:
             warnings.warn(
                 f"shifts b={self.b}, c={self.c}: top-bit approximation "
                 "analysis assumes b and c larger than 3",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, to the caller that made the Params
             )
 
 

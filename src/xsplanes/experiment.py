@@ -13,16 +13,18 @@ Scanning a slab at x_max = 2**-23 needs billions of triples per thousand
 kept points, so the scan starts many lane segments at exact stream
 offsets, jumping ahead by a power of the packed-pair transition map, and
 advances the lanes in one contiguous lane range per usable CPU.  Each stage
-has one implementation, a small C library compiled with gcc on first use
-into $XDG_CACHE_HOME/xsplanes and loaded with ctypes.  The lane library
-(_lanes.c) starts the lanes, advances them and walks the case census from
-the seed state; the tests hold a plain sequential scan, one Python-int step
-at a time, and numpy versions of each stage as references.  A second
-library (_text.c) formats the CSV text and a third (_control.c) draws the
-control's Philox stream and counts its hits without allocating.  Where gcc
-or the cache directory is missing, or a library cannot be built or loaded,
-the stage that needs it raises KernelError, and the planes and census
-commands exit 2 before any output.
+has one implementation, in one of two small C libraries compiled with gcc
+on first use into $XDG_CACHE_HOME/xsplanes and loaded with ctypes.  The
+scan library (_lanes.c), built once per shift triple with the shifts as
+constants, advances the lanes.  The stage library (_stages.c), built once
+per machine, starts the lanes and walks the case census from the seed
+state, taking the shifts as arguments, draws the control's Philox stream
+and counts its hits without allocating, and formats the CSV text.  The
+tests hold a plain sequential scan, one Python-int step at a time, and
+numpy versions of each stage as references.  Where gcc or the cache
+directory is missing, or a library cannot be built or loaded, the stage
+that needs it raises KernelError, and the planes and census commands exit
+2 before any output.
 
 The CSV files hold each coordinate as Python's '%.17g' text.  One writer
 passes the rows of points.csv and of each mesh to the formatter, a buffer's
@@ -36,7 +38,6 @@ the run, so a run that fails leaves no report.  Every file goes through
 a temp file of its own, <name>.<pid>.<n>.tmp, renamed into place.
 """
 
-from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 import ctypes
@@ -70,12 +71,16 @@ _LANES_PER_WORKER = 1 << 15
 # sigma above the mean), which keeps it under glibc's 128 KB mmap
 # threshold: a buffer for a worker's whole range raised wide-slab's peak
 # RSS by 1 MB.  A call's lanes are a multiple of the kernel's group of 32
-# interleaved lanes.  Each shift triple has its own library, compiled with
-# the counts as constants on the triple's first scan.  On x86-64 a library
-# holds AVX-512, AVX2 and plain builds of the scan and picks one by the
-# CPU's features at each call, so a cached library runs on any x86-64 CPU;
-# other targets build the plain scan alone.
+# interleaved lanes.  Each shift triple has its own scan library, compiled
+# with the counts as constants on the triple's first scan; run-time shifts
+# made the scan about 30% slower.  On x86-64 a scan library holds AVX-512,
+# AVX2 and plain builds and picks one by the CPU's features at each call,
+# so a cached library runs on any x86-64 CPU; other targets build the
+# plain scan alone.  The other stages take the shifts as arguments and
+# share one library for every triple; so the lane starts run as fast as
+# with constant shifts, and the census about 4% slower.
 _LANES_SOURCE = Path(__file__).with_name("_lanes.c")
+_STAGES_SOURCE = Path(__file__).with_name("_stages.c")
 _CFLAGS = ("-O3", "-shared", "-fPIC")
 _CALL_TRIPLES = 1 << 28
 _CALL_HITS = 1 << 11
@@ -83,16 +88,10 @@ _GROUP = 32
 # xs_scan_lanes(hi, lo, lanes, seg_len, base, last_in, hits, cap) -> number of hits
 _LANES_ARGTYPES = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_uint64,
                    ctypes.c_uint64, ctypes.c_void_p, ctypes.c_int64)
-# xs_census(s, n_steps, n_bits, cx, cy, counts, leaks) -> compound steps, from the same library
-_CENSUS_ARGTYPES = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
-                    ctypes.c_void_p, ctypes.c_void_p)
-# xs_lane_starts(s, lanes, seg_len, hi, lo), from the same library
-_STARTS_ARGTYPES = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)
-# The compiled control count (_control.c) and census allocate nothing.  A
-# call runs at most _CALL_POINTS points (a multiple of Philox's 4 points in
-# 3 blocks) or _CALL_STEPS steps, about 0.1 s, and carries its counter or
-# state on, so the calling thread serves an interrupt between calls.
-_CONTROL_SOURCE = Path(__file__).with_name("_control.c")
+# The compiled control count and census allocate nothing.  A call runs at
+# most _CALL_POINTS points (a multiple of Philox's 4 points in 3 blocks) or
+# _CALL_STEPS steps, about 0.1 s, and carries its counter or state on, so
+# the calling thread serves an interrupt between calls.
 _CALL_POINTS = _CALL_STEPS = 1 << 22
 # The hit rows and points grow with the target, not with the triples scanned:
 # a planes run of 2**22 points at x < 2**-1 peaks at 470-490 MB RSS (2-core
@@ -195,7 +194,8 @@ def _lane_starts(params, start, lanes, seg_len):
     """
     starts = np.empty((2, lanes), dtype=np.uint64)
     s = (ctypes.c_uint64 * 2)(*start.ravel().tolist())
-    _lane_kernels(params).starts(s, lanes, seg_len, starts[0].ctypes.data, starts[1].ctypes.data)
+    _stages().xs_lane_starts(params.a, params.b, params.c, s, lanes, seg_len, starts[0].ctypes.data,
+                             starts[1].ctypes.data)
     return starts, np.array([[s[0]], [s[1]]], dtype=np.uint64)
 
 
@@ -239,7 +239,7 @@ def _load_kernel(cache_dir: Path, source: Path, defines: tuple[str, ...] = ()):
 
 
 def _compiled(source: Path, defines: tuple[str, ...], signatures: dict):
-    """The functions of source's library from $XDG_CACHE_HOME/xsplanes, by name, typed for ctypes.
+    """source's library from $XDG_CACHE_HOME/xsplanes, its functions typed for ctypes.
 
     signatures maps each function's name to its (restype, argtypes).  As
     the XDG spec asks, a relative XDG_CACHE_HOME is ignored for ~/.cache.
@@ -254,29 +254,33 @@ def _compiled(source: Path, defines: tuple[str, ...], signatures: dict):
             raise _need_gcc(f"{source.name}: no cache directory ($XDG_CACHE_HOME/xsplanes or ~/.cache/xsplanes)",
                             exc) from exc
     library = _load_kernel(cache_home / "xsplanes", source, defines)
-    functions = []
     for name, (restype, argtypes) in signatures.items():
         function = getattr(library, name)
         function.restype, function.argtypes = restype, argtypes
-        functions.append(function)
-    return functions
+    return library
 
 
 def _shift_defines(params: Params) -> tuple[str, ...]:
     return (f"-DSHIFT_A={params.a}", f"-DSHIFT_B={params.b}", f"-DSHIFT_C={params.c}")
 
 
-_LaneKernels = namedtuple("_LaneKernels", "scan starts census")
+@functools.cache
+def _scan_kernel(params: Params):
+    """xs_scan_lanes compiled for params, its library loaded once per triple."""
+    library = _compiled(_LANES_SOURCE, _shift_defines(params), {"xs_scan_lanes": (ctypes.c_int64, _LANES_ARGTYPES)})
+    return library.xs_scan_lanes
 
 
 @functools.cache
-def _lane_kernels(params: Params) -> _LaneKernels:
-    """The lane scan, lane starts and census compiled for params, one library loaded once per triple."""
-    return _LaneKernels(*_compiled(_LANES_SOURCE, _shift_defines(params), {
-        "xs_scan_lanes": (ctypes.c_int64, _LANES_ARGTYPES),
-        "xs_lane_starts": (None, _STARTS_ARGTYPES),
-        "xs_census": (ctypes.c_int64, _CENSUS_ARGTYPES),
-    }))
+def _stages():
+    """The library of xs_lane_starts, xs_census, xs_control_hits and xs_format_rows, loaded once per process."""
+    ptr, i32, i64, u64 = ctypes.c_void_p, ctypes.c_int, ctypes.c_int64, ctypes.c_uint64
+    return _compiled(_STAGES_SOURCE, (), {
+        "xs_lane_starts": (None, [i32, i32, i32, ptr, i64, i64, ptr, ptr]),
+        "xs_census": (i64, [i32, i32, i32, ptr, i64, i64, ptr, ptr, ptr, ptr]),
+        "xs_control_hits": (i64, [u64, u64, ptr, i64, ptr, ptr, u64]),
+        "xs_format_rows": (i64, [ptr, i64, ptr, i64, ptr]),
+    })
 
 
 def _scan_compiled(kernel, hi, lo, seg_len, base, last_in):
@@ -314,7 +318,7 @@ def _scan_lanes(hi, lo, params, seg_len, base, last_in):
     n = hi.shape[0]
     k = min(_WORKERS, n)
     bounds = [n * i // k for i in range(k + 1)]
-    kernel = _lane_kernels(params).scan
+    kernel = _scan_kernel(params)
     found = [None] * k
 
     def scan(i):
@@ -415,14 +419,6 @@ def _check_control(n_points: int, control_seed: int) -> None:
         raise ValueError(f"control_seed must be in 0..2**128-1, got {control_seed}")
 
 
-@functools.cache
-def _control_kernel():
-    """The compiled Philox control count, loaded once per process."""
-    ptr, i64, u64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64
-    (kernel,) = _compiled(_CONTROL_SOURCE, (), {"xs_control_hits": (i64, [u64, u64, ptr, i64, ptr, ptr, u64])})
-    return kernel
-
-
 def control_baseline(n_points: int, fam: PlaneFamily, epsilon: float, control_seed: int) -> float:
     """Hit fraction of uniform cube points from a counter-based generator.
 
@@ -440,7 +436,7 @@ def control_baseline(n_points: int, fam: PlaneFamily, epsilon: float, control_se
     """
     _check_control(n_points, control_seed)
     thr = epsilon_threshold(epsilon)
-    kernel = _control_kernel()
+    kernel = _stages().xs_control_hits
     c = (ctypes.c_uint64 * 8)(*(p.sign_x * p.m & MASK64 for p in fam.planes))
     sy = (ctypes.c_uint64 * 8)(*(p.sign_y & MASK64 for p in fam.planes))
     ctr, k0, k1 = (ctypes.c_uint64 * 4)(), control_seed & MASK64, control_seed >> 64
@@ -479,12 +475,12 @@ def case_census(state: GenState, n_steps: int, n_bits: int) -> CaseCensus:
     satisfied cells whose predicted plane value cx*x + cy*y misses the top
     n_bits of the actual output z.
 
-    The compiled census (xs_census in _lanes.c) walks the stream from the
+    The compiled census (xs_census in _stages.c) walks the stream from the
     state, _CALL_STEPS steps a call.
     """
     _check_census(n_steps, n_bits)
     params = state.params
-    kernel = _lane_kernels(params).census
+    kernel = functools.partial(_stages().xs_census, params.a, params.b, params.c)
     pairs = [(o, i) for o in COMBINE_ORDER for i in COMBINE_ORDER]
     coeffs = [[c & MASK64 for c in plane_coefficients(o, i, params.a)] for o, i in pairs]
     cx, cy = ((ctypes.c_uint64 * 9)(*column) for column in zip(*coeffs))
@@ -567,22 +563,13 @@ class HitReport:
 
 
 _TMP_IDS = itertools.count()
-# The compiled CSV formatter (_text.c) writes at most _ROW_BYTES bytes a
-# row and one a blank line.  A file is formatted a call at a time into one
-# buffer of _ROW_BYTES * _TEXT_ROWS bytes, a call's rows and blank lines
-# filling at most that, so the buffer, and the float64 rows of a call,
-# stay small however many points or strips are written.
-_TEXT_SOURCE = Path(__file__).with_name("_text.c")
+# The compiled CSV formatter (xs_format_rows) writes at most _ROW_BYTES
+# bytes a row and one a blank line.  A file is formatted a call at a time
+# into one buffer of _ROW_BYTES * _TEXT_ROWS bytes, a call's rows and blank
+# lines filling at most that, so the buffer, and the float64 rows of a
+# call, stay small however many points or strips are written.
 _ROW_BYTES = 75
 _TEXT_ROWS = 1 << 11
-
-
-@functools.cache
-def _text_kernel():
-    """The compiled %.17g row formatter, loaded once per process."""
-    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    (fmt,) = _compiled(_TEXT_SOURCE, (), {"xs_format_rows": (i64, [ptr, i64, ptr, i64, ptr])})
-    return fmt
 
 
 def _format_rows(fmt, values, buf: np.ndarray, breaks=()) -> memoryview:
@@ -632,7 +619,7 @@ def _write_rows(path: Path, head: str, blocks) -> None:
     one at a time as the file is written.
     """
     size = _ROW_BYTES * _TEXT_ROWS
-    text = functools.partial(_format_rows, _text_kernel(), buf=np.empty(size, dtype=np.uint8))
+    text = functools.partial(_format_rows, _stages().xs_format_rows, buf=np.empty(size, dtype=np.uint8))
 
     def calls():
         yield head
@@ -680,14 +667,13 @@ def write_mesh_csv(path, strips) -> None:
 
 
 def load_kernels(params: Params) -> None:
-    """Load, building on a miss, the lane, control and text libraries that run_experiment uses for params.
+    """Load, building on a miss, the scan library for params and the stage library that run_experiment uses.
 
     Raises KernelError where one cannot be built or loaded, so a caller can
     check them before it starts a run.
     """
-    _lane_kernels(params)
-    _control_kernel()
-    _text_kernel()
+    _scan_kernel(params)
+    _stages()
 
 
 def run_experiment(cfg: ExperimentConfig) -> HitReport:

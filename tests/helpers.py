@@ -387,7 +387,12 @@ def python_format_rows(values, n, breaks, n_breaks, buf) -> int:
 
 def text_paths():
     """The CSV formatters to test: the compiled one, then python_format_rows in its place."""
-    return [experiment._text_kernel(), python_format_rows]
+    return [experiment._stages().xs_format_rows, python_format_rows]
+
+
+def use_formatter(mp, fmt):
+    """Have experiment write CSV text with fmt, one of text_paths(), until mp is undone."""
+    mp.setattr(experiment._stages(), "xs_format_rows", fmt)
 
 
 @contextlib.contextmanager
@@ -396,7 +401,7 @@ def reference_stages(params):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiment, "_scan_compiled", numpy_scan(params))
         mp.setattr(experiment, "_lane_starts", lane_starts)
-        mp.setattr(experiment, "_text_kernel", lambda: python_format_rows)
+        use_formatter(mp, python_format_rows)
         for module in (experiment, cli):
             mp.setattr(module, "control_baseline", reference_control)
             mp.setattr(module, "case_census", reference_census)

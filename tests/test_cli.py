@@ -53,6 +53,26 @@ def test_gen_bad_seed_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [("gen", "--seed", "zz"), ("planes", "--control-seed", "zz"),
+                                  ("census", "--seed", "0x1g")], ids=" ".join)
+def test_bad_hex_word_exits_2_naming_the_value(capsys, argv):
+    # argparse's own message named the type function: "invalid _hex_word value: 'zz'"
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "_hex_word" not in err
+    assert err.splitlines()[-1].endswith(f"argument {argv[1]}: not a hex word: {argv[2]!r}"), err
+
+
+def test_small_shift_warning_names_the_cli_line(capsys):
+    # the warning points at the line that made the Params, not at the
+    # dataclass's generated __init__, which printed as "<string>:6"
+    with pytest.warns(UserWarning, match="b=2") as record:
+        assert main(["gen", "--b", "2", "--count", "1"]) == 0
+    assert [os.path.basename(w.filename) for w in record] == ["cli.py"]
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -313,9 +333,9 @@ def test_count_over_its_cap_exits_2_before_work(capsys, monkeypatch, argv):
     def no_work(*args):
         raise AssertionError("work started")
 
-    monkeypatch.setattr("xsplanes.experiment._lane_kernels", no_work)
+    monkeypatch.setattr("xsplanes.experiment._scan_kernel", no_work)
     monkeypatch.setattr("xsplanes.experiment._lane_starts", no_work)
-    monkeypatch.setattr("xsplanes.experiment._control_kernel", no_work)
+    monkeypatch.setattr("xsplanes.experiment._stages", no_work)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -444,3 +464,20 @@ def test_planes_and_census_without_gcc_exit_2_in_one_line(tmp_path):
         assert (without.returncode, without.stderr) == (0, "")
         assert (without.returncode, without.stdout, without.stderr) == (with_gcc.returncode, with_gcc.stdout,
                                                                         with_gcc.stderr)
+
+
+@pytest.mark.parametrize("argv, libraries", [
+    (["census", "--a", "26", "--b", "19", "--c", "5", "--steps", "1000"], ["stages"]),
+    (["planes", "--control-only"], ["stages"]),
+    ([*PLANES_ARGS, "--min-ratio", "0"], ["lanes", "stages"]),
+], ids=["census", "control-only", "planes"])
+def test_kernel_libraries_built_from_an_empty_cache(tmp_path, argv, libraries):
+    # only the lane scan is compiled per shift triple: census and the
+    # control baseline run from the stage library that serves every triple,
+    # and a planes run adds its triple's scan library to it
+    cache = tmp_path / "cache"
+    src = os.path.dirname(os.path.dirname(experiment.__file__))
+    env = dict(os.environ, XDG_CACHE_HOME=str(cache), PYTHONPATH=src)
+    subprocess.run([sys.executable, "-m", "xsplanes", *argv], env=env, cwd=tmp_path, capture_output=True, check=True,
+                   timeout=120)
+    assert sorted(p.name.split("-")[0] for p in (cache / "xsplanes").iterdir()) == libraries

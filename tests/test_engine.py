@@ -43,6 +43,14 @@ def test_params_small_bc_warns():
         Params(23, 17, 26)  # defaults are quiet
 
 
+def test_params_small_bc_warning_names_the_caller():
+    # the warning points at the line that made the Params, not at the
+    # dataclass's generated __init__ (filename "<string>")
+    with pytest.warns(UserWarning) as record:
+        Params(23, 17, 3)
+    assert [w.filename for w in record] == [__file__]
+
+
 def test_state_rejects_zero_pair():
     with pytest.raises(ValueError):
         GenState(0, 0)

@@ -34,6 +34,7 @@ from helpers import (
     reference_scan,
     scan_block,
     text_paths,
+    use_formatter,
 )
 from xsplanes import experiment
 from xsplanes.engine import (
@@ -327,16 +328,19 @@ def test_every_kernel_source_is_package_data():
     patterns = [p for line in section.splitlines() if line.startswith("xsplanes")
                 for p in ast.literal_eval(line.split("=", 1)[1].strip())]
     sources = sorted(p.name for p in (root / "src" / "xsplanes").glob("_*.c"))
-    assert {"_lanes.c", "_text.c", "_control.c"} <= set(sources)
+    assert sources == ["_lanes.c", "_stages.c"]
     assert [s for s in sources if not any(fnmatch.fnmatchcase(s, p) for p in patterns)] == []
 
 
 def test_compiled_kernel_in_use_where_gcc_is_found():
-    # gcc builds the lane library, its three functions load typed, and the scan runs through it
+    # gcc builds the scan and stage libraries, their five functions load typed, and the scan runs through them
     assert shutil.which("gcc") is not None
-    kernels = experiment._lane_kernels(P8)
-    assert [f.__name__ for f in kernels] == ["xs_scan_lanes", "xs_lane_starts", "xs_census"]
-    assert all(isinstance(f, ctypes._CFuncPtr) for f in kernels)
+    stages = experiment._stages()
+    kernels = [experiment._scan_kernel(P8), stages.xs_lane_starts, stages.xs_census, stages.xs_control_hits,
+               stages.xs_format_rows]
+    assert [f.__name__ for f in kernels] == ["xs_scan_lanes", "xs_lane_starts", "xs_census", "xs_control_hits",
+                                             "xs_format_rows"]
+    assert all(isinstance(f, ctypes._CFuncPtr) and f.argtypes for f in kernels)
     spec, state = slab_spec(8, None, 50), seed_state(3, P8)
     assert_same_sample(slab_sample(state, spec, scan_cap=500_000), reference_sample(state, spec, 500_000))
 
@@ -366,8 +370,7 @@ def test_kernel_build_failure_raises(monkeypatch, tmp_path, fresh_kernel, cflags
 def test_compiled_scan_reruns_on_hit_overflow(monkeypatch):
     # calls of 32 lanes and a first buffer of one hit: at x < 2**-4 the first call overflows
     # and is rerun with a buffer of the size it reports
-    kernels = experiment._lane_kernels(P8)
-    real = kernels.scan
+    real = experiment._scan_kernel(P8)
     calls = []  # (thread, lanes, base, overflowed) per call
 
     def counted(hi, lo, lanes, seg_len, base, last_in, hits, cap):
@@ -375,7 +378,7 @@ def test_compiled_scan_reruns_on_hit_overflow(monkeypatch):
         calls.append((threading.get_ident(), lanes, base, found > cap))
         return found
 
-    monkeypatch.setattr(experiment, "_lane_kernels", lambda params: kernels._replace(scan=counted))
+    monkeypatch.setattr(experiment, "_scan_kernel", lambda params: counted)
     monkeypatch.setattr(experiment, "_CALL_HITS", 1)
     spec = slab_spec(8, magnify_exp=4, target_points=3000)
     state = seed_state(5, P8)
@@ -426,7 +429,8 @@ def kernel_builds(tmp_path, params):
                       + "".join(f"int64_t build_{n}(PARAMS) {{ return {f}(ARGS); }}\n" for n, f in scans.items()))
     library = lanes_library(tmp_path, "builds", source, params)
     builds = {n: getattr(library, f"build_{n}") for n in scans if n == "plain" or n in flags}
-    builds["plain-only"] = plain_only_library(tmp_path, params).xs_scan_lanes
+    builds["plain-only"] = lanes_library(tmp_path, "plain-only", experiment._LANES_SOURCE, params,
+                                         ["-DPLAIN_SCAN_ONLY"]).xs_scan_lanes
     for build in builds.values():
         build.restype = ctypes.c_int64
         build.argtypes = experiment._LANES_ARGTYPES
@@ -434,33 +438,11 @@ def kernel_builds(tmp_path, params):
 
 
 def lanes_library(tmp_path, name, source, params, defines=()):
-    """source compiled for params as the lane library is, with the -D flags defines, and loaded."""
+    """source compiled for params as the scan library is, with the -D flags defines, and loaded."""
     lib = tmp_path / f"{name}-{params.a}-{params.b}-{params.c}.so"
     subprocess.run(["gcc", *experiment._CFLAGS, *experiment._shift_defines(params), *defines, "-o", str(lib),
                     str(source)], check=True)
     return ctypes.CDLL(str(lib))
-
-
-def plain_only_library(tmp_path, params):
-    """The lane library for params as targets other than x86-64 build it."""
-    return lanes_library(tmp_path, "plain-only", experiment._LANES_SOURCE, params, ["-DPLAIN_SCAN_ONLY"])
-
-
-def test_plain_only_library_starts_lanes_as_numpy_does(monkeypatch, tmp_path):
-    # the library that targets other than x86-64 build holds the same xs_lane_starts
-    for params in (DEFAULT_PARAMS, Params(26, 19, 5)):
-        plain = plain_only_library(tmp_path, params).xs_lane_starts
-        plain.restype, plain.argtypes = None, experiment._STARTS_ARGTYPES
-        kernels = experiment._lane_kernels(params)._replace(starts=plain)
-        state = seed_state(3, params)
-        start = np.array([[state.s0], [state.s1]], dtype=np.uint64)
-        for lanes, seg_len in ((1, 1), (100, 13), (65536, 782), (3, (1 << 40) + 3)):
-            want = lane_starts(params, start, lanes, seg_len)
-            with monkeypatch.context() as mp:
-                mp.setattr(experiment, "_lane_kernels", lambda params: kernels)
-                starts, nxt = experiment._lane_starts(params, start, lanes, seg_len)
-            case = (params, lanes, seg_len)
-            assert np.array_equal(starts, want[0]) and np.array_equal(nxt, want[1]), case
 
 
 def test_compiled_kernel_matches_numpy_scan(tmp_path):
@@ -477,7 +459,7 @@ def test_compiled_kernel_matches_numpy_scan(tmp_path):
     # besides the library's choice, every build the CPU supports is checked,
     # and the library other targets than x86-64 build.
     for params in (DEFAULT_PARAMS, Params(26, 19, 5)):
-        kernels = {"library": experiment._lane_kernels(params).scan, **kernel_builds(tmp_path, params)}
+        kernels = {"library": experiment._scan_kernel(params), **kernel_builds(tmp_path, params)}
         rng = np.random.default_rng(11)
         for e in (12, 13, 14, 23, 40):
             last_in = (1 << (64 - e)) - 1
@@ -516,23 +498,25 @@ def test_compiled_kernel_matches_numpy_scan(tmp_path):
 
 @pytest.fixture
 def fresh_kernel():
-    """_lane_kernels looked up afresh in the test, and again after it."""
-    experiment._lane_kernels.cache_clear()
+    """The scan and stage libraries looked up afresh in the test, and again after it."""
+    experiment._scan_kernel.cache_clear()
+    experiment._stages.cache_clear()
     yield
-    experiment._lane_kernels.cache_clear()
+    experiment._scan_kernel.cache_clear()
+    experiment._stages.cache_clear()
 
 
 def test_kernels_of_different_triples_never_mix(monkeypatch, tmp_path, fresh_kernel):
     # one process scans with two triples and returns to the first: each
-    # scan runs its own triple's library, and the cache holds one per triple
+    # scan runs its own triple's scan library, and the cache holds one per
+    # triple beside the one stage library that starts every triple's lanes
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     spec = slab_spec(8, magnify_exp=12, target_points=60)
     for params in (DEFAULT_PARAMS, P8, DEFAULT_PARAMS):
         state = seed_state(16, params)
         seq = reference_sample(state, spec, 1_000_000)
-        experiment._lane_kernels(params)
         assert_same_sample(slab_sample(state, spec, scan_cap=1_000_000), seq)
-    assert [p.suffix for p in (tmp_path / "xsplanes").iterdir()] == [".so", ".so"]
+    assert sorted(p.name.split("-")[0] for p in (tmp_path / "xsplanes").iterdir()) == ["lanes", "lanes", "stages"]
 
 
 @pytest.mark.parametrize("xdg", ["", "relative/cache", "absolute"])
@@ -548,7 +532,7 @@ def test_kernel_cache_ignores_relative_xdg_cache_home(monkeypatch, tmp_path, fre
     dirs = []
     monkeypatch.setattr(experiment, "_load_kernel",
                         lambda cache_dir, source, defines: dirs.append(cache_dir) or mock.MagicMock())
-    experiment._lane_kernels(P8)
+    experiment._scan_kernel(P8)
     cache = absolute if xdg == "absolute" else home / ".cache"
     assert dirs == [cache / "xsplanes"]
 
@@ -565,7 +549,7 @@ def test_kernel_without_home_raises(monkeypatch, fresh_kernel):
     monkeypatch.delenv("XDG_CACHE_HOME")
     monkeypatch.delenv("HOME", raising=False)
     monkeypatch.setattr(pwd, "getpwuid", no_entry)
-    for load in (lambda: experiment._lane_kernels(P8),
+    for load in (lambda: experiment._scan_kernel(P8), experiment._stages,
                  lambda: slab_sample(seed_state(16, P8), slab_spec(8, magnify_exp=12, target_points=60))):
         with pytest.raises(KernelError) as error:
             load()
@@ -576,7 +560,7 @@ def test_concurrent_first_compiles_both_load(tmp_path):
     # two first runs at once share one empty cache; each must load a whole library
     src = os.path.dirname(os.path.dirname(experiment.__file__))
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=src)
-    code = "from xsplanes.experiment import DEFAULT_PARAMS, _lane_kernels; _lane_kernels(DEFAULT_PARAMS)"
+    code = "from xsplanes.experiment import DEFAULT_PARAMS, _scan_kernel; _scan_kernel(DEFAULT_PARAMS)"
     procs = [subprocess.Popen([sys.executable, "-c", code], env=env) for _ in range(2)]
     assert [p.wait(timeout=120) for p in procs] == [0, 0]
     assert [p.suffix for p in (tmp_path / "xsplanes").iterdir()] == [".so"]
@@ -1100,7 +1084,7 @@ def test_write_mesh_csv_matches_reference(monkeypatch, tmp_path, a, e, grid):
     # array mesh and streaming writer, with either formatter, against the
     # scalar mesh and the per-vertex writer; at grid 2 every fragment is dropped
     for fmt in text_paths():
-        monkeypatch.setattr(experiment, "_text_kernel", lambda: fmt)
+        use_formatter(monkeypatch, fmt)
         for plane in family(a).planes:
             path = tmp_path / f"mesh_{plane.name}.csv"
             write_mesh_csv(path, mesh(plane, 2.0**-e, 2.0**e, grid))
@@ -1117,7 +1101,7 @@ def test_write_mesh_csv_keeps_negative_zero(monkeypatch, tmp_path):
     ]
     path = tmp_path / "mesh.csv"
     for fmt in text_paths():
-        monkeypatch.setattr(experiment, "_text_kernel", lambda: fmt)
+        use_formatter(monkeypatch, fmt)
         write_mesh_csv(path, strips)
         assert path.read_text() == reference_mesh_csv(strips)
         assert path.read_text().startswith("0.5,0,-0\n0.5,-0,0\n")
@@ -1163,10 +1147,10 @@ def test_write_mesh_csv_empty_strips_on_both_paths(monkeypatch, tmp_path):
     one = MeshStrip(0, np.array([[0.5, 0.0, 0.25]]))
     empty = MeshStrip(1, np.empty((0, 3)))
     path = tmp_path / "mesh.csv"
-    paths = text_paths()  # before _text_kernel is patched
+    paths = text_paths()  # before the formatter is patched
     for strips in ([], [empty], [one, empty, one], [empty, one], *batched_strips()):
         for fmt in paths:
-            monkeypatch.setattr(experiment, "_text_kernel", lambda: fmt)
+            use_formatter(monkeypatch, fmt)
             write_mesh_csv(path, strips)
             assert path.read_text() == reference_mesh_csv(strips)
 

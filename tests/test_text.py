@@ -1,4 +1,4 @@
-"""The compiled CSV formatter (_text.c) and its Python reference against '%.17g', and the files of both text paths."""
+"""The compiled CSV formatter and its Python reference against '%.17g', and the files of both text paths."""
 
 from decimal import Decimal
 import locale
@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import text_paths
+from helpers import text_paths, use_formatter
 from xsplanes import experiment
 from xsplanes.engine import DEFAULT_PARAMS
 from xsplanes.experiment import ExperimentConfig, run_experiment, write_points_csv
@@ -25,7 +25,7 @@ def format_rows(fmt, values, breaks=()) -> str:
 
 def compiled_rows(values) -> list[str]:
     """The rows the compiled formatter writes for values, three to a row."""
-    return format_rows(experiment._text_kernel(), values).splitlines(keepends=True)
+    return format_rows(experiment._stages().xs_format_rows, values).splitlines(keepends=True)
 
 
 def assert_python_text(values):
@@ -128,7 +128,7 @@ def test_longest_row_meets_the_row_bound():
 def test_breaks_fill_a_buffer_of_the_bound_and_no_more():
     # worst-case rows, a blank line before every row, into a buffer of
     # exactly the bound: the copies of each row's repeated text stay inside
-    fmt = experiment._text_kernel()
+    fmt = experiment._stages().xs_format_rows
     longest, rows = -2.2250738585072009e-308, 40
     size = experiment._ROW_BYTES * rows + rows
     buf = np.full(size + 32, 0xA5, dtype=np.uint8)
@@ -183,7 +183,7 @@ def test_write_points_csv_same_bytes_on_both_paths(monkeypatch, tmp_path, n):
     header = "# magnify=1024 params=23,17,26 seed=0x0000000000000007\n"
     want = header + "".join("%.17g,%.17g,%.17g\n" % tuple(row) for row in (points * 2.0**-53).tolist())
     for i, fmt in enumerate(text_paths()):
-        monkeypatch.setattr(experiment, "_text_kernel", lambda: fmt)
+        use_formatter(monkeypatch, fmt)
         path = tmp_path / f"points-{i}.csv"
         write_points_csv(path, points, 1024.0, DEFAULT_PARAMS, 7)
         assert path.read_text() == want
@@ -204,7 +204,7 @@ WORKLOADS = {
 def test_run_experiment_same_files_on_both_text_paths(monkeypatch, tmp_path, workload):
     outputs = []
     for i, fmt in enumerate(text_paths()):
-        monkeypatch.setattr(experiment, "_text_kernel", lambda: fmt)
+        use_formatter(monkeypatch, fmt)
         out = tmp_path / f"{i}"
         run_experiment(ExperimentConfig(seed=7, control_seed=7, output_dir=str(out), **WORKLOADS[workload]))
         outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
@@ -217,17 +217,16 @@ def test_run_experiment_same_files_on_both_text_paths(monkeypatch, tmp_path, wor
 
 
 def test_text_library_built_once_by_fresh_cache(tmp_path):
-    # a run from an empty cache compiles the formatter once, for all nine
-    # CSV files, builds one library per kernel (control count, lane scan and
-    # census, which share one, and formatter), and leaves no temp file in the
-    # cache or the output directory
+    # a run from an empty cache compiles the formatter's stage library once,
+    # for all nine CSV files, builds one scan library beside it, and leaves
+    # no temp file in the cache or the output directory
     code = """
 import subprocess, sys
 from xsplanes import experiment
 from xsplanes.engine import Params
 run = subprocess.run
 def logged(cmd, **kwargs):
-    if str(experiment._TEXT_SOURCE) in cmd:
+    if str(experiment._STAGES_SOURCE) in cmd:
         with open(sys.argv[1], "a") as log:
             log.write("built\\n")
     return run(cmd, **kwargs)
@@ -241,6 +240,6 @@ experiment.run_experiment(experiment.ExperimentConfig(
     env = dict(os.environ, XDG_CACHE_HOME=str(cache), PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code, str(log), str(out)], env=env, check=True, timeout=120)
     assert log.read_text() == "built\n"
-    assert sorted(p.name.split("-")[0] for p in (cache / "xsplanes").iterdir()) == ["control", "lanes", "text"]
+    assert sorted(p.name.split("-")[0] for p in (cache / "xsplanes").iterdir()) == ["lanes", "stages"]
     assert len(list(out.iterdir())) == 11
     assert not list(out.glob("*.tmp"))
