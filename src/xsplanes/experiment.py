@@ -12,19 +12,19 @@ neighborhoods are essentially disjoint and the uniform hit rate is close to
 Scanning a slab at x_max = 2**-23 needs billions of triples per thousand
 kept points, so the scan starts many lane segments at exact stream
 offsets, jumping ahead by a power of the packed-pair transition map, and
-advances the lanes in one contiguous lane range per usable CPU.  Each stage
-has one implementation, in one of two small C libraries compiled with gcc
-on first use into $XDG_CACHE_HOME/xsplanes and loaded with ctypes.  The
-scan library (_lanes.c), built once per shift triple with the shifts as
-constants, advances the lanes.  The stage library (_stages.c), built once
-per machine, starts the lanes and walks the case census from the seed
-state, taking the shifts as arguments, draws the control's Philox stream
-and counts its hits without allocating, and formats the CSV text.  The
-tests hold a plain sequential scan, one Python-int step at a time, and
-numpy versions of each stage as references.  Where gcc or the cache
-directory is missing, or a library cannot be built or loaded, the stage
-that needs it raises KernelError, and the planes and census commands exit
-2 before any output.
+advances the lanes in kernel calls that one thread per usable CPU takes in
+turn.  Each stage has one implementation, in one of two small C libraries
+compiled with gcc on first use into $XDG_CACHE_HOME/xsplanes and loaded
+with ctypes.  The scan library (_lanes.c), built once per shift triple
+with the shifts as constants, advances the lanes.  The stage library
+(_stages.c), built once per machine, starts the lanes and walks the case
+census from the seed state, taking the shifts as arguments, draws the
+control's Philox stream and counts its hits without allocating, and
+formats the CSV text.  The tests hold a plain sequential scan, one
+Python-int step at a time, and numpy versions of each stage as
+references.  Where gcc or the cache directory is missing, or a library
+cannot be built or loaded, the stage that needs it raises KernelError,
+and the planes and census commands exit 2 before any output.
 
 The CSV files hold each coordinate as Python's '%.17g' text.  One writer
 passes the rows of points.csv and of each mesh to the formatter, a buffer's
@@ -40,6 +40,7 @@ a temp file of its own, <name>.<pid>.<n>.tmp, renamed into place.
 
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+import contextlib
 import ctypes
 import functools
 import itertools
@@ -58,11 +59,11 @@ DEFAULT_SCAN_CAP = 1 << 32
 # Without an explicit scan cap, an expected scan longer than this many
 # triples is refused before it starts: it takes about 35 s on two cores.
 MAX_DEFAULT_WORK = 1 << 38
-# The lane scan runs one lane range per usable CPU, of at most 2**15 lanes:
-# a block's lane starts then take 16 bytes a lane, 1 MB for 65,536 lanes,
-# which xs_lane_starts builds in 1.2-2.5 ms (2-core AVX-512 Xeon).  The size
-# was first chosen for a numpy scan; the kernel takes a range in calls of
-# about _CALL_TRIPLES triples, however many lanes it has.
+# A scan block has at most 2**15 lanes per usable CPU: its lane starts then
+# take 16 bytes a lane, 1 MB for 65,536 lanes, which xs_lane_starts builds in
+# 1.2-2.5 ms (2-core AVX-512 Xeon).  The size was first chosen for a numpy
+# scan; the kernel takes a block in calls of about _CALL_TRIPLES triples,
+# however many lanes it has, and the worker threads take the calls in turn.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _LANES_PER_WORKER = 1 << 15
 # The compiled lane scan.  One call covers at most about 2**28 triples
@@ -175,13 +176,49 @@ def slab_sample(
     """Scan overlapping triples with the lane scan, keeping the words (X << e, Y, Z) for x < 2**-e.
 
     Stops at target_points, or at the scan cap with the truncated flag set.
-    method must be "fast".
+    method must be "fast".  The scan runs in blocks, each sized to the
+    expected remaining work, so it stops at most one small follow-up block
+    past the target.  A block that finds no hit doubles the next, so a
+    stream that seldom or never enters the slab reaches the cap in a few
+    dozen blocks.
     """
     cap = resolve_scan_cap(spec, scan_cap)
     if method != "fast":  # only perfbench/layers.py passes it; goes with that file's pipeline copy (ROADMAP item 2)
         raise ValueError(f"method must be 'fast', got {method!r}")
+    params, target = state.params, spec.target_points
     last_in = (1 << (64 - spec.e)) - 1  # x < 2**-e  iff  output o <= last_in
-    return SlabSample(*_scan_fast(state, spec, cap, last_in))
+    start = np.array([[state.s0], [state.s1]], dtype=np.uint64)
+    hits = [np.empty((3, 0), dtype=np.uint64)]  # (3, n) arrays with rows offset, s0, s1
+    base, n_hits, grow = 0, 0, 1  # grow doubles the block after a block that finds no hit
+    while base < cap and n_hits < target:
+        remaining = cap - base
+        block = min(remaining, (((target - n_hits) << spec.e) + 4096) * grow)
+        lanes = max(1, min(_WORKERS * _LANES_PER_WORKER, block // 64))
+        seg_len = min((block + lanes - 1) // lanes, remaining // lanes)
+        # the next block's start comes with the lane starts
+        starts, start = _lane_starts(params, start, lanes, seg_len)
+        found = _scan_block(params, *starts, seg_len, base, last_in)
+        base += lanes * seg_len
+        # freed now, not when the next block's are built beside them, which
+        # added about 2 MB to the peak RSS of a seed that needs two blocks
+        del starts
+        n_found = sum(h.shape[1] for h in found)
+        n_hits, grow = n_hits + n_found, 1 if n_found else 2 * grow
+        hits += found
+    offset, s0, s1 = np.concatenate(hits, axis=1)
+    del hits, found  # so each hit row is held once, in the concatenation
+    first = np.argsort(offset)[:target]
+    offset, s0, s1 = offset[first], s0[first], s1[first]
+    if len(offset) < target:
+        scanned, truncated = cap, True
+    else:
+        scanned, truncated = int(offset[-1]) + 1, False
+    o0 = s0 + s1
+    s0, s1 = step_words(s0, s1, params)
+    o1 = s0 + s1
+    s0, s1 = step_words(s0, s1, params)
+    points = np.stack([(o0 >> 11) << spec.e, o1 >> 11, (s0 + s1) >> 11], axis=1)
+    return SlabSample(points, scanned, truncated)
 
 
 def _lane_starts(params, start, lanes, seg_len):
@@ -213,8 +250,10 @@ def _load_kernel(cache_dir: Path, source: Path, defines: tuple[str, ...] = ()):
     The library is named by the source's stem and a crc32 of the source,
     the compiler flags, defines included, and the machine type.  It is
     compiled under a name of its own and then renamed into place, so
-    concurrent first runs each load a whole file.  Raises KernelError where
-    gcc is missing or fails, or the library cannot be written or loaded.
+    concurrent first runs each load a whole file.  A failed build removes
+    the directories it made, where they are still empty.  Raises
+    KernelError where gcc is missing or fails, or the library cannot be
+    written or loaded.
     """
     flags = (*_CFLAGS, *defines)
     where = f"{source.name} into {cache_dir}"
@@ -224,6 +263,7 @@ def _load_kernel(cache_dir: Path, source: Path, defines: tuple[str, ...] = ()):
         if not path.exists():
             import subprocess  # only on a miss: it adds about 0.4 MB of peak RSS
 
+            made = [d for d in (cache_dir, *cache_dir.parents) if not d.exists()]  # innermost first
             cache_dir.mkdir(parents=True, exist_ok=True)
             tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
             try:
@@ -233,6 +273,10 @@ def _load_kernel(cache_dir: Path, source: Path, defines: tuple[str, ...] = ()):
                 os.replace(tmp, path)
             finally:
                 tmp.unlink(missing_ok=True)
+                if not path.exists():  # a failed build leaves no directory of its own
+                    for d in made:
+                        with contextlib.suppress(OSError):  # not empty: another run builds into it
+                            d.rmdir()
         return ctypes.CDLL(str(path))
     except OSError as exc:  # no compiler, cache or loadable library
         raise _need_gcc(where, exc) from exc
@@ -283,103 +327,58 @@ def _stages():
     })
 
 
-def _scan_compiled(kernel, hi, lo, seg_len, base, last_in):
-    """Advance lanes (hi, lo) seg_len steps with kernel; return the hits where a triple enters the slab.
+def _scan_block(params, hi, lo, seg_len, base, last_in):
+    """Advance lanes (hi, lo) seg_len steps with params' kernel; return the hits where a triple enters the slab.
 
     Lane j covers triple offsets [base + j*seg_len, base + (j+1)*seg_len) of
     the stream.  The hits are a list of (3, n) uint64 arrays with rows
     offset, s0, s1: a hit's stream offset and its state, from which the
     caller steps out the triple's other two outputs.  hi and lo are left
-    unchanged.  A call that finds more hits than the buffer holds reports
-    how many, and is rerun with a buffer of that size, so no hit is dropped.
+    unchanged.  The lanes are cut once into kernel calls of about
+    _CALL_TRIPLES triples and _CALL_HITS expected hits at most, and of at
+    most ceil(lanes / _WORKERS) lanes, each rounded down to the kernel's
+    group, so every worker gets work.  Of k workers, thread w makes calls
+    w, w + k, w + 2k, ...; the calling thread is w = 0, so one worker
+    starts no thread, and a worker's exception is re-raised here.  A call
+    that finds more hits than its thread's buffer holds reports how many,
+    and is rerun with a buffer of that size, so no hit is dropped.
     """
     if not (hi.dtype == lo.dtype == np.uint64 and hi.shape == lo.shape and hi.flags.c_contiguous
             and lo.flags.c_contiguous):
         raise ValueError("lane starts must be two contiguous uint64 arrays of one length")
-    call = min(_CALL_TRIPLES, (_CALL_HITS << 64) // (last_in + 1))
-    step = max(_GROUP, call // seg_len // _GROUP * _GROUP)
-    buf = np.empty((3, _CALL_HITS * 3 // 2), dtype=np.uint64)
-    hits = []
-    for start in range(0, hi.shape[0], step):
-        h, l = hi[start : start + step], lo[start : start + step]
-        while (found := kernel(h.ctypes.data, l.ctypes.data, h.shape[0], seg_len, base + start * seg_len, last_in,
-                               buf.ctypes.data, buf.shape[1])) > buf.shape[1]:
-            buf = np.empty((3, found), dtype=np.uint64)
-        hits.append(buf[:, :found].copy())
-    return hits
-
-
-def _scan_lanes(hi, lo, params, seg_len, base, last_in):
-    """Scan contiguous lane ranges, one per worker, from stream offset base; the hit list of _scan_compiled.
-
-    The calling thread scans range 0 itself, so one worker starts no
-    thread.  A worker's exception is re-raised here.
-    """
-    n = hi.shape[0]
-    k = min(_WORKERS, n)
-    bounds = [n * i // k for i in range(k + 1)]
     kernel = _scan_kernel(params)
-    found = [None] * k
+    lanes = hi.shape[0]
+    call = min(_CALL_TRIPLES, (_CALL_HITS << 64) // (last_in + 1)) // seg_len
+    step = max(_GROUP, min(call, -(-lanes // _WORKERS)) // _GROUP * _GROUP)
+    k = min(_WORKERS, -(-lanes // step))
+    found = [[] for _ in range(k)]  # each thread's hit arrays, or the exception it raised
 
-    def scan(i):
-        r = slice(bounds[i], bounds[i + 1])
-        return _scan_compiled(kernel, hi[r], lo[r], seg_len, base + bounds[i] * seg_len, last_in)
+    def scan(w):
+        buf = np.empty((3, _CALL_HITS * 3 // 2), dtype=np.uint64)
+        for i in range(w * step, lanes, k * step):
+            h, l = hi[i : i + step], lo[i : i + step]
+            while (n := kernel(h.ctypes.data, l.ctypes.data, h.shape[0], seg_len, base + i * seg_len, last_in,
+                               buf.ctypes.data, buf.shape[1])) > buf.shape[1]:
+                buf = np.empty((3, n), dtype=np.uint64)
+            found[w].append(buf[:, :n].copy())
 
-    def work(i):
+    def work(w):
         try:
-            found[i] = scan(i)
+            scan(w)
         except BaseException as exc:  # handed to the calling thread
-            found[i] = exc
+            found[w] = exc
 
     # daemon: an interrupt of the calling thread need not wait for the block
-    threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(1, k)]
+    threads = [threading.Thread(target=work, args=(w,), daemon=True) for w in range(1, k)]
     for th in threads:
         th.start()
-    found[0] = scan(0)
+    scan(0)
     for th in threads:
         th.join()
     for part in found:
         if isinstance(part, BaseException):
             raise part
     return [hit for part in found for hit in part]
-
-
-def _scan_fast(state, spec, cap, last_in):
-    params = state.params
-    target = spec.target_points
-    start = np.array([[state.s0], [state.s1]], dtype=np.uint64)
-    hits = [np.empty((3, 0), dtype=np.uint64)]  # (3, n) arrays with rows offset, s0, s1
-    base = 0
-    # each block is sized to the expected remaining work, so the scan stops
-    # at most one small follow-up block past the target
-    while base < cap and (n_hits := sum(h.shape[1] for h in hits)) < target:
-        remaining = cap - base
-        block = min(remaining, ((target - n_hits) << spec.e) + 4096)
-        lanes = max(1, min(_WORKERS * _LANES_PER_WORKER, block // 64))
-        seg_len = (block + lanes - 1) // lanes
-        if lanes * seg_len > remaining:
-            seg_len = remaining // lanes
-        # the next block's start comes with the lane starts
-        starts, start = _lane_starts(params, start, lanes, seg_len)
-        hits += _scan_lanes(*starts, params, seg_len, base, last_in)
-        base += lanes * seg_len
-        # freed now, not when the next block's are built beside them, which
-        # added about 2 MB to the peak RSS of a seed that needs two blocks
-        del starts
-    offset, s0, s1 = np.concatenate(hits, axis=1)
-    del hits  # so each hit row is held once, in the concatenation
-    first = np.argsort(offset)[:target]
-    offset, s0, s1 = offset[first], s0[first], s1[first]
-    if len(offset) < target:
-        scanned, truncated = cap, True
-    else:
-        scanned, truncated = int(offset[-1]) + 1, False
-    o0 = s0 + s1
-    s0, s1 = step_words(s0, s1, params)
-    o1 = s0 + s1
-    s0, s1 = step_words(s0, s1, params)
-    points = np.stack([(o0 >> 11) << spec.e, o1 >> 11, (s0 + s1) >> 11], axis=1)
-    return points, scanned, truncated
 
 
 @dataclass

@@ -2,7 +2,8 @@
 
 Each check runs one xsplanes command twice in this process: once as
 shipped, and once with every compiled stage replaced by its numpy or
-Python reference (helpers.reference_stages): the lane scan, the lane
+Python reference (helpers.reference_stages): the lane scan kernel, whose
+numpy stand-in runs each call of the scan's whole driver, the lane
 starts, the census, the control count and the CSV formatter.  The exit
 codes, stdout, stderr and every output file must agree byte for byte.
 
@@ -12,7 +13,8 @@ codes, stdout, stderr and every output file must agree byte for byte.
   points, a 200,000-step census and 4,072 mesh strips at --grid 256.
 - sparse-slab: seed 3 at x < 2**-23 takes four scan blocks, the first of
   65,536 lanes 25,601 steps apart, so the compiled and the numpy lane
-  starts meet in a first block and in three follow-up blocks.
+  starts meet in a first block and in three follow-up blocks, the last
+  doubled after a block that found no hit.
 - census at --n-bits 1, 3 and 16 and at shifts (26, 19, 5), each over
   4,000,000 steps, 1,954 steps a lane of the numpy census.
 
@@ -21,8 +23,10 @@ Run from the root of a checkout, with gcc on PATH:
     PYTHONPATH=src python3 tests/check_references.py
 
 It prints one line a check, naming what differs, and exits 1 if any
-check differs.  The checks take about 7 s on a 2-core AVX-512 Xeon; the
-tier-1 tests run the same comparisons scaled down.
+check differs.  The checks take about 17-20 s on a 2-core AVX-512 Xeon,
+most of it in sparse-slab, where the numpy scan stands in for each of the
+block's kernel calls; the tier-1 tests run the same comparisons scaled
+down.
 """
 
 import contextlib
@@ -34,7 +38,6 @@ import time
 
 from helpers import reference_stages
 from xsplanes.cli import build_parser, main
-from xsplanes.engine import Params
 
 CHECKS = {
     "wide-slab": ["planes", "--seed", "1", "--magnify-exp", "10", "--target-points", "50000",
@@ -64,7 +67,7 @@ def main_checks() -> int:
             args = build_parser().parse_args(argv)
             start = time.perf_counter()
             shipped = run(argv, Path(tmp, name, "shipped"))
-            with reference_stages(Params(args.a, args.b, args.c)):
+            with reference_stages():
                 reference = run(argv, Path(tmp, name, "reference"))
             differ = [part for part, a, b in zip(("exit code", "stdout", "stderr"), shipped, reference) if a != b]
             differ += sorted(f for f in shipped[3].keys() | reference[3].keys()

@@ -7,11 +7,12 @@ experiment.write_mesh_csv, and classify, the case label of one pair, is
 the reference for xorapprox.column_cases.
 
 Each compiled stage of experiment has a numpy or Python reference here,
-which the tests run in its place: scan_block for the lane scan, lane_starts
-(GF(2) jump-ahead by repeated doubling) for xs_lane_starts, reference_census
-for the case census, reference_control (numpy's Philox) for the control
-count and python_rows for the CSV formatter.  reference_stages puts all of
-them in place at once.
+which the tests run in its place: numpy_scan (scan_block with the kernel's
+calling convention) for the lane scan, lane_starts (GF(2) jump-ahead by
+repeated doubling) for xs_lane_starts, reference_census for the case
+census, reference_control (numpy's Philox) for the control count and
+python_rows for the CSV formatter.  reference_stages puts all of them in
+place at once.
 
 The GF(2) matrices come twice.  The uint64 word-array core (act, mat_mul,
 identity, mat_pow, transition_rows) starts lane_starts' lanes and checks
@@ -258,7 +259,7 @@ def lane_starts(params, start, lanes, seg_len):
 
 
 def scan_block(hi, lo, params, seg_len, base, last_in):
-    """experiment._scan_lanes in numpy: advance all lanes seg_len steps; the hits where a triple enters the slab.
+    """The lane scan in numpy: advance all lanes seg_len steps; the hits where a triple enters the slab.
 
     The hits are the same (3, n) uint64 arrays of rows offset, s0, s1 as
     the compiled kernel's, by t, then lane, where the kernel's come by
@@ -285,9 +286,28 @@ def scan_block(hi, lo, params, seg_len, base, last_in):
     return hits
 
 
+def _words(address, n):
+    """The n uint64 words at address, as an array over that memory."""
+    return np.ctypeslib.as_array((ctypes.c_uint64 * n).from_address(address))
+
+
 def numpy_scan(params):
-    """scan_block in experiment._scan_compiled's place, for params' lanes: the kernel it is given goes unused."""
-    return lambda kernel, hi, lo, seg_len, base, last_in: scan_block(hi, lo, params, seg_len, base, last_in)
+    """scan_block for params with xs_scan_lanes' calling convention, to stand in for experiment._scan_kernel.
+
+    The kernel it returns takes the addresses of the lanes' hi and lo words
+    and of a 3 x cap hit buffer, leaves the lanes unchanged, stores the
+    first cap hits in the buffer's rows and returns how many it found.
+    """
+
+    def kernel(hi, lo, lanes, seg_len, base, last_in, hits, cap):
+        words = [_words(address, lanes).copy() for address in (hi, lo)]
+        found = np.concatenate([np.empty((3, 0), dtype=np.uint64),
+                                *scan_block(*words, params, seg_len, base, last_in)], axis=1)
+        n = min(found.shape[1], cap)
+        _words(hits, 3 * cap).reshape(3, cap)[:, :n] = found[:, :n]
+        return found.shape[1]
+
+    return kernel
 
 
 # The numpy census runs min(CENSUS_LANES, n) lanes of ceil(n / CENSUS_LANES) steps.
@@ -396,10 +416,10 @@ def use_formatter(mp, fmt):
 
 
 @contextlib.contextmanager
-def reference_stages(params):
-    """Every compiled stage of a planes or census command for params run by its reference here, in the block."""
+def reference_stages():
+    """Every compiled stage of a planes or census command run by its reference here, in the block."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiment, "_scan_compiled", numpy_scan(params))
+        mp.setattr(experiment, "_scan_kernel", numpy_scan)
         mp.setattr(experiment, "_lane_starts", lane_starts)
         use_formatter(mp, python_format_rows)
         for module in (experiment, cli):

@@ -1,8 +1,11 @@
 import dataclasses
 import json
 import os
+import select
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -280,7 +283,7 @@ def test_planes_over_default_budget_exits_2(tmp_path, capsys, monkeypatch, flags
     def no_scan(*args):
         raise AssertionError("scan started")
 
-    monkeypatch.setattr("xsplanes.experiment._scan_fast", no_scan)
+    monkeypatch.setattr("xsplanes.experiment._scan_block", no_scan)
     code, out, err = run_cli(capsys, "planes", *flags, "--output-dir", str(tmp_path / "o"))
     assert code == 2
     assert out == ""
@@ -309,7 +312,7 @@ def test_planes_bad_setting_exits_2_before_scan(tmp_path, capsys, monkeypatch, f
     def no_scan(*args):
         raise AssertionError("scan started")
 
-    monkeypatch.setattr("xsplanes.experiment._scan_fast", no_scan)
+    monkeypatch.setattr("xsplanes.experiment._scan_block", no_scan)
     out_dir = tmp_path / "o"
     code, out, err = run_cli(
         capsys, "planes", "--magnify-exp", "10", "--target-points", "100", *flags,
@@ -431,12 +434,41 @@ def test_planes_process_prints_one_report(tmp_path):
     )
 
 
+def test_ctrl_c_during_the_scan_ends_the_run_within_a_second(tmp_path):
+    # a terminal's Ctrl-C sends SIGINT to the whole process group half a
+    # second into a scan of about 1.7e11 triples (20,000 points at
+    # x < 2**-23, about 20 s on two cores).  The calling thread makes a
+    # kernel call of about 0.1 s at a time, so the run ends by the
+    # interrupt within a second, before any output
+    out_dir = tmp_path / "o"
+    src = os.path.dirname(os.path.dirname(experiment.__file__))
+    argv = ["planes", "--magnify-exp", "23", "--target-points", "20000", "--output-dir", str(out_dir)]
+    with subprocess.Popen([sys.executable, "-m", "xsplanes", *argv], env=dict(os.environ, PYTHONPATH=src),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True) as proc:
+        try:
+            # the line comes once the kernels are loaded, as the scan starts
+            assert select.select([proc.stderr], [], [], 120)[0]
+            assert proc.stderr.readline() == b"scanning slab x < 2**-23 for 20000 points\n"
+            time.sleep(0.5)
+            assert proc.poll() is None
+            sent = time.monotonic()
+            os.killpg(proc.pid, signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+            waited = time.monotonic() - sent
+        finally:
+            proc.kill()
+    assert proc.returncode == -signal.SIGINT, err.decode()
+    assert waited < 1.0
+    assert out == b"" and not out_dir.exists()
+
+
 def test_planes_and_census_without_gcc_exit_2_in_one_line(tmp_path):
     # A PATH that holds python3 but no gcc, and an empty kernel cache.
     # planes, with or without --control-only, and census exit 2 with one
     # stderr line that names gcc and the cache directory, print nothing and
-    # write no output directory; a bad flag is still reported first.  gen
-    # and verify need no compiler and print what they print with gcc
+    # write no output or cache directory; a bad flag is still reported
+    # first.  gen and verify need no compiler and print what they print
+    # with gcc
     nogcc, cache, out_dir = tmp_path / "nogcc", tmp_path / "cache", tmp_path / "o"
     nogcc.mkdir()
     (nogcc / "python3").symlink_to(sys.executable)
@@ -457,6 +489,7 @@ def test_planes_and_census_without_gcc_exit_2_in_one_line(tmp_path):
         assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: "), proc.stderr
         assert "gcc" in proc.stderr and str(cache / "xsplanes") in proc.stderr, proc.stderr
         assert not out_dir.exists() and not (tmp_path / "planes_out").exists()
+        assert not cache.exists()  # the failed build leaves no cache directory behind
     proc = run(*PLANES_ARGS, "--grid", "1", "--output-dir", str(out_dir))
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: grid must be in 2..4096, got 1\n")
     for argv in (["gen", "--count", "5"], ["verify", "--n-max", "3"]):

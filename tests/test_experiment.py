@@ -125,9 +125,9 @@ def test_resolve_scan_cap():
     assert resolve_scan_cap(spec30, 1 << 40) == 1 << 40
 
 
-def lane_scans(params):
-    """The lane-range scans to test: the compiled kernel's, then the numpy reference in its place."""
-    return [experiment._scan_compiled, numpy_scan(params)]
+def lane_scans():
+    """The lane scan kernels to test, each as experiment._scan_kernel: the compiled one, then the numpy reference."""
+    return [experiment._scan_kernel, numpy_scan]
 
 
 def test_accept_threshold_matches_float_compare(monkeypatch):
@@ -141,8 +141,8 @@ def test_accept_threshold_matches_float_compare(monkeypatch):
         for u53 in {0, thr - 1, thr, thr + 1, (1 << 53) - 1}:
             o0 = (u53 << 11) | 0x7FF
             inside = to_unit(o0) < spec.x_max
-            for scan in lane_scans(P8):
-                monkeypatch.setattr(experiment, "_scan_compiled", scan)
+            for scan in lane_scans():
+                monkeypatch.setattr(experiment, "_scan_kernel", scan)
                 state = GenState(o0, 0, P8)
                 for sample in (reference_sample(state, spec, 1), slab_sample(state, spec, scan_cap=1)):
                     assert sample.n_in_slab == inside
@@ -154,8 +154,8 @@ def test_slab_sample_paths_agree(monkeypatch):
     spec = slab_spec(8, None, 400)
     state = seed_state(3, P8)
     seq = reference_sample(state, spec, 500_000)
-    for scan in lane_scans(P8):
-        monkeypatch.setattr(experiment, "_scan_compiled", scan)
+    for scan in lane_scans():
+        monkeypatch.setattr(experiment, "_scan_kernel", scan)
         fast = slab_sample(state, spec, scan_cap=500_000)
         assert_same_sample(fast, seq)
     assert seq.truncated is False
@@ -164,8 +164,8 @@ def test_slab_sample_paths_agree(monkeypatch):
     # about 256,000 triples, so each of these caps truncates
     spec = slab_spec(8, None, 1000)
     refs = {cap: reference_sample(state, spec, cap) for cap in (10_000, 199_999, 200_000, 200_001)}
-    for scan in lane_scans(P8):
-        monkeypatch.setattr(experiment, "_scan_compiled", scan)
+    for scan in lane_scans():
+        monkeypatch.setattr(experiment, "_scan_kernel", scan)
         for cap, seq in refs.items():
             assert seq.truncated and seq.n_triples_scanned == cap
             assert_same_sample(slab_sample(state, spec, scan_cap=cap), seq)
@@ -186,8 +186,8 @@ def test_lane_scans_match_reference_at_caps_1_to_65(monkeypatch):
         refs[spec, seed] = [(cap, state, reference_sample(state, spec, cap)) for cap in range(1, 66)]
         assert [ref.truncated for _, _, ref in refs[spec, seed]] == [cap <= last for cap in range(1, 66)]
         assert refs[spec, seed][-1][2].n_triples_scanned == last + 1
-    for path, scan in enumerate(lane_scans(P8)):
-        monkeypatch.setattr(experiment, "_scan_compiled", scan)
+    for path, scan in enumerate(lane_scans()):
+        monkeypatch.setattr(experiment, "_scan_kernel", scan)
         for (spec, seed), runs in refs.items():
             for cap, state, ref in runs:
                 got = slab_sample(state, spec, scan_cap=cap)
@@ -266,16 +266,32 @@ def test_compiled_lane_starts_from_two_threads_at_once():
             assert np.array_equal(got_starts, starts) and np.array_equal(got_nxt, nxt), seg_len
 
 
+def logged(factory, calls):
+    """factory with each call of its kernels logged to calls as (on the calling thread, lanes)."""
+
+    def kernel_for(params):
+        kernel = factory(params)
+
+        def log(hi, lo, lanes, *rest):
+            calls.append((threading.current_thread() is threading.main_thread(), lanes))
+            return kernel(hi, lo, lanes, *rest)
+
+        return log
+
+    return kernel_for
+
+
 def test_fast_scan_independent_of_workers_and_blocks(monkeypatch):
-    # Five lanes per worker give uneven splits (3 workers over 11 lanes).
+    # 37 lanes per worker cut into kernel calls of 32 lanes give uneven
+    # splits: 3 workers take 4 calls over 111 lanes, the calling thread two
+    # of them, and the last call of 15 lanes is padded to its group of 32.
     # At x < 2**-12 the first block often falls short of the target: seed
     # 16 needs three blocks, and the cap of the second case truncates the
-    # run in a last block of fewer lanes than workers.  The compiled kernel
-    # pads each five-lane range to its group of 32.  Each lane scan runs on
-    # the compiled lane starts and on numpy's.
-    monkeypatch.setattr(experiment, "_LANES_PER_WORKER", 5)
-    blocks = []
-    paths = list(itertools.product(lane_scans(P8), start_paths()))
+    # run in a last block of fewer lanes than workers.  Each lane scan runs
+    # on the compiled lane starts and on numpy's.
+    monkeypatch.setattr(experiment, "_LANES_PER_WORKER", 37)
+    blocks, calls = [], []
+    paths = list(itertools.product(lane_scans(), start_paths()))
 
     def counted_starts(params, start, lanes, seg_len):
         blocks.append(lanes)
@@ -291,13 +307,18 @@ def test_fast_scan_independent_of_workers_and_blocks(monkeypatch):
             seq = reference_sample(state, spec, cap)
             assert seq.truncated == (cap == 250_575)
             for scan, starts in paths:
-                monkeypatch.setattr(experiment, "_scan_compiled", scan)
+                monkeypatch.setattr(experiment, "_scan_kernel", logged(scan, calls))
                 for workers in (1, 2, 3):
                     monkeypatch.setattr(experiment, "_WORKERS", workers)
                     blocks.clear()
+                    calls.clear()
                     fast = slab_sample(state, spec, scan_cap=cap)
                     assert_same_sample(fast, seq)
-                    assert len(blocks) >= 2
+                    assert len(blocks) >= 2 and blocks[0] == 37 * workers
+                    # the first block's calls come first, each block's joined before the next starts
+                    first = sorted(lanes for _, lanes in calls[: -(-blocks[0] // 32)])
+                    assert first == [blocks[0] % 32] + [32] * (blocks[0] // 32)
+                    assert any(not main for main, _ in calls) == (workers > 1)
                     if seq.truncated and workers > 1:
                         assert blocks[-1] < workers
     finally:
@@ -305,20 +326,30 @@ def test_fast_scan_independent_of_workers_and_blocks(monkeypatch):
 
 
 def test_fast_scan_worker_exception_propagates(monkeypatch):
-    # a failure in a worker thread's lane range reaches the caller, on either lane scan
+    # a failure in a worker thread's kernel call reaches the caller, on
+    # either lane scan: 264 lanes in calls of at most 132 lanes, rounded to
+    # 128, give the worker thread the second of three calls
     monkeypatch.setattr(experiment, "_WORKERS", 2)
     spec = slab_spec(8, None, 50)
-    for scan in lane_scans(P8):
+    for scan in lane_scans():
+        calls = []
 
-        def failing_scan(*args):
-            if threading.current_thread() is not threading.main_thread():
-                raise ZeroDivisionError("worker failed")
-            return scan(*args)
+        def failing_scan(params):
+            kernel = logged(scan, calls)(params)
+
+            def failing(*args):
+                if threading.current_thread() is not threading.main_thread():
+                    raise ZeroDivisionError("worker failed")
+                return kernel(*args)
+
+            return failing
 
         with monkeypatch.context() as mp:
-            mp.setattr(experiment, "_scan_compiled", failing_scan)
+            mp.setattr(experiment, "_scan_kernel", failing_scan)
             with pytest.raises(ZeroDivisionError, match="worker failed"):
                 slab_sample(seed_state(3, P8), spec, scan_cap=500_000)
+        # the calling thread made the first and the last call
+        assert calls == [(True, 128), (True, 8)]
 
 
 def test_every_kernel_source_is_package_data():
@@ -365,6 +396,23 @@ def test_kernel_build_failure_raises(monkeypatch, tmp_path, fresh_kernel, cflags
     with pytest.raises(KernelError) as error:
         slab_sample(seed_state(16, P8), slab_spec(8, magnify_exp=12, target_points=60), scan_cap=1_000_000)
     assert_names_gcc_and_cache(error, tmp_path / "fresh" / "xsplanes")
+
+
+@pytest.mark.parametrize("gcc", ["missing", "failing"])
+def test_failed_build_leaves_no_cache_directory(monkeypatch, tmp_path, gcc):
+    # without gcc, or when it fails, the build removes the cache directories
+    # it made (.cache and .cache/xsplanes here), and keeps the home above them
+    home = tmp_path / "home"
+    home.mkdir()
+    if gcc == "missing":
+        monkeypatch.setenv("PATH", str(home))
+    else:
+        monkeypatch.setattr(experiment, "_CFLAGS", ("-shared", "-fno-such-option"))
+    cache = home / ".cache" / "xsplanes"
+    with pytest.raises(KernelError) as error:
+        experiment._load_kernel(cache, experiment._LANES_SOURCE, experiment._shift_defines(P8))
+    assert_names_gcc_and_cache(error, cache)
+    assert list(tmp_path.iterdir()) == [home] and list(home.iterdir()) == []
 
 
 def test_compiled_scan_reruns_on_hit_overflow(monkeypatch):
@@ -586,12 +634,31 @@ def test_slab_sample_truncation():
     assert_same_sample(fast, sample)
 
 
+def test_stream_outside_the_slab_reaches_the_default_cap_in_few_blocks(monkeypatch):
+    # (62, 17, 26) from seed 1 puts no triple in x < 2**-10 within the
+    # default cap of 2**32 triples.  Blocks sized to the 100 missing points
+    # alone, about 106,000 triples each, would take 40,330 blocks to reach
+    # the cap; a block that finds no hit doubles the next
+    real, blocks = experiment._lane_starts, []
+
+    def counted_starts(*args):
+        blocks.append(args[2:])
+        assert len(blocks) <= 64, "over 64 blocks"
+        return real(*args)
+
+    monkeypatch.setattr(experiment, "_lane_starts", counted_starts)
+    sample = slab_sample(seed_state(1, Params(62, 17, 26)), SlabSpec(10, 100))
+    assert (sample.n_in_slab, sample.n_triples_scanned, sample.truncated) == (0, 1 << 32, True)
+    assert len(blocks) <= 20
+    assert sum(lanes * seg_len for lanes, seg_len in blocks) == 1 << 32
+
+
 def test_slab_sample_holds_each_hit_row_once(monkeypatch):
     # the (offset, s0, s1) hit rows are copied out of the lane scan once, into
     # one array; a second copy of every row took 120 bytes a target point
     spec, state = SlabSpec(4, 1 << 16), seed_state(1)
-    for scan in lane_scans(DEFAULT_PARAMS):
-        monkeypatch.setattr(experiment, "_scan_compiled", scan)
+    for scan in lane_scans():
+        monkeypatch.setattr(experiment, "_scan_kernel", scan)
         want = slab_sample(state, spec)  # loads the kernel outside the measure
         tracemalloc.start()
         try:
