@@ -237,20 +237,19 @@ int64_t xs_control_hits(uint64_t k0, uint64_t k1, uint64_t ctr[4], int64_t n, co
  * such as a mesh's x along a strip, copies that row's text instead of
  * being formatted again.  Comparing bits keeps -0.0 and 0.0 apart.
  *
- * Finite values with 1e-5 <= |v| < 2**120 are converted exactly in
- * integers.  With v = m * 2**q and E = floor(log10 |v|), the 17 digits are
- * N = round-half-even(|v| * 10**(16 - E)), a quotient of 128-bit values:
- * for k = 16 - E >= 0 the numerator m * 10**k is below 2**53 * 10**22 <
- * 2**127, and for k < 0 it is m * 2**q < 2**120.  E is first taken as
- * floor(log10 2**e2) for the binary exponent e2, exact over this range,
- * which is E or E - 1; an N of 10**17 or more means E + 1, whether the
+ * Values with 1e-4 <= |v| < 2**52, whose text has no exponent, are
+ * converted exactly in integers.  With v = m * 2**q (here q < 0) and
+ * E = floor(log10 |v|), the 17 digits are N = round-half-even(|v| *
+ * 10**k) for k = 16 - E, the quotient of m * 10**k by 2**-q.  k runs from
+ * 1 to 21, so m * 10**k < 2**53 * 10**21 < 2**123.  E is first taken as
+ * floor(log10 2**e2) for the binary exponent e2, which is E or E - 1 (-5
+ * just above 1e-4); an N of 10**17 or more means E + 1, whether the
  * estimate was low or rounding carried into an 18th digit, and is
  * recomputed there once.  The digits of N come two at a time from a table
  * of the pairs 00..99, for its top nine and low eight digits apart.  They
- * are laid out as %g does: trailing zeros dropped, exponent form e+XX /
- * e-XX when E < -4 or E >= 17.
+ * are laid out as %g does for -4 <= E <= 16: trailing zeros dropped.
  *
- * Zeros are written as 0 and -0.  Every other value (tiny, huge,
+ * Zeros are written as 0 and -0.  Every other value (small, large,
  * subnormal, inf) goes through snprintf under a C LC_NUMERIC locale, so
  * the text never depends on the caller's locale; NaN of either sign
  * prints as nan, as in Python.
@@ -276,19 +275,10 @@ static u128 ten_to(int k)
     return k < 20 ? (u128)P10[k] : (u128)P10[19] * P10[k - 19];
 }
 
-/* round-half-even(m * 2**q * 10**k), for -21 <= k <= 22 and results below 2**64 */
+/* round-half-even(m * 2**q * 10**k), for q < 0, 1 <= k <= 21 and results below 2**64 */
 static uint64_t scaled(uint64_t m, int q, int k)
 {
-    if (k < 0) {  /* here |v| >= 1e17 > 2**53, so q > 0 */
-        u128 num = (u128)m << q, den = ten_to(-k);
-        uint64_t n = (uint64_t)(num / den);
-        u128 rem2 = 2 * (num % den);
-        return n + (rem2 > den || (rem2 == den && (n & 1)));
-    }
-    u128 num = m * ten_to(k);
-    if (q >= 0)
-        return (uint64_t)(num << q);
-    u128 half = (u128)1 << (-q - 1), rem = num & ((half << 1) - 1);
+    u128 num = m * ten_to(k), half = (u128)1 << (-q - 1), rem = num & ((half << 1) - 1);
     uint64_t n = (uint64_t)(num >> -q);
     return n + (rem > half || (rem == half && (n & 1)));
 }
@@ -303,7 +293,7 @@ static void digits8(uint32_t x, char *d)
     memcpy(d + 6, PAIRS + 2 * (lo % 100), 2);
 }
 
-/* The %.17g text of v at p, for 1e-5 <= |v| < 2**120; returns its length. */
+/* The %.17g text of v at p, for 1e-4 <= |v| < 2**52; returns its length. */
 static int exact(double v, char *p)
 {
     uint64_t bits;
@@ -325,19 +315,7 @@ static int exact(double v, char *p)
     char *s = p;
     if (bits >> 63)
         *s++ = '-';
-    if (e < -4 || e >= 17) {  /* here |e| <= 36, two exponent digits */
-        *s++ = d[0];
-        if (nd > 1) {
-            *s++ = '.';
-            memcpy(s, d + 1, nd - 1);
-            s += nd - 1;
-        }
-        *s++ = 'e';
-        *s++ = e < 0 ? '-' : '+';
-        int a = e < 0 ? -e : e;
-        *s++ = (char)('0' + a / 10);
-        *s++ = (char)('0' + a % 10);
-    } else if (e >= 0) {
+    if (e >= 0) {
         memcpy(s, d, e + 1);
         s += e + 1;
         if (nd > e + 1) {
@@ -362,7 +340,7 @@ static int exact(double v, char *p)
 static int text(double v, char *p, locale_t *c, locale_t *old)
 {
     double a = fabs(v);
-    if (a >= 1e-5 && a < 0x1p120)
+    if (a >= 1e-4 && a < 0x1p52)
         return exact(v, p);
     if (a == 0) {
         memcpy(p, signbit(v) ? "-0" : "0", 2);

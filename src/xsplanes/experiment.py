@@ -59,11 +59,11 @@ DEFAULT_SCAN_CAP = 1 << 32
 # Without an explicit scan cap, an expected scan longer than this many
 # triples is refused before it starts: it takes about 35 s on two cores.
 MAX_DEFAULT_WORK = 1 << 38
-# A scan block has at most 2**15 lanes per usable CPU: its lane starts then
-# take 16 bytes a lane, 1 MB for 65,536 lanes, which xs_lane_starts builds in
-# 1.2-2.5 ms (2-core AVX-512 Xeon).  The size was first chosen for a numpy
-# scan; the kernel takes a block in calls of about _CALL_TRIPLES triples,
-# however many lanes it has, and the worker threads take the calls in turn.
+# A scan block at x < 2**-e has a lane for each 2**min(max(e, 6), 15) triples
+# (about one expected hit a lane for 6 <= e <= 15) and at most 2**15 lanes per
+# usable CPU, 16 bytes of lane starts a lane: xs_lane_starts builds 65,536 (1 MB)
+# in 1.2-2.5 ms (2-core AVX-512 Xeon).  Blocks are capped so that a segment is
+# at most call // _GROUP steps, and a kernel call of one group stays within call.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _LANES_PER_WORKER = 1 << 15
 # The compiled lane scan.  One call covers at most about 2**28 triples
@@ -190,14 +190,16 @@ def slab_sample(
     start = np.array([[state.s0], [state.s1]], dtype=np.uint64)
     hits = [np.empty((3, 0), dtype=np.uint64)]  # (3, n) arrays with rows offset, s0, s1
     base, n_hits, grow = 0, 0, 1  # grow doubles the block after a block that finds no hit
+    call = min(_CALL_TRIPLES, _CALL_HITS << spec.e)  # a kernel call's triples
     while base < cap and n_hits < target:
         remaining = cap - base
-        block = min(remaining, (((target - n_hits) << spec.e) + 4096) * grow)
-        lanes = max(1, min(_WORKERS * _LANES_PER_WORKER, block // 64))
+        block = min(remaining, (((target - n_hits) << spec.e) + 4096) * grow,
+                    _WORKERS * _LANES_PER_WORKER * max(1, call // _GROUP))
+        lanes = max(1, min(_WORKERS * _LANES_PER_WORKER, block >> min(max(spec.e, 6), 15)))
         seg_len = min((block + lanes - 1) // lanes, remaining // lanes)
         # the next block's start comes with the lane starts
         starts, start = _lane_starts(params, start, lanes, seg_len)
-        found = _scan_block(params, *starts, seg_len, base, last_in)
+        found = _scan_block(params, *starts, seg_len, base, last_in, call)
         base += lanes * seg_len
         # freed now, not when the next block's are built beside them, which
         # added about 2 MB to the peak RSS of a seed that needs two blocks
@@ -226,8 +228,7 @@ def _lane_starts(params, start, lanes, seg_len):
 
     Returns the (2, 1) state at offset lanes*seg_len as well, for chaining
     blocks.  The compiled xs_lane_starts chains the starts, each the jump of
-    the one before.  A block's 65,536 starts take 1.2-2.5 ms (2-core
-    AVX-512 Xeon).
+    the one before.  65,536 starts take 1.2-2.5 ms (2-core AVX-512 Xeon).
     """
     starts = np.empty((2, lanes), dtype=np.uint64)
     s = (ctypes.c_uint64 * 2)(*start.ravel().tolist())
@@ -327,29 +328,28 @@ def _stages():
     })
 
 
-def _scan_block(params, hi, lo, seg_len, base, last_in):
+def _scan_block(params, hi, lo, seg_len, base, last_in, call):
     """Advance lanes (hi, lo) seg_len steps with params' kernel; return the hits where a triple enters the slab.
 
     Lane j covers triple offsets [base + j*seg_len, base + (j+1)*seg_len) of
     the stream.  The hits are a list of (3, n) uint64 arrays with rows
     offset, s0, s1: a hit's stream offset and its state, from which the
     caller steps out the triple's other two outputs.  hi and lo are left
-    unchanged.  The lanes are cut once into kernel calls of about
-    _CALL_TRIPLES triples and _CALL_HITS expected hits at most, and of at
-    most ceil(lanes / _WORKERS) lanes, each rounded down to the kernel's
-    group, so every worker gets work.  Of k workers, thread w makes calls
-    w, w + k, w + 2k, ...; the calling thread is w = 0, so one worker
-    starts no thread, and a worker's exception is re-raised here.  A call
-    that finds more hits than its thread's buffer holds reports how many,
-    and is rerun with a buffer of that size, so no hit is dropped.
+    unchanged.  The lanes are cut once into kernel calls of at most call
+    triples and ceil(lanes / _WORKERS) lanes, each rounded down to the
+    kernel's group but at least one group, so every worker gets work.  Of k
+    workers, thread w makes calls w, w + k, w + 2k, ...; the calling thread
+    is w = 0, so one worker starts no thread, and a worker's exception is
+    re-raised here.  A call that finds more hits than its thread's buffer
+    holds reports how many, and is rerun with a buffer of that size, so no
+    hit is dropped.
     """
     if not (hi.dtype == lo.dtype == np.uint64 and hi.shape == lo.shape and hi.flags.c_contiguous
             and lo.flags.c_contiguous):
         raise ValueError("lane starts must be two contiguous uint64 arrays of one length")
     kernel = _scan_kernel(params)
     lanes = hi.shape[0]
-    call = min(_CALL_TRIPLES, (_CALL_HITS << 64) // (last_in + 1)) // seg_len
-    step = max(_GROUP, min(call, -(-lanes // _WORKERS)) // _GROUP * _GROUP)
+    step = max(_GROUP, min(call // seg_len, -(-lanes // _WORKERS)) // _GROUP * _GROUP)
     k = min(_WORKERS, -(-lanes // step))
     found = [[] for _ in range(k)]  # each thread's hit arrays, or the exception it raised
 

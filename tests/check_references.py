@@ -12,9 +12,9 @@ codes, stdout, stderr and every output file must agree byte for byte.
   kernel's (offset, s0, s1) hit records.  It also runs 262,144 control
   points, a 200,000-step census and 4,072 mesh strips at --grid 256.
 - sparse-slab: seed 3 at x < 2**-23 takes four scan blocks, the first of
-  65,536 lanes 25,601 steps apart, so the compiled and the numpy lane
-  starts meet in a first block and in three follow-up blocks, the last
-  doubled after a block that found no hit.
+  51,200 lanes 32,769 steps apart, so the compiled and the numpy lane
+  starts meet in a first block and in three follow-up blocks of 768, 256
+  and 512 lanes, the last doubled after a block that found no hit.
 - census at --n-bits 1, 3 and 16 and at shifts (26, 19, 5), each over
   4,000,000 steps, 1,954 steps a lane of the numpy census.
 
@@ -23,10 +23,10 @@ Run from the root of a checkout, with gcc on PATH:
     PYTHONPATH=src python3 tests/check_references.py
 
 It prints one line a check, naming what differs, and exits 1 if any
-check differs.  The checks take about 17-20 s on a 2-core AVX-512 Xeon,
-most of it in sparse-slab, where the numpy scan stands in for each of the
-block's kernel calls; the tier-1 tests run the same comparisons scaled
-down.
+check differs.  The checks take about 17-19 s on a 2-core AVX-512 Xeon,
+12-14 s of it in sparse-slab, where the numpy scan stands in for each of
+the block's kernel calls; the tier-1 tests run the same comparisons
+scaled down.
 """
 
 import contextlib

@@ -285,10 +285,11 @@ def test_fast_scan_independent_of_workers_and_blocks(monkeypatch):
     # 37 lanes per worker cut into kernel calls of 32 lanes give uneven
     # splits: 3 workers take 4 calls over 111 lanes, the calling thread two
     # of them, and the last call of 15 lanes is padded to its group of 32.
-    # At x < 2**-12 the first block often falls short of the target: seed
-    # 16 needs three blocks, and the cap of the second case truncates the
-    # run in a last block of fewer lanes than workers.  Each lane scan runs
-    # on the compiled lane starts and on numpy's.
+    # At x < 2**-12, 120 points size a first block of 121 lanes, so 37 lanes
+    # a worker cap it.  Seed 1's first block falls short of the target, so
+    # it needs a second, and the cap of the second case truncates the run in
+    # a last block of fewer lanes than workers.  Each lane scan runs on the
+    # compiled lane starts and on numpy's.
     monkeypatch.setattr(experiment, "_LANES_PER_WORKER", 37)
     blocks, calls = [], []
     paths = list(itertools.product(lane_scans(), start_paths()))
@@ -298,14 +299,14 @@ def test_fast_scan_independent_of_workers_and_blocks(monkeypatch):
         return starts(params, start, lanes, seg_len)
 
     monkeypatch.setattr(experiment, "_lane_starts", counted_starts)
-    spec = slab_spec(8, magnify_exp=12, target_points=60)
-    state = seed_state(16, P8)
+    spec = slab_spec(8, magnify_exp=12, target_points=120)
+    state = seed_state(1, P8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # frequent GIL hand-offs between the workers
     try:
-        for cap in (1_000_000, 250_575):
+        for cap in (1_000_000, 500_726):
             seq = reference_sample(state, spec, cap)
-            assert seq.truncated == (cap == 250_575)
+            assert seq.truncated == (cap == 500_726)
             for scan, starts in paths:
                 monkeypatch.setattr(experiment, "_scan_kernel", logged(scan, calls))
                 for workers in (1, 2, 3):
@@ -327,8 +328,8 @@ def test_fast_scan_independent_of_workers_and_blocks(monkeypatch):
 
 def test_fast_scan_worker_exception_propagates(monkeypatch):
     # a failure in a worker thread's kernel call reaches the caller, on
-    # either lane scan: 264 lanes in calls of at most 132 lanes, rounded to
-    # 128, give the worker thread the second of three calls
+    # either lane scan: 66 lanes in calls of at most 33 lanes, rounded to
+    # 32, give the worker thread the second of three calls
     monkeypatch.setattr(experiment, "_WORKERS", 2)
     spec = slab_spec(8, None, 50)
     for scan in lane_scans():
@@ -349,7 +350,45 @@ def test_fast_scan_worker_exception_propagates(monkeypatch):
             with pytest.raises(ZeroDivisionError, match="worker failed"):
                 slab_sample(seed_state(3, P8), spec, scan_cap=500_000)
         # the calling thread made the first and the last call
-        assert calls == [(True, 128), (True, 8)]
+        assert calls == [(True, 32), (True, 2)]
+
+
+def test_kernel_calls_stay_within_the_call_budget(monkeypatch):
+    # at x < 2**-40 a kernel call may run _CALL_TRIPLES triples (about 0.1 s,
+    # so interrupts are served).  A scan that finds no hit here asks for
+    # blocks of 2**40 triples and more, whose segments once made calls of 32
+    # lanes of up to 2**25 + 1 steps, four times that budget
+    monkeypatch.setattr(experiment, "_WORKERS", 2)
+    calls = []
+
+    def no_hits(hi, lo, lanes, seg_len, *rest):
+        calls.append((lanes, seg_len))
+        return 0
+
+    monkeypatch.setattr(experiment, "_scan_kernel", lambda params: no_hits)
+    sample = slab_sample(seed_state(1), SlabSpec(40, 1), scan_cap=1 << 42)
+    assert (sample.n_in_slab, sample.n_triples_scanned, sample.truncated) == (0, 1 << 42, True)
+    assert sum(lanes * seg_len for lanes, seg_len in calls) == 1 << 42
+    assert max(lanes * seg_len for lanes, seg_len in calls) <= experiment._CALL_TRIPLES
+
+
+def test_block_lanes_follow_expected_hits(monkeypatch):
+    # a block at x < 2**-16 has a lane for each 2**15 triples, so seed 3's
+    # follow-up blocks for its last few points (and the doubled block after
+    # one that finds none) build a few lane starts each, not the 65,536 (1 MB)
+    # that every block once built
+    real, blocks = experiment._lane_starts, []
+
+    def counted_starts(params, start, lanes, seg_len):
+        blocks.append((lanes, seg_len))
+        return real(params, start, lanes, seg_len)
+
+    monkeypatch.setattr(experiment, "_lane_starts", counted_starts)
+    sample = slab_sample(seed_state(3), SlabSpec(16, 200))
+    assert (sample.n_in_slab, sample.truncated) == (200, False)
+    assert len(blocks) >= 3
+    for lanes, seg_len in blocks:
+        assert lanes <= -(-lanes * seg_len // (1 << 15)) + 1, blocks
 
 
 def test_every_kernel_source_is_package_data():

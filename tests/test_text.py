@@ -56,8 +56,9 @@ def test_random_bit_patterns():
     values = values[np.isfinite(values)][:1_000_000]
     assert len(values) == 1_000_000
     assert_python_text(values)
-    # and random mantissas over the exponents of the exact integer path
-    exponents = rng.integers(1023 - 17, 1023 + 120, len(words), dtype=np.uint64)
+    # and random mantissas over the exponents of the exact integer path,
+    # 2**-14 (whose binade holds 1e-4) to 2**51
+    exponents = rng.integers(1023 - 14, 1023 + 52, len(words), dtype=np.uint64)
     assert_python_text((words & np.uint64((1 << 52) - 1 | 1 << 63) | exponents << np.uint64(52)).view(np.float64))
 
 
@@ -72,10 +73,11 @@ def test_powers_of_ten_and_neighbours():
 
 
 def test_exact_path_bounds():
-    # the integer path takes 1e-5 <= |v| < 2**120; its neighbours outside go through snprintf
-    values = [s * v for x in (1e-5, 2.0**120) for v in neighbours(x) for s in (1, -1)]
+    # the integer path takes 1e-4 <= |v| < 2**52; its neighbours outside go
+    # through snprintf, as do those of the bounds it once had, 1e-5 and 2**120
+    values = [s * v for x in (1e-4, 2.0**52, 1e-5, 2.0**120) for v in neighbours(x) for s in (1, -1)]
     assert_python_text(values)
-    # 16 - E = 22 at the low bound: a first draft that allowed 23 overflowed here
+    # 16 - E = 22 at the old low bound: a first draft that allowed 23 overflowed here
     assert_python_text([9.9999999999999995e-07, 9.9999999999999995e-06, 1.0000000000000001e-05])
 
 
@@ -151,8 +153,8 @@ def test_breaks_go_before_their_rows():
 
 def test_text_ignores_callers_locale(tmp_path, monkeypatch):
     # a caller's LC_NUMERIC with a decimal comma must not reach the text
-    # snprintf writes for tiny, subnormal and huge values (1.5e-300, 5e-324,
-    # 2.0**200); zeros and the integer path's values never reach snprintf
+    # snprintf writes for small, subnormal and large values (1.5e-300, 5e-324,
+    # 2.0**200, 1e-5); zeros and the integer path's values never reach snprintf
     if shutil.which("localedef") is None:
         pytest.skip("no localedef")
     (tmp_path / "comma").write_text(
