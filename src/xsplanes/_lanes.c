@@ -7,9 +7,9 @@
  *
  * xs_scan_lanes: lane j starts at state (hi[j], lo[j]), stream offset
  * base + j*seg_len, and is advanced seg_len steps.  At step t, a lane whose
- * output s0 + s1 is at most last_in is a hit, stored as its offset
- * base + j*seg_len + t and its state s0, s1 in the rows of hits, a 3 x cap
- * array.  Returns the number of hits, which may exceed cap: only the first
+ * output s0 + s1 is at most last_in is a hit, stored as a row of hits, a
+ * cap x 3 array: its offset base + j*seg_len + t and its state s0, s1.
+ * Returns the number of hits, which may exceed cap: only the first
  * cap are stored.  Lanes run in interleaved groups of GROUP so the compiler
  * vectorizes the step across lanes; a short last group repeats its last
  * lane, whose hits are not stored twice.  Hits come in order of group,
@@ -60,9 +60,9 @@ int64_t record(uint64_t *s0, uint64_t *s1, int64_t g, int64_t m, int64_t t0, int
                 if (s0[j] + s1[j] > last_in)
                     continue;
                 if (n < cap) {
-                    hits[n] = base + (uint64_t)((g + j) * seg_len + t);
-                    hits[cap + n] = s0[j];
-                    hits[2 * cap + n] = s1[j];
+                    hits[3 * n] = base + (uint64_t)((g + j) * seg_len + t);
+                    hits[3 * n + 1] = s0[j];
+                    hits[3 * n + 2] = s1[j];
                 }
                 n++;
             }

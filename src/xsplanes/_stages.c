@@ -1,10 +1,13 @@
 /* The compiled stages of xsplanes.experiment that need no constant shift
- * counts, loaded with ctypes: the lane starts and the case census of
- * xorshift128+, which take the shifts a, b, c as arguments, the control
- * baseline's Philox count and the CSV text.  It is built once per machine,
- * with no -D flags; the lane scan, whose shifts are constants, is _lanes.c,
- * built once per shift triple.  Every function here is scalar code and
- * keeps no static state, so threads may call it at once.
+ * counts, loaded with ctypes: the lane starts, the finishing of the scan's
+ * hits and the case census of xorshift128+, which take the shifts a, b, c
+ * as arguments, the nearest-plane scoring of the slab points and of the
+ * control baseline's Philox points, the plane meshes and the CSV text.  It
+ * is built once per machine, with no -D flags and with -ffp-contract=off, so
+ * that no fused multiply-add changes a mesh vertex; the lane scan, whose
+ * shifts are constants, is _lanes.c, built once per shift triple.  Every
+ * function here is scalar code and keeps no static state, so threads may
+ * call it at once.
  */
 #include <locale.h>
 #include <math.h>
@@ -98,6 +101,51 @@ void xs_lane_starts(int a, int b, int c, uint64_t s[2], int64_t lanes, int64_t s
     s[1] = v[1];
 }
 
+/* ---- Hit finishing ------------------------------------------------------
+ *
+ * xs_finish_hits takes the n hit rows (offset, s0, s1) that the lane scan
+ * gathered, in any order, and sorts them by offset, least significant
+ * 11-bit digit first, through tmp, which holds n rows as well; the offsets
+ * are distinct.  The first keep rows (keep <= n) then become the words
+ * (X << e, Y, Z) of the slab points, where X, Y and Z are the top 53 bits
+ * of the triple's outputs s0 + s1 and the next two.  Returns the offset of
+ * the last kept row, or 0 if keep is 0.
+ */
+
+static void sort_rows(uint64_t *rows, uint64_t *tmp, int64_t n)
+{
+    uint64_t top = 0, *src = rows, *dst = tmp;
+    for (int64_t i = 0; i < n; i++)
+        top |= rows[3 * i];
+    for (int shift = 0; shift < 64 && top >> shift; shift += 11) {
+        int64_t at[2049] = {0};
+        for (int64_t i = 0; i < n; i++)
+            at[(src[3 * i] >> shift & 2047) + 1]++;
+        for (int d = 0; d < 2048; d++)
+            at[d + 1] += at[d];
+        for (int64_t i = 0; i < n; i++)
+            memcpy(dst + 3 * at[src[3 * i] >> shift & 2047]++, src + 3 * i, 3 * sizeof *src);
+        uint64_t *t = src;
+        src = dst;
+        dst = t;
+    }
+    if (src != rows)
+        memcpy(rows, src, 3 * sizeof *src * (size_t)n);
+}
+
+uint64_t xs_finish_hits(int a, int b, int c, int e, uint64_t *rows, uint64_t *tmp, int64_t n, int64_t keep)
+{
+    sort_rows(rows, tmp, n);
+    uint64_t last = keep ? rows[3 * (keep - 1)] : 0;
+    for (int64_t i = 0; i < keep; i++) {
+        uint64_t *r = rows + 3 * i, s0 = r[1], s1 = r[2], s2 = next_word(s0, s1, a, b, c);
+        r[0] = (s0 + s1) >> 11 << e;
+        r[1] = (s1 + s2) >> 11;
+        r[2] = (s2 + next_word(s1, s2, a, b, c)) >> 11;
+    }
+    return last;
+}
+
 /* ---- Case census -------------------------------------------------------- */
 
 /* The column conditions on the top bits x >> drop, y >> drop: bit 0 sum, bit 1 diff, bit 2 rev_diff. */
@@ -156,16 +204,55 @@ int64_t xs_census(int a, int b, int c, uint64_t s[2], int64_t n, int64_t n_bits,
     return compound;
 }
 
+/* ---- Plane scoring ------------------------------------------------------
+ *
+ * A point's distance to plane j of the eight is min(T, 2**53 - T) for
+ * T = (Z - c[j]*X - sy[j]*Y) mod 2**53 in uint64 wraparound arithmetic, on
+ * its 53-bit coordinates (X, Y, Z), where c[j] is sign_x * m and sy[j] is
+ * sign_y, both mod 2**64.  nearest takes the arg-min over the planes in
+ * order, keeping the earliest on a tie.  xs_hit_counts scores n slab
+ * points, rows of words (X << e, Y, Z), and writes to counts[j] how many
+ * lie within thr of plane j, their nearest; it returns their sum.
+ */
+
+#define ONE (1ull << 53)
+#define MASK53 (ONE - 1)
+
+static inline uint64_t nearest(uint64_t x, uint64_t y, uint64_t z, const uint64_t *c, const uint64_t *sy, int *which)
+{
+    uint64_t best = ONE;
+    int k = 0;
+    for (int j = 0; j < 8; j++) {
+        uint64_t t = (z - c[j] * x - sy[j] * y) & MASK53, d = t < ONE - t ? t : ONE - t;
+        k = d < best ? j : k;
+        best = d < best ? d : best;
+    }
+    *which = k;
+    return best;
+}
+
+int64_t xs_hit_counts(const uint64_t *p, int64_t n, int e, const uint64_t *c, const uint64_t *sy, uint64_t thr,
+                      int64_t *counts)
+{
+    int64_t hits = 0;
+    memset(counts, 0, 8 * sizeof *counts);
+    for (int64_t i = 0; i < n; i++) {
+        int which;
+        if (nearest(p[3 * i] >> e, p[3 * i + 1], p[3 * i + 2], c, sy, &which) <= thr) {
+            counts[which]++;
+            hits++;
+        }
+    }
+    return hits;
+}
+
 /* ---- Control count ------------------------------------------------------
  *
  * xs_control_hits draws numpy's Philox(key=k0 + k1 * 2**64).random_raw
  * stream on from the 256-bit counter ctr and returns how many of its next
- * n points lie within thr of one of eight planes, allocating nothing.
+ * n points lie within thr of their nearest plane, allocating nothing.
  * Point i is words 3i, 3i+1 and 3i+2 of the stream, each shifted right by
- * 11, the 53-bit coordinates (X, Y, Z).  It is a hit if for some plane j,
- * T = (Z - c[j]*X - sy[j]*Y) mod 2**53 in uint64 wraparound arithmetic has
- * min(T, 2**53 - T) <= thr, where c[j] is sign_x * m and sy[j] is sign_y,
- * both mod 2**64.
+ * 11, the 53-bit coordinates (X, Y, Z).
  *
  * The stream is Philox4x64-10 (Salmon et al., SC 2011) as numpy draws it:
  * the 256-bit counter starts at 0 and is incremented, with carry, before
@@ -175,9 +262,6 @@ int64_t xs_census(int a, int b, int c, uint64_t s[2], int64_t n, int64_t n_bits,
  * block's counter, so calls of a multiple of 4 points each, from a counter
  * of 0, draw one stream.
  */
-
-#define ONE (1ull << 53)
-#define MASK53 (ONE - 1)
 
 static void philox(const uint64_t ctr[4], uint64_t k0, uint64_t k1, uint64_t out[4])
 {
@@ -208,26 +292,65 @@ int64_t xs_control_hits(uint64_t k0, uint64_t k1, uint64_t ctr[4], int64_t n, co
             philox(ctr, k0, k1, w + 4 * b);
         }
         for (int p = 0; p < 4 && i + p < n; p++) {
-            uint64_t x = w[3 * p] >> 11, y = w[3 * p + 1] >> 11, z = w[3 * p + 2] >> 11;
-            int hit = 0;
-            for (int j = 0; j < 8; j++) {
-                uint64_t t = (z - c[j] * x - sy[j] * y) & MASK53;
-                hit |= (t < ONE - t ? t : ONE - t) <= thr;
-            }
-            hits += hit;
+            int which;
+            hits += nearest(w[3 * p] >> 11, w[3 * p + 1] >> 11, w[3 * p + 2] >> 11, c, sy, &which) <= thr;
         }
     }
     return hits;
 }
 
+/* ---- Meshes -------------------------------------------------------------
+ *
+ * xs_mesh_stations fills the grid vertices (magnify*x, y, z) of each x
+ * station j = j0..j1-1 in turn at v, k = 0..grid-1, with x = (j / (grid-1))
+ * * x_max, y = k / (grid-1), f = coef*x + sign_y*y and z = f - floor(f),
+ * each operation rounded once.  A strip runs along y while floor(f), its
+ * branch, stays the same; each strip of at least two vertices is written
+ * to strips as a row (first, end, branch), first and end counted in
+ * vertices from v, and the number of them is returned, at most grid/2 a
+ * station.  floor is taken in integers, exact for |f| < 2**63, with the
+ * sign of f, so that floor(-0.0) is -0.0 and z is 0.0 there, as in Python.
+ */
+
+int64_t xs_mesh_stations(int64_t j0, int64_t j1, int64_t grid, double x_max, double magnify, double coef,
+                         double sign_y, double *v, int64_t *strips)
+{
+    double steps = (double)(grid - 1);
+    int64_t n = 0;
+    for (int64_t j = j0, at = 0; j < j1; j++, at += grid) {
+        double x = (double)j / steps * x_max, x_mag = magnify * x;
+        int64_t first = 0, run = 0;
+        for (int64_t k = 0; k <= grid; k++) {
+            int64_t branch = run;
+            if (k < grid) {
+                double y = (double)k / steps, f = coef * x + sign_y * y;
+                branch = (int64_t)f - ((double)(int64_t)f > f);
+                v[3 * (at + k)] = x_mag;
+                v[3 * (at + k) + 1] = y;
+                v[3 * (at + k) + 2] = f - copysign((double)branch, f);
+            }
+            if (k == grid || branch != run || k == 0) {
+                if (k - first >= 2) {
+                    strips[3 * n] = at + first, strips[3 * n + 1] = at + k, strips[3 * n + 2] = run;
+                    n++;
+                }
+                first = k;
+                run = branch;
+            }
+        }
+    }
+    return n;
+}
+
 /* ---- CSV text -----------------------------------------------------------
  *
- * xs_format_rows writes each row of a (rows, 3) float64 array as
+ * xs_format_rows writes each row of a (rows, 3) array of values v as
  * "%.17g,%.17g,%.17g\n", byte for byte as Python's '%.17g' % v, and
- * returns the number of bytes written.  Before row r it also writes one
- * blank line "\n" for each of the nbreaks row indices in breaks (ascending,
- * may repeat; NULL if nbreaks is 0) that equals r, and after the last row
- * one for each that equals rows.  A value takes at most 24 bytes (sign, 17
+ * returns the number of bytes written.  The array holds float64 values, or
+ * with words set uint64 words w < 2**53, each the value w * 2**-53.
+ * Before row r it also writes one blank line "\n" for each of the nbreaks
+ * row indices in breaks (ascending, may repeat; NULL if nbreaks is 0) that
+ * equals r, and after the last row one for each that equals rows.  A value takes at most 24 bytes (sign, 17
  * digits, point and a three-digit exponent, as in -4.9406564584124654e-324),
  * so a row takes at most 3 * 24 + 3 = 75 bytes, and out must hold
  * 75 * rows + nbreaks.  Returns -1, with out undefined, if no C numeric
@@ -235,7 +358,8 @@ int64_t xs_control_hits(uint64_t k0, uint64_t k1, uint64_t ctr[4], int64_t n, co
  *
  * A value with the same bit pattern as the one above it in its column,
  * such as a mesh's x along a strip, copies that row's text instead of
- * being formatted again.  Comparing bits keeps -0.0 and 0.0 apart.
+ * being formatted again.  Comparing bits keeps -0.0 and 0.0 apart, and a
+ * word's value is one-to-one with its bits.
  *
  * Values with 1e-4 <= |v| < 2**52, whose text has no exponent, are
  * converted exactly in integers.  With v = m * 2**q (here q < 0) and
@@ -358,8 +482,9 @@ static int text(double v, char *p, locale_t *c, locale_t *old)
     return snprintf(p, 25, "%.17g", v);  /* its NUL lands where the separator goes */
 }
 
-int64_t xs_format_rows(const double *v, int64_t rows, const int64_t *breaks, int64_t nbreaks, char *out)
+int64_t xs_format_rows(const void *v, int64_t rows, int words, const int64_t *breaks, int64_t nbreaks, char *out)
 {
+    const uint64_t *w = v;
     locale_t c = (locale_t)0, old = (locale_t)0;
     char *p = out, *above[3] = {0};  /* each column's text in the row above */
     int len[3] = {0};
@@ -368,10 +493,15 @@ int64_t xs_format_rows(const double *v, int64_t rows, const int64_t *breaks, int
         for (; b < nbreaks && breaks[b] <= r; b++)
             *p++ = '\n';
         for (int k = 0; k < 3; k++) {
-            const double *x = &v[3 * r + k];
-            if (r && !memcmp(x, x - 3, sizeof *x))
+            const uint64_t *x = &w[3 * r + k];
+            double value;
+            if (words)
+                value = (double)*x * 0x1p-53;
+            else
+                memcpy(&value, x, sizeof value);
+            if (r && *x == x[-3])
                 memcpy(p, above[k], len[k]);
-            else if ((len[k] = text(*x, p, &c, &old)) < 0)
+            else if ((len[k] = text(value, p, &c, &old)) < 0)
                 return -1;
             above[k] = p;
             p += len[k];

@@ -17,14 +17,17 @@ turn.  Each stage has one implementation, in one of two small C libraries
 compiled with gcc on first use into $XDG_CACHE_HOME/xsplanes and loaded
 with ctypes.  The scan library (_lanes.c), built once per shift triple
 with the shifts as constants, advances the lanes.  The stage library
-(_stages.c), built once per machine, starts the lanes and walks the case
-census from the seed state, taking the shifts as arguments, draws the
-control's Philox stream and counts its hits without allocating, and
-formats the CSV text.  The tests hold a plain sequential scan, one
-Python-int step at a time, and numpy versions of each stage as
-references.  Where gcc or the cache directory is missing, or a library
-cannot be built or loaded, the stage that needs it raises KernelError,
-and the planes and census commands exit 2 before any output.
+(_stages.c), built once per machine, starts the lanes, sorts the hits and
+steps out their points, and walks the case census from the seed state,
+taking the shifts as arguments; it scores the slab points and the
+control's Philox stream against the planes without allocating, builds the
+plane meshes (planes.mesh) and formats the CSV text.  The buffers between
+the stages are bytearrays and ctypes arrays, so a run imports no numpy.
+The tests hold a plain sequential scan, one Python-int step at a time,
+and numpy versions of each stage as references.  Where gcc or the cache
+directory is missing, or a library cannot be built or loaded, the stage
+that needs it raises KernelError, and the planes and census commands exit
+2 before any output.
 
 The CSV files hold each coordinate as Python's '%.17g' text.  One writer
 passes the rows of points.csv and of each mesh to the formatter, a buffer's
@@ -49,10 +52,8 @@ import os
 import threading
 import zlib
 
-import numpy as np
-
-from .engine import DEFAULT_PARAMS, MASK64, GenState, Params, seed_state, step_words
-from .planes import PlaneFamily, check_grid, epsilon_threshold, family, mesh, nearest_plane
+from .engine import DEFAULT_PARAMS, MASK64, GenState, Params, seed_state
+from .planes import PlaneFamily, check_grid, epsilon_threshold, family, mesh
 from .xorapprox import COMBINE_ORDER, compound_probability, plane_coefficients
 
 DEFAULT_SCAN_CAP = 1 << 32
@@ -71,18 +72,19 @@ _LANES_PER_WORKER = 1 << 15
 # and about 2**11 expected hits.  The hit buffer holds 1.5 times that (22
 # sigma above the mean), which keeps it under glibc's 128 KB mmap
 # threshold: a buffer for a worker's whole range raised wide-slab's peak
-# RSS by 1 MB.  A call's lanes are a multiple of the kernel's group of 32
-# interleaved lanes.  Each shift triple has its own scan library, compiled
+# RSS by 1 MB.  A hit is a row of three words, its offset and state.  A
+# call's lanes are a multiple of the kernel's group of 32 interleaved lanes.  Each shift triple has its own scan library, compiled
 # with the counts as constants on the triple's first scan; run-time shifts
 # made the scan about 30% slower.  On x86-64 a scan library holds AVX-512,
 # AVX2 and plain builds and picks one by the CPU's features at each call,
 # so a cached library runs on any x86-64 CPU; other targets build the
 # plain scan alone.  The other stages take the shifts as arguments and
 # share one library for every triple; so the lane starts run as fast as
-# with constant shifts, and the census about 4% slower.
+# with constant shifts, and the census about 4% slower.  No multiply-add is
+# fused, so a mesh vertex is rounded as Python rounds it on every target.
 _LANES_SOURCE = Path(__file__).with_name("_lanes.c")
 _STAGES_SOURCE = Path(__file__).with_name("_stages.c")
-_CFLAGS = ("-O3", "-shared", "-fPIC")
+_CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 _CALL_TRIPLES = 1 << 28
 _CALL_HITS = 1 << 11
 _GROUP = 32
@@ -95,7 +97,7 @@ _LANES_ARGTYPES = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_in
 # the calling thread serves an interrupt between calls.
 _CALL_POINTS = _CALL_STEPS = 1 << 22
 # The hit rows and points grow with the target, not with the triples scanned:
-# a planes run of 2**22 points at x < 2**-1 peaks at 470-490 MB RSS (2-core
+# a planes run of 2**22 points at x < 2**-1 peaks at 208-210 MB RSS (2-core
 # AVX-512 Xeon).
 MAX_TARGET_POINTS = 1 << 22
 # The control and census counts are bounded by time, as the scan is (so the
@@ -135,9 +137,9 @@ def slab_spec(a: int, magnify_exp: int | None, target_points: int) -> SlabSpec:
 
 @dataclass
 class SlabSample:
-    """Accepted points, an (n, 3) uint64 array of words (X << e, Y, Z), plus scan accounting."""
+    """Accepted points, an (n, 3) memoryview of uint64 words (X << e, Y, Z), plus scan accounting."""
 
-    points: np.ndarray
+    points: memoryview
     n_triples_scanned: int
     truncated: bool
 
@@ -187,8 +189,8 @@ def slab_sample(
         raise ValueError(f"method must be 'fast', got {method!r}")
     params, target = state.params, spec.target_points
     last_in = (1 << (64 - spec.e)) - 1  # x < 2**-e  iff  output o <= last_in
-    start = np.array([[state.s0], [state.s1]], dtype=np.uint64)
-    hits = [np.empty((3, 0), dtype=np.uint64)]  # (3, n) arrays with rows offset, s0, s1
+    start = (ctypes.c_uint64 * 2)(state.s0, state.s1)
+    hits = bytearray()  # the (offset, s0, s1) rows, in the order the calls end
     base, n_hits, grow = 0, 0, 1  # grow doubles the block after a block that finds no hit
     call = min(_CALL_TRIPLES, _CALL_HITS << spec.e)  # a kernel call's triples
     while base < cap and n_hits < target:
@@ -199,42 +201,47 @@ def slab_sample(
         seg_len = min((block + lanes - 1) // lanes, remaining // lanes)
         # the next block's start comes with the lane starts
         starts, start = _lane_starts(params, start, lanes, seg_len)
-        found = _scan_block(params, *starts, seg_len, base, last_in, call)
+        _scan_block(params, starts, seg_len, base, last_in, call, hits)
         base += lanes * seg_len
         # freed now, not when the next block's are built beside them, which
         # added about 2 MB to the peak RSS of a seed that needs two blocks
         del starts
-        n_found = sum(h.shape[1] for h in found)
+        n_found = len(hits) // 24 - n_hits
         n_hits, grow = n_hits + n_found, 1 if n_found else 2 * grow
-        hits += found
-    offset, s0, s1 = np.concatenate(hits, axis=1)
-    del hits, found  # so each hit row is held once, in the concatenation
-    first = np.argsort(offset)[:target]
-    offset, s0, s1 = offset[first], s0[first], s1[first]
-    if len(offset) < target:
+    # sorted by offset and cut to the target, so the points do not depend on
+    # the blocks or the calls; the points take the place of their hit rows
+    keep = min(n_hits, target)
+    tmp = bytearray(len(hits))
+    last = _stages().xs_finish_hits(params.a, params.b, params.c, spec.e, _address(hits), _address(tmp), n_hits, keep)
+    del tmp, hits[24 * keep :]
+    if keep < target:
         scanned, truncated = cap, True
     else:
-        scanned, truncated = int(offset[-1]) + 1, False
-    o0 = s0 + s1
-    s0, s1 = step_words(s0, s1, params)
-    o1 = s0 + s1
-    s0, s1 = step_words(s0, s1, params)
-    points = np.stack([(o0 >> 11) << spec.e, o1 >> 11, (s0 + s1) >> 11], axis=1)
+        scanned, truncated = last + 1, False
+    # cast cannot give a view no rows; the first 0 rows of one row can
+    points = memoryview(hits or bytearray(24)).cast("Q", (max(keep, 1), 3))[:keep]
     return SlabSample(points, scanned, truncated)
 
 
-def _lane_starts(params, start, lanes, seg_len):
-    """The (2, lanes) states at stream offsets 0, seg_len, 2*seg_len, ... from the (2, 1) start.
+def _address(buf) -> int:
+    """The address of a writable C-contiguous buffer's first byte: a bytearray, a memoryview of one, or an array."""
+    return ctypes.addressof((ctypes.c_char * 0).from_buffer(buf))
 
-    Returns the (2, 1) state at offset lanes*seg_len as well, for chaining
-    blocks.  The compiled xs_lane_starts chains the starts, each the jump of
-    the one before.  65,536 starts take 1.2-2.5 ms (2-core AVX-512 Xeon).
+
+def _lane_starts(params, start, lanes, seg_len):
+    """The (2, lanes) states at stream offsets 0, seg_len, 2*seg_len, ... from start, a buffer of the words s0, s1.
+
+    The starts are a memoryview of uint64 words, the s0 words in row 0 and
+    the s1 words in row 1.  Returns the state at offset lanes*seg_len as
+    well, as a ctypes array of two words, for chaining blocks.  The compiled
+    xs_lane_starts chains the starts, each the jump of the one before.
+    65,536 starts take 1.2-2.5 ms (2-core AVX-512 Xeon).
     """
-    starts = np.empty((2, lanes), dtype=np.uint64)
-    s = (ctypes.c_uint64 * 2)(*start.ravel().tolist())
-    _stages().xs_lane_starts(params.a, params.b, params.c, s, lanes, seg_len, starts[0].ctypes.data,
-                             starts[1].ctypes.data)
-    return starts, np.array([[s[0]], [s[1]]], dtype=np.uint64)
+    s = (ctypes.c_uint64 * 2).from_buffer_copy(start)
+    starts = bytearray(16 * lanes)
+    hi = _address(starts)
+    _stages().xs_lane_starts(params.a, params.b, params.c, s, lanes, seg_len, hi, hi + 8 * lanes)
+    return memoryview(starts).cast("Q", (2, lanes)), s
 
 
 class KernelError(RuntimeError):
@@ -318,23 +325,27 @@ def _scan_kernel(params: Params):
 
 @functools.cache
 def _stages():
-    """The library of xs_lane_starts, xs_census, xs_control_hits and xs_format_rows, loaded once per process."""
-    ptr, i32, i64, u64 = ctypes.c_void_p, ctypes.c_int, ctypes.c_int64, ctypes.c_uint64
+    """The stage library, its functions typed, loaded once per process."""
+    ptr, i32, i64, u64, f64 = ctypes.c_void_p, ctypes.c_int, ctypes.c_int64, ctypes.c_uint64, ctypes.c_double
     return _compiled(_STAGES_SOURCE, (), {
         "xs_lane_starts": (None, [i32, i32, i32, ptr, i64, i64, ptr, ptr]),
+        "xs_finish_hits": (u64, [i32, i32, i32, i32, ptr, ptr, i64, i64]),
         "xs_census": (i64, [i32, i32, i32, ptr, i64, i64, ptr, ptr, ptr, ptr]),
+        "xs_hit_counts": (i64, [ptr, i64, i32, ptr, ptr, u64, ptr]),
         "xs_control_hits": (i64, [u64, u64, ptr, i64, ptr, ptr, u64]),
-        "xs_format_rows": (i64, [ptr, i64, ptr, i64, ptr]),
+        "xs_mesh_stations": (i64, [i64, i64, i64, f64, f64, f64, f64, ptr, ptr]),
+        "xs_format_rows": (i64, [ptr, i64, i32, ptr, i64, ptr]),
     })
 
 
-def _scan_block(params, hi, lo, seg_len, base, last_in, call):
-    """Advance lanes (hi, lo) seg_len steps with params' kernel; return the hits where a triple enters the slab.
+def _scan_block(params, starts, seg_len, base, last_in, call, hits: bytearray) -> None:
+    """Advance the lanes of starts seg_len steps with params' kernel; add the hits where a triple enters the slab.
 
-    Lane j covers triple offsets [base + j*seg_len, base + (j+1)*seg_len) of
-    the stream.  The hits are a list of (3, n) uint64 arrays with rows
-    offset, s0, s1: a hit's stream offset and its state, from which the
-    caller steps out the triple's other two outputs.  hi and lo are left
+    starts is a (2, lanes) buffer of uint64 words, row 0 the lanes' s0 and
+    row 1 their s1.  Lane j covers triple offsets [base + j*seg_len, base +
+    (j+1)*seg_len) of the stream.  Each hit goes to hits as a row of three
+    words, offset, s0, s1: its stream offset and its state, from which
+    xs_finish_hits steps out the triple's other two outputs.  starts is left
     unchanged.  The lanes are cut once into kernel calls of at most call
     triples and ceil(lanes / _WORKERS) lanes, each rounded down to the
     kernel's group but at least one group, so every worker gets work.  Of k
@@ -344,29 +355,28 @@ def _scan_block(params, hi, lo, seg_len, base, last_in, call):
     holds reports how many, and is rerun with a buffer of that size, so no
     hit is dropped.
     """
-    if not (hi.dtype == lo.dtype == np.uint64 and hi.shape == lo.shape and hi.flags.c_contiguous
-            and lo.flags.c_contiguous):
-        raise ValueError("lane starts must be two contiguous uint64 arrays of one length")
     kernel = _scan_kernel(params)
-    lanes = hi.shape[0]
+    lanes = starts.shape[1]
     step = max(_GROUP, min(call // seg_len, -(-lanes // _WORKERS)) // _GROUP * _GROUP)
     k = min(_WORKERS, -(-lanes // step))
-    found = [[] for _ in range(k)]  # each thread's hit arrays, or the exception it raised
+    failed = [None] * k  # the exception each thread raised
 
     def scan(w):
-        buf = np.empty((3, _CALL_HITS * 3 // 2), dtype=np.uint64)
+        # each thread holds starts: a worker runs on where an interrupt ends the caller's scan
+        hi, buf = _address(starts), bytearray(24 * (_CALL_HITS * 3 // 2))
+        lo = hi + 8 * lanes
         for i in range(w * step, lanes, k * step):
-            h, l = hi[i : i + step], lo[i : i + step]
-            while (n := kernel(h.ctypes.data, l.ctypes.data, h.shape[0], seg_len, base + i * seg_len, last_in,
-                               buf.ctypes.data, buf.shape[1])) > buf.shape[1]:
-                buf = np.empty((3, n), dtype=np.uint64)
-            found[w].append(buf[:, :n].copy())
+            m = min(step, lanes - i)
+            while (n := kernel(hi + 8 * i, lo + 8 * i, m, seg_len, base + i * seg_len, last_in, _address(buf),
+                               len(buf) // 24)) > len(buf) // 24:
+                buf = bytearray(24 * n)
+            hits.extend(memoryview(buf)[: 24 * n])
 
     def work(w):
         try:
             scan(w)
         except BaseException as exc:  # handed to the calling thread
-            found[w] = exc
+            failed[w] = exc
 
     # daemon: an interrupt of the calling thread need not wait for the block
     threads = [threading.Thread(target=work, args=(w,), daemon=True) for w in range(1, k)]
@@ -375,10 +385,9 @@ def _scan_block(params, hi, lo, seg_len, base, last_in, call):
     scan(0)
     for th in threads:
         th.join()
-    for part in found:
-        if isinstance(part, BaseException):
-            raise part
-    return [hit for part in found for hit in part]
+    for exc in failed:
+        if exc is not None:
+            raise exc
 
 
 @dataclass
@@ -391,22 +400,30 @@ class HitStats:
     per_plane_hits: dict
 
 
+def _plane_words(fam: PlaneFamily):
+    """The planes' sign_x * m and sign_y, mod 2**64, as two ctypes arrays: the scoring kernels' plane arguments."""
+    c = (ctypes.c_uint64 * 8)(*(p.sign_x * p.m & MASK64 for p in fam.planes))
+    sy = (ctypes.c_uint64 * 8)(*(p.sign_y & MASK64 for p in fam.planes))
+    return c, sy
+
+
 def hit_stats(points, fam: PlaneFamily, epsilon: float, spec: SlabSpec) -> HitStats:
     """Fraction of points within epsilon of some family plane, attributed by arg-min.
 
-    points is a slab sample's (n, 3) uint64 array of words (X << e, Y, Z);
-    distances are computed exactly on the unmagnified words (X, Y, Z).
-    Per-plane counts use the arg-min plane only, so they sum to the total
-    hit count.
+    points is a slab sample's (n, 3) buffer of uint64 words (X << e, Y, Z),
+    writable and C-contiguous; distances are computed exactly on the
+    unmagnified words (X, Y, Z) by the compiled scorer, xs_hit_counts.  Each
+    point counts for its nearest plane only, the earliest on a tie, so the
+    per-plane counts sum to the total hit count.
     """
     if len(points) == 0:
         raise ValueError("empty point list")
+    if memoryview(points).nbytes != 24 * len(points):
+        raise ValueError("points must be rows of three 64-bit words")
     thr = epsilon_threshold(epsilon)
-    d, which = nearest_plane(points >> np.array([spec.e, 0, 0], dtype=np.uint64), fam)
-    hit = d <= thr
-    per = np.bincount(which[hit], minlength=len(fam.planes))
-    hits = int(hit.sum())
-    per_plane = {p.name: int(c) for p, c in zip(fam.planes, per)}
+    counts = (ctypes.c_int64 * 8)()
+    hits = _stages().xs_hit_counts(_address(points), len(points), spec.e, *_plane_words(fam), thr, counts)
+    per_plane = {p.name: c for p, c in zip(fam.planes, counts)}
     return HitStats(len(points), hits, hits / len(points), per_plane)
 
 
@@ -424,9 +441,10 @@ def control_baseline(n_points: int, fam: PlaneFamily, epsilon: float, control_se
     numpy's Philox(key=control_seed) stream (counter-based, unrelated to
     the xorshift family) drives the points: each coordinate is the top 53
     bits of one raw word, the same value Generator.random would give.  The
-    compiled kernel draws the stream and counts the hits, _CALL_POINTS
-    points a call.  On the full cube the eight plane neighborhoods are
-    nearly disjoint so the expected value is a bit under 16*epsilon.  For
+    compiled kernel draws the stream and scores it with hit_stats' scorer,
+    _CALL_POINTS points a call.  On the full cube the eight plane
+    neighborhoods are nearly disjoint so the expected value is a bit under
+    16*epsilon.  For
     a = 52 - k the two coefficient families coincide on the grid points
     with X = 0 mod 2**k, lowering it to about (16 - 8/2**k)*epsilon:
     14*epsilon at a = 50, 12*epsilon at a = 51.  For a >= 52 they coincide
@@ -436,8 +454,7 @@ def control_baseline(n_points: int, fam: PlaneFamily, epsilon: float, control_se
     _check_control(n_points, control_seed)
     thr = epsilon_threshold(epsilon)
     kernel = _stages().xs_control_hits
-    c = (ctypes.c_uint64 * 8)(*(p.sign_x * p.m & MASK64 for p in fam.planes))
-    sy = (ctypes.c_uint64 * 8)(*(p.sign_y & MASK64 for p in fam.planes))
+    c, sy = _plane_words(fam)
     ctr, k0, k1 = (ctypes.c_uint64 * 4)(), control_seed & MASK64, control_seed >> 64
     return sum(kernel(k0, k1, ctr, min(_CALL_POINTS, n_points - i), c, sy, thr)
                for i in range(0, n_points, _CALL_POINTS)) / n_points
@@ -565,27 +582,36 @@ _TMP_IDS = itertools.count()
 # The compiled CSV formatter (xs_format_rows) writes at most _ROW_BYTES
 # bytes a row and one a blank line.  A file is formatted a call at a time
 # into one buffer of _ROW_BYTES * _TEXT_ROWS bytes, a call's rows and blank
-# lines filling at most that, so the buffer, and the float64 rows of a
-# call, stay small however many points or strips are written.
+# lines filling at most that, its rows copied into one buffer of
+# _TEXT_ROWS rows, so the buffers stay small however many points or strips
+# are written.
 _ROW_BYTES = 75
 _TEXT_ROWS = 1 << 11
 
 
-def _format_rows(fmt, values, buf: np.ndarray, breaks=()) -> memoryview:
-    """The rows of an (n, 3) float64 array as %.17g CSV text in buf, written by fmt: a view of buf.
+def _flat(rows) -> memoryview:
+    """The bytes of a C-contiguous buffer, which cast cannot give for an empty one of (0, 3) rows."""
+    view = memoryview(rows)
+    return view.cast("B") if view.nbytes else memoryview(bytearray())
 
-    A blank line goes before row i for each i in breaks, ascending, and
-    after the last row for each i equal to n.
+
+def _format_rows(fmt, values, buf, breaks=(), words=False) -> memoryview:
+    """The rows of values as %.17g CSV text in buf, written by fmt: a view of buf.
+
+    values is a writable C-contiguous buffer of (n, 3) float64 values, or
+    with words set of uint64 words, each the value w * 2**-53; buf is a
+    writable buffer.  A blank line goes before row i for each i in breaks,
+    ascending, and after the last row for each i equal to n.
     """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    breaks = np.ascontiguousarray(breaks, dtype=np.int64)
-    if (values.ndim != 2 or values.shape[1] != 3 or breaks.ndim != 1 or buf.dtype != np.uint8
-            or buf.size < _ROW_BYTES * len(values) + len(breaks)):
-        raise ValueError(f"need (n, 3) rows and a uint8 buffer of {_ROW_BYTES} bytes a row and one a break")
-    n = fmt(values.ctypes.data, len(values), breaks.ctypes.data, len(breaks), buf.ctypes.data)
-    if n < 0:
+    values, out = _flat(values), _flat(buf)
+    n = len(values) // 24
+    if len(values) != 24 * n or len(out) < _ROW_BYTES * n + len(breaks):
+        raise ValueError(f"need (n, 3) rows and a buffer of {_ROW_BYTES} bytes a row and one a break")
+    at = (ctypes.c_int64 * len(breaks))(*breaks)
+    size = fmt(_address(values), n, words, at, len(breaks), _address(out))
+    if size < 0:
         raise OSError("no C numeric locale for the CSV text")
-    return memoryview(buf)[:n]
+    return out[:size]
 
 
 def _atomic_write(path: Path, chunks) -> None:
@@ -609,36 +635,39 @@ def _atomic_write(path: Path, chunks) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _write_rows(path: Path, head: str, blocks) -> None:
-    """Write head, then for each (blank, rows) of blocks that many blank lines and the (n, 3) rows as %.17g CSV.
+def _write_rows(path: Path, head: str, blocks, words: bool = False) -> None:
+    """Write head, then for each (blank, rows) of blocks that many blank lines and the rows as %.17g CSV.
 
-    Consecutive blocks go to the formatter together, their blank lines as
-    breaks, as many rows as fit in one buffer a call, a longer block going
-    on in the next call; each call's text is one write.  Blocks are taken
-    one at a time as the file is written.
+    rows is a C-contiguous buffer of (n, 3) float64 values, or with words
+    set of uint64 words, each the value w * 2**-53.  Consecutive blocks go
+    to the formatter together, their blank lines as breaks, as many rows as
+    fit in one buffer a call, a longer block going on in the next call;
+    each call's text is one write.  Blocks are taken one at a time as the
+    file is written.
     """
     size = _ROW_BYTES * _TEXT_ROWS
-    text = functools.partial(_format_rows, _stages().xs_format_rows, buf=np.empty(size, dtype=np.uint8))
+    staged, fmt, buf = bytearray(24 * _TEXT_ROWS), _stages().xs_format_rows, bytearray(size)
+
+    def text(n, breaks):  # the first n staged rows
+        return _format_rows(fmt, memoryview(staged)[: 24 * n], buf, breaks, words)
 
     def calls():
         yield head
-        pending, n, breaks = [], 0, []
+        n, breaks = 0, []
         for blank, rows in blocks:
+            rows = _flat(rows)
             if _ROW_BYTES * n + len(breaks) + blank > size:
-                yield text(np.concatenate(pending), breaks=breaks)
-                pending, n, breaks = [], 0, []
+                yield text(n, breaks)
+                n, breaks = 0, []
             breaks += [n] * blank
-            while True:
-                take = (size - len(breaks)) // _ROW_BYTES - n
-                pending.append(rows[:take])
-                n += len(pending[-1])
-                rows = rows[take:]
-                if not len(rows):
-                    break
-                yield text(np.concatenate(pending), breaks=breaks)
-                pending, n, breaks = [], 0, []
+            while len(rows) > 24 * (room := (size - len(breaks)) // _ROW_BYTES - n):
+                staged[24 * n : 24 * (n + room)] = rows[: 24 * room]
+                yield text(n + room, breaks)
+                n, breaks, rows = 0, [], rows[24 * room :]
+            staged[24 * n : 24 * n + len(rows)] = rows
+            n += len(rows) // 24
         if n or breaks:
-            yield text(np.concatenate(pending), breaks=breaks)
+            yield text(n, breaks)
 
     _atomic_write(path, calls())
 
@@ -646,11 +675,11 @@ def _write_rows(path: Path, head: str, blocks) -> None:
 def write_points_csv(path, points, magnify: float, params: Params, seed: int) -> None:
     """Slab words as `x_mag,y,z` unit-interval rows under a reproducibility header line.
 
-    The words become floats _TEXT_ROWS rows at a time, one block each.
+    points is a C-contiguous buffer of (n, 3) uint64 words, each coordinate
+    the word times 2**-53.
     """
     header = f"# magnify={int(magnify)} params={params.a},{params.b},{params.c} seed=0x{seed:016x}\n"
-    blocks = ((0, points[i : i + _TEXT_ROWS] * 2.0**-53) for i in range(0, len(points), _TEXT_ROWS))
-    _write_rows(Path(path), header, blocks)
+    _write_rows(Path(path), header, [(0, points)], words=True)
 
 
 def write_mesh_csv(path, strips) -> None:
@@ -661,7 +690,7 @@ def write_mesh_csv(path, strips) -> None:
     "\n\n"-joined strip by strip, and a final newline.
     """
     blocks = ((bool(i) + (len(s.vertices) == 0), s.vertices) for i, s in enumerate(strips))
-    first = next(blocks, (1, np.empty((0, 3))))
+    first = next(blocks, (1, b""))
     _write_rows(Path(path), "", itertools.chain([first], blocks))
 
 

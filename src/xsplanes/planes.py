@@ -4,16 +4,16 @@ For shift count a the coefficients are m = 2**a - 1 and m = 2**a + 1; with
 both signs on x and y that makes eight planes.  Distances are vertical on
 the torus (z folded mod 1), which is well defined for graphs z = f(x, y)
 mod 1 and cheap.  They are computed exactly on 53-bit integer coordinates,
-the resolution of the generator's unit-interval outputs.  Meshes sample the
-slab region used for the magnified plots, split at the mod-1 wrap so each
-surface piece is a clean sheet.
+the resolution of the generator's unit-interval outputs, by the stage
+library's scorer (experiment.hit_stats).  Meshes sample the slab region
+used for the magnified plots, split at the mod-1 wrap so each surface piece
+is a clean sheet; the stage library fills them an x station at a time.
 """
 
+import ctypes
 from dataclasses import dataclass
 from fractions import Fraction
 import math
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,6 @@ def family(a: int) -> PlaneFamily:
 
 
 _ONE = 1 << 53
-_MASK53 = np.uint64(_ONE - 1)
 
 
 def epsilon_threshold(epsilon: float) -> int:
@@ -93,47 +92,27 @@ def union_rate(fam: PlaneFamily, epsilon: float) -> float:
     return min(2 * len(distinct) * epsilon, 1.0)
 
 
-def nearest_plane(points: np.ndarray, fam: PlaneFamily) -> tuple[np.ndarray, np.ndarray]:
-    """Exact torus distance to the nearest family plane, and that plane's index.
-
-    points is an (n, 3) uint64 array of 53-bit coordinates (X, Y, Z), the
-    point (X, Y, Z) / 2**53.  For each plane T = (Z - sign_x*m*X - sign_y*Y)
-    mod 2**53 is computed with uint64 wraparound, and the distance is
-    min(T, 2**53 - T) in units of 2**-53.  Ties keep the earliest plane in
-    the family's fixed order.
-    """
-    x, y, z = points[:, 0], points[:, 1], points[:, 2]
-    best = np.full(len(points), _ONE, dtype=np.uint64)
-    idx = np.zeros(len(points), dtype=np.intp)
-    for k, plane in enumerate(fam.planes):
-        mx = x * np.uint64(plane.m)
-        t = z - mx if plane.sign_x == 1 else z + mx
-        t = (t - y if plane.sign_y == 1 else t + y) & _MASK53
-        d = np.minimum(t, _ONE - t)
-        idx[d < best] = k
-        np.minimum(best, d, out=best)
-    return best, idx
-
-
 @dataclass(frozen=True, eq=False)
 class MeshStrip:
     """One polyline of the sampled surface, constant x, ordered by y.
 
-    vertices is a read-only (n, 3) float64 array of (x_mag, y, z) rows.
-    branch is the integer k with k <= sign_x*m*x + sign_y*y < k+1 along the
-    strip; strips sharing a branch belong to the same connected sheet.
-    eq=False because a frozen dataclass holding an array can neither
-    compare nor hash.
+    vertices is a read-only (n, 3) memoryview of float64 (x_mag, y, z) rows;
+    numpy reads it without a copy.  branch is the integer k with k <=
+    sign_x*m*x + sign_y*y < k+1 along the strip; strips sharing a branch
+    belong to the same connected sheet.  eq=False because a frozen
+    dataclass holding a memoryview can neither compare nor hash.
     """
 
     branch: int
-    vertices: np.ndarray
+    vertices: memoryview
 
 
-# At 4096 stations a plane's vertex array is 4096**2 * 24 bytes, 0.4 GB; the
+# At 4096 stations a plane's vertices take 4096**2 * 24 bytes, 0.4 GB; the
 # meshes are built one at a time, and a planes run at that grid peaks at
-# 578 MB RSS (2-core AVX-512 Xeon).  A grid of 10**5 would need 240 GB.
+# 405 MB RSS (2-core AVX-512 Xeon).  A grid of 10**5 would need 240 GB.
 MAX_GRID = 4096
+# A call of the mesh kernel fills about this many vertices, whole x stations.
+_CALL_VERTICES = 1 << 13
 
 
 def check_grid(grid: int) -> None:
@@ -147,36 +126,31 @@ def mesh(plane: Plane, x_max: float, magnify: float, grid: int) -> list[MeshStri
 
     Emits `grid` stations per axis; vertices are (magnify*x, y, z) with
     x = (j/(grid-1))*x_max, y = k/(grid-1), f = sign_x*m*x + sign_y*y and
-    z = f - floor(f).  Each strip is split where the mod-1 wrap crosses it
-    (the branch index changes); fragments with fewer than two vertices are
-    dropped, so the vertex total is grid*grid minus those wrap losses.
+    z = f - floor(f), each operation rounded once, as Python floats round
+    them.  Each strip is split where the mod-1 wrap crosses it (the branch
+    index changes); fragments with fewer than two vertices are dropped, so
+    the vertex total is grid*grid minus those wrap losses.  The stage
+    library's xs_mesh_stations fills whole x stations, about _CALL_VERTICES
+    vertices a call, into the plane's one vertex buffer, which its strips
+    view.
     """
     if not 0.0 < x_max <= 1.0:
         raise ValueError(f"x_max must be in (0, 1], got {x_max}")
     if not 0.0 < magnify < math.inf:
         raise ValueError(f"magnify must be positive and finite, got {magnify}")
     check_grid(grid)
-    steps = grid - 1
-    x = np.arange(grid) / steps * x_max
-    y = np.arange(grid) / steps
-    vertices = np.empty((grid, grid, 3))
-    vertices[..., 0] = (magnify * x)[:, None]
-    vertices[..., 1] = y
-    # f, folded in place; float() rounds the coefficient exactly as Python's int * float does
-    z = np.add(float(plane.sign_x * plane.m) * x[:, None], plane.sign_y * y, out=vertices[..., 2])
-    branch = np.floor(z)
-    z -= branch
-    vertices = vertices.reshape(-1, 3)
-    vertices.flags.writeable = False
-    branch = branch.ravel()
-    # a strip starts at every x station and wherever the branch changes along y
-    new = np.ones(grid * grid, dtype=bool)
-    new[1:] = branch[1:] != branch[:-1]
-    new[::grid] = True
-    starts = np.flatnonzero(new)
-    ends = np.append(starts[1:], grid * grid)
-    keep = ends - starts >= 2
-    return [
-        MeshStrip(int(branch[s]), vertices[s:e])
-        for s, e in zip(starts[keep].tolist(), ends[keep].tolist())
-    ]
+    from .experiment import _address, _stages  # experiment, which loads the library, imports this module
+
+    fill = _stages().xs_mesh_stations
+    vertices = bytearray(24 * grid * grid)
+    rows, at = memoryview(vertices).toreadonly().cast("d", (grid * grid, 3)), _address(vertices)
+    per = -(-_CALL_VERTICES // grid)  # stations a call
+    found = (ctypes.c_int64 * (3 * per * (grid // 2)))()  # (first, end, branch) of each strip of a call
+    # float() rounds the coefficient exactly as Python's int * float does
+    coef, sign_y = float(plane.sign_x * plane.m), float(plane.sign_y)
+    strips = []
+    for j in range(0, grid, per):
+        n = fill(j, min(j + per, grid), grid, x_max, magnify, coef, sign_y, at + 24 * grid * j, found)
+        rows_j, bounds = rows[grid * j :], iter(found[: 3 * n])
+        strips += [MeshStrip(branch, rows_j[first:end]) for first, end, branch in zip(bounds, bounds, bounds)]
+    return strips

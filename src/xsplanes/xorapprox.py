@@ -18,8 +18,6 @@ from enum import Enum
 from fractions import Fraction
 import warnings
 
-import numpy as np
-
 # 4**n pairs are enumerated in memory; 12 keeps that at ~17M pairs.
 MAX_ENUM_BITS = 12
 
@@ -57,7 +55,10 @@ class CaseCounts:
 
 
 def _pair_grids(n: int):
-    # int32 is exact here: values stay below 2**(MAX_ENUM_BITS+1)
+    # numpy is imported here, so that only the verify command loads it;
+    # int32 is exact: values stay below 2**(MAX_ENUM_BITS+1)
+    import numpy as np
+
     vals = np.arange(1 << n, dtype=np.int32)
     return vals[:, None], vals[None, :]
 

@@ -4,13 +4,16 @@ Each check runs one xsplanes command twice in this process: once as
 shipped, and once with every compiled stage replaced by its numpy or
 Python reference (helpers.reference_stages): the lane scan kernel, whose
 numpy stand-in runs each call of the scan's whole driver, the lane
-starts, the census, the control count and the CSV formatter.  The exit
-codes, stdout, stderr and every output file must agree byte for byte.
+starts, the hit finishing (an argsort), the census, the plane scorer
+(nearest_plane), the control count, the mesh stations (the array mesh)
+and the CSV formatter.  The exit codes, stdout, stderr and every output
+file must agree byte for byte.
 
 - wide-slab: the benchmark workload at full size.  Its 50,000 points at
   x < 2**-10 are the first 50,000 hits by stream offset, so they check the
-  kernel's (offset, s0, s1) hit records.  It also runs 262,144 control
-  points, a 200,000-step census and 4,072 mesh strips at --grid 256.
+  kernel's (offset, s0, s1) hit records and their sorting, and the scorer
+  on each of them.  It also runs 262,144 control points, a 200,000-step
+  census and 4,072 mesh strips at --grid 256.
 - sparse-slab: seed 3 at x < 2**-23 takes four scan blocks, the first of
   51,200 lanes 32,769 steps apart, so the compiled and the numpy lane
   starts meet in a first block and in three follow-up blocks of 768, 256
@@ -23,8 +26,8 @@ Run from the root of a checkout, with gcc on PATH:
     PYTHONPATH=src python3 tests/check_references.py
 
 It prints one line a check, naming what differs, and exits 1 if any
-check differs.  The checks take about 17-19 s on a 2-core AVX-512 Xeon,
-12-14 s of it in sparse-slab, where the numpy scan stands in for each of
+check differs.  The checks take about 17 s on a 2-core AVX-512 Xeon,
+13 s of it in sparse-slab, where the numpy scan stands in for each of
 the block's kernel calls; the tier-1 tests run the same comparisons
 scaled down.
 """

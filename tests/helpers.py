@@ -6,13 +6,16 @@ and the per-vertex mesh writer are the references for planes.mesh and
 experiment.write_mesh_csv, and classify, the case label of one pair, is
 the reference for xorapprox.column_cases.
 
-Each compiled stage of experiment has a numpy or Python reference here,
-which the tests run in its place: numpy_scan (scan_block with the kernel's
-calling convention) for the lane scan, lane_starts (GF(2) jump-ahead by
-repeated doubling) for xs_lane_starts, reference_census for the case
-census, reference_control (numpy's Philox) for the control count and
-python_rows for the CSV formatter.  reference_stages puts all of them in
-place at once.
+Each compiled stage has a numpy or Python reference here, which the tests
+run in its place: numpy_scan (scan_block with the kernel's calling
+convention) for the lane scan, lane_starts (GF(2) jump-ahead by repeated
+doubling) for xs_lane_starts, numpy_finish_hits (an argsort) for
+xs_finish_hits, nearest_plane (numpy_hit_counts in the kernel's calling
+convention) for the plane scorer, array_stations (the array mesh at some
+x stations) for xs_mesh_stations, reference_census for the case census,
+reference_control (numpy's Philox) for the control count and python_rows
+for the CSV formatter.  reference_stages puts all of them in place at
+once.
 
 The GF(2) matrices come twice.  The uint64 word-array core (act, mat_mul,
 identity, mat_pow, transition_rows) starts lane_starts' lanes and checks
@@ -25,6 +28,7 @@ import contextlib
 import ctypes
 from dataclasses import dataclass
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,7 +36,7 @@ import pytest
 from xsplanes import cli, experiment
 from xsplanes.engine import MASK64, WIDTH, GenState, Params, step_words
 from xsplanes.experiment import CaseCensus
-from xsplanes.planes import MeshStrip, epsilon_threshold, nearest_plane
+from xsplanes.planes import MeshStrip, epsilon_threshold
 from xsplanes.xorapprox import COMBINE_ORDER, Combine, column_cases, compound_probability, plane_coefficients
 
 BITS = 128
@@ -101,7 +105,8 @@ def reference_mesh(plane, x_max: float, magnify: float, grid: int) -> list[MeshS
 
 def reference_mesh_csv(strips) -> str:
     """The text of experiment.write_mesh_csv, formatting every coordinate of every vertex."""
-    blocks = ("\n".join("%.17g,%.17g,%.17g" % tuple(v) for v in strip.vertices) for strip in strips)
+    rows = (np.asarray(strip.vertices, dtype=np.float64).reshape(-1, 3).tolist() for strip in strips)
+    blocks = ("\n".join("%.17g,%.17g,%.17g" % tuple(v) for v in block) for block in rows)
     return "\n\n".join(blocks) + "\n"
 
 
@@ -238,15 +243,16 @@ def transition_rows(params: Params) -> np.ndarray:
 
 
 def lane_starts(params, start, lanes, seg_len):
-    """experiment._lane_starts in numpy: the starts, and the next block's, by repeated doubling.
+    """experiment._lane_starts in numpy: the (2, lanes) starts, and the next block's start, by repeated doubling.
 
-    Each round maps the first block of starts forward by the squared
+    start, and the next start returned, are buffers of the two words s0,
+    s1.  Each round maps the first block of starts forward by the squared
     segment transition.  A block's 65,536 starts take 12-22 ms (2-core
     AVX-512 Xeon).
     """
     seg = mat_pow(transition_rows(params), seg_len)
     starts = np.empty((2, lanes), dtype=np.uint64)
-    starts[:, :1] = start
+    starts[:, 0] = np.frombuffer(start, dtype=np.uint64)
     filled = 1
     jump = seg
     while filled < lanes:
@@ -255,7 +261,7 @@ def lane_starts(params, start, lanes, seg_len):
         filled += chunk
         if filled < lanes:
             jump = mat_mul(jump, jump)
-    return starts, act(seg, starts[:, -1:])
+    return starts, act(seg, starts[:, -1:]).ravel()
 
 
 def scan_block(hi, lo, params, seg_len, base, last_in):
@@ -295,8 +301,8 @@ def numpy_scan(params):
     """scan_block for params with xs_scan_lanes' calling convention, to stand in for experiment._scan_kernel.
 
     The kernel it returns takes the addresses of the lanes' hi and lo words
-    and of a 3 x cap hit buffer, leaves the lanes unchanged, stores the
-    first cap hits in the buffer's rows and returns how many it found.
+    and of a cap x 3 hit buffer, leaves the lanes unchanged, stores the
+    first cap hits as the buffer's rows and returns how many it found.
     """
 
     def kernel(hi, lo, lanes, seg_len, base, last_in, hits, cap):
@@ -304,10 +310,30 @@ def numpy_scan(params):
         found = np.concatenate([np.empty((3, 0), dtype=np.uint64),
                                 *scan_block(*words, params, seg_len, base, last_in)], axis=1)
         n = min(found.shape[1], cap)
-        _words(hits, 3 * cap).reshape(3, cap)[:, :n] = found[:, :n]
+        _words(hits, 3 * cap).reshape(cap, 3)[:n] = found[:, :n].T
         return found.shape[1]
 
     return kernel
+
+
+def numpy_finish_hits(a, b, c, e, rows, tmp, n, keep):
+    """xs_finish_hits in numpy, with its calling convention: an argsort of the n hit rows at address rows by offset.
+
+    The first keep rows become the points' words (X << e, Y, Z), stepped
+    out of the rows' states; tmp is not used.  Returns the last kept
+    row's offset, or 0.
+    """
+    if not keep:
+        return 0
+    hits = _words(rows, 3 * n).reshape(n, 3)
+    offset, s0, s1 = hits[np.argsort(hits[:, 0])[:keep]].T
+    params = SimpleNamespace(a=a, b=b, c=c)
+    o0 = s0 + s1
+    s0, s1 = step_words(s0, s1, params)
+    o1 = s0 + s1
+    s0, s1 = step_words(s0, s1, params)
+    hits[:keep] = np.stack([(o0 >> 11) << e, o1 >> 11, (s0 + s1) >> 11], axis=1)
+    return int(offset[-1])
 
 
 # The numpy census runs min(CENSUS_LANES, n) lanes of ceil(n / CENSUS_LANES) steps.
@@ -324,7 +350,7 @@ def census_lanes(state, n_steps, n_bits, coeffs):
     params = state.params
     lanes = min(CENSUS_LANES, n_steps)
     seg_len = -(-n_steps // lanes)
-    w0, w1 = lane_starts(params, np.array([[state.s0], [state.s1]], np.uint64), lanes, seg_len)[0]
+    w0, w1 = lane_starts(params, np.array([state.s0, state.s1], np.uint64), lanes, seg_len)[0]
     w2 = step_words(w0, w1, params)[1]
     w3 = step_words(w1, w2, params)[1]
     a, drop = np.uint64(params.a), np.uint64(64 - n_bits)
@@ -361,6 +387,124 @@ def reference_census(state, n_steps, n_bits) -> CaseCensus:
                       compound_probability(n_bits)[1])
 
 
+ONE = 1 << 53
+
+
+def nearest_plane(points: np.ndarray, fam) -> tuple[np.ndarray, np.ndarray]:
+    """Exact torus distance to the nearest family plane, and that plane's index, in numpy.
+
+    points is an (n, 3) uint64 array of 53-bit coordinates (X, Y, Z), the
+    point (X, Y, Z) / 2**53.  For each plane T = (Z - sign_x*m*X - sign_y*Y)
+    mod 2**53 is computed with uint64 wraparound, and the distance is
+    min(T, 2**53 - T) in units of 2**-53.  Ties keep the earliest plane in
+    the family's fixed order.
+    """
+    return nearest_words(points, *experiment._plane_words(fam))
+
+
+def nearest_words(points, c, sy):
+    """nearest_plane for the planes' words c = sign_x*m and sy = sign_y, mod 2**64, as the scorer takes them."""
+    points = np.asarray(points, dtype=np.uint64)
+    x, y, z = points[:, 0], points[:, 1], points[:, 2]
+    best = np.full(len(points), ONE, dtype=np.uint64)
+    idx = np.zeros(len(points), dtype=np.intp)
+    for k, (cx, cy) in enumerate(zip(c, sy)):
+        t = (z - x * np.uint64(cx) - y * np.uint64(cy)) & np.uint64(ONE - 1)
+        d = np.minimum(t, ONE - t)
+        idx[d < best] = k
+        np.minimum(best, d, out=best)
+    return best, idx
+
+
+def numpy_hit_counts(points, n, e, c, sy, thr, counts) -> int:
+    """nearest_words with xs_hit_counts' calling convention, to stand in for it.
+
+    It takes the address of n rows of words (X << e, Y, Z) and the planes'
+    words, writes each plane's hits within thr to counts and returns their
+    sum.
+    """
+    rows = _words(points, 3 * n).reshape(n, 3) >> np.array([e, 0, 0], dtype=np.uint64)
+    d, which = nearest_words(rows, c, sy)
+    counts[:8] = np.bincount(which[d <= thr], minlength=8).tolist()
+    return sum(counts)
+
+
+def compiled_nearest(points, fam) -> tuple[np.ndarray, np.ndarray]:
+    """nearest_plane by the compiled scorer, xs_hit_counts, one point a call.
+
+    A point's distance is the least threshold at which the scorer counts
+    it, found by bisection, and its plane the one it is counted for there.
+    """
+    kernel = experiment._stages().xs_hit_counts
+    c, sy = experiment._plane_words(fam)
+    counts = (ctypes.c_int64 * 8)()
+    rows = np.ascontiguousarray(points, dtype=np.uint64)
+    d, which = np.empty(len(rows), dtype=np.uint64), np.empty(len(rows), dtype=np.intp)
+    for i in range(len(rows)):
+        lo, hi = -1, ONE // 2  # no point is within lo, every point within hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if kernel(rows[i].ctypes.data, 1, 0, c, sy, mid, counts) else (mid, hi)
+        kernel(rows[i].ctypes.data, 1, 0, c, sy, hi, counts)
+        d[i], which[i] = hi, list(counts).index(1)
+    return d, which
+
+
+def scorers():
+    """The nearest-plane scorers to test: the compiled one, by bisection, then the numpy reference."""
+    return [compiled_nearest, nearest_plane]
+
+
+def array_vertices(coef, sign_y, x_max, magnify, grid, stations):
+    """The array mesh's vertices and branches at the given x stations, (len(stations), grid, 3) and (len(stations), grid).
+
+    The heights are computed and folded inside the vertex array.
+    """
+    steps = grid - 1
+    x = np.asarray(stations) / steps * x_max
+    y = np.arange(grid) / steps
+    vertices = np.empty((len(x), grid, 3))
+    vertices[..., 0] = (magnify * x)[:, None]
+    vertices[..., 1] = y
+    z = np.add(coef * x[:, None], sign_y * y, out=vertices[..., 2])
+    branch = np.floor(z)
+    z -= branch
+    return vertices, branch
+
+
+def array_stations(j0, j1, grid, x_max, magnify, coef, sign_y, v, strips) -> int:
+    """array_vertices at stations j0..j1-1 with xs_mesh_stations' calling convention, to stand in for it.
+
+    It writes the stations' vertices at address v and each strip of at
+    least two vertices, where the branch changes, to strips as a row
+    (first, end, branch) in vertices from v, and returns the number of
+    strips.
+    """
+    vertices, branch = array_vertices(coef, sign_y, x_max, magnify, grid, range(j0, j1))
+    np.ctypeslib.as_array((ctypes.c_double * vertices.size).from_address(v))[:] = vertices.ravel()
+    branch = branch.ravel()
+    # a strip starts at every x station and wherever the branch changes along y
+    new = np.ones(len(branch), dtype=bool)
+    new[1:] = branch[1:] != branch[:-1]
+    new[::grid] = True
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], len(branch))
+    keep = ends - starts >= 2
+    rows = np.stack([starts[keep], ends[keep], branch[starts[keep]].astype(np.int64)], axis=1)
+    strips[: rows.size] = rows.ravel().tolist()
+    return len(rows)
+
+
+def station_paths():
+    """The mesh station fillers to test: the compiled xs_mesh_stations, then array_stations in its place."""
+    return [experiment._stages().xs_mesh_stations, array_stations]
+
+
+def use_station(mp, station):
+    """Have planes.mesh fill its stations with station, one of station_paths(), until mp is undone."""
+    mp.setattr(experiment._stages(), "xs_mesh_stations", station)
+
+
 # numpy's Philox draws the control's points this many at a time
 CONTROL_CHUNK = 1 << 15
 
@@ -392,15 +536,17 @@ def python_rows(values: np.ndarray, breaks) -> str:
     return "".join(rows) % tuple(map(texts.__getitem__, index.ravel().tolist()))
 
 
-def python_format_rows(values, n, breaks, n_breaks, buf) -> int:
+def python_format_rows(values, n, words, breaks, n_breaks, buf) -> int:
     """python_rows with the compiled formatter's calling convention, to stand in for it.
 
-    It takes the addresses of n rows of three doubles, of n_breaks int64
-    breaks and of the buffer, writes the text there and returns its length.
+    It takes the address of n rows of three doubles, or with words set of
+    three uint64 words each the value w * 2**-53, the n_breaks int64
+    breaks and the buffer's address, writes the text there and returns its
+    length.
     """
-    rows = np.frombuffer((ctypes.c_double * (3 * n)).from_address(values), dtype=np.float64).reshape(n, 3)
-    at = np.frombuffer((ctypes.c_int64 * n_breaks).from_address(breaks), dtype=np.int64)
-    text = python_rows(rows, at.tolist()).encode()
+    rows = np.frombuffer((ctypes.c_double * (3 * n)).from_address(values),
+                         dtype=np.uint64 if words else np.float64).reshape(n, 3)
+    text = python_rows(rows * 2.0**-53 if words else rows, list(breaks[:n_breaks])).encode()
     ctypes.memmove(buf, text, len(text))
     return len(text)
 
@@ -421,6 +567,9 @@ def reference_stages():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiment, "_scan_kernel", numpy_scan)
         mp.setattr(experiment, "_lane_starts", lane_starts)
+        for name, stand_in in (("xs_finish_hits", numpy_finish_hits), ("xs_hit_counts", numpy_hit_counts)):
+            mp.setattr(experiment._stages(), name, stand_in)
+        use_station(mp, array_stations)
         use_formatter(mp, python_format_rows)
         for module in (experiment, cli):
             mp.setattr(module, "control_baseline", reference_control)

@@ -462,6 +462,25 @@ def test_ctrl_c_during_the_scan_ends_the_run_within_a_second(tmp_path):
     assert out == b"" and not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("planes", "--magnify-exp", "10", "--target-points", "200", "--grid", "8"), ("planes", "--control-only"),
+     ("census", "--steps", "1000"), ("gen", "--count", "3")],
+    ids=" ".join,
+)
+def test_command_runs_without_numpy(tmp_path, argv):
+    # the stages pass bytearrays and ctypes arrays between them, so a run of
+    # planes, census or gen in a fresh interpreter never imports numpy; only
+    # verify and the tests load it
+    code = "import sys; from xsplanes.cli import main; code = main(sys.argv[1:]); print(code, 'numpy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(experiment.__file__))
+    if argv[0] == "planes":
+        argv = (*argv, "--output-dir", str(tmp_path / "o"))
+    run = subprocess.run([sys.executable, "-c", code, *argv], env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
+                         capture_output=True, text=True, timeout=120)
+    assert run.stdout.splitlines()[-1] == "0 False", run.stderr
+
+
 def test_planes_and_census_without_gcc_exit_2_in_one_line(tmp_path):
     # A PATH that holds python3 but no gcc, and an empty kernel cache.
     # planes, with or without --control-only, and census exit 2 with one

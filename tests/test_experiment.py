@@ -26,6 +26,7 @@ from helpers import (
     classify,
     height,
     lane_starts,
+    nearest_plane,
     numpy_scan,
     reference_census,
     reference_control,
@@ -62,16 +63,16 @@ from xsplanes.experiment import (
     slab_spec,
     write_mesh_csv,
 )
-from xsplanes.planes import MeshStrip, Plane, epsilon_threshold, family, mesh, nearest_plane, union_rate
+from xsplanes.planes import MeshStrip, Plane, epsilon_threshold, family, mesh, union_rate
 from xsplanes.xorapprox import COMBINE_ORDER, plane_coefficients
 
 P8 = Params(8, 17, 26)
 
 
 def assert_same_sample(sample, ref):
-    """Equal samples, each holding its points as an (n, 3) uint64 array of words."""
+    """Equal samples, each holding its points as (n, 3) uint64 words, an array or a memoryview."""
     for s in (sample, ref):
-        assert s.points.dtype == np.uint64
+        assert np.asarray(s.points).dtype == np.uint64
         assert s.points.shape == (s.n_in_slab, 3)
     assert np.array_equal(sample.points, ref.points)
     assert sample.n_triples_scanned == ref.n_triples_scanned
@@ -192,7 +193,7 @@ def test_lane_scans_match_reference_at_caps_1_to_65(monkeypatch):
             for cap, state, ref in runs:
                 got = slab_sample(state, spec, scan_cap=cap)
                 case = (path, spec.e, seed, cap)
-                assert got.points.dtype == np.uint64 and np.array_equal(got.points, ref.points), case
+                assert np.asarray(got.points).dtype == np.uint64 and np.array_equal(got.points, ref.points), case
                 assert (got.n_triples_scanned, got.truncated) == (ref.n_triples_scanned, ref.truncated), case
 
 
@@ -202,9 +203,10 @@ def start_paths():
 
 
 def _both_starts(params, state, lanes, seg_len):
-    """The lane starts from state on each of start_paths(), as (starts, next start) pairs."""
-    start = np.array([[state.s0], [state.s1]], dtype=np.uint64)
-    return [path(params, start, lanes, seg_len) for path in start_paths()]
+    """The lane starts from state on each of start_paths(), as (starts, next start) pairs of uint64 arrays."""
+    start = (ctypes.c_uint64 * 2)(state.s0, state.s1)
+    return [tuple(np.asarray(a, dtype=np.uint64) for a in path(params, start, lanes, seg_len))
+            for path in start_paths()]
 
 
 def test_lane_starts_are_stepped_states():
@@ -222,8 +224,8 @@ def test_lane_starts_are_stepped_states():
             case = (params, lanes, seg_len)
             got = _both_starts(params, state, lanes, seg_len)
             for starts, nxt in got:
-                assert starts.shape == (2, lanes) and starts.dtype == np.uint64, case
-                assert nxt.shape == (2, 1) and nxt.dtype == np.uint64, case
+                assert starts.shape == (2, lanes), case
+                assert nxt.shape == (2,), case
                 assert np.array_equal(starts, got[-1][0]) and np.array_equal(nxt, got[-1][1]), case
             starts, nxt = got[0]
             assert tuple(starts[:, 0].tolist()) == (state.s0, state.s1), case
@@ -237,7 +239,7 @@ def test_lane_starts_are_stepped_states():
                 s0, s1 = starts
                 for _ in range(seg_len):
                     s0, s1 = step_words(s0, s1, params)
-                assert np.array_equal(np.stack([s0, s1]), np.concatenate([starts[:, 1:], nxt], axis=1)), case
+                assert np.array_equal(np.stack([s0, s1]), np.concatenate([starts[:, 1:], nxt[:, None]], axis=1)), case
 
 
 def test_compiled_lane_starts_from_two_threads_at_once():
@@ -245,7 +247,7 @@ def test_compiled_lane_starts_from_two_threads_at_once():
     # it at once, each with a segment length of its own, get numpy's starts
     # on every call
     state = seed_state(11)
-    start = np.array([[state.s0], [state.s1]], dtype=np.uint64)
+    start = np.array([state.s0, state.s1], dtype=np.uint64)
     want = {seg_len: lane_starts(DEFAULT_PARAMS, start, 65536, seg_len) for seg_len in (782, 25601)}
     barrier = threading.Barrier(len(want))
     got = {}
@@ -403,13 +405,13 @@ def test_every_kernel_source_is_package_data():
 
 
 def test_compiled_kernel_in_use_where_gcc_is_found():
-    # gcc builds the scan and stage libraries, their five functions load typed, and the scan runs through them
+    # gcc builds the scan and stage libraries, their eight functions load typed, and the scan runs through them
     assert shutil.which("gcc") is not None
     stages = experiment._stages()
-    kernels = [experiment._scan_kernel(P8), stages.xs_lane_starts, stages.xs_census, stages.xs_control_hits,
-               stages.xs_format_rows]
-    assert [f.__name__ for f in kernels] == ["xs_scan_lanes", "xs_lane_starts", "xs_census", "xs_control_hits",
-                                             "xs_format_rows"]
+    names = ["xs_lane_starts", "xs_finish_hits", "xs_census", "xs_hit_counts", "xs_control_hits", "xs_mesh_stations",
+             "xs_format_rows"]
+    kernels = [experiment._scan_kernel(P8), *(getattr(stages, name) for name in names)]
+    assert [f.__name__ for f in kernels] == ["xs_scan_lanes", *names]
     assert all(isinstance(f, ctypes._CFuncPtr) and f.argtypes for f in kernels)
     spec, state = slab_spec(8, None, 50), seed_state(3, P8)
     assert_same_sample(slab_sample(state, spec, scan_cap=500_000), reference_sample(state, spec, 500_000))
@@ -492,10 +494,13 @@ def _unstep(s1, s2, params):
 
 
 def _kernel_hits(kernel, hi, lo, seg_len, base, last_in, cap):
-    """One direct kernel call: the hit count and the stored (3, min(count, cap)) hits (offset, s0, s1)."""
-    buf = np.zeros((3, cap), dtype=np.uint64)
+    """One direct kernel call: the hit count and the stored (3, min(count, cap)) hits (offset, s0, s1).
+
+    The kernel stores a hit as a row of its cap x 3 buffer; the rows are returned as columns.
+    """
+    buf = np.zeros((cap, 3), dtype=np.uint64)
     found = kernel(hi.ctypes.data, lo.ctypes.data, len(hi), seg_len, base, last_in, buf.ctypes.data, cap)
-    return found, buf[:, : min(found, cap)]
+    return found, buf[: min(found, cap)].T
 
 
 def kernel_builds(tmp_path, params):
@@ -657,10 +662,11 @@ def test_slab_sample_magnified_coordinates():
     spec = slab_spec(8, None, 200)
     sample = slab_sample(seed_state(4, P8), spec, scan_cap=200_000)
     assert sample.n_in_slab == 200
-    assert sample.points.dtype == np.uint64
+    points = np.asarray(sample.points)
+    assert points.dtype == np.uint64
     # X < 2**45 in the slab, so the magnified X << 8 is a 53-bit word like Y and Z
-    assert (sample.points < 1 << 53).all()
-    assert (sample.points[:, 0] % 256 == 0).all()
+    assert (points < 1 << 53).all()
+    assert (points[:, 0] % 256 == 0).all()
 
 
 def test_slab_sample_truncation():

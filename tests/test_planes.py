@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import component_count, height, reference_mesh
+from helpers import component_count, height, nearest_plane, reference_mesh, scorers, station_paths, use_station
 from xsplanes.planes import (
     MeshStrip,
     Plane,
@@ -14,7 +14,6 @@ from xsplanes.planes import (
     epsilon_threshold,
     family,
     mesh,
-    nearest_plane,
 )
 
 
@@ -88,17 +87,23 @@ def test_epsilon_threshold():
             epsilon_threshold(eps)
 
 
+# Each nearest-plane case runs on scorers(): the compiled scorer, read
+# one point at a time by bisection of its threshold, and the numpy reference.
+
+
 def test_torus_dist_on_plane_at_x0():
     # at x = 0 any (+,+) plane degenerates to z = y; the first one wins
-    for a in (1, 23):
-        d, k = nearest_plane(_pts(0, ONE // 4, ONE // 4), family(a))
-        assert d[0] == 0 and k[0] == 0
+    for nearest in scorers():
+        for a in (1, 23):
+            d, k = nearest(_pts(0, ONE // 4, ONE // 4), family(a))
+            assert d[0] == 0 and k[0] == 0
 
 
 def test_torus_dist_folds():
     # residue 0.75 folds to distance 0.25
-    d, _ = nearest_plane(_pts(0, 0, 3 * ONE // 4), family(1))
-    assert d[0] == ONE // 4
+    for nearest in scorers():
+        d, _ = nearest(_pts(0, 0, 3 * ONE // 4), family(1))
+        assert d[0] == ONE // 4
 
 
 def test_torus_dist_extended_precision_point():
@@ -110,9 +115,10 @@ def test_torus_dist_extended_precision_point():
     for _ in range(50):
         x, y = rng.getrandbits(30), rng.getrandbits(53)
         rows.append((x, y, (-m * x + y) % ONE))
-    d, k = nearest_plane(_pts(*rows), fam)
-    assert (d == 0).all()
-    assert {fam.planes[i] for i in k} == {Plane(m, -1, 1)}
+    for nearest in scorers():
+        d, k = nearest(_pts(*rows), fam)
+        assert (d == 0).all()
+        assert {fam.planes[i] for i in k} == {Plane(m, -1, 1)}
 
 
 def test_torus_dist_periodic_in_z():
@@ -122,8 +128,9 @@ def test_torus_dist_periodic_in_z():
     pts = _pts(*[tuple(rng.getrandbits(53) for _ in range(3)) for _ in range(200)])
     turned = pts.copy()
     turned[:, 2] += np.uint64(3 * ONE)
-    for got, want in zip(nearest_plane(turned, fam), nearest_plane(pts, fam)):
-        assert (got == want).all()
+    for nearest in scorers():
+        for got, want in zip(nearest(turned, fam), nearest_plane(pts, fam)):
+            assert (got == want).all()
 
 
 def test_min_dist_on_plane():
@@ -131,27 +138,30 @@ def test_min_dist_on_plane():
     plane = fam.planes[5]
     x, y = 1 << 28, 3 * ONE // 8
     z = (plane.sign_x * plane.m * x + plane.sign_y * y) % ONE
-    d, k = nearest_plane(_pts(x, y, z), fam)
-    assert d[0] == 0 and k[0] == 5
+    for nearest in scorers():
+        d, k = nearest(_pts(x, y, z), fam)
+        assert d[0] == 0 and k[0] == 5
 
 
 def test_min_dist_codomain():
     fam = family(5)
     rng = random.Random(63)
     pts = _pts(*[tuple(rng.getrandbits(53) for _ in range(3)) for _ in range(500)])
-    d, k = nearest_plane(pts, fam)
-    assert d.dtype == np.uint64 and d.shape == (500,)
-    assert (d <= ONE // 2).all()
-    assert ((0 <= k) & (k < 8)).all()
+    for nearest in scorers():
+        d, k = nearest(pts, fam)
+        assert d.dtype == np.uint64 and d.shape == (500,)
+        assert (d <= ONE // 2).all()
+        assert ((0 <= k) & (k < 8)).all()
 
 
 def test_min_dist_tie_break_is_first_in_order():
     fam = family(23)
     # at (0, 0, 1/2) every plane is at the max distance 1/2;
     # the arg-min must be the first plane in enumeration order
-    d, k = nearest_plane(_pts(0, 0, ONE // 2), fam)
-    assert d[0] == ONE // 2
-    assert k[0] == 0
+    for nearest in scorers():
+        d, k = nearest(_pts(0, 0, ONE // 2), fam)
+        assert d[0] == ONE // 2
+        assert k[0] == 0
 
 
 @pytest.mark.parametrize("a", [1, 8, 23, 40, 50, 62])
@@ -163,9 +173,10 @@ def test_nearest_plane_matches_fraction_reference(a):
     # halfway between the m = 2^a -/+ 1 pair of (+,+) planes
     x, y = rng.getrandbits(20), rng.getrandbits(53)
     rows += [(0, 0, ONE // 2), (0, y, y), (x, y, ((1 << a) * x + y) % ONE)]
-    d, k = nearest_plane(_pts(*rows), fam)
-    for row, dist, which in zip(rows, d, k):
-        assert (int(dist), int(which)) == _reference_nearest(row, fam)
+    want = [_reference_nearest(row, fam) for row in rows]
+    for nearest in scorers():
+        d, k = nearest(_pts(*rows), fam)
+        assert [(int(dist), int(which)) for dist, which in zip(d, k)] == want
 
 
 def test_uniform_hit_rate_respects_union_bound():
@@ -188,9 +199,10 @@ def test_coefficient_pair_planes_close_on_slab():
     # and the tie goes to the first, m = 2^23 - 1
     fam = family(23)
     xs = [(1 << 30) * j // 100 for j in range(101)]
-    d, k = nearest_plane(_pts(*[(x, ONE // 2, ((1 << 23) * x + ONE // 2) % ONE) for x in xs]), fam)
-    assert d.tolist() == xs
-    assert (k == 0).all()
+    for nearest in scorers():
+        d, k = nearest(_pts(*[(x, ONE // 2, ((1 << 23) * x + ONE // 2) % ONE) for x in xs]), fam)
+        assert d.tolist() == xs
+        assert (k == 0).all()
 
 
 @pytest.mark.parametrize("plane_idx", range(8))
@@ -207,7 +219,7 @@ def test_mesh_vertices_accounting():
     assert 32 * 32 - 2 * 32 <= total <= 32 * 32
     for s in strips:
         assert len(s.vertices) >= 2
-        for x_mag, y, z in s.vertices:
+        for x_mag, y, z in s.vertices.tolist():
             assert 0.0 <= x_mag <= 1.0
             assert 0.0 <= y <= 1.0
             assert 0.0 <= z < 1.0
@@ -229,39 +241,49 @@ def test_mesh_strip_geometry():
     strips = mesh(Plane(3, 1, 1), 0.5, 2.0, 8)
     # strips are vertical in x_mag and ordered by y
     for s in strips:
-        xs = {v[0] for v in s.vertices}
+        xs = {v[0] for v in s.vertices.tolist()}
         assert len(xs) == 1
-        ys = [v[1] for v in s.vertices]
+        ys = [v[1] for v in s.vertices.tolist()]
         assert ys == sorted(ys)
 
 
 @pytest.mark.parametrize("grid", [2, 17, 256])
 @pytest.mark.parametrize("e", [1, 10, 23])
 @pytest.mark.parametrize("a", [3, 23, 51, 62])
-def test_mesh_matches_scalar_reference(a, e, grid):
-    # the array mesh does the scalar loop's IEEE operations in the same
-    # order, so vertices agree bit for bit
+def test_mesh_matches_scalar_reference(monkeypatch, a, e, grid):
+    # the compiled station filler and the array mesh in its place do the
+    # scalar loop's IEEE operations in the same order, so vertices agree
+    # bit for bit
+    paths = station_paths()  # before the filler is patched
     for plane in family(a).planes:
-        got = mesh(plane, 2.0**-e, 2.0**e, grid)
         want = reference_mesh(plane, 2.0**-e, 2.0**e, grid)
-        assert [(s.branch, len(s.vertices)) for s in got] == [(s.branch, len(s.vertices)) for s in want]
-        got_v = np.concatenate([s.vertices for s in got] + [np.empty((0, 3))])
         want_v = np.array([v for s in want for v in s.vertices]).reshape(-1, 3)
-        assert (got_v.view(np.uint64) == want_v.view(np.uint64)).all()
+        for station in paths:
+            use_station(monkeypatch, station)
+            got = mesh(plane, 2.0**-e, 2.0**e, grid)
+            assert [(s.branch, len(s.vertices)) for s in got] == [(s.branch, len(s.vertices)) for s in want]
+            got_v = np.concatenate([s.vertices for s in got] + [np.empty((0, 3))])
+            assert (got_v.view(np.uint64) == want_v.view(np.uint64)).all()
 
 
-def test_mesh_peak_holds_vertices_and_branches_only():
-    # the heights are computed and folded inside the vertex array; building
-    # them beside it, and the fold in a temporary, peaked at twice its size
+def test_mesh_peak_holds_vertices_and_branches_only(monkeypatch):
+    # the heights are computed and folded inside the vertex buffer; building
+    # them beside it, and the fold in a temporary, peaked at twice its size.
+    # The compiled station filler holds no branch array; the array mesh in
+    # its place holds one station's
     grid = 1024
-    tracemalloc.start()
-    try:
-        strips = mesh(family(23).planes[0], 2.0**-23, 2.0**23, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sum(len(s.vertices) for s in strips) > grid * (grid - 2)
-    assert peak <= 1.6 * grid * grid * 24, peak / (grid * grid * 24)
+    paths = station_paths()  # before the filler is patched
+    for station in paths:
+        use_station(monkeypatch, station)
+        mesh(Plane(3, 1, 1), 0.5, 2.0, 8)  # first-use allocations outside the measure
+        tracemalloc.start()
+        try:
+            strips = mesh(family(23).planes[0], 2.0**-23, 2.0**23, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(s.vertices) for s in strips) > grid * (grid - 2)
+        assert peak <= 1.6 * grid * grid * 24, peak / (grid * grid * 24)
 
 
 def test_mesh_validates():
