@@ -301,42 +301,47 @@ int64_t xs_control_hits(uint64_t k0, uint64_t k1, uint64_t ctr[4], int64_t n, co
 
 /* ---- Meshes -------------------------------------------------------------
  *
- * xs_mesh_stations fills the grid vertices (magnify*x, y, z) of each x
- * station j = j0..j1-1 in turn at v, k = 0..grid-1, with x = (j / (grid-1))
- * * x_max, y = k / (grid-1), f = coef*x + sign_y*y and z = f - floor(f),
- * each operation rounded once.  A strip runs along y while floor(f), its
- * branch, stays the same; each strip of at least two vertices is written
- * to strips as a row (first, end, branch), first and end counted in
- * vertices from v, and the number of them is returned, at most grid/2 a
- * station.  floor is taken in integers, exact for |f| < 2**63, with the
- * sign of f, so that floor(-0.0) is -0.0 and z is 0.0 there, as in Python.
+ * xs_mesh_stations computes the grid vertices (magnify*x, y, z) of each x
+ * station j = j0..j1-1 in turn, k = 0..grid-1, with x = (j / (grid-1)) *
+ * x_max, y = k / (grid-1), f = coef*x + sign_y*y and z = f - floor(f), each
+ * operation rounded once.  A strip runs along y while floor(f), its branch,
+ * stays the same.  The strips of at least two vertices are packed into v
+ * from row at on, each directly after the one before; a shorter fragment is
+ * rewound, so v holds no gap, and v must hold at + (j1 - j0) * grid rows.
+ * Strip i of the call starts where the one before ends (strip 0 at row at)
+ * and ends before row ends[i], counted from v; its branch goes to
+ * branches[i].  Returns the number of strips, at most grid/2 a station.
+ * floor is taken in integers, exact for |f| < 2**63, with the sign of f, so
+ * that floor(-0.0) is -0.0 and z is 0.0 there, as in Python.
  */
 
 int64_t xs_mesh_stations(int64_t j0, int64_t j1, int64_t grid, double x_max, double magnify, double coef,
-                         double sign_y, double *v, int64_t *strips)
+                         double sign_y, double *v, int64_t at, int64_t *ends, int64_t *branches)
 {
     double steps = (double)(grid - 1);
     int64_t n = 0;
-    for (int64_t j = j0, at = 0; j < j1; j++, at += grid) {
+    for (int64_t j = j0; j < j1; j++) {
         double x = (double)j / steps * x_max, x_mag = magnify * x;
-        int64_t first = 0, run = 0;
+        int64_t first = at, run = 0;
         for (int64_t k = 0; k <= grid; k++) {
-            int64_t branch = run;
-            if (k < grid) {
-                double y = (double)k / steps, f = coef * x + sign_y * y;
-                branch = (int64_t)f - ((double)(int64_t)f > f);
-                v[3 * (at + k)] = x_mag;
-                v[3 * (at + k) + 1] = y;
-                v[3 * (at + k) + 2] = f - copysign((double)branch, f);
-            }
-            if (k == grid || branch != run || k == 0) {
-                if (k - first >= 2) {
-                    strips[3 * n] = at + first, strips[3 * n + 1] = at + k, strips[3 * n + 2] = run;
-                    n++;
+            double y = (double)k / steps, f = coef * x + sign_y * y;
+            int64_t branch = k < grid ? (int64_t)f - ((double)(int64_t)f > f) : run;
+            if (k > 0 && (k == grid || branch != run)) {  /* the fragment from row first ends */
+                if (at - first >= 2) {
+                    ends[n] = at;
+                    branches[n++] = run;
+                } else {
+                    at = first;
                 }
-                first = k;
-                run = branch;
+                first = at;
             }
+            if (k < grid) {
+                v[3 * at] = x_mag;
+                v[3 * at + 1] = y;
+                v[3 * at + 2] = f - copysign((double)branch, f);
+                at++;
+            }
+            run = branch;
         }
     }
     return n;
@@ -344,20 +349,21 @@ int64_t xs_mesh_stations(int64_t j0, int64_t j1, int64_t grid, double x_max, dou
 
 /* ---- CSV text -----------------------------------------------------------
  *
- * xs_format_rows writes each row of a (rows, 3) array of values v as
- * "%.17g,%.17g,%.17g\n", byte for byte as Python's '%.17g' % v, and
- * returns the number of bytes written.  The array holds float64 values, or
- * with words set uint64 words w < 2**53, each the value w * 2**-53.
- * Before row r it also writes one blank line "\n" for each of the nbreaks
- * row indices in breaks (ascending, may repeat; NULL if nbreaks is 0) that
- * equals r, and after the last row one for each that equals rows.  A value takes at most 24 bytes (sign, 17
- * digits, point and a three-digit exponent, as in -4.9406564584124654e-324),
- * so a row takes at most 3 * 24 + 3 = 75 bytes, and out must hold
- * 75 * rows + nbreaks.  Returns -1, with out undefined, if no C numeric
- * locale can be made.
+ * xs_format_rows writes rows first..end-1 of an array of rows of three
+ * values v, each as "%.17g,%.17g,%.17g\n", byte for byte as Python's
+ * '%.17g' % row, and returns the number of bytes written.  The array holds
+ * float64 values, or with words set uint64 words w < 2**53, each the value
+ * w * 2**-53.  Before row r it also writes one blank line "\n" for each of
+ * the nbreaks row indices in breaks (ascending, may repeat, from first to
+ * end) that equals r, and after the last row one for each that equals end.
+ * A value takes at most 24 bytes (sign, 17 digits, point and a three-digit
+ * exponent, as in -4.9406564584124654e-324), so a row takes at most 3 * 24
+ * + 3 = 75 bytes, and out must hold 75 * (end - first) + nbreaks.  Returns
+ * -1, with out undefined, if no C numeric locale can be made.
  *
  * A value with the same bit pattern as the one above it in its column,
- * such as a mesh's x along a strip, copies that row's text instead of
+ * such as a mesh's x along a strip, copies the text of that row (from row
+ * first + 1 on, as the row above first is not written) instead of
  * being formatted again.  Comparing bits keeps -0.0 and 0.0 apart, and a
  * word's value is one-to-one with its bits.
  *
@@ -482,14 +488,15 @@ static int text(double v, char *p, locale_t *c, locale_t *old)
     return snprintf(p, 25, "%.17g", v);  /* its NUL lands where the separator goes */
 }
 
-int64_t xs_format_rows(const void *v, int64_t rows, int words, const int64_t *breaks, int64_t nbreaks, char *out)
+int64_t xs_format_rows(const void *v, int64_t first, int64_t end, int words, const int64_t *breaks, int64_t nbreaks,
+                       char *out)
 {
     const uint64_t *w = v;
     locale_t c = (locale_t)0, old = (locale_t)0;
     char *p = out, *above[3] = {0};  /* each column's text in the row above */
     int len[3] = {0};
     int64_t b = 0;
-    for (int64_t r = 0; r < rows; r++) {
+    for (int64_t r = first; r < end; r++) {
         for (; b < nbreaks && breaks[b] <= r; b++)
             *p++ = '\n';
         for (int k = 0; k < 3; k++) {
@@ -499,7 +506,7 @@ int64_t xs_format_rows(const void *v, int64_t rows, int words, const int64_t *br
                 value = (double)*x * 0x1p-53;
             else
                 memcpy(&value, x, sizeof value);
-            if (r && *x == x[-3])
+            if (r > first && *x == x[-3])
                 memcpy(p, above[k], len[k]);
             else if ((len[k] = text(value, p, &c, &old)) < 0)
                 return -1;

@@ -17,7 +17,7 @@ import sys
 
 from .engine import DEFAULT_PARAMS, Params, iter_outputs, seed_state, to_unit
 from .experiment import (MAX_CENSUS_STEPS, MAX_CONTROL_POINTS, MAX_TARGET_POINTS, ExperimentConfig, KernelError,
-                         case_census, control_baseline, load_kernels, run_experiment)
+                         case_census, control_baseline, load_kernels, made_dirs, run_experiment)
 from .planes import MAX_GRID, family, union_rate
 from .xorapprox import compound_probability, count_cases, verify_xor_diff, verify_xor_sum
 
@@ -170,8 +170,9 @@ def cmd_planes(args) -> int:
     settings = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig) if f.name != "params"}
     cfg = ExperimentConfig(params=params, **settings)
     load_kernels(params)
-    print(f"scanning slab x < 2**-{cfg.spec.e} for {cfg.target_points} points", file=sys.stderr)
-    report = run_experiment(cfg)
+    with made_dirs(cfg.output_dir):  # an unusable output directory ends the run before the scan
+        print(f"scanning slab x < 2**-{cfg.spec.e} for {cfg.target_points} points", file=sys.stderr)
+        report = run_experiment(cfg)
     print(json.dumps(report.to_dict(), indent=2))
     if report.truncated:
         print(f"scan cap reached with {report.n_in_slab}/{cfg.target_points} points", file=sys.stderr)

@@ -30,15 +30,21 @@ that needs it raises KernelError, and the planes and census commands exit
 2 before any output.
 
 The CSV files hold each coordinate as Python's '%.17g' text.  One writer
-passes the rows of points.csv and of each mesh to the formatter, a buffer's
-worth a call, which formats them with exact integer arithmetic, byte for
-byte as Python does.
+cuts the rows of points.csv and of each packed mesh into calls of the
+formatter, which formats them with exact integer arithmetic, byte for
+byte as Python does.  As many threads as the scan has format the calls
+in turn, each into a buffer of its own, and the calling thread writes
+their text in call order, so the files do not depend on the number of
+threads.
 
-With an output directory, run_experiment writes points.csv, the eight
-mesh files, overlay.json and report.json, in that order, once the sample
-is scored and the control and the census have run; a failed write stops
-the run, so a run that fails leaves no report.  Every file goes through
-a temp file of its own, <name>.<pid>.<n>.tmp, renamed into place.
+With an output directory, run_experiment makes the directory before the
+scan, so an unusable one stops the run at once, and writes points.csv,
+the eight mesh files, overlay.json and report.json, in that order, once
+the sample is scored and the control and the census have run; a failed
+write stops the run, so a run that fails leaves no report, and a run that
+fails removes the directories it made where they are still empty.  Every
+file goes through a temp file of its own, <name>.<pid>.<n>.tmp, renamed
+into place.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -53,7 +59,7 @@ import threading
 import zlib
 
 from .engine import DEFAULT_PARAMS, MASK64, GenState, Params, seed_state
-from .planes import PlaneFamily, check_grid, epsilon_threshold, family, mesh
+from .planes import Mesh, PlaneFamily, check_grid, epsilon_threshold, family, mesh
 from .xorapprox import COMBINE_ORDER, compound_probability, plane_coefficients
 
 DEFAULT_SCAN_CAP = 1 << 32
@@ -259,7 +265,7 @@ def _load_kernel(cache_dir: Path, source: Path, defines: tuple[str, ...] = ()):
     the compiler flags, defines included, and the machine type.  It is
     compiled under a name of its own and then renamed into place, so
     concurrent first runs each load a whole file.  A failed build removes
-    the directories it made, where they are still empty.  Raises
+    the directories it made, where they are still empty (made_dirs).  Raises
     KernelError where gcc is missing or fails, or the library cannot be
     written or loaded.
     """
@@ -271,23 +277,36 @@ def _load_kernel(cache_dir: Path, source: Path, defines: tuple[str, ...] = ()):
         if not path.exists():
             import subprocess  # only on a miss: it adds about 0.4 MB of peak RSS
 
-            made = [d for d in (cache_dir, *cache_dir.parents) if not d.exists()]  # innermost first
-            cache_dir.mkdir(parents=True, exist_ok=True)
             tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-            try:
-                cmd = ["gcc", *flags, "-o", str(tmp), str(source)]
-                if (code := subprocess.run(cmd, capture_output=True).returncode) != 0:
-                    raise _need_gcc(where, f"gcc exited with status {code}")
-                os.replace(tmp, path)
-            finally:
-                tmp.unlink(missing_ok=True)
-                if not path.exists():  # a failed build leaves no directory of its own
-                    for d in made:
-                        with contextlib.suppress(OSError):  # not empty: another run builds into it
-                            d.rmdir()
+            with made_dirs(cache_dir):
+                try:
+                    cmd = ["gcc", *flags, "-o", str(tmp), str(source)]
+                    if (code := subprocess.run(cmd, capture_output=True).returncode) != 0:
+                        raise _need_gcc(where, f"gcc exited with status {code}")
+                    os.replace(tmp, path)
+                finally:
+                    tmp.unlink(missing_ok=True)
         return ctypes.CDLL(str(path))
     except OSError as exc:  # no compiler, cache or loadable library
         raise _need_gcc(where, exc) from exc
+
+
+@contextlib.contextmanager
+def made_dirs(directory):
+    """Make the directory path and its missing parents for the block; if the block raises, remove those still empty.
+
+    Raises OSError, before the block, where the directory cannot be made.
+    """
+    directory = Path(directory)
+    made = [d for d in (directory, *directory.parents) if not d.exists()]  # innermost first
+    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        for d in made:
+            with contextlib.suppress(OSError):  # not empty
+                d.rmdir()
+        raise
 
 
 def _compiled(source: Path, defines: tuple[str, ...], signatures: dict):
@@ -333,8 +352,8 @@ def _stages():
         "xs_census": (i64, [i32, i32, i32, ptr, i64, i64, ptr, ptr, ptr, ptr]),
         "xs_hit_counts": (i64, [ptr, i64, i32, ptr, ptr, u64, ptr]),
         "xs_control_hits": (i64, [u64, u64, ptr, i64, ptr, ptr, u64]),
-        "xs_mesh_stations": (i64, [i64, i64, i64, f64, f64, f64, f64, ptr, ptr]),
-        "xs_format_rows": (i64, [ptr, i64, i32, ptr, i64, ptr]),
+        "xs_mesh_stations": (i64, [i64, i64, i64, f64, f64, f64, f64, ptr, i64, ptr, ptr]),
+        "xs_format_rows": (i64, [ptr, i64, i64, i32, ptr, i64, ptr]),
     })
 
 
@@ -580,13 +599,13 @@ class HitReport:
 
 _TMP_IDS = itertools.count()
 # The compiled CSV formatter (xs_format_rows) writes at most _ROW_BYTES
-# bytes a row and one a blank line.  A file is formatted a call at a time
-# into one buffer of _ROW_BYTES * _TEXT_ROWS bytes, a call's rows and blank
-# lines filling at most that, its rows copied into one buffer of
-# _TEXT_ROWS rows, so the buffers stay small however many points or strips
-# are written.
+# bytes a row and one a blank line.  A file is formatted a call at a time,
+# each call at most _TEXT_ROWS rows and _TEXT_ROWS blank lines, into one
+# buffer of _CALL_BYTES a thread, so the buffers stay small however many
+# points or strips are written.
 _ROW_BYTES = 75
 _TEXT_ROWS = 1 << 11
+_CALL_BYTES = (_ROW_BYTES + 1) * _TEXT_ROWS
 
 
 def _flat(rows) -> memoryview:
@@ -595,20 +614,24 @@ def _flat(rows) -> memoryview:
     return view.cast("B") if view.nbytes else memoryview(bytearray())
 
 
-def _format_rows(fmt, values, buf, breaks=(), words=False) -> memoryview:
-    """The rows of values as %.17g CSV text in buf, written by fmt: a view of buf.
+def _format_rows(fmt, values, buf, breaks=(), words=False, first=0, end=None) -> memoryview:
+    """Rows first..end-1 of values, all of them by default, as %.17g CSV text in buf, written by fmt: a view of buf.
 
     values is a writable C-contiguous buffer of (n, 3) float64 values, or
     with words set of uint64 words, each the value w * 2**-53; buf is a
-    writable buffer.  A blank line goes before row i for each i in breaks,
-    ascending, and after the last row for each i equal to n.
+    writable buffer.  breaks is a sequence of row indices of values, or a
+    writable buffer of them as int64, ascending from first to end: a blank
+    line goes before row i for each i in breaks, and after the last row for
+    each i equal to end.
     """
     values, out = _flat(values), _flat(buf)
     n = len(values) // 24
-    if len(values) != 24 * n or len(out) < _ROW_BYTES * n + len(breaks):
+    end = n if end is None else end
+    if len(values) != 24 * n or not 0 <= first <= end <= n or len(out) < _ROW_BYTES * (end - first) + len(breaks):
         raise ValueError(f"need (n, 3) rows and a buffer of {_ROW_BYTES} bytes a row and one a break")
-    at = (ctypes.c_int64 * len(breaks))(*breaks)
-    size = fmt(_address(values), n, words, at, len(breaks), _address(out))
+    if not isinstance(breaks, memoryview):
+        breaks = (ctypes.c_int64 * len(breaks))(*breaks)
+    size = fmt(_address(values), first, end, words, _address(breaks), len(breaks), _address(out))
     if size < 0:
         raise OSError("no C numeric locale for the CSV text")
     return out[:size]
@@ -635,41 +658,114 @@ def _atomic_write(path: Path, chunks) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _write_rows(path: Path, head: str, blocks, words: bool = False) -> None:
-    """Write head, then for each (blank, rows) of blocks that many blank lines and the rows as %.17g CSV.
+def _write_rows(path: Path, head: str, calls, words: bool = False) -> None:
+    """Write head, then the %.17g CSV text of each call of calls, in order.
 
-    rows is a C-contiguous buffer of (n, 3) float64 values, or with words
-    set of uint64 words, each the value w * 2**-53.  Consecutive blocks go
-    to the formatter together, their blank lines as breaks, as many rows as
-    fit in one buffer a call, a longer block going on in the next call;
-    each call's text is one write.  Blocks are taken one at a time as the
-    file is written.
+    A call is (values, first, end, breaks), as _format_rows takes them, of
+    at most _TEXT_ROWS rows and _TEXT_ROWS breaks.  The calling thread
+    takes the calls as the file is written, k = _WORKERS at a time: thread
+    w formats calls w, w + k, w + 2k, ... into a buffer of its own, the
+    calling thread being w = 0, and the calling thread writes each call's
+    text in call order through _atomic_write.  A file of one call starts no
+    thread.  A helper's exception is raised on the calling thread when its
+    call is due.  When the calling thread stops, the helpers stop after
+    their current call, and they are joined before this returns or raises.
     """
-    size = _ROW_BYTES * _TEXT_ROWS
-    staged, fmt, buf = bytearray(24 * _TEXT_ROWS), _stages().xs_format_rows, bytearray(size)
+    # Each helper has a slot, [call, its text or exception], and two locks
+    # used as signals: the calling thread releases todo when it has put a
+    # call in the slot, and the helper releases done when the call's result
+    # is there.  A call is handed over only once the result before it is
+    # taken and written, so the helper's buffer is free again.
+    fmt, calls, helpers = _stages().xs_format_rows, iter(calls), []  # (slot, todo, done, thread) of each helper
 
-    def text(n, breaks):  # the first n staged rows
-        return _format_rows(fmt, memoryview(staged)[: 24 * n], buf, breaks, words)
+    def text(buf, call):
+        values, first, end, breaks = call
+        return _format_rows(fmt, values, buf, breaks, words, first, end)
 
-    def calls():
+    def serve(slot, todo, done):
+        buf = bytearray(_CALL_BYTES)
+        while todo.acquire() and (call := slot[0]) is not None:
+            try:
+                slot[1] = text(buf, call)
+            except BaseException as exc:  # handed to the calling thread
+                slot[1] = exc
+            done.release()
+
+    def chunks():
         yield head
-        n, breaks = 0, []
-        for blank, rows in blocks:
-            rows = _flat(rows)
-            if _ROW_BYTES * n + len(breaks) + blank > size:
-                yield text(n, breaks)
-                n, breaks = 0, []
-            breaks += [n] * blank
-            while len(rows) > 24 * (room := (size - len(breaks)) // _ROW_BYTES - n):
-                staged[24 * n : 24 * (n + room)] = rows[: 24 * room]
-                yield text(n + room, breaks)
-                n, breaks, rows = 0, [], rows[24 * room :]
-            staged[24 * n : 24 * n + len(rows)] = rows
-            n += len(rows) // 24
-        if n or breaks:
-            yield text(n, breaks)
+        buf = bytearray(_CALL_BYTES)
+        while batch := list(itertools.islice(calls, _WORKERS)):
+            while len(helpers) < len(batch) - 1:
+                slot, todo, done = [None, None], threading.Lock(), threading.Lock()
+                todo.acquire()
+                done.acquire()
+                # daemon: an interrupt of the calling thread need not wait for a call
+                thread = threading.Thread(target=serve, args=(slot, todo, done), daemon=True)
+                thread.start()
+                helpers.append((slot, todo, done, thread))
+            for (slot, todo, _, _), call in zip(helpers, batch[1:]):
+                slot[0] = call
+                todo.release()
+            yield text(buf, batch[0])
+            for slot, _, done, _ in helpers[: len(batch) - 1]:
+                done.acquire()
+                if isinstance(slot[1], BaseException):
+                    raise slot[1]
+                yield slot[1]
 
-    _atomic_write(path, calls())
+    try:
+        _atomic_write(path, chunks())
+    finally:
+        for slot, todo, _, _ in helpers:
+            # todo unlocked: the helper has yet to take its call, and finds None instead
+            slot[0] = None
+            if todo.locked():
+                todo.release()
+        for *_, thread in helpers:
+            thread.join()
+
+
+def _row_calls(values, rows: int, breaks):
+    """The calls of rows 0..rows-1 of values, _TEXT_ROWS rows a call, each with the breaks among its rows.
+
+    breaks is an ascending sequence of row indices, with no more than
+    _TEXT_ROWS among any call's rows.
+    """
+    from bisect import bisect_left  # here, not at the top: a run's start-up imports nothing for the writer
+
+    b = 0
+    for first in range(0, rows, _TEXT_ROWS):
+        end = min(first + _TEXT_ROWS, rows)
+        b_end = bisect_left(breaks, end, b)
+        yield values, first, end, breaks[b:b_end]
+        b = b_end
+
+
+def _strip_calls(strips):
+    """The calls of any iterable of strips, taken one at a time, their rows copied into a fresh buffer a call.
+
+    Strip i's rows go after one blank line if i > 0 and one more if it has
+    no vertex, so the text is the strips' rows "\n\n"-joined strip by
+    strip; no strip at all writes as one empty strip.
+    """
+    blocks = ((bool(i) + (len(s.vertices) == 0), s.vertices) for i, s in enumerate(strips))
+    staged, n, breaks = bytearray(24 * _TEXT_ROWS), 0, []
+    for blank, rows in itertools.chain([next(blocks, (1, b""))], blocks):
+        rows = _flat(rows)
+        while True:  # until the block is staged, a call whenever the breaks or the rows fill one
+            take = min(blank, _TEXT_ROWS - len(breaks))
+            breaks += [n] * take  # a list of its own for each call: a new one follows each yield
+            blank -= take
+            if not blank:
+                m = min(len(rows) // 24, _TEXT_ROWS - n)
+                staged[24 * n : 24 * (n + m)] = rows[: 24 * m]
+                n, rows = n + m, rows[24 * m :]
+                if not rows:
+                    break
+            yield staged, 0, n, breaks
+            staged, n, breaks = bytearray(24 * _TEXT_ROWS), 0, []
+    if n or breaks:
+        yield staged, 0, n, breaks
 
 
 def write_points_csv(path, points, magnify: float, params: Params, seed: int) -> None:
@@ -679,19 +775,25 @@ def write_points_csv(path, points, magnify: float, params: Params, seed: int) ->
     the word times 2**-53.
     """
     header = f"# magnify={int(magnify)} params={params.a},{params.b},{params.c} seed=0x{seed:016x}\n"
-    _write_rows(Path(path), header, [(0, points)], words=True)
+    _write_rows(Path(path), header, _row_calls(points, len(memoryview(points)), ()), words=True)
 
 
 def write_mesh_csv(path, strips) -> None:
     """Mesh strips as `x_mag,y,z` rows, blank line between strips.
 
-    An empty strip writes one blank line of its own, and no strip at all
+    strips is a Mesh, whose packed rows go to the formatter whole, or any
+    iterable of strips, taken one at a time as the file is written.  An
+    empty strip writes one blank line of its own, and no strip at all
     writes as one empty strip, so the text is the strips' rows,
     "\n\n"-joined strip by strip, and a final newline.
     """
-    blocks = ((bool(i) + (len(s.vertices) == 0), s.vertices) for i, s in enumerate(strips))
-    first = next(blocks, (1, b""))
-    _write_rows(Path(path), "", itertools.chain([first], blocks))
+    if not isinstance(strips, Mesh):
+        calls = _strip_calls(strips)
+    elif len(strips):  # a blank line before each strip but the first; a strip holds at least two rows
+        calls = _row_calls(strips.buffer, len(strips.rows), strips.ends[:-1])
+    else:
+        calls = [(strips.buffer, 0, 0, (0,))]
+    _write_rows(Path(path), "", calls)
 
 
 def load_kernels(params: Params) -> None:
@@ -709,7 +811,15 @@ def run_experiment(cfg: ExperimentConfig) -> HitReport:
 
     Emits one point-cloud CSV, one mesh CSV per plane, an overlay manifest
     and the report JSON.  Every output is a pure function of the config.
+    The output directory is made before the scan (made_dirs), so one that
+    cannot be made raises OSError before any work, and a run that fails
+    removes the directories it made where they are still empty.
     """
+    with contextlib.nullcontext() if cfg.output_dir is None else made_dirs(cfg.output_dir):
+        return _run_experiment(cfg)
+
+
+def _run_experiment(cfg: ExperimentConfig) -> HitReport:
     spec = cfg.spec
     fam = family(cfg.params.a)
     state = seed_state(cfg.seed, cfg.params)
@@ -745,7 +855,6 @@ def run_experiment(cfg: ExperimentConfig) -> HitReport:
     )
     if cfg.output_dir is not None:
         out = Path(cfg.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
         write_points_csv(out / "points.csv", sample.points, spec.magnify, cfg.params, cfg.seed)
         mesh_files = [f"mesh_{plane.name}.csv" for plane in fam.planes]
         for plane, name in zip(fam.planes, mesh_files):

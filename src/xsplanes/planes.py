@@ -7,7 +7,8 @@ mod 1 and cheap.  They are computed exactly on 53-bit integer coordinates,
 the resolution of the generator's unit-interval outputs, by the stage
 library's scorer (experiment.hit_stats).  Meshes sample the slab region
 used for the magnified plots, split at the mod-1 wrap so each surface piece
-is a clean sheet; the stage library fills them an x station at a time.
+is a clean sheet; the stage library fills them an x station at a time,
+packing each plane's strips into one buffer.
 """
 
 import ctypes
@@ -107,6 +108,30 @@ class MeshStrip:
     vertices: memoryview
 
 
+class Mesh:
+    """A plane's strips, packed: strip i is the rows ends[i-1] to ends[i] - 1 of rows (from row 0 for i = 0).
+
+    buffer is the bytearray of float64 (x_mag, y, z) rows that rows, a
+    read-only (n, 3) memoryview, views; ends and branches are int64
+    memoryviews, one entry a strip.  The mesh reads as a sequence of
+    MeshStrip views of its rows, each made as it is asked for (len,
+    indexing, and iteration, which indexing gives); the CSV writer takes
+    the rows and the ends whole.
+    """
+
+    def __init__(self, buffer: bytearray, ends: memoryview, branches: memoryview):
+        self.buffer, self.ends, self.branches = buffer, ends, branches
+        rows = memoryview(buffer).toreadonly().cast("d", (len(buffer) // 24, 3))
+        self.rows = rows[: ends[-1] if len(ends) else 0]
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def __getitem__(self, i: int) -> MeshStrip:
+        i = range(len(self))[i]  # negative indices count from the end; IndexError past either end
+        return MeshStrip(self.branches[i], self.rows[self.ends[i - 1] if i else 0 : self.ends[i]])
+
+
 # At 4096 stations a plane's vertices take 4096**2 * 24 bytes, 0.4 GB; the
 # meshes are built one at a time, and a planes run at that grid peaks at
 # 405 MB RSS (2-core AVX-512 Xeon).  A grid of 10**5 would need 240 GB.
@@ -121,7 +146,7 @@ def check_grid(grid: int) -> None:
         raise ValueError(f"grid must be in 2..{MAX_GRID}, got {grid}")
 
 
-def mesh(plane: Plane, x_max: float, magnify: float, grid: int) -> list[MeshStrip]:
+def mesh(plane: Plane, x_max: float, magnify: float, grid: int) -> Mesh:
     """Sample z = plane height over [0, x_max] x [0, 1] as strips along y.
 
     Emits `grid` stations per axis; vertices are (magnify*x, y, z) with
@@ -131,8 +156,8 @@ def mesh(plane: Plane, x_max: float, magnify: float, grid: int) -> list[MeshStri
     index changes); fragments with fewer than two vertices are dropped, so
     the vertex total is grid*grid minus those wrap losses.  The stage
     library's xs_mesh_stations fills whole x stations, about _CALL_VERTICES
-    vertices a call, into the plane's one vertex buffer, which its strips
-    view.
+    vertices a call, packing the strips one after another into the plane's
+    one vertex buffer.
     """
     if not 0.0 < x_max <= 1.0:
         raise ValueError(f"x_max must be in (0, 1], got {x_max}")
@@ -143,14 +168,14 @@ def mesh(plane: Plane, x_max: float, magnify: float, grid: int) -> list[MeshStri
 
     fill = _stages().xs_mesh_stations
     vertices = bytearray(24 * grid * grid)
-    rows, at = memoryview(vertices).toreadonly().cast("d", (grid * grid, 3)), _address(vertices)
     per = -(-_CALL_VERTICES // grid)  # stations a call
-    found = (ctypes.c_int64 * (3 * per * (grid // 2)))()  # (first, end, branch) of each strip of a call
+    call_ends, call_branches = ((ctypes.c_int64 * (per * (grid // 2)))() for _ in range(2))  # a call's strips
     # float() rounds the coefficient exactly as Python's int * float does
     coef, sign_y = float(plane.sign_x * plane.m), float(plane.sign_y)
-    strips = []
+    at, ends, branches, packed = _address(vertices), bytearray(), bytearray(), 0  # packed: rows filled so far
     for j in range(0, grid, per):
-        n = fill(j, min(j + per, grid), grid, x_max, magnify, coef, sign_y, at + 24 * grid * j, found)
-        rows_j, bounds = rows[grid * j :], iter(found[: 3 * n])
-        strips += [MeshStrip(branch, rows_j[first:end]) for first, end, branch in zip(bounds, bounds, bounds)]
-    return strips
+        n = fill(j, min(j + per, grid), grid, x_max, magnify, coef, sign_y, at, packed, call_ends, call_branches)
+        ends += memoryview(call_ends)[:n]
+        branches += memoryview(call_branches)[:n]
+        packed = call_ends[n - 1] if n else packed
+    return Mesh(vertices, memoryview(ends).cast("q"), memoryview(branches).cast("q"))

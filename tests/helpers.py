@@ -472,27 +472,30 @@ def array_vertices(coef, sign_y, x_max, magnify, grid, stations):
     return vertices, branch
 
 
-def array_stations(j0, j1, grid, x_max, magnify, coef, sign_y, v, strips) -> int:
+def array_stations(j0, j1, grid, x_max, magnify, coef, sign_y, v, at, ends, branches) -> int:
     """array_vertices at stations j0..j1-1 with xs_mesh_stations' calling convention, to stand in for it.
 
-    It writes the stations' vertices at address v and each strip of at
-    least two vertices, where the branch changes, to strips as a row
-    (first, end, branch) in vertices from v, and returns the number of
-    strips.
+    A strip is a run of at least two vertices of one station and one
+    branch.  It packs the strips' vertices into the float64 rows at address
+    v from row at on, one strip after another, writes each strip's end row
+    (counted from v) to ends and its branch to branches, and returns the
+    number of strips.
     """
     vertices, branch = array_vertices(coef, sign_y, x_max, magnify, grid, range(j0, j1))
-    np.ctypeslib.as_array((ctypes.c_double * vertices.size).from_address(v))[:] = vertices.ravel()
-    branch = branch.ravel()
-    # a strip starts at every x station and wherever the branch changes along y
+    vertices, branch = vertices.reshape(-1, 3), branch.ravel()
+    # a fragment starts at every x station and wherever the branch changes along y
     new = np.ones(len(branch), dtype=bool)
     new[1:] = branch[1:] != branch[:-1]
     new[::grid] = True
     starts = np.flatnonzero(new)
-    ends = np.append(starts[1:], len(branch))
-    keep = ends - starts >= 2
-    rows = np.stack([starts[keep], ends[keep], branch[starts[keep]].astype(np.int64)], axis=1)
-    strips[: rows.size] = rows.ravel().tolist()
-    return len(rows)
+    lengths = np.diff(np.append(starts, len(branch)))
+    keep = lengths >= 2
+    packed = vertices[np.repeat(keep, lengths)]
+    np.ctypeslib.as_array((ctypes.c_double * packed.size).from_address(v + 24 * at))[:] = packed.ravel()
+    n = int(keep.sum())
+    ends[:n] = (at + np.cumsum(lengths[keep])).tolist()
+    branches[:n] = branch[starts[keep]].astype(np.int64).tolist()
+    return n
 
 
 def station_paths():
@@ -536,19 +539,30 @@ def python_rows(values: np.ndarray, breaks) -> str:
     return "".join(rows) % tuple(map(texts.__getitem__, index.ravel().tolist()))
 
 
-def python_format_rows(values, n, words, breaks, n_breaks, buf) -> int:
+def python_format_rows(values, first, end, words, breaks, n_breaks, buf) -> int:
     """python_rows with the compiled formatter's calling convention, to stand in for it.
 
-    It takes the address of n rows of three doubles, or with words set of
-    three uint64 words each the value w * 2**-53, the n_breaks int64
-    breaks and the buffer's address, writes the text there and returns its
-    length.
+    It takes the address of rows of three doubles, or with words set of
+    three uint64 words each the value w * 2**-53, of which it formats rows
+    first..end-1, the address of the n_breaks int64 breaks, row indices
+    from first to end, and the buffer's address, writes the text there and
+    returns its length.
     """
-    rows = np.frombuffer((ctypes.c_double * (3 * n)).from_address(values),
+    n = end - first
+    rows = np.frombuffer((ctypes.c_double * (3 * n)).from_address(values + 24 * first),
                          dtype=np.uint64 if words else np.float64).reshape(n, 3)
-    text = python_rows(rows * 2.0**-53 if words else rows, list(breaks[:n_breaks])).encode()
+    marks = [b - first for b in (ctypes.c_int64 * n_breaks).from_address(breaks)]
+    text = python_rows(rows * 2.0**-53 if words else rows, marks).encode()
     ctypes.memmove(buf, text, len(text))
     return len(text)
+
+
+GUARD = b"\xa5" * 16
+
+
+def guarded(nbytes: int):
+    """A ctypes char array of nbytes, then the 16 bytes of GUARD, which a kernel writing inside its arrays leaves as they are."""
+    return (ctypes.c_char * (nbytes + len(GUARD))).from_buffer_copy(GUARD[:1] * nbytes + GUARD)
 
 
 def text_paths():

@@ -401,6 +401,23 @@ def test_planes_io_error_exit_2(tmp_path, capsys):
     assert "error" in err.lower()
 
 
+def test_planes_unusable_output_dir_exits_2_before_scan(tmp_path, capsys, monkeypatch):
+    # an output directory under a regular file used to be found only after
+    # the whole scan: the run now ends at once, with the same i/o error line
+    def no_scan(*args):
+        raise AssertionError("scan started")
+
+    monkeypatch.setattr("xsplanes.experiment._scan_block", no_scan)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run_cli(capsys, "planes", "--magnify-exp", "20", "--target-points", "2000",
+                             "--output-dir", str(blocker / "sub"))
+    assert code == 2
+    assert out == ""
+    assert err == f"i/o error: [Errno 20] Not a directory: '{blocker / 'sub'}'\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
 def test_planes_mesh_writer_failure_exits_2(tmp_path, capsys, monkeypatch):
     def failing(path, strips):
         raise OSError("disk full")

@@ -9,6 +9,7 @@ import math
 import os
 from pathlib import Path
 import platform
+import re
 import shutil
 import signal
 import subprocess
@@ -67,6 +68,15 @@ from xsplanes.planes import MeshStrip, Plane, epsilon_threshold, family, mesh, u
 from xsplanes.xorapprox import COMBINE_ORDER, plane_coefficients
 
 P8 = Params(8, 17, 26)
+
+
+@pytest.fixture(autouse=True)
+def threads_back():
+    # every test here ends with the threads it started joined: the writer's
+    # helper threads among them, on its failure and interrupt paths too
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before
 
 
 def assert_same_sample(sample, ref):
@@ -415,6 +425,59 @@ def test_compiled_kernel_in_use_where_gcc_is_found():
     assert all(isinstance(f, ctypes._CFuncPtr) and f.argtypes for f in kernels)
     spec, state = slab_spec(8, None, 50), seed_state(3, P8)
     assert_same_sample(slab_sample(state, spec, scan_cap=500_000), reference_sample(state, spec, 500_000))
+
+
+def c_prototypes(source: str) -> dict:
+    """The (return type, parameter declarations) of each xs_* function defined in C source, macros expanded."""
+    text = re.sub(r"/\*.*?\*/", "", source, flags=re.S).replace("\\\n", " ")
+    macros = dict(re.findall(r"^#define (\w+) (.*)$", text, flags=re.M))
+    prototypes = {}
+    for ret, name, params in re.findall(r"^(\w[\w ]*?)\s+(xs_\w+)\(([^)]*)\)", text, flags=re.M):
+        params = re.sub(r"\b\w+\b", lambda m: macros.get(m.group(), m.group()), params)
+        prototype = (ret, [" ".join(p.split()) for p in params.split(",")])
+        assert prototypes.setdefault(name, prototype) == prototype  # one prototype a name, whatever the build
+    return prototypes
+
+
+C_KINDS = {"int": ("int", 4, True), "int64_t": ("int", 8, True), "uint64_t": ("int", 8, False),
+           "double": ("float", 8), "void": None}
+
+
+def c_kind(declaration: str):
+    """A C parameter declaration's or return type's kind: pointer, or (int, width, signed), (float, width), None for void."""
+    if "*" in declaration or "[" in declaration:
+        return "pointer"
+    words = [w for w in declaration.split() if w != "const"]
+    return C_KINDS[words[0]]
+
+
+def ctypes_kind(t):
+    """The kind, as c_kind gives it, of a ctypes restype or argtypes entry."""
+    if t is None:
+        return None
+    if t in (ctypes.c_void_p, ctypes.c_char_p) or issubclass(t, ctypes._Pointer):
+        return "pointer"
+    if t in (ctypes.c_float, ctypes.c_double):
+        return ("float", ctypes.sizeof(t))
+    return ("int", ctypes.sizeof(t), t(-1).value < 0)
+
+
+def test_ctypes_signatures_match_the_c_prototypes():
+    # a ctypes entry that disagrees with its C prototype, such as c_int for an
+    # int64_t, passes undefined upper bits without a crash: every exported
+    # function is typed, with the count, width, signedness and pointer-ness
+    # of each argument and of its result as in C
+    root = Path(experiment.__file__).parent
+    prototypes = {**c_prototypes((root / "_lanes.c").read_text()), **c_prototypes((root / "_stages.c").read_text())}
+    stages = experiment._stages()
+    typed = {name: getattr(stages, name) for name in prototypes if name != "xs_scan_lanes"}
+    typed["xs_scan_lanes"] = experiment._scan_kernel(P8)
+    assert len(prototypes) == 8
+    for name, (ret, params) in prototypes.items():
+        function = typed[name]
+        assert function.argtypes is not None, name
+        assert [ctypes_kind(t) for t in function.argtypes] == [c_kind(p) for p in params], name
+        assert ctypes_kind(function.restype) == c_kind(ret), name
 
 
 def assert_names_gcc_and_cache(error, cache_dir):
@@ -1425,3 +1488,131 @@ def test_ctrl_c_stops_run_and_writers(tmp_path):
         os.killpg(proc.pid, 0)
     assert not list(out.glob("*.tmp"))
     assert (out / "points.csv").exists() and not (out / "report.json").exists()
+
+
+SLOW_TEXT = """
+import sys, time
+from xsplanes import experiment
+from xsplanes.engine import Params
+
+experiment._WORKERS = 2
+fmt = experiment._stages().xs_format_rows
+
+def slow(*args):
+    time.sleep(0.2)
+    return fmt(*args)
+
+experiment._stages().xs_format_rows = slow
+experiment.run_experiment(experiment.ExperimentConfig(
+    params=Params(8, 17, 26), seed=2, magnify_exp=4, target_points=5000, control_points=20_000, census_steps=1_000,
+    grid=96, output_dir=sys.argv[1]))
+"""
+
+
+def test_ctrl_c_while_helpers_format_ends_the_run(tmp_path):
+    # Ctrl-C while the calling thread and a helper each format a call of
+    # 0.2 s: the helper stops after its call and is joined, and the run ends
+    # by the interrupt within a second, with no temp file and no report
+    out = tmp_path / "o"
+    src = os.path.dirname(os.path.dirname(experiment.__file__))
+    proc = subprocess.Popen([sys.executable, "-c", SLOW_TEXT, str(out)], env=dict(os.environ, PYTHONPATH=src),
+                            stderr=subprocess.PIPE, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 120
+        while not list(out.glob("points.csv.*.tmp")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        time.sleep(0.1)
+        sent = time.monotonic()
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+        waited = time.monotonic() - sent
+    finally:
+        proc.kill()
+    assert proc.returncode == -signal.SIGINT, err.decode()
+    assert waited < 1.0
+    assert not list(out.glob("*.tmp")) and not (out / "report.json").exists()
+
+
+def _multi_call_config(tmp_path, subdir):
+    # 5,000 points take three formatter calls, and each mesh of 96 x 96
+    # stations, 9,216 vertices less its wrap losses, five
+    return dataclasses.replace(_small_config(tmp_path, subdir), magnify_exp=4, target_points=5000, grid=96)
+
+
+def test_files_do_not_depend_on_the_worker_count(monkeypatch, tmp_path):
+    assert 5000 > 2 * experiment._TEXT_ROWS and 96 * 96 - 2 * 96 > 4 * experiment._TEXT_ROWS
+    fmt, threads = experiment._stages().xs_format_rows, set()
+
+    def logged(*args):
+        threads.add(threading.get_ident())
+        return fmt(*args)
+
+    monkeypatch.setattr(experiment._stages(), "xs_format_rows", logged)
+    files = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(experiment, "_WORKERS", workers)
+        before, threads = threading.active_count(), set()
+        run_experiment(_multi_call_config(tmp_path, f"w{workers}"))
+        assert threading.active_count() == before
+        assert len(threads) == workers  # each worker formats calls
+        files[workers] = {p.name: p.read_bytes() for p in (tmp_path / f"w{workers}").iterdir()}
+    assert len(files[1]) == 11
+    assert files[2] == files[1] and files[3] == files[1]
+
+
+@pytest.mark.parametrize("where", ["helper", "caller"])
+def test_formatter_failure_on_any_thread_is_raised_by_the_caller(monkeypatch, tmp_path, where):
+    # the formatter fails on a helper thread, or on the calling thread while
+    # the helper is mid-call: the caller raises the error, the helper is
+    # joined, and the temp file is gone
+    fmt = experiment._stages().xs_format_rows
+
+    def failing(*args):
+        if (threading.current_thread() is threading.main_thread()) == (where == "caller"):
+            return -1
+        time.sleep(0.1)
+        return fmt(*args)
+
+    monkeypatch.setattr(experiment, "_WORKERS", 2)
+    monkeypatch.setattr(experiment._stages(), "xs_format_rows", failing)
+    target = tmp_path / "points.csv"
+    target.write_text("old\n")
+    points = np.zeros((5000, 3), dtype=np.uint64)
+    with pytest.raises(OSError, match="no C numeric locale"):
+        experiment.write_points_csv(target, points, 1.0, P8, 1)
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["points.csv"]
+    with pytest.raises(OSError, match="no C numeric locale"):
+        run_experiment(_multi_call_config(tmp_path, "run"))
+    assert not (tmp_path / "run").exists()  # the run made it, and points.csv was never written
+
+
+def test_unusable_output_dir_raises_before_the_scan(monkeypatch, tmp_path):
+    def no_scan(*args):
+        raise AssertionError("scan started")
+
+    monkeypatch.setattr(experiment, "_scan_block", no_scan)
+    (tmp_path / "file").write_text("")
+    with pytest.raises(NotADirectoryError):
+        run_experiment(_small_config(tmp_path, "file/sub"))
+
+
+@pytest.mark.parametrize("exc", [OSError("scan failed"), KeyboardInterrupt()], ids=["error", "interrupt"])
+def test_failed_run_removes_the_directories_it_made(monkeypatch, tmp_path, exc):
+    # the output directory is made before the scan; a run that fails removes
+    # the directories it made, where they are still empty, and no other
+    def failing(*args):
+        raise exc
+
+    monkeypatch.setattr(experiment, "_scan_block", failing)
+    (tmp_path / "kept").mkdir()
+    for subdir in ("made/a/b", "kept/a"):
+        with pytest.raises(type(exc)):
+            run_experiment(_small_config(tmp_path, subdir))
+    assert [p.name for p in tmp_path.iterdir()] == ["kept"] and not any((tmp_path / "kept").iterdir())
+    monkeypatch.undo()  # the scan runs, and the first mesh write fails after points.csv
+    monkeypatch.setattr(experiment, "write_mesh_csv", failing)
+    with pytest.raises(type(exc)):
+        run_experiment(_small_config(tmp_path, "made/a"))
+    assert [p.name for p in (tmp_path / "made" / "a").iterdir()] == ["points.csv"]

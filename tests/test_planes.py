@@ -1,3 +1,4 @@
+import ctypes
 import math
 import random
 import tracemalloc
@@ -6,7 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import component_count, height, nearest_plane, reference_mesh, scorers, station_paths, use_station
+from helpers import (GUARD, component_count, guarded, height, nearest_plane, python_format_rows, reference_mesh, scorers,
+                     station_paths, use_station)
+from xsplanes import experiment
 from xsplanes.planes import (
     MeshStrip,
     Plane,
@@ -284,6 +287,66 @@ def test_mesh_peak_holds_vertices_and_branches_only(monkeypatch):
             tracemalloc.stop()
         assert sum(len(s.vertices) for s in strips) > grid * (grid - 2)
         assert peak <= 1.6 * grid * grid * 24, peak / (grid * grid * 24)
+
+
+def test_mesh_reads_as_a_sequence_of_strip_views():
+    # a packed mesh has a length, indexes from either end, iterates more than
+    # once and gives each strip's branch and a read-only view of its rows,
+    # each strip's rows directly after the one before
+    plane = Plane(3, 1, 1)
+    m, want = mesh(plane, 0.5, 2.0, 8), reference_mesh(plane, 0.5, 2.0, 8)
+    assert len(m) == len(want) > 2
+    for _ in range(2):
+        assert [(s.branch, s.vertices.tolist()) for s in m] == [(s.branch, list(map(list, s.vertices))) for s in want]
+    assert m[-1].vertices.tolist() == m[len(m) - 1].vertices.tolist()
+    assert m[-len(m)].branch == m[0].branch
+    for i in (len(m), -len(m) - 1):
+        with pytest.raises(IndexError):
+            m[i]
+    assert m[0].vertices.readonly and m[0].vertices.shape == (len(want[0].vertices), 3)
+    assert list(m.ends) == np.cumsum([len(s.vertices) for s in m]).tolist() and m.ends[-1] == len(m.rows)
+
+
+STATION_CASES = {
+    # grid, first and end station, coef, sign_y
+    "grid 2": (2, 0, 2, 8.0, 1.0),
+    "single station": (17, 5, 6, 9.0, 1.0),
+    "last station": (17, 16, 17, -9.0, -1.0),
+    # f steps by 1.5 along y, so the branch changes at every k
+    "every fragment dropped": (9, 0, 3, 1.0, 12.0),
+    # f steps by 40/63 along y: strips of two vertices and dropped single ones
+    "many strips": (64, 0, 40, -255.0, 40.0),
+}
+
+
+@pytest.mark.parametrize("case", STATION_CASES)
+def test_stations_and_their_text_stay_inside_exact_size_arrays(case):
+    # the compiled station filler and the formatter after it, on arrays of
+    # exactly the size their contracts ask, each followed by a guard that
+    # must stay as it was; the array mesh and the Python formatter in their
+    # place write the same rows, strips and text
+    grid, j0, j1, coef, sign_y = STATION_CASES[case]
+    at, rows, room = 3, (j1 - j0) * grid, (j1 - j0) * (grid // 2)
+    fmt = experiment._stages().xs_format_rows
+    results = []
+    for station, text in zip(station_paths(), (fmt, python_format_rows)):
+        v, ends, branches = guarded(24 * (at + rows)), guarded(8 * room), guarded(8 * room)
+        ends_view, branches_view = ((ctypes.c_int64 * room).from_buffer(a) for a in (ends, branches))
+        n = station(j0, j1, grid, 0.125, 8.0, coef, sign_y, ctypes.addressof(v), at, ends_view, branches_view)
+        assert 0 <= n <= room
+        end = ends_view[n - 1] if n else at
+        assert v.raw[: 24 * at] == GUARD[:1] * 24 * at and v.raw[24 * (at + rows) :] == GUARD
+        assert ends.raw[8 * n :] == GUARD[:1] * 8 * (room - n) + GUARD
+        assert branches.raw[8 * n :] == GUARD[:1] * 8 * (room - n) + GUARD
+        marks = ends_view[: n - 1] if n else [at]  # a blank line between strips, or one for no strip
+        breaks = (ctypes.c_int64 * len(marks))(*marks)
+        out = guarded(experiment._ROW_BYTES * (end - at) + len(marks))
+        size = text(ctypes.addressof(v), at, end, 0, ctypes.addressof(breaks), len(marks), ctypes.addressof(out))
+        assert out.raw[len(out) - len(GUARD) :] == GUARD
+        results.append((n, v.raw[24 * at : 24 * end], ends_view[:n], branches_view[:n], out.raw[:size]))
+    assert results[0] == results[1]
+    if case in ("grid 2", "every fragment dropped"):
+        assert results[0][0] == 0 and results[0][4] == b"\n"
 
 
 def test_mesh_validates():

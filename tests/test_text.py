@@ -1,5 +1,6 @@
 """The compiled CSV formatter and its Python reference against '%.17g', and the files of both text paths."""
 
+import ctypes
 from decimal import Decimal
 import locale
 import os
@@ -10,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import text_paths, use_formatter
+from helpers import GUARD, guarded, python_format_rows, text_paths, use_formatter
 from xsplanes import experiment
 from xsplanes.engine import DEFAULT_PARAMS
 from xsplanes.experiment import ExperimentConfig, run_experiment, write_points_csv
@@ -125,6 +126,25 @@ def test_longest_row_meets_the_row_bound():
     row = compiled_rows([longest] * 3)
     assert row == ["-2.2250738585072009e-308,-2.2250738585072009e-308,-2.2250738585072009e-308\n"]
     assert len(row[0]) == experiment._ROW_BYTES == 75
+
+
+def test_longest_row_stays_inside_exact_size_arrays():
+    # rows of the longest text, from row 0 and from row 1 of two, with no,
+    # one and two blank lines after them, into an output array of exactly
+    # the bound followed by a guard; the Python formatter writes the same
+    longest = -2.2250738585072009e-308
+    row = b"%.17g,%.17g,%.17g\n" % ((longest,) * 3)
+    values = (ctypes.c_double * 6)(*(longest,) * 6)
+    for first in (0, 1):
+        for n in (0, 1, 2):
+            breaks = (ctypes.c_int64 * n)(*[2] * n)
+            texts = []
+            for fmt in (experiment._stages().xs_format_rows, python_format_rows):
+                out = guarded(experiment._ROW_BYTES * (2 - first) + n)
+                size = fmt(ctypes.addressof(values), first, 2, 0, ctypes.addressof(breaks), n, ctypes.addressof(out))
+                assert size == len(out) - len(GUARD) and out.raw[size:] == GUARD
+                texts.append(out.raw[:size])
+            assert texts[0] == texts[1] == row * (2 - first) + b"\n" * n
 
 
 def test_breaks_fill_a_buffer_of_the_bound_and_no_more():
